@@ -225,34 +225,20 @@ std::string CampaignReportToJson(const CampaignReport& report) {
   j.Key("crash_upgrades").Number(static_cast<int64_t>(report.crash_upgrades));
   j.Key("crash_data_loss").Number(static_cast<int64_t>(report.crash_data_loss));
   j.Key("lost").Number(static_cast<int64_t>(report.lost));
-  // Adaptive-only block: kFixed campaign JSON stays byte-identical.
-  if (report.policy_adaptive) {
-    j.Key("refused").Number(static_cast<int64_t>(report.refused));
-    j.Key("policy").BeginObject();
-    j.Key("mode").String("adaptive");
-    j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
-    j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
-    j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
-    j.Key("vm_downtime_ms").Number(ToMillis(report.policy_vm_downtime));
-    j.EndObject();
-  }
-  // Stealing block only when enabled, the stride tally only when it skipped
-  // anything, wall_ms only when measured: default-config reports stay
-  // byte-identical to pre-stealing builds (and byte-comparable across runs —
-  // determinism tests reset wall_ms to -1).
-  if (report.steal_enabled) {
-    j.Key("steals").Number(static_cast<int64_t>(report.steals));
-    j.Key("stolen_hosts").Number(static_cast<int64_t>(report.stolen_hosts));
-  }
-  if (report.idle_epochs_skipped > 0) {
-    j.Key("idle_epochs_skipped").Number(static_cast<int64_t>(report.idle_epochs_skipped));
-  }
+  j.Key("refused").Number(static_cast<int64_t>(report.refused));
+  j.Key("policy").BeginObject();
+  j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");
+  j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
+  j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
+  j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
+  j.Key("vm_downtime_ms").Number(ToMillis(report.policy_vm_downtime));
+  j.EndObject();
+  j.Key("steals").Number(static_cast<int64_t>(report.steals));
+  j.Key("stolen_hosts").Number(static_cast<int64_t>(report.stolen_hosts));
+  j.Key("idle_epochs_skipped").Number(static_cast<int64_t>(report.idle_epochs_skipped));
   j.Key("aborted").Bool(report.aborted);
   j.Key("complete").Bool(report.complete);
   j.Key("makespan_ms").Number(ToMillis(report.makespan));
-  if (report.wall_ms >= 0) {
-    j.Key("wall_ms").Number(report.wall_ms);
-  }
   j.Key("slo").BeginObject();
   j.Key("epochs").Number(static_cast<int64_t>(report.epochs));
   j.Key("throttled_epochs").Number(static_cast<int64_t>(report.throttled_epochs));
@@ -305,13 +291,9 @@ std::string CampaignReportToJson(const CampaignReport& report) {
     j.Key("crashes").Number(static_cast<int64_t>(shard.crashes));
     j.Key("crash_rollbacks").Number(static_cast<int64_t>(shard.crash_rollbacks));
     j.Key("lost").Number(static_cast<int64_t>(shard.lost));
-    if (report.policy_adaptive) {
-      j.Key("refused").Number(static_cast<int64_t>(shard.refused));
-    }
-    if (report.steal_enabled) {
-      j.Key("stolen_in").Number(static_cast<int64_t>(shard.stolen_in));
-      j.Key("stolen_out").Number(static_cast<int64_t>(shard.stolen_out));
-    }
+    j.Key("refused").Number(static_cast<int64_t>(shard.refused));
+    j.Key("stolen_in").Number(static_cast<int64_t>(shard.stolen_in));
+    j.Key("stolen_out").Number(static_cast<int64_t>(shard.stolen_out));
     j.Key("aborted").Bool(shard.aborted);
     j.Key("complete").Bool(shard.complete);
     j.Key("admitted_ms").Number(shard.admitted < 0 ? -1.0 : ToMillis(shard.admitted));
@@ -436,10 +418,14 @@ Result<CampaignReport> CampaignPlanner::Run() {
   ExposureStream stream(plan.total_hosts, plan.total_vms, 0, stream_options);
   Counter* epochs_counter = nullptr;
   Counter* throttled_counter = nullptr;
+  Counter* steals_counter = nullptr;
+  Counter* idle_counter = nullptr;
   Gauge* active_gauge = nullptr;
   if (config_.metrics != nullptr) {
     epochs_counter = &config_.metrics->GetCounter("campaign_epochs");
     throttled_counter = &config_.metrics->GetCounter("campaign_throttled_epochs");
+    steals_counter = &config_.metrics->GetCounter("campaign_steals");
+    idle_counter = &config_.metrics->GetCounter("campaign_idle_epochs_skipped");
     active_gauge = &config_.metrics->GetGauge("campaign_active_shards");
   }
 
@@ -470,10 +456,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
   };
   std::deque<RateSample> rate_window;
   bool throttled = false;
-  // Registered lazily (first steal / first skipped epoch) so metric
-  // snapshots of campaigns that never steal or stride stay byte-identical.
-  Counter* steals_counter = nullptr;
-  Counter* idle_counter = nullptr;
 
   // Admission under the global concurrency cap and per-DC bandwidth slots,
   // in shard-id order (deferred shards keep their place in line).
@@ -697,10 +679,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
           ++report.steals;
           report.stolen_hosts += rack.hosts;
           ++moved;
-          if (config_.metrics != nullptr) {
-            if (steals_counter == nullptr) {
-              steals_counter = &config_.metrics->GetCounter("campaign_steals");
-            }
+          if (steals_counter != nullptr) {
             steals_counter->Increment();
           }
           if (tracer != nullptr) {
@@ -866,10 +845,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
           if (epochs_counter != nullptr) {
             epochs_counter->Increment(static_cast<uint64_t>(skip));
           }
-          if (config_.metrics != nullptr) {
-            if (idle_counter == nullptr) {
-              idle_counter = &config_.metrics->GetCounter("campaign_idle_epochs_skipped");
-            }
+          if (idle_counter != nullptr) {
             idle_counter->Increment(static_cast<uint64_t>(skip));
           }
           // The skipped barriers' all-zero rate samples still slide the
@@ -962,7 +938,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
   report.makespan = end;
   report.complete = !report.aborted && report.upgraded == report.hosts;
   report.policy_adaptive = config_.policy.adaptive();
-  report.steal_enabled = config_.steal.enabled;
   // Campaign-scope decision counters. Shard controllers get no registry of
   // their own (Counter::Increment is not atomic and shards advance on real
   // threads), so the totals land here, once, at the coordinator.

@@ -150,11 +150,11 @@ struct CampaignConfig {
   // per datacenter (CampaignDatacenter::link_gbps / host_headroom) and keys
   // every host plan on the host's campaign-global id, so decisions are
   // byte-identical across shard counts and thread counts. kFixed (the
-  // default) keeps legacy behavior byte for byte.
+  // default) keeps the configured timings.
   policy::PolicyConfig policy;
 
-  // Straggler-tail mitigation (both off/neutral by default — disabled they
-  // keep every existing output byte-identical).
+  // Straggler-tail mitigation (stealing off by default; the stride never
+  // changes output).
   CampaignStealConfig steal;
   // Adaptive epoch stride: when no admitted shard has an event before the
   // next k epoch boundaries and the governor is quiescent, the coordinator
@@ -255,24 +255,20 @@ struct CampaignReport {
   int crash_upgrades = 0;
   int crash_data_loss = 0;
   int lost = 0;
-  // Adaptive mechanism policy totals (all zero/false under kFixed; absent
-  // from the JSON then, so legacy output stays byte-identical).
+  // Adaptive mechanism policy totals (all zero/false under kFixed).
   int refused = 0;
   bool policy_adaptive = false;
   int policy_inplace_vms = 0;
   int policy_migrate_vms = 0;
   int policy_refused_vms = 0;
   SimDuration policy_vm_downtime = 0;
-  // Work-stealing totals (JSON keys appear only when stealing was enabled,
-  // so legacy reports stay byte-identical).
-  bool steal_enabled = false;
+  // Work-stealing totals (zero without CampaignConfig::steal).
   int steals = 0;        // Rack moves across all barriers.
   int stolen_hosts = 0;  // Hosts those racks carried.
-  // Epoch barriers the adaptive stride skipped (JSON key only when > 0).
+  // Epoch barriers the adaptive stride skipped.
   int idle_epochs_skipped = 0;
   // Wall-clock of CampaignPlanner::Run() in milliseconds; -1 = not measured.
-  // Excluded from byte-identity comparisons (JSON key only when >= 0) —
-  // determinism tests reset it to -1 before serializing.
+  // Host time, so never serialized: the report JSON stays deterministic.
   double wall_ms = -1.0;
   int epochs = 0;
   int throttled_epochs = 0;

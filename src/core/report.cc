@@ -26,14 +26,12 @@ std::string TransplantReport::ToString() const {
                 FormatDuration(phases.reboot).c_str(), FormatDuration(phases.pram_parse).c_str(),
                 FormatDuration(phases.restoration).c_str());
   out += buf;
-  if (pre_translated) {
-    std::snprintf(buf, sizeof(buf),
-                  "  pre_translation %s (outside pause) | cache hits %lld | invalidations %lld\n",
-                  FormatDuration(phases.pre_translation).c_str(),
-                  static_cast<long long>(pretranslate_hits),
-                  static_cast<long long>(pretranslate_invalidations));
-    out += buf;
-  }
+  std::snprintf(buf, sizeof(buf),
+                "  pre_translation %s (outside pause) | cache hits %lld | invalidations %lld\n",
+                FormatDuration(phases.pre_translation).c_str(),
+                static_cast<long long>(pretranslate_hits),
+                static_cast<long long>(pretranslate_invalidations));
+  out += buf;
   std::snprintf(buf, sizeof(buf), "  downtime %s | total %s | network downtime %s\n",
                 FormatDuration(downtime).c_str(), FormatDuration(total_time).c_str(),
                 FormatDuration(network_downtime).c_str());

@@ -147,8 +147,7 @@ struct TransplantReport {
   // running, but under the *source* hypervisor kind, and phases.rollback
   // carries the extra downtime the recovery cost.
   TransplantOutcome outcome = TransplantOutcome::kCompleted;
-  // Pre-translation accounting (only meaningful when pre_translated is true;
-  // ToString/JSON omit all three otherwise so legacy output is unchanged).
+  // Pre-translation accounting (all zero unless pre_translated is true).
   bool pre_translated = false;
   int64_t pretranslate_hits = 0;           // Cached blob adopted unmodified.
   int64_t pretranslate_invalidations = 0;  // Generation moved; reconciled.

@@ -29,11 +29,7 @@ std::string TransplantReportToJson(const TransplantReport& report) {
   j.Key("outcome").String(std::string(TransplantOutcomeName(report.outcome)));
   j.Key("phases_ms").BeginObject();
   j.Key("pram").Number(ToMillis(report.phases.pram));
-  if (report.pre_translated) {
-    // Omitted entirely for legacy runs so pre_translate=false documents stay
-    // byte-identical to pre-pretranslation output.
-    j.Key("pre_translation").Number(ToMillis(report.phases.pre_translation));
-  }
+  j.Key("pre_translation").Number(ToMillis(report.phases.pre_translation));
   j.Key("translation").Number(ToMillis(report.phases.translation));
   j.Key("reboot").Number(ToMillis(report.phases.reboot));
   j.Key("pram_parse").Number(ToMillis(report.phases.pram_parse));
@@ -46,10 +42,8 @@ std::string TransplantReportToJson(const TransplantReport& report) {
   j.Key("downtime_ms").Number(ToMillis(report.downtime));
   j.Key("total_ms").Number(ToMillis(report.total_time));
   j.Key("network_downtime_ms").Number(ToMillis(report.network_downtime));
-  if (report.pre_translated) {
-    j.Key("pretranslate_hits").Number(report.pretranslate_hits);
-    j.Key("pretranslate_invalidations").Number(report.pretranslate_invalidations);
-  }
+  j.Key("pretranslate_hits").Number(report.pretranslate_hits);
+  j.Key("pretranslate_invalidations").Number(report.pretranslate_invalidations);
   j.Key("pram_metadata_bytes").Number(report.pram_metadata_bytes);
   j.Key("uisr_total_bytes").Number(report.uisr_total_bytes);
   j.Key("frames_scrubbed").Number(report.frames_scrubbed);
@@ -139,16 +133,13 @@ std::string OperationalReportToJson(const OperationalReport& report) {
   j.Key("lost").Number(static_cast<int64_t>(report.fleet_lost));
   j.Key("throttled_epochs").Number(static_cast<int64_t>(report.fleet_throttled_epochs));
   j.EndObject();
-  // Adaptive-only block: kFixed operational JSON stays byte-identical.
-  if (report.policy_adaptive) {
-    j.Key("policy").BeginObject();
-    j.Key("mode").String("adaptive");
-    j.Key("refused_hosts").Number(static_cast<int64_t>(report.fleet_refused_hosts));
-    j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
-    j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
-    j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
-    j.EndObject();
-  }
+  j.Key("policy").BeginObject();
+  j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");
+  j.Key("refused_hosts").Number(static_cast<int64_t>(report.fleet_refused_hosts));
+  j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
+  j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
+  j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
+  j.EndObject();
   j.Key("event_log").BeginArray();
   for (const std::string& line : report.event_log) {
     j.String(line);

@@ -5,10 +5,7 @@
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
-#include "src/cluster/cluster.h"
 #include "src/obs/metrics.h"
-#include "src/pipeline/conversion.h"
-#include "src/sim/worker_pool.h"
 
 namespace hypertp {
 
@@ -34,18 +31,14 @@ std::string FleetRolloutReportToJson(const FleetRolloutReport& report) {
   j.Key("crash_data_loss").Number(static_cast<int64_t>(report.crash_data_loss));
   j.Key("crash_recovery_retries").Number(static_cast<int64_t>(report.crash_recovery_retries));
   j.Key("lost").Number(static_cast<int64_t>(report.lost));
-  // The policy block appears only for adaptive rollouts: kFixed reports stay
-  // byte-identical to pre-policy builds.
-  if (report.policy_adaptive) {
-    j.Key("refused").Number(static_cast<int64_t>(report.refused));
-    j.Key("policy").BeginObject();
-    j.Key("mode").String("adaptive");
-    j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
-    j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
-    j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
-    j.Key("vm_downtime_ms").Number(ToMillis(report.policy_vm_downtime));
-    j.EndObject();
-  }
+  j.Key("refused").Number(static_cast<int64_t>(report.refused));
+  j.Key("policy").BeginObject();
+  j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");
+  j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
+  j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
+  j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
+  j.Key("vm_downtime_ms").Number(ToMillis(report.policy_vm_downtime));
+  j.EndObject();
   j.Key("aborted").Bool(report.aborted);
   j.Key("complete").Bool(report.complete);
   j.Key("makespan_ms").Number(ToMillis(report.makespan));
@@ -70,71 +63,6 @@ std::string FleetRolloutReportToJson(const FleetRolloutReport& report) {
   j.EndObject();
   j.EndObject();
   return j.Take();
-}
-
-FleetTimingModel DeriveFleetTiming(double inplace_fraction, uint64_t seed,
-                                   int conversion_workers,
-                                   double pretranslate_dirty_fraction) {
-  FleetTimingModel timing;
-  ClusterModel cluster = ClusterModel::PaperCluster(inplace_fraction, seed);
-  auto plan = PlanClusterUpgrade(cluster, 2);
-  if (!plan.ok()) {
-    return timing;  // Keep the defaults; the planner only fails on bad input.
-  }
-  ClusterExecutionParams params;
-  if (conversion_workers > 0) {
-    // The constant inplace_upgrade_time assumes the per-VM conversion runs
-    // serially inside each host's micro-reboot. With a modeled worker pool,
-    // that share is the worker-pool schedule's makespan over the pipeline
-    // stage costs for a representative C1 guest set (8 small VMs), so more
-    // workers shrink every group's upgrade time — exactly how
-    // InPlaceTransplant charges its translation/restoration phases.
-    const HostCostProfile& costs = MachineProfile::C1().costs;
-    constexpr int kGuestsPerHost = 8;
-    constexpr uint32_t kVcpusPerGuest = 2;
-    constexpr uint64_t kBytesPerGuest = 4ull << 30;
-    // Speculative pre-translation: only the guests assumed dirty at pause
-    // time pay the full translate inside the micro-reboot window; the clean
-    // remainder pays the generation check. dirty_fraction 1.0 makes every
-    // guest dirty, which is exactly the pre-pretranslation cost vector.
-    const double dirty = std::clamp(pretranslate_dirty_fraction, 0.0, 1.0);
-    const int dirty_guests =
-        static_cast<int>(std::floor(dirty * static_cast<double>(kGuestsPerHost)));
-    std::vector<SimDuration> full_per_vm;   // What the constant assumes: all dirty.
-    std::vector<SimDuration> per_vm;        // Dirty-adjusted pooled costs.
-    full_per_vm.reserve(kGuestsPerHost);
-    per_vm.reserve(kGuestsPerHost);
-    for (int g = 0; g < kGuestsPerHost; ++g) {
-      const SimDuration restore =
-          pipeline::RestoreStageCost(costs, HypervisorKind::kKvm, kVcpusPerGuest, kBytesPerGuest);
-      const SimDuration full_translate =
-          pipeline::TranslateStageCost(costs, kVcpusPerGuest, kBytesPerGuest);
-      full_per_vm.push_back(full_translate + restore);
-      per_vm.push_back((g < dirty_guests ? full_translate : costs.pretranslate_check) + restore);
-    }
-    // Always subtract the all-dirty serial share — that is the conversion cost
-    // the constant inplace_upgrade_time embeds — then add back the schedule of
-    // the dirty-adjusted costs over the worker pool.
-    const SimDuration serial_share = ScheduleWork(full_per_vm, 1).makespan;
-    const SimDuration pooled_share = ScheduleWork(per_vm, conversion_workers).makespan;
-    params.inplace_upgrade_time =
-        std::max<SimDuration>(params.inplace_upgrade_time - serial_share + pooled_share,
-                              pooled_share);
-  }
-  int group_steps = 0;
-  for (const UpgradeStep& step : plan->steps) {
-    group_steps += !step.group.empty();
-  }
-  auto stats = ExecuteClusterUpgrade(cluster, *plan, params);
-  if (!stats.ok() || cluster.hosts().empty()) {
-    return timing;
-  }
-  // Evacuation wall-clock amortized per host; micro-reboot per group (hosts
-  // in a group reboot in parallel, so per host == per group).
-  timing.drain_per_host = stats->migration_time / static_cast<SimDuration>(cluster.hosts().size());
-  timing.transplant_per_host =
-      group_steps > 0 ? stats->inplace_time / group_steps : params.inplace_upgrade_time;
-  return timing;
 }
 
 Result<void> ValidateFleetConfig(const FleetConfig& config) {
@@ -188,10 +116,6 @@ Result<void> ValidateFleetConfig(const FleetConfig& config) {
   if (!(config.latency_jitter >= 0.0)) {
     return InvalidArgumentError("FleetConfig::latency_jitter must be >= 0, got " +
                                 std::to_string(config.latency_jitter));
-  }
-  if (!(config.inplace_fraction >= 0.0 && config.inplace_fraction <= 1.0)) {
-    return InvalidArgumentError("FleetConfig::inplace_fraction must be in [0, 1], got " +
-                                std::to_string(config.inplace_fraction));
   }
   if (config.trace_capacity == 0) {
     return InvalidArgumentError("FleetConfig::trace_capacity must be > 0");
@@ -274,13 +198,6 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
     HYPERTP_LOG(kError, "fleet") << "rejected config: " << config_error_->ToString();
     return;
   }
-  if (config_.use_cluster_timing) {
-    const FleetTimingModel timing =
-        DeriveFleetTiming(config_.inplace_fraction, config_.seed, config_.conversion_workers,
-                          config_.pretranslate_dirty_fraction);
-    config_.drain_time = timing.drain_per_host;
-    config_.per_host_transplant = timing.transplant_per_host;
-  }
 
   fault_domain_count_ = config_.fault_domains;
   hosts_.reserve(static_cast<size_t>(config_.hosts));
@@ -319,7 +236,7 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
                                     ? i
                                     : config_.policy_host_global_ids[static_cast<size_t>(i)];
       host_plans_.push_back(policy_->PlanHost(global_id, env, config_.per_host_transplant,
-                                              config_.drain_time, config_.conversion_workers));
+                                              config_.drain_time, /*conversion_workers=*/1));
       const policy::HostPolicyPlan& plan = host_plans_.back();
       report_.policy_inplace_vms += plan.inplace_vms;
       report_.policy_migrate_vms += plan.migrate_vms;

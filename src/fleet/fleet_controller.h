@@ -60,8 +60,7 @@ struct FleetRolloutReport {
   int crash_recovery_retries = 0;
   int lost = 0;  // Hosts permanently down from crashes: ledger data loss,
                  // recovery budget exhausted, or a fleet that cannot recover.
-  // Adaptive mechanism policy (all zero/false with policy mode kFixed, and
-  // absent from the report JSON so legacy output stays byte-identical).
+  // Adaptive mechanism policy (all zero/false with policy mode kFixed).
   int refused = 0;             // Hosts excluded: a guest refused both mechanisms.
   bool policy_adaptive = false;
   int policy_inplace_vms = 0;  // Per-VM decisions across the whole fleet.
@@ -90,31 +89,6 @@ struct FleetRolloutReport {
 
 // {"kind":"fleet_rollout", summary counters, wave-latency percentiles}.
 std::string FleetRolloutReportToJson(const FleetRolloutReport& report);
-
-// Per-host drain/transplant durations derived from the §5.4 cluster model:
-// a PaperCluster at `inplace_fraction` compatibility is planned
-// (PlanClusterUpgrade) and executed (ExecuteClusterUpgrade); the evacuation
-// wall-clock amortizes into drain_per_host and the per-group micro-reboot
-// becomes transplant_per_host.
-struct FleetTimingModel {
-  SimDuration drain_per_host = 0;
-  SimDuration transplant_per_host = Seconds(10);
-};
-
-// `conversion_workers` > 0 replaces the serial per-VM conversion share inside
-// the per-group micro-reboot time with the worker-pool schedule's makespan
-// over the pipeline stage cost models (C1 host profile); 0 keeps the legacy
-// constant, so existing seeded replays are byte-identical.
-//
-// `pretranslate_dirty_fraction` models speculative pre-translation on each
-// host (src/pipeline/pretranslate.h): that fraction of the guests dirtied
-// their state between pre-translation and pause and pay the full translate
-// inside the micro-reboot window; the rest pay only the generation check.
-// 1.0 (every guest dirty) reproduces the exact pre-pretranslation costs.
-// Only meaningful with conversion_workers > 0.
-FleetTimingModel DeriveFleetTiming(double inplace_fraction, uint64_t seed,
-                                   int conversion_workers = 0,
-                                   double pretranslate_dirty_fraction = 1.0);
 
 // Rejects degenerate configurations with a field-naming kInvalidArgument
 // instead of the silent clamping the controller used to do: hosts and

@@ -127,22 +127,6 @@ std::vector<FleetEvent> FleetTrace::EventsOfType(FleetEventType type) const {
   return out;
 }
 
-double ExposedHostDays(const FleetTrace& trace, SimTime end) {
-  const std::vector<ExposurePoint>& timeline = trace.exposure_timeline();
-  if (timeline.empty()) {
-    return 0.0;
-  }
-  double host_seconds = 0.0;
-  for (size_t i = 0; i < timeline.size(); ++i) {
-    const SimTime until = i + 1 < timeline.size() ? timeline[i + 1].time : end;
-    if (until <= timeline[i].time) {
-      continue;
-    }
-    host_seconds += ToSeconds(until - timeline[i].time) * timeline[i].exposed_hosts;
-  }
-  return host_seconds / (24.0 * 3600.0);
-}
-
 std::string FleetTraceToJson(const FleetTrace& trace) {
   JsonWriter j;
   j.BeginObject();

@@ -21,7 +21,8 @@ namespace hypertp {
 
 // One sample of the exposure timeline: at `time`, `exposed_hosts` hosts had
 // not yet reached the safe hypervisor (failed hosts stay exposed). The
-// window_model consumes this as host-days via ExposedHostDays().
+// campaign feeds its ExposureStream from these samples; the controller's own
+// integral is FleetRolloutReport::exposed_host_days.
 struct ExposurePoint {
   SimTime time = 0;
   int exposed_hosts = 0;
@@ -51,11 +52,6 @@ class FleetTrace {
   uint64_t total_recorded_ = 0;
   std::vector<ExposurePoint> exposure_;
 };
-
-// Integral of the exposure timeline from its first sample to `end`, in
-// host-days: the quantity Fig. 1 compares between worlds, but now sensitive
-// to stragglers, retries and failures instead of a closed form.
-double ExposedHostDays(const FleetTrace& trace, SimTime end);
 
 // {"kind":"fleet_trace","events":[...],"exposure_timeline":[[t,n],...],...}.
 // Deterministic: same trace -> same bytes.

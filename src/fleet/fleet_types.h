@@ -198,27 +198,10 @@ struct FleetConfig {
 
   // Per-host timings. With the defaults (no drain, 10 s per host, no jitter,
   // no failures) the rollout makespan equals the closed-form
-  // FleetTransplantTime exactly.
+  // FleetTransplantTime exactly. The adaptive policy re-prices both per host
+  // (MechanismPolicy::PlanHost).
   SimDuration drain_time = 0;
   SimDuration per_host_transplant = Seconds(10);
-  // Derive drain/transplant durations from the §5.4 cluster model
-  // (PlanClusterUpgrade/ExecuteClusterUpgrade) instead of the constants.
-  bool use_cluster_timing = false;
-  double inplace_fraction = 0.8;  // VM share riding the micro-reboot in place.
-  // Modeled conversion workers per host for the cluster-derived timing: the
-  // per-VM translate+restore share of each in-place upgrade is re-laid-out by
-  // the worker-pool schedule (src/sim/worker_pool.h) over the pipeline stage
-  // cost models instead of the serial constant. 0 keeps the legacy constant
-  // inplace_upgrade_time, so seeded replays of existing configs are
-  // byte-identical. Only meaningful with use_cluster_timing.
-  int conversion_workers = 0;
-  // Share of each host's guests assumed dirty at pause time under speculative
-  // pre-translation: dirty guests pay the full per-VM translate inside the
-  // micro-reboot window, clean ones only the generation check. 1.0 (the
-  // default) reproduces the legacy per-host cost exactly, so seeded replays
-  // of existing configs are unchanged. Only meaningful with
-  // use_cluster_timing and conversion_workers > 0.
-  double pretranslate_dirty_fraction = 1.0;
 
   // Anti-affinity: hosts spread round-robin over `fault_domains`; a wave
   // holds at most `max_per_domain_in_flight` hosts of one domain
@@ -263,8 +246,8 @@ struct FleetConfig {
   CrashStormConfig crash_storm;
 
   // Adaptive mechanism selection (src/policy/). With the default mode
-  // (kFixed) the policy is inert: timings, draws, events and reports are
-  // byte-identical to pre-policy builds. With kAdaptive, every host's guests
+  // (kFixed) the policy is inert: the configured timings apply and no host
+  // is refused. With kAdaptive, every host's guests
   // are priced per VM (SyntheticVmSignals over the host's *global* id) and
   // the per-host drain/transplant durations and per-VM downtime come from
   // the resulting HostPolicyPlan; hosts with a refused guest are excluded

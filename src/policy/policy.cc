@@ -127,35 +127,6 @@ SimDuration TransplantCostModel::VmConversionCostAllDirty(const VmSignals& vm,
          pipeline::RestoreStageCost(costs_, target, vm.vcpus, vm.memory_bytes);
 }
 
-SimDuration TransplantCostModel::SerialConversionShare(int guests, uint32_t vcpus,
-                                                       uint64_t memory_bytes,
-                                                       HypervisorKind target) const {
-  const SimDuration per_vm = pipeline::TranslateStageCost(costs_, vcpus, memory_bytes) +
-                             pipeline::RestoreStageCost(costs_, target, vcpus, memory_bytes);
-  std::vector<SimDuration> costs(static_cast<size_t>(std::max(guests, 0)), per_vm);
-  return ScheduleWork(costs, 1).makespan;
-}
-
-SimDuration TransplantCostModel::PooledConversionShare(int guests, uint32_t vcpus,
-                                                       uint64_t memory_bytes,
-                                                       HypervisorKind target,
-                                                       double dirty_fraction, int workers) const {
-  const int n = std::max(guests, 0);
-  const double dirty = std::clamp(dirty_fraction, 0.0, 1.0);
-  // Discrete dirty-guest counting, exactly as DeriveFleetTiming laid the
-  // costs out: floor(dirty * guests) guests pay the full translate, the rest
-  // the generation check; every guest pays the restore.
-  const int dirty_guests = static_cast<int>(std::floor(dirty * static_cast<double>(n)));
-  const SimDuration full_translate = pipeline::TranslateStageCost(costs_, vcpus, memory_bytes);
-  const SimDuration restore = pipeline::RestoreStageCost(costs_, target, vcpus, memory_bytes);
-  std::vector<SimDuration> per_vm;
-  per_vm.reserve(static_cast<size_t>(n));
-  for (int g = 0; g < n; ++g) {
-    per_vm.push_back((g < dirty_guests ? full_translate : costs_.pretranslate_check) + restore);
-  }
-  return ScheduleWork(per_vm, workers).makespan;
-}
-
 SimDuration TransplantCostModel::FleetMakespan(int hosts, int parallel_hosts,
                                                SimDuration per_host) {
   const int n = std::max(hosts, 0);  // Negative hosts: empty fleet.
@@ -289,8 +260,7 @@ HostPolicyPlan MechanismPolicy::PlanHost(int64_t host_global_id, const EnvSignal
     return plan;
   }
   // Swap the all-dirty serial conversion share the constant embeds for the
-  // in-place guests' pooled share — the same adjustment shape
-  // DeriveFleetTiming applies, per host instead of fleet-wide.
+  // in-place guests' pooled share.
   const SimDuration serial_share = ScheduleWork(all_dirty_costs, 1).makespan;
   const SimDuration pooled_share =
       ScheduleWork(inplace_costs, std::max(conversion_workers, 1)).makespan;

@@ -5,12 +5,11 @@
 // every signal needed to choose per VM, per wave: StateGeneration churn from
 // pre-translation (dirty fraction), pipeline stage costs, per-DC link
 // bandwidth, host headroom, and rollback risk from the PRAM ledger.
-// Historically the pricing math was smeared across four subsystems —
-// pipeline stage costs (src/pipeline/conversion.h), the cluster executor's
-// migration-link arithmetic (src/cluster/cluster.cc), the fleet layer's
-// conversion-share adjustment (DeriveFleetTiming) and the closed-form
-// FleetTransplantTime (src/vulndb/window_model.h). TransplantCostModel now
-// owns all of it with named inputs; those call sites delegate here, so a
+// TransplantCostModel owns the pricing math with named inputs: pipeline
+// stage costs (src/pipeline/conversion.h), the cluster executor's
+// migration-link arithmetic (src/cluster/cluster.cc), the per-host
+// conversion-share adjustment (MechanismPolicy::PlanHost) and the closed-form
+// FleetTransplantTime (src/vulndb/window_model.h) all delegate here, so a
 // costing change happens exactly once.
 //
 // Determinism contract: every decision is a pure function of (PolicyConfig,
@@ -18,9 +17,8 @@
 // Per-host plans key on a *global* host id supplied by the caller (the
 // campaign planner derives it from the datacenter rack layout), so a fleet
 // partitioned into any number of shards reaches byte-identical decisions.
-// With mode == kFixed the policy is inert: consumers keep their legacy
-// static tagging and constants, and seeded replays are byte-identical to
-// pre-policy builds.
+// With mode == kFixed the policy is inert: consumers keep their static
+// tagging and constant timings.
 
 #ifndef HYPERTP_SRC_POLICY_POLICY_H_
 #define HYPERTP_SRC_POLICY_POLICY_H_
@@ -99,7 +97,7 @@ enum class PolicyMode : uint8_t { kFixed, kAdaptive };
 std::string_view MechanismName(Mechanism mechanism);
 
 // Knobs of the adaptive policy. All defaults leave mode == kFixed, which
-// every consumer treats as "keep the legacy behavior, byte for byte".
+// every consumer treats as "keep the static tagging and constant timings".
 struct PolicyConfig {
   PolicyMode mode = PolicyMode::kFixed;
   // Per-VM downtime budget for InPlaceTP: a VM whose risk-adjusted pause
@@ -175,19 +173,6 @@ class TransplantCostModel {
   // Same, assuming the worst case (every byte dirty) — what the legacy
   // constants embed.
   SimDuration VmConversionCostAllDirty(const VmSignals& vm, HypervisorKind target) const;
-
-  // Serial all-dirty conversion share of `guests` identical VMs — the cost a
-  // constant per-host transplant time embeds (DeriveFleetTiming's baseline).
-  SimDuration SerialConversionShare(int guests, uint32_t vcpus, uint64_t memory_bytes,
-                                    HypervisorKind target) const;
-
-  // Worker-pool (LPT) makespan of the dirty-adjusted conversion of `guests`
-  // identical VMs: floor(dirty_fraction * guests) of them pay the full
-  // translate, the rest the generation check. Exactly DeriveFleetTiming's
-  // pooled share, now stated once.
-  SimDuration PooledConversionShare(int guests, uint32_t vcpus, uint64_t memory_bytes,
-                                    HypervisorKind target, double dirty_fraction,
-                                    int workers) const;
 
   // Closed-form fleet makespan: ceil(hosts / parallel) waves of `per_host`.
   // FleetTransplantTime (window_model) delegates here.

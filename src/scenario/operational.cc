@@ -35,41 +35,31 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // Dedicated stream for fleet rollouts, forked unconditionally so the
   // disclosure sequence is identical across fleet modes for one seed.
   Rng fleet_stream = rng.Fork();
-  // Adaptive mechanism policy: only the event-driven modes execute per-host
-  // work the policy can adapt; the closed form stays a pure multiplication.
-  const bool adaptive = config.fleet_policy.adaptive() &&
-                        config.fleet_mode != FleetExecutionMode::kClosedForm;
+  const bool adaptive = config.fleet_policy.adaptive();
   report.policy_adaptive = adaptive;
+  const int total_vms = config.fleet.hosts * config.vms_per_host;
   // One nested executor reused across every rollout of the year (an aborted
   // rollout's Stop() must not poison the next one).
   SimExecutor fleet_executor;
 
-  // Runs one fleet-wide transplant through the event-driven control plane
-  // and returns its makespan. Hosts stranded on the vulnerable hypervisor
-  // (permanent failures, or never reached because the rollout aborted) stay
-  // exposed for `residual_exposure_days` — the rest of the patch wait.
-  auto fleet_rollout = [&](double residual_exposure_days) -> SimDuration {
-    FleetConfig fleet_config;
-    fleet_config.hosts = config.fleet.hosts;
-    fleet_config.parallel_hosts = config.fleet.parallel_hosts;
-    fleet_config.per_host_transplant = config.fleet.per_host_transplant;
-    fleet_config.failure_probability = config.fleet_failure_probability;
-    fleet_config.latency_jitter = config.fleet_latency_jitter;
-    fleet_config.max_retries = config.fleet_max_retries;
-    fleet_config.abort_threshold = config.fleet_abort_threshold;
-    fleet_config.post_pause_fraction = config.fleet_post_pause_fraction;
-    fleet_config.rollback_failure_probability = config.fleet_rollback_failure_probability;
-    fleet_config.rollback_time = config.fleet_rollback_time;
-    if (config.fleet_mode == FleetExecutionMode::kFaultStorm) {
-      fleet_config.crash_storm = config.fleet_storm;
-    }
-    if (adaptive) {
-      fleet_config.policy = config.fleet_policy;
-      fleet_config.policy.vms_per_host = config.vms_per_host;
-    }
-    fleet_config.seed = fleet_stream.NextU64();
-    FleetController controller(fleet_executor, fleet_config);
-    const FleetRolloutReport& rollout = controller.Run();
+  // A rejected config (degenerate knobs) runs nothing: no rollout is counted,
+  // the field-naming error lands in the event log, and every host stays
+  // stranded on the vulnerable hypervisor for the residual window.
+  auto reject_rollout = [&](const Error& error, double residual_exposure_days) -> SimDuration {
+    report.event_log.push_back("rollout rejected: " + error.ToString());
+    report.fleet_stranded_hosts += config.fleet.hosts;
+    report.exposure_days_hypertp += residual_exposure_days;
+    return 0;
+  };
+
+  // Charges a rollout that ran to the year, whichever mode ran it (a
+  // FleetRolloutReport or a CampaignReport: both carry these fields).
+  // Downtime is the plans' modeled per-VM downtime under the adaptive policy,
+  // else the flat Fig. 6 charge. Hosts neither upgraded nor lost (failed,
+  // never reached because the rollout aborted, or refused by the policy)
+  // stay exposed for `residual_exposure_days` — the rest of the patch wait.
+  // Lost hosts are dead, not exposed.
+  auto tally = [&](const auto& rollout, double residual_exposure_days) {
     ++report.fleet_rollouts;
     report.fleet_retries += rollout.retries;
     report.fleet_stranded_hosts += rollout.failed + rollout.untouched;
@@ -82,30 +72,50 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     report.fleet_crash_live_recoveries += rollout.crash_live_recoveries;
     report.fleet_crash_rollbacks += rollout.crash_rollbacks;
     report.fleet_lost += rollout.lost;
+    report.fleet_refused_hosts += rollout.refused;
+    report.policy_inplace_vms += rollout.policy_inplace_vms;
+    report.policy_migrate_vms += rollout.policy_migrate_vms;
+    report.policy_refused_vms += rollout.policy_refused_vms;
+    report.vm_downtime_paid +=
+        adaptive ? rollout.policy_vm_downtime : config.per_vm_downtime * total_vms;
+    if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
+      report.exposure_days_hypertp += static_cast<double>(rollout.hosts - rollout.upgraded -
+                                                          rollout.lost) /
+                                      rollout.hosts * residual_exposure_days;
+    }
+  };
+
+  // Runs one fleet-wide transplant through the event-driven control plane
+  // and returns its makespan.
+  auto fleet_rollout = [&](double residual_exposure_days) -> SimDuration {
+    FleetConfig fleet_config;
+    fleet_config.hosts = config.fleet.hosts;
+    fleet_config.parallel_hosts = config.fleet.parallel_hosts;
+    fleet_config.per_host_transplant = config.fleet.per_host_transplant;
+    fleet_config.failure_probability = config.fleet_failure_probability;
+    fleet_config.latency_jitter = config.fleet_latency_jitter;
+    fleet_config.max_retries = config.fleet_max_retries;
+    fleet_config.abort_threshold = config.fleet_abort_threshold;
+    fleet_config.post_pause_fraction = config.fleet_post_pause_fraction;
+    fleet_config.rollback_failure_probability = config.fleet_rollback_failure_probability;
+    fleet_config.rollback_time = config.fleet_rollback_time;
+    fleet_config.crash_storm = config.fleet_storm;
     if (adaptive) {
-      report.fleet_refused_hosts += rollout.refused;
-      report.policy_inplace_vms += rollout.policy_inplace_vms;
-      report.policy_migrate_vms += rollout.policy_migrate_vms;
-      report.policy_refused_vms += rollout.policy_refused_vms;
-      // Per-VM downtime is what the plans actually charged, not the flat
-      // per_vm_downtime constant (the call sites skip that charge).
-      report.vm_downtime_paid += rollout.policy_vm_downtime;
+      fleet_config.policy = config.fleet_policy;
+      fleet_config.policy.vms_per_host = config.vms_per_host;
     }
-    if (fleet_config.hosts > 0 && !rollout.complete) {
-      // Lost hosts are dead, not exposed; only stranded-but-running hosts
-      // keep accruing the residual patch wait.
-      const double stranded_fraction =
-          static_cast<double>(fleet_config.hosts - rollout.upgraded - rollout.lost) /
-          fleet_config.hosts;
-      report.exposure_days_hypertp += stranded_fraction * residual_exposure_days;
+    fleet_config.seed = fleet_stream.NextU64();
+    FleetController controller(fleet_executor, fleet_config);
+    if (controller.config_error().has_value()) {
+      return reject_rollout(*controller.config_error(), residual_exposure_days);
     }
+    const FleetRolloutReport& rollout = controller.Run();
+    tally(rollout, residual_exposure_days);
     return rollout.makespan;
   };
 
   // Same contract as fleet_rollout, but through the sharded campaign control
-  // plane: N coordinated per-shard controllers under the SLO governor. A
-  // planning error (degenerate knobs) logs and charges zero makespan rather
-  // than aborting the year.
+  // plane: N coordinated per-shard controllers under the SLO governor.
   auto campaign_rollout = [&](double residual_exposure_days) -> SimDuration {
     CampaignConfig cc;
     CampaignDatacenter dc;
@@ -113,6 +123,13 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     dc.racks = std::max(config.campaign_shards, 1);
     dc.hosts_per_rack = std::max(config.fleet.hosts / dc.racks, 1);
     dc.vms_per_host = config.vms_per_host;
+    dc.crash_storm = config.fleet_storm;
+    if (adaptive) {
+      // The single synthetic DC carries the policy's environment signals.
+      dc.link_gbps = config.fleet_policy.link_gbps;
+      dc.host_headroom = config.fleet_policy.host_headroom;
+      cc.policy = config.fleet_policy;
+    }
     cc.datacenters.push_back(dc);
     cc.shards = dc.racks;
     cc.parallel_hosts_per_shard = std::max(config.fleet.parallel_hosts / cc.shards, 1);
@@ -124,56 +141,22 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     cc.rollback_failure_probability = config.fleet_rollback_failure_probability;
     cc.rollback_time = config.fleet_rollback_time;
     cc.slo = config.campaign_slo;
-    if (adaptive) {
-      cc.policy = config.fleet_policy;
-      // The single synthetic DC carries the policy's environment signals.
-      cc.datacenters[0].link_gbps = config.fleet_policy.link_gbps;
-      cc.datacenters[0].host_headroom = config.fleet_policy.host_headroom;
-    }
     cc.seed = fleet_stream.NextU64();
-    CampaignPlanner planner(std::move(cc));
-    Result<CampaignReport> run = planner.Run();
+    Result<CampaignReport> run = CampaignPlanner(std::move(cc)).Run();
     if (!run.ok()) {
-      report.event_log.push_back("campaign rejected: " + run.error().ToString());
-      return 0;
+      return reject_rollout(run.error(), residual_exposure_days);
     }
-    const CampaignReport& campaign = *run;
-    ++report.fleet_rollouts;
-    report.fleet_retries += campaign.retries;
-    report.fleet_stranded_hosts += campaign.failed + campaign.untouched;
-    report.fleet_aborts += campaign.aborted;
-    report.fleet_post_pause_faults += campaign.post_pause_faults;
-    report.fleet_rollbacks += campaign.rollbacks;
-    report.fleet_rollback_failures += campaign.rollback_failures;
-    report.fleet_throttled_epochs += campaign.throttled_epochs;
-    if (adaptive) {
-      report.fleet_refused_hosts += campaign.refused;
-      report.policy_inplace_vms += campaign.policy_inplace_vms;
-      report.policy_migrate_vms += campaign.policy_migrate_vms;
-      report.policy_refused_vms += campaign.policy_refused_vms;
-      report.vm_downtime_paid += campaign.policy_vm_downtime;
-    }
-    if (campaign.hosts > 0 && !campaign.complete) {
-      const double stranded_fraction =
-          static_cast<double>(campaign.hosts - campaign.upgraded) / campaign.hosts;
-      report.exposure_days_hypertp += stranded_fraction * residual_exposure_days;
-    }
-    return campaign.makespan;
+    tally(*run, residual_exposure_days);
+    report.fleet_throttled_epochs += run->throttled_epochs;
+    return run->makespan;
   };
 
   // One fleet-wide transplant under the configured execution mode; returns
   // the charged makespan.
   auto run_rollout = [&](double residual_exposure_days) -> SimDuration {
-    switch (config.fleet_mode) {
-      case FleetExecutionMode::kFleetController:
-      case FleetExecutionMode::kFaultStorm:
-        return fleet_rollout(residual_exposure_days);
-      case FleetExecutionMode::kCampaign:
-        return campaign_rollout(residual_exposure_days);
-      case FleetExecutionMode::kClosedForm:
-        break;
-    }
-    return FleetTransplantTime(config.fleet);
+    return config.fleet_mode == FleetExecutionMode::kCampaign
+               ? campaign_rollout(residual_exposure_days)
+               : fleet_rollout(residual_exposure_days);
   };
 
   // Historical disclosure rate: critical flaws affecting the home hypervisor
@@ -194,7 +177,6 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // Fleet state.
   HypervisorKind current = config.home;
   SimTime safe_until = -1;  // While transplanted away: when the patch lands.
-  const int total_vms = config.fleet.hosts * config.vms_per_host;
 
   // Poisson arrivals: exponential inter-arrival times.
   std::function<void()> schedule_next = [&]() {
@@ -251,11 +233,6 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
             tracer->SetAttribute(rollout, "target", HypervisorKindName(current));
           }
           report.exposure_days_hypertp += ToSeconds(exposed) / kDaySeconds;
-          if (!adaptive) {
-            // Flat Fig. 6 charge; adaptive rollouts charged their modeled
-            // per-VM downtime inside the rollout lambda instead.
-            report.vm_downtime_paid += config.per_vm_downtime * total_vms;
-          }
           safe_until = at + Days(window);
           report.event_log.push_back(Stamp(at) + ": " + cve->id + " — fleet -> " +
                                      std::string(HypervisorKindName(current)));
@@ -264,23 +241,13 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
             if (current != config.home) {
               ++report.transplants_back;
               current = config.home;
-              SimDuration back_time = 0;
-              if (config.fleet_mode != FleetExecutionMode::kClosedForm) {
-                // The return trip is a rollout too; a straggler here is no
-                // longer exposure (home is patched), just counted work.
-                back_time = run_rollout(0.0);
-              } else if (tracer != nullptr) {
-                // Closed form charges no makespan to the report; compute it
-                // only so the trace span has a width.
-                back_time = FleetTransplantTime(config.fleet);
-              }
+              // The return trip is a rollout too; a straggler here is no
+              // longer exposure (home is patched), just counted work.
+              const SimDuration back_time = run_rollout(0.0);
               if (tracer != nullptr) {
                 const SpanId rollout =
                     tracer->AddSpan("rollout:back", when, back_time, 0, "fleet");
                 tracer->SetAttribute(rollout, "target", HypervisorKindName(config.home));
-              }
-              if (!adaptive) {
-                report.vm_downtime_paid += config.per_vm_downtime * total_vms;
               }
               report.event_log.push_back(Stamp(when) + ": patch applied — fleet -> " +
                                          std::string(HypervisorKindName(config.home)));

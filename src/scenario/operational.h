@@ -24,25 +24,19 @@ namespace hypertp {
 
 class Tracer;
 
-// How each disclosure's fleet-wide transplant is timed.
+// How each disclosure's fleet-wide transplant is executed. Both modes are
+// event-driven and inject the configured faults (and `fleet_storm`, when
+// enabled); with neither, a rollout's makespan is the closed-form
+// FleetTransplantTime.
 enum class FleetExecutionMode : uint8_t {
-  // ceil(hosts/parallel) * per_host (FleetTransplantTime) — no failures,
-  // no stragglers.
-  kClosedForm,
-  // Event-driven rollout through src/fleet's FleetController: wave
-  // scheduling, injected failures, retries with backoff, abort threshold.
-  // Identical to the closed form when fault-free.
+  // One rollout through src/fleet's FleetController: wave scheduling,
+  // injected failures, retries with backoff, abort threshold.
   kFleetController,
   // Sharded campaign through src/campaign's CampaignPlanner: the fleet is
   // laid out as one datacenter of `campaign_shards` racks and every
   // disclosure's rollout runs N coordinated per-shard controllers under the
   // `campaign_slo` budgets. Hosts round down to a whole number of racks.
   kCampaign,
-  // kFleetController plus the `fleet_storm` crash storm replayed against
-  // every rollout of the year: seeded hypervisor crashes mid-traffic, each
-  // answered by an unplanned InPlaceTP recovery from the last PRAM image
-  // (ReHype-mode salvage) — or lost when the crash tore the ledger.
-  kFaultStorm,
 };
 
 struct OperationalConfig {
@@ -59,8 +53,8 @@ struct OperationalConfig {
   SimDuration per_vm_downtime = SecondsF(1.7);
   int vms_per_host = 10;
 
-  FleetExecutionMode fleet_mode = FleetExecutionMode::kClosedForm;
-  // Fault-injection knobs for kFleetController mode.
+  FleetExecutionMode fleet_mode = FleetExecutionMode::kFleetController;
+  // Fault-injection knobs, applied in either mode.
   double fleet_failure_probability = 0.0;
   double fleet_latency_jitter = 0.0;
   int fleet_max_retries = 3;
@@ -71,19 +65,20 @@ struct OperationalConfig {
   double fleet_post_pause_fraction = 0.0;
   double fleet_rollback_failure_probability = 0.0;
   SimDuration fleet_rollback_time = Seconds(5);
-  // kFaultStorm mode: the storm replayed against every rollout. Ignored by
-  // the other modes so their byte-exact outputs never move.
+  // Hypervisor-crash storm replayed against every rollout of the year when
+  // enabled: seeded crashes mid-traffic, each answered by an unplanned
+  // InPlaceTP recovery from the last PRAM image (ReHype-mode salvage) — or
+  // lost when the crash tore the ledger. In kCampaign mode it is the
+  // datacenter's storm, thinned across the shards by host count.
   CrashStormConfig fleet_storm;
 
   // Adaptive mechanism selection (src/policy/) for every rollout of the
-  // year. With kFixed (the default) nothing changes: per-VM downtime is the
-  // flat per_vm_downtime charge and rollout timings are the configured
-  // constants, byte-identical to earlier builds. With kAdaptive (and any
-  // event-driven fleet_mode — kClosedForm has no per-host execution to
-  // adapt), each rollout prices every VM individually: in-place guests are
-  // charged their modeled pause, migrated guests the switchover brownout,
-  // and hosts with refused guests stay exposed. vms_per_host above feeds the
-  // policy's per-host population.
+  // year. With kFixed (the default) per-VM downtime is the flat
+  // per_vm_downtime charge and rollout timings are the configured constants.
+  // With kAdaptive each rollout prices every VM individually: in-place
+  // guests are charged their modeled pause, migrated guests the switchover
+  // brownout, and hosts with refused guests stay exposed. vms_per_host above
+  // feeds the policy's per-host population.
   policy::PolicyConfig fleet_policy;
 
   // kCampaign mode: shard count and fleet-wide SLO budgets for the sharded
@@ -111,7 +106,9 @@ struct OperationalReport {
   double exposure_days_hypertp = 0.0;      // This world.
   // Cumulative per-VM downtime HyperTP charged (both directions).
   SimDuration vm_downtime_paid = 0;
-  // kFleetController mode: aggregates over every rollout the year ran.
+  // Aggregates over every rollout the year ran. A rollout whose config was
+  // rejected is not counted: its error lands in event_log and every host
+  // stays stranded for the residual window.
   int fleet_rollouts = 0;
   int fleet_retries = 0;
   int fleet_stranded_hosts = 0;  // Failed or never reached by an abort.
@@ -120,7 +117,7 @@ struct OperationalReport {
   int fleet_post_pause_faults = 0;
   int fleet_rollbacks = 0;          // Hosts salvaged by PRAM rollback.
   int fleet_rollback_failures = 0;  // Hosts lost to a failed rollback.
-  // kFaultStorm mode: crash strikes and their unplanned-recovery outcomes,
+  // Crash strikes under `fleet_storm` and their unplanned-recovery outcomes,
   // summed over every rollout of the year.
   int fleet_crashes = 0;
   int fleet_crash_salvages = 0;
@@ -130,8 +127,7 @@ struct OperationalReport {
   // kCampaign mode: epoch barriers the SLO governor spent throttled, summed
   // over every campaign of the year.
   int fleet_throttled_epochs = 0;
-  // Adaptive mechanism policy (all zero/false under kFixed, and absent from
-  // the report JSON then).
+  // Adaptive mechanism policy (all zero/false under kFixed).
   bool policy_adaptive = false;
   int fleet_refused_hosts = 0;  // Hosts excluded by refusals, summed over rollouts.
   int policy_inplace_vms = 0;   // Per-VM decisions, summed over rollouts.

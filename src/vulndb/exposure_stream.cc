@@ -26,6 +26,12 @@ ExposureStream::ExposureStream(int64_t total_hosts, int64_t total_vms, SimTime s
     fraction_gauge_ =
         &options_.metrics->GetGauge(options_.metric_prefix + "_fraction_vulnerable");
     fraction_gauge_->Set(fraction_vulnerable());
+    hosts_reexposed_ =
+        &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_reexposed");
+    vms_reexposed_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_reexposed");
+    hosts_rehomed_counter_ =
+        &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_rehomed");
+    vms_rehomed_counter_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_rehomed");
   }
   MaybeRecordPoint(start, /*force=*/true);  // The curve always opens at 1.0.
 }
@@ -65,17 +71,10 @@ void ExposureStream::OnHostsExposed(SimTime t, int64_t hosts, int64_t vms) {
   Accrue(t);
   exposed_hosts_ = std::min<int64_t>(exposed_hosts_ + std::max<int64_t>(hosts, 0), total_hosts_);
   exposed_vms_ = std::min<int64_t>(exposed_vms_ + std::max<int64_t>(vms, 0), total_vms_);
-  if (options_.metrics != nullptr) {
-    if (hosts_reexposed_ == nullptr) {
-      hosts_reexposed_ =
-          &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_reexposed");
-      vms_reexposed_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_reexposed");
-    }
+  if (hosts_reexposed_ != nullptr) {
     hosts_reexposed_->Increment(static_cast<uint64_t>(std::max<int64_t>(hosts, 0)));
     vms_reexposed_->Increment(static_cast<uint64_t>(std::max<int64_t>(vms, 0)));
-    if (fraction_gauge_ != nullptr) {
-      fraction_gauge_->Set(fraction_vulnerable());
-    }
+    fraction_gauge_->Set(fraction_vulnerable());
   }
   MaybeRecordPoint(last_update_, /*force=*/false);
 }
@@ -84,12 +83,7 @@ void ExposureStream::OnHostsRehomed(SimTime t, int64_t hosts, int64_t vms) {
   Accrue(t);
   hosts_rehomed_ += std::max<int64_t>(hosts, 0);
   vms_rehomed_ += std::max<int64_t>(vms, 0);
-  if (options_.metrics != nullptr) {
-    if (hosts_rehomed_counter_ == nullptr) {
-      hosts_rehomed_counter_ =
-          &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_rehomed");
-      vms_rehomed_counter_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_rehomed");
-    }
+  if (hosts_rehomed_counter_ != nullptr) {
     hosts_rehomed_counter_->Increment(static_cast<uint64_t>(std::max<int64_t>(hosts, 0)));
     vms_rehomed_counter_->Increment(static_cast<uint64_t>(std::max<int64_t>(vms, 0)));
   }

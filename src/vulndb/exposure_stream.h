@@ -48,6 +48,10 @@ struct ExposureStreamOptions {
   //   <prefix>_fraction_vulnerable  (gauge)
   //   <prefix>_hosts_upgraded       (counter)
   //   <prefix>_vms_upgraded         (counter)
+  //   <prefix>_hosts_reexposed      (counter, OnHostsExposed)
+  //   <prefix>_vms_reexposed        (counter)
+  //   <prefix>_hosts_rehomed        (counter, OnHostsRehomed)
+  //   <prefix>_vms_rehomed          (counter)
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
   std::string metric_prefix = "campaign";
@@ -66,15 +70,13 @@ class ExposureStream {
 
   // The reverse flow: `hosts`/`vms` returned to the vulnerable hypervisor at
   // `t` (crash-induced rollback during a fault storm). Clamped to the fleet
-  // totals. Mirrors into <prefix>_hosts_reexposed / <prefix>_vms_reexposed
-  // counters, created lazily so storm-free runs keep their exact metric set.
+  // totals. Mirrors into <prefix>_hosts_reexposed / <prefix>_vms_reexposed.
   void OnHostsExposed(SimTime t, int64_t hosts, int64_t vms);
 
   // Exposure-neutral ownership move: `hosts`/`vms` changed which shard owns
   // them at `t` (campaign rack work-stealing) without changing whether they
   // are exposed. Accrues the integral to `t` and tallies the traffic into
-  // <prefix>_hosts_rehomed / <prefix>_vms_rehomed counters (created lazily,
-  // so steal-free runs keep their exact metric set); the curve is untouched.
+  // <prefix>_hosts_rehomed / <prefix>_vms_rehomed; the curve is untouched.
   void OnHostsRehomed(SimTime t, int64_t hosts, int64_t vms);
 
   // Advances the exposure integral to `t` with no membership change (epoch
@@ -120,10 +122,8 @@ class ExposureStream {
   Counter* hosts_upgraded_ = nullptr;
   Counter* vms_upgraded_ = nullptr;
   Gauge* fraction_gauge_ = nullptr;
-  // Created on the first OnHostsExposed (see its comment).
   Counter* hosts_reexposed_ = nullptr;
   Counter* vms_reexposed_ = nullptr;
-  // Created on the first OnHostsRehomed.
   int64_t hosts_rehomed_ = 0;
   int64_t vms_rehomed_ = 0;
   Counter* hosts_rehomed_counter_ = nullptr;

@@ -36,14 +36,6 @@ CampaignConfig BaseConfig() {
   return config;
 }
 
-// Byte-identity comparisons must exclude wall-clock: wall_ms is the one
-// intentionally nondeterministic report field (its JSON key is omitted when
-// reset to the unmeasured sentinel).
-std::string DeterministicJson(CampaignReport report) {
-  report.wall_ms = -1.0;
-  return CampaignReportToJson(report);
-}
-
 TEST(CampaignPlanTest, ShardsPartitionRacksWithoutSplitting) {
   CampaignConfig config = BaseConfig();
   config.datacenters[1].hosts_per_rack = 5;  // east 40 hosts, west 10.
@@ -332,7 +324,7 @@ TEST(CampaignTest, ReportAndObservabilityAreByteIdenticalAcrossThreadCounts) {
     config.metrics = &metrics;
     Result<CampaignReport> run = CampaignPlanner(config).Run();
     ASSERT_TRUE(run.ok()) << run.error().ToString();
-    report_json[i] = DeterministicJson(*run);
+    report_json[i] = CampaignReportToJson(*run);
     trace_json[i] = tracer.ToChromeTraceJson();
     metrics_json[i] = metrics.ToJson();
   }
@@ -393,6 +385,7 @@ TEST(CampaignReportJsonTest, GoldenOutput) {
   report.exposed_host_days = 0.5;
   report.exposed_vm_days = 5.0;
   report.exposure_curve = {{0, 80, 1.0}, {Seconds(60), 40, 0.5}, {Seconds(120), 10, 0.125}};
+  report.wall_ms = 12.5;  // Host time: never serialized.
   CampaignShardSummary a;
   a.id = 0;
   a.datacenter = 0;
@@ -429,8 +422,10 @@ TEST(CampaignReportJsonTest, GoldenOutput) {
       R"("upgraded":7,"failed":1,"untouched":0,"retries":2,"post_pause_faults":1,)"
       R"("rollbacks":1,"rollback_failures":0,"crashes":3,"crash_salvages":2,)"
       R"("crash_live_recoveries":0,"crash_rollbacks":1,"crash_upgrades":1,)"
-      R"("crash_data_loss":1,"lost":1,"aborted":false,"complete":false,)"
-      R"("makespan_ms":120000,)"
+      R"("crash_data_loss":1,"lost":1,"refused":0,)"
+      R"("policy":{"mode":"fixed","inplace_vms":0,"migrate_vms":0,"refused_vms":0,)"
+      R"("vm_downtime_ms":0},"steals":0,"stolen_hosts":0,"idle_epochs_skipped":0,)"
+      R"("aborted":false,"complete":false,"makespan_ms":120000,)"
       R"("slo":{"epochs":3,"throttled_epochs":1,"abort_reason":""},)"
       R"("exposure":{"final_fraction_vulnerable":0.125,"exposed_host_days":0.5,)"
       R"("exposed_vm_days":5,"curve":[[0,80,1],[60000,40,0.5],[120000,10,0.125]]},)"
@@ -440,11 +435,13 @@ TEST(CampaignReportJsonTest, GoldenOutput) {
       R"({"id":0,"datacenter":0,"hosts":4,"upgraded":4,"failed":0,"untouched":0,)"
       R"("retries":1,"waves":2,"post_pause_faults":0,"rollbacks":0,)"
       R"("rollback_failures":0,"crashes":0,"crash_rollbacks":0,"lost":0,)"
+      R"("refused":0,"stolen_in":0,"stolen_out":0,)"
       R"("aborted":false,"complete":true,"admitted_ms":0,)"
       R"("makespan_ms":100000},)"
       R"({"id":1,"datacenter":0,"hosts":4,"upgraded":3,"failed":1,"untouched":0,)"
       R"("retries":1,"waves":2,"post_pause_faults":1,"rollbacks":1,)"
       R"("rollback_failures":0,"crashes":3,"crash_rollbacks":1,"lost":1,)"
+      R"("refused":0,"stolen_in":0,"stolen_out":0,)"
       R"("aborted":false,"complete":false,"admitted_ms":-1,)"
       R"("makespan_ms":120000}]})";
   EXPECT_EQ(CampaignReportToJson(report), expected);
@@ -555,7 +552,7 @@ TEST(CampaignStormTest, StormReportsAreByteIdenticalAcrossThreadCounts) {
     config.real_threads = i == 0 ? 1 : 4;
     Result<CampaignReport> run = CampaignPlanner(config).Run();
     ASSERT_TRUE(run.ok()) << run.error().ToString();
-    json[i] = DeterministicJson(*run);
+    json[i] = CampaignReportToJson(*run);
   }
   EXPECT_EQ(json[0], json[1]);
 }
@@ -623,7 +620,7 @@ TEST(CampaignStormTest, QuietStormConfigKeepsLegacyBytes) {
   zeroed.datacenters[0].crash_storm = CrashStormConfig{};
   Result<CampaignReport> same = CampaignPlanner(zeroed).Run();
   ASSERT_TRUE(same.ok());
-  EXPECT_EQ(DeterministicJson(*base), DeterministicJson(*same));
+  EXPECT_EQ(CampaignReportToJson(*base), CampaignReportToJson(*same));
 }
 
 TEST(CampaignStormTest, PlanRejectsMalformedStormWithDatacenterContext) {
@@ -637,14 +634,15 @@ TEST(CampaignStormTest, PlanRejectsMalformedStormWithDatacenterContext) {
   EXPECT_NE(planned.error().message().find("pre_pause_fraction"), std::string::npos);
 }
 
-TEST(CampaignPolicyTest, FixedModeReportJsonCarriesNoPolicyKeys) {
+TEST(CampaignPolicyTest, FixedModeReportJsonCarriesAZeroPolicyBlock) {
   Result<CampaignReport> run = CampaignPlanner(BaseConfig()).Run();
   ASSERT_TRUE(run.ok()) << run.error().ToString();
   EXPECT_FALSE(run->policy_adaptive);
   EXPECT_EQ(run->refused, 0);
   const std::string json = CampaignReportToJson(*run);
-  EXPECT_EQ(json.find("\"policy\""), std::string::npos);
-  EXPECT_EQ(json.find("\"refused\""), std::string::npos);
+  EXPECT_NE(json.find(R"("refused":0,"policy":{"mode":"fixed","inplace_vms":0,)"),
+            std::string::npos)
+      << json;
 }
 
 TEST(CampaignPolicyTest, AdaptiveDecisionsAreInvariantAcrossShardCounts) {
@@ -694,7 +692,7 @@ TEST(CampaignPolicyTest, AdaptiveReportIsByteIdenticalAcrossThreadCounts) {
     config.metrics = &metrics;
     Result<CampaignReport> run = CampaignPlanner(config).Run();
     ASSERT_TRUE(run.ok()) << run.error().ToString();
-    report_json[i] = DeterministicJson(*run);
+    report_json[i] = CampaignReportToJson(*run);
     trace_json[i] = tracer.ToChromeTraceJson();
     metrics_json[i] = metrics.ToJson();
   }
@@ -804,7 +802,7 @@ TEST(CampaignTimingTest, UniformTimingKeepsLegacyBytes) {
   Result<CampaignReport> same = CampaignPlanner(unit).Run();
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(same.ok());
-  EXPECT_EQ(DeterministicJson(*base), DeterministicJson(*same));
+  EXPECT_EQ(CampaignReportToJson(*base), CampaignReportToJson(*same));
 }
 
 TEST(CampaignTimingTest, PlanRejectsMalformedTimingWithDatacenterContext) {
@@ -896,8 +894,7 @@ TEST(CampaignStealTest, GoldenStealDecisions) {
   EXPECT_EQ(slow.stolen_out, 10);
   EXPECT_EQ(slow.hosts, 30);
   EXPECT_EQ(slow.makespan, Seconds(120));
-  // The JSON carries the steal block (and only then).
-  const std::string json = DeterministicJson(*run);
+  const std::string json = CampaignReportToJson(*run);
   EXPECT_NE(json.find("\"steals\":1"), std::string::npos);
   EXPECT_NE(json.find("\"stolen_in\":10"), std::string::npos);
 }
@@ -925,7 +922,7 @@ TEST(CampaignStealTest, StealReportsAreByteIdenticalAcrossThreadAndShardCounts) 
       Result<CampaignReport> run = CampaignPlanner(config).Run();
       ASSERT_TRUE(run.ok()) << run.error().ToString();
       EXPECT_TRUE(run->complete);
-      report_json[i] = DeterministicJson(*run);
+      report_json[i] = CampaignReportToJson(*run);
       trace_json[i] = tracer.ToChromeTraceJson();
       metrics_json[i] = metrics.ToJson();
     }
@@ -956,14 +953,22 @@ TEST(CampaignStealTest, StealPreservesRackAntiAffinity) {
 }
 
 TEST(CampaignStealTest, StealDisabledKeepsLegacyBytes) {
-  // The default config (stealing off, stride on) must keep the exact legacy
-  // bytes: no steal keys, no hold-open behavior changes.
+  // With stealing off the steal knobs are inert: the report bytes match the
+  // default config's whatever they are set to, no rack moves, and the
+  // fixed-ownership makespan stands (4 slow waves x 40 s).
   Result<CampaignReport> run = CampaignPlanner(SkewedConfig()).Run();
   ASSERT_TRUE(run.ok());
-  const std::string json = DeterministicJson(*run);
-  EXPECT_EQ(json.find("\"steals\""), std::string::npos);
-  EXPECT_EQ(json.find("\"stolen_in\""), std::string::npos);
-  EXPECT_EQ(json.find("\"wall_ms\""), std::string::npos);
+  CampaignConfig knobs = SkewedConfig();
+  knobs.steal.threshold_epochs = 100.0;
+  knobs.steal.max_racks_per_epoch = 3;
+  Result<CampaignReport> same = CampaignPlanner(knobs).Run();
+  ASSERT_TRUE(same.ok());
+  const std::string json = CampaignReportToJson(*run);
+  EXPECT_EQ(json, CampaignReportToJson(*same));
+  EXPECT_EQ(run->makespan, Seconds(160));
+  EXPECT_NE(json.find(R"("steals":0,"stolen_hosts":0,)"), std::string::npos) << json;
+  EXPECT_EQ(json.find(R"("stolen_in":10)"), std::string::npos);
+  EXPECT_EQ(json.find("wall_ms"), std::string::npos);
 }
 
 TEST(CampaignStealTest, PlanRejectsStealWithIncompatibleModes) {
@@ -1016,9 +1021,9 @@ TEST(CampaignStrideTest, StrideSkipsIdleEpochsWithoutChangingOutput) {
   EXPECT_EQ(reports[0].epochs, reports[1].epochs);
   EXPECT_EQ(reports[0].makespan, reports[1].makespan);
   // Full byte-identity once the stride tally (the one intentional delta) is
-  // cleared alongside wall_ms.
+  // cleared.
   reports[1].idle_epochs_skipped = 0;
-  EXPECT_EQ(DeterministicJson(reports[0]), DeterministicJson(reports[1]));
+  EXPECT_EQ(CampaignReportToJson(reports[0]), CampaignReportToJson(reports[1]));
 }
 
 TEST(ExposureStreamTest, RehomedTrafficIsExposureNeutral) {

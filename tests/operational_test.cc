@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/trace.h"
 #include "src/scenario/operational.h"
 
 namespace hypertp {
@@ -73,29 +74,34 @@ TEST(OperationalTest, EmptyHistoryMeansQuietYear) {
 
 TEST(OperationalTest, FleetControllerModeAgreesWithClosedFormWhenFaultFree) {
   // Acceptance: with zero injected failures the event-driven control plane
-  // must reproduce the closed-form fleet math (within 5%; here exactly,
-  // since drains and jitter are off).
+  // must reproduce the closed-form fleet math — every rollout of the year,
+  // away and back, lasts exactly FleetTransplantTime (drains and jitter are
+  // off).
+  int checked = 0;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    OperationalConfig closed = BaseConfig(seed);
-    OperationalConfig fleet = BaseConfig(seed);
-    fleet.fleet_mode = FleetExecutionMode::kFleetController;
-    const OperationalReport a = RunOperationalSimulation(closed);
-    const OperationalReport b = RunOperationalSimulation(fleet);
-    ASSERT_EQ(a.disclosures, b.disclosures) << "seed " << seed;
-    ASSERT_EQ(a.transplants_away, b.transplants_away);
-    if (a.exposure_days_hypertp > 0.0) {
-      EXPECT_NEAR(b.exposure_days_hypertp / a.exposure_days_hypertp, 1.0, 0.05)
-          << "seed " << seed;
+    Tracer tracer;
+    OperationalConfig config = BaseConfig(seed);
+    config.tracer = &tracer;
+    const OperationalReport report = RunOperationalSimulation(config);
+    const std::vector<const Span*> away = tracer.SpansNamed("rollout:away");
+    const std::vector<const Span*> back = tracer.SpansNamed("rollout:back");
+    ASSERT_EQ(static_cast<int>(away.size()), report.transplants_away) << "seed " << seed;
+    ASSERT_EQ(static_cast<int>(back.size()), report.transplants_back) << "seed " << seed;
+    for (const std::vector<const Span*>* spans : {&away, &back}) {
+      for (const Span* span : *spans) {
+        EXPECT_EQ(span->duration(), FleetTransplantTime(config.fleet)) << "seed " << seed;
+        ++checked;
+      }
     }
-    EXPECT_EQ(b.fleet_rollouts, b.transplants_away + b.transplants_back);
-    EXPECT_EQ(b.fleet_retries, 0);
-    EXPECT_EQ(b.fleet_stranded_hosts, 0);
+    EXPECT_EQ(report.fleet_rollouts, report.transplants_away + report.transplants_back);
+    EXPECT_EQ(report.fleet_retries, 0);
+    EXPECT_EQ(report.fleet_stranded_hosts, 0);
   }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(OperationalTest, FleetControllerModeIsDeterministic) {
   OperationalConfig config = BaseConfig(7);
-  config.fleet_mode = FleetExecutionMode::kFleetController;
   config.fleet_failure_probability = 0.05;
   config.fleet_latency_jitter = 0.2;
   const OperationalReport a = RunOperationalSimulation(config);
@@ -109,7 +115,8 @@ TEST(OperationalTest, FleetControllerModeIsDeterministic) {
 TEST(OperationalTest, CampaignModeAgreesWithClosedFormWhenFaultFree) {
   // The sharded campaign splits the same fleet over 4 racks/shards; the
   // reaction time dominates per-disclosure exposure, so fault-free campaign
-  // exposure lands within 5% of the closed form.
+  // exposure lands within 5% of the single controller's, which is the closed
+  // form exactly (see above).
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     OperationalConfig closed = BaseConfig(seed);
     const OperationalReport a = RunOperationalSimulation(closed);
@@ -171,7 +178,6 @@ TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {
   // retries + stranded hosts must push exposure above the fault-free run.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     OperationalConfig clean = BaseConfig(seed);
-    clean.fleet_mode = FleetExecutionMode::kFleetController;
     const OperationalReport base = RunOperationalSimulation(clean);
     if (base.transplants_away == 0) {
       continue;
@@ -196,7 +202,6 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
   // residual windows are billed as extra exposure.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     OperationalConfig config = BaseConfig(seed);
-    config.fleet_mode = FleetExecutionMode::kFleetController;
     config.fleet_failure_probability = 0.3;
     config.fleet_post_pause_fraction = 0.8;
     const OperationalReport recovered = RunOperationalSimulation(config);
@@ -219,19 +224,24 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
   FAIL() << "no seed produced a rollout with post-pause faults";
 }
 
+// A storm dense enough to strike a 60-host, 5-wide rollout.
+OperationalConfig StormConfig(uint64_t seed) {
+  OperationalConfig config = BaseConfig(seed);
+  config.fleet.hosts = 60;
+  config.fleet.parallel_hosts = 5;  // Long rollouts: room for strikes.
+  config.fleet_storm.rate_per_hour = 600.0;
+  config.fleet_storm.recovery_time = Seconds(4);
+  config.fleet_storm.pre_pause_fraction = 0.2;
+  config.fleet_storm.scrubbed_fraction = 0.1;
+  return config;
+}
+
 TEST(OperationalTest, FaultStormModeSurfacesCrashRecoveryCounters) {
   // A year of rollouts under seeded hypervisor crashes: strikes land, every
   // one resolves through the salvage taxonomy, and the report stays
   // deterministic in the seed.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    OperationalConfig config = BaseConfig(seed);
-    config.fleet_mode = FleetExecutionMode::kFaultStorm;
-    config.fleet.hosts = 60;
-    config.fleet.parallel_hosts = 5;  // Long rollouts: room for strikes.
-    config.fleet_storm.rate_per_hour = 600.0;
-    config.fleet_storm.recovery_time = Seconds(4);
-    config.fleet_storm.pre_pause_fraction = 0.2;
-    config.fleet_storm.scrubbed_fraction = 0.1;
+    const OperationalConfig config = StormConfig(seed);
     const OperationalReport report = RunOperationalSimulation(config);
     if (report.transplants_away == 0 || report.fleet_crashes == 0) {
       continue;
@@ -248,20 +258,65 @@ TEST(OperationalTest, FaultStormModeSurfacesCrashRecoveryCounters) {
   FAIL() << "no seed produced a rollout with crash strikes";
 }
 
-TEST(OperationalTest, FaultStormModeWithQuietStormMatchesFleetControllerMode) {
-  // A disabled storm must leave kFaultStorm indistinguishable from plain
-  // kFleetController — same RNG draws, same outputs.
-  OperationalConfig controller = BaseConfig(7);
-  controller.fleet_mode = FleetExecutionMode::kFleetController;
-  controller.fleet_failure_probability = 0.05;
-  OperationalConfig storm = controller;
-  storm.fleet_mode = FleetExecutionMode::kFaultStorm;
-  const OperationalReport a = RunOperationalSimulation(controller);
-  const OperationalReport b = RunOperationalSimulation(storm);
-  EXPECT_EQ(a.event_log, b.event_log);
-  EXPECT_DOUBLE_EQ(a.exposure_days_hypertp, b.exposure_days_hypertp);
-  EXPECT_EQ(b.fleet_crashes, 0);
-  EXPECT_EQ(b.fleet_lost, 0);
+TEST(OperationalTest, CampaignModeComposesWithFaultStorms) {
+  // The same storm in campaign mode is the datacenter's storm, thinned across
+  // the shards: strikes land and resolve through the salvage taxonomy, and
+  // the crash counters reach the year's report.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    OperationalConfig config = StormConfig(seed);
+    config.fleet_mode = FleetExecutionMode::kCampaign;
+    const OperationalReport report = RunOperationalSimulation(config);
+    if (report.transplants_away == 0 || report.fleet_crashes == 0) {
+      continue;
+    }
+    EXPECT_EQ(report.fleet_crashes,
+              report.fleet_crash_salvages + report.fleet_crash_live_recoveries +
+                  report.fleet_lost);
+    EXPECT_EQ(report.fleet_rollouts, report.transplants_away + report.transplants_back);
+    const OperationalReport again = RunOperationalSimulation(config);
+    EXPECT_EQ(report.fleet_crashes, again.fleet_crashes);
+    EXPECT_DOUBLE_EQ(report.exposure_days_hypertp, again.exposure_days_hypertp);
+    return;  // One meaningful seed is enough.
+  }
+  FAIL() << "no seed produced a campaign with crash strikes";
+}
+
+TEST(OperationalTest, RejectedRolloutsAreChargedAlikeInBothModes) {
+  // An invalid fault knob rejects every rollout. Neither mode counts a
+  // rollout or charges downtime; both log the field-naming error and leave
+  // every host stranded for the residual patch wait.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const OperationalReport clean = RunOperationalSimulation(BaseConfig(seed));
+    if (clean.transplants_away == 0) {
+      continue;
+    }
+    OperationalReport rejected[2];
+    const FleetExecutionMode modes[2] = {FleetExecutionMode::kFleetController,
+                                         FleetExecutionMode::kCampaign};
+    for (int i = 0; i < 2; ++i) {
+      OperationalConfig config = BaseConfig(seed);
+      config.fleet_mode = modes[i];
+      config.fleet_failure_probability = 1.5;
+      rejected[i] = RunOperationalSimulation(config);
+      const OperationalReport& r = rejected[i];
+      EXPECT_EQ(r.transplants_away, clean.transplants_away);
+      EXPECT_EQ(r.fleet_rollouts, 0);
+      EXPECT_EQ(r.vm_downtime_paid, 0);
+      EXPECT_EQ(r.fleet_stranded_hosts,
+                config.fleet.hosts * (r.transplants_away + r.transplants_back));
+      EXPECT_GT(r.exposure_days_hypertp, clean.exposure_days_hypertp);
+      int logged = 0;
+      for (const std::string& line : r.event_log) {
+        logged += line.find("rollout rejected") != std::string::npos &&
+                  line.find("failure_probability") != std::string::npos;
+      }
+      EXPECT_EQ(logged, r.transplants_away + r.transplants_back);
+    }
+    EXPECT_DOUBLE_EQ(rejected[0].exposure_days_hypertp, rejected[1].exposure_days_hypertp);
+    EXPECT_EQ(rejected[0].event_log.size(), rejected[1].event_log.size());
+    return;  // One meaningful seed is enough.
+  }
+  FAIL() << "no seed produced a transplant";
 }
 
 TEST(OperationalTest, MultiYearRunsScaleEvents) {
@@ -279,7 +334,6 @@ TEST(OperationalPolicyTest, AdaptivePolicyReplacesTheFlatDowntimeCharge) {
   // flat 1.7 s per VM per pass, so whenever a transplant happened it pays
   // strictly less and reports its decision mix.
   OperationalConfig config = BaseConfig(3);
-  config.fleet_mode = FleetExecutionMode::kFleetController;
   const OperationalReport fixed = RunOperationalSimulation(config);
 
   config.fleet_policy.mode = policy::PolicyMode::kAdaptive;
@@ -294,18 +348,6 @@ TEST(OperationalPolicyTest, AdaptivePolicyReplacesTheFlatDowntimeCharge) {
   // Same disclosure stream either way: the policy only reprices rollouts.
   EXPECT_EQ(adaptive.disclosures, fixed.disclosures);
   EXPECT_EQ(adaptive.transplants_away, fixed.transplants_away);
-}
-
-TEST(OperationalPolicyTest, ClosedFormModeIgnoresTheAdaptivePolicy) {
-  // kClosedForm has no per-host execution to adapt: the policy knob must be
-  // inert there, bit for bit.
-  OperationalConfig config = BaseConfig(3);
-  const OperationalReport fixed = RunOperationalSimulation(config);
-  config.fleet_policy.mode = policy::PolicyMode::kAdaptive;
-  const OperationalReport adaptive = RunOperationalSimulation(config);
-  EXPECT_FALSE(adaptive.policy_adaptive);
-  EXPECT_EQ(adaptive.vm_downtime_paid, fixed.vm_downtime_paid);
-  EXPECT_EQ(adaptive.event_log, fixed.event_log);
 }
 
 }  // namespace
