@@ -2,19 +2,28 @@
 
 #include <algorithm>
 
-#include "src/base/logging.h"
 #include "src/bhyve/bhyve_uisr.h"
-#include "src/hv/devices.h"
 
 namespace hypertp {
 namespace {
 
-// FreeBSD host kernel + userland (HV State).
-constexpr uint64_t kFreebsdBytes = 1536ull << 20;
-// Guest memory comes in wired superpage chunks.
-constexpr uint64_t kSuperpageChunkFrames = 131072;  // 512 MiB.
-// The bhyve process's working set per VM.
-constexpr uint64_t kBhyveProcFrames = 8192;  // 32 MiB.
+constexpr HostConstants kBhyveConstants{
+    .name = "bhyvish-13.1",
+    .kind = HypervisorKind::kBhyve,
+    .type = HypervisorType::kType2,
+    .tag = "bhyve",
+    .max_vcpus = 128,
+    .first_id = 1,
+    .first_pid = 700,
+    // FreeBSD host kernel + userland.
+    .hv_state_bytes = 1536ull << 20,
+    // Guest memory comes in wired superpage chunks (512 MiB).
+    .chunk_frames = 131072,
+    // The bhyve process's working set per VM: 32 MiB.
+    .vmm_frames = 8192,
+    // The bhyve process restore path sits between xl and kvmtool.
+    .migration = MigrationTraits{4, MillisF(8.0), MillisF(3.0)},
+};
 
 }  // namespace
 
@@ -41,388 +50,81 @@ size_t UleRunQueue::total_threads() const {
 }
 
 BhyveVisor::BhyveVisor(Machine& machine)
-    : machine_(&machine), scheduler_(machine.profile().threads) {
-  const FrameOwner hv{FrameOwnerKind::kHypervisor, 0};
-  uint64_t remaining = kFreebsdBytes / kPageSize;
-  uint64_t chunk = kSuperpageChunkFrames;
-  while (remaining > 0 && chunk > 0) {
-    const uint64_t want = std::min(remaining, chunk);
-    auto mfn = machine_->memory().Alloc(want, 1, hv);
-    if (mfn.ok()) {
-      hv_frames_ += want;
-      remaining -= want;
-    } else {
-      chunk /= 2;
-    }
-  }
-  if (remaining > 0) {
-    HYPERTP_LOG(kError, "bhyve") << "boot: machine too small for FreeBSD";
-  }
-  HYPERTP_LOG(kInfo, "bhyve") << "bhyvish-13.1 booted on " << machine_->hostname();
-}
+    : HostCore(machine, kBhyveConstants), scheduler_(machine.profile().threads) {}
 
-BhyveVisor::~BhyveVisor() {
-  for (auto& [handle, vm] : vms_) {
-    FreeVmFrames(vm);
-  }
-  if (hv_frames_ > 0) {
-    machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kHypervisor, 0});
-  }
-}
-
-Result<BhyveVm*> BhyveVisor::MutableVm(VmId id) {
-  auto it = vms_.find(static_cast<int>(id));
-  if (it == vms_.end()) {
-    return NotFoundError("bhyve: no vm handle " + std::to_string(id));
-  }
-  return &it->second;
-}
-
-Result<const BhyveVm*> BhyveVisor::FindVm(VmId id) const {
-  auto it = vms_.find(static_cast<int>(id));
-  if (it == vms_.end()) {
-    return NotFoundError("bhyve: no vm handle " + std::to_string(id));
-  }
-  return &it->second;
-}
-
-Result<VmId> BhyveVisor::FindVmByUid(uint64_t uid) const {
-  for (const auto& [handle, vm] : vms_) {
-    if (vm.uid == uid) {
-      return static_cast<VmId>(handle);
-    }
-  }
-  return NotFoundError("bhyve: no vm with uid " + std::to_string(uid));
-}
-
-Result<void> BhyveVisor::AllocateGuestMemory(BhyveVm& vm) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  uint64_t remaining = vm.memory_bytes / kPageSize;
-  Gfn gfn = 0;
-  const uint64_t align = vm.huge_pages ? kFramesPerHugePage : 1;
-  while (remaining > 0) {
-    const uint64_t chunk = std::min(remaining, kSuperpageChunkFrames);
-    HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, machine_->memory().Alloc(chunk, align, owner));
-    HYPERTP_RETURN_IF_ERROR(vm.memmap.MapExtent(gfn, mfn, chunk));
-    gfn += chunk;
-    remaining -= chunk;
-  }
-  return OkResult();
-}
-
-Result<void> BhyveVisor::AdoptGuestMemory(BhyveVm& vm,
-                                          const std::vector<PramPageEntry>& entries) {
-  const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-  for (const PramPageEntry& e : entries) {
-    for (Mfn m = e.mfn; m < e.mfn + e.frame_count(); ++m) {
-      HYPERTP_ASSIGN_OR_RETURN(FrameOwner actual, machine_->memory().OwnerOf(m));
-      if (!(actual == owner)) {
-        return DataLossError("bhyve: in-place frame " + std::to_string(m) +
-                             " not owned by guest uid " + std::to_string(vm.uid));
-      }
-    }
-    HYPERTP_RETURN_IF_ERROR(vm.memmap.MapExtent(e.gfn, e.mfn, e.frame_count()));
-  }
-  if (vm.memmap.mapped_frames() != vm.memory_bytes / kPageSize) {
-    return DataLossError("bhyve: PRAM file covers " + std::to_string(vm.memmap.mapped_frames()) +
-                         " frames, VM declares " + std::to_string(vm.memory_bytes / kPageSize));
-  }
-  return OkResult();
-}
-
-Result<void> BhyveVisor::AllocateVmStateFrames(BhyveVm& vm) {
-  const FrameOwner state_owner{FrameOwnerKind::kVmState, vm.uid};
-  const FrameOwner vmm_owner{FrameOwnerKind::kVmm, vm.uid};
-  const uint64_t ept_frames = vm.memory_bytes / kHugePageSize + 8;
-  HYPERTP_ASSIGN_OR_RETURN(Mfn ept, machine_->memory().Alloc(ept_frames, 1, state_owner));
-  (void)ept;
-  vm.vm_state_frames = ept_frames;
-  HYPERTP_ASSIGN_OR_RETURN(Mfn proc, machine_->memory().Alloc(kBhyveProcFrames, 1, vmm_owner));
-  (void)proc;
-  return OkResult();
-}
-
-void BhyveVisor::FreeVmFrames(const BhyveVm& vm) {
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kGuest, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmState, vm.uid});
-  machine_->memory().FreeAllOwnedBy(FrameOwner{FrameOwnerKind::kVmm, vm.uid});
-}
-
-Result<VmId> BhyveVisor::CreateVm(const VmConfig& config) {
-  HYPERTP_RETURN_IF_ERROR(ValidateVmConfig(config, 128));
-
-  BhyveVm vm;
-  vm.vm_handle = next_handle_++;
-  vm.uid = config.uid != 0 ? config.uid : AllocateVmUid();
-  vm.name = config.name;
-  vm.memory_bytes = config.memory_bytes;
-  vm.huge_pages = config.huge_pages;
-  vm.bhyve_pid = next_pid_++;
-  for (const auto& [handle, existing] : vms_) {
-    if (existing.uid == vm.uid) {
-      return AlreadyExistsError("bhyve: uid " + std::to_string(vm.uid) + " already hosted");
-    }
-  }
-
+Result<void> BhyveVisor::SeedPlatform(BhyveVm& vm, uint32_t vcpus) {
   FixupLog seed_log;
-  for (uint32_t i = 0; i < config.vcpus; ++i) {
+  for (uint32_t i = 0; i < vcpus; ++i) {
     HYPERTP_ASSIGN_OR_RETURN(BhyveVcpu vcpu,
                              BhyveVcpuFromUisr(MakeSyntheticVcpu(vm.uid, i), vm.uid, &seed_log));
     vm.platform.vcpus.push_back(std::move(vcpu));
   }
-
-  // bhyve wires its virtio slots to pins 24..31 (within its 32-pin IOAPIC,
-  // above KVM's 24 — so a bhyve->KVM transplant exercises the pin fixup).
   vm.platform.ioapic.id = 0;
   vm.platform.ioapic.redirtbl[4] = 0x10004;  // COM1.
-  uint32_t instance = 0;
-  for (const DeviceConfig& dev_config : config.devices) {
-    HYPERTP_ASSIGN_OR_RETURN(
-        UisrDeviceState dev,
-        MakeDefaultDeviceState(dev_config.model, instance, vm.uid, dev_config.mode));
-    if (dev_config.model.starts_with("virtio")) {
-      vm.platform.ioapic.redirtbl[24 + instance % 8] = 0x10050 + instance;
-    }
-    vm.devices.push_back(std::move(dev));
-    ++instance;
-  }
-
-  HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
-  HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));
-
-  for (uint32_t i = 0; i < config.vcpus; ++i) {
-    scheduler_.AddThread(vm.uid, i);
-  }
-
-  const VmId id = vm.vm_handle;
-  vms_.emplace(vm.vm_handle, std::move(vm));
-  HYPERTP_LOG(kInfo, "bhyve") << "created vm " << id << " '" << config.name << "' ("
-                              << config.vcpus << " vCPU, " << (config.memory_bytes >> 20)
-                              << " MiB)";
-  return id;
-}
-
-Result<void> BhyveVisor::DestroyVm(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  FreeVmFrames(*vm);
-  scheduler_.RemoveVm(vm->uid);
-  vms_.erase(static_cast<int>(id));
   return OkResult();
 }
 
-Result<void> BhyveVisor::PauseVm(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  vm->run_state = VmRunState::kPaused;
+void BhyveVisor::WireVirtioPin(BhyveVm& vm, uint32_t instance) {
+  // bhyve wires its virtio slots to pins 24..31 (within its 32-pin IOAPIC,
+  // above KVM's 24 — so a bhyve->KVM transplant exercises the pin fixup).
+  vm.platform.ioapic.redirtbl[24 + instance % 8] = 0x10050 + instance;
+}
+
+Result<void> BhyveVisor::PlatformFromUisr(BhyveVm& vm, const UisrVm& uisr, bool remap_high_pins,
+                                          FixupLog* log) {
+  HYPERTP_ASSIGN_OR_RETURN(vm.platform, BhyvePlatformFromUisr(uisr, log, remap_high_pins));
   return OkResult();
 }
 
-Result<void> BhyveVisor::ResumeVm(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  vm->run_state = VmRunState::kRunning;
-  return OkResult();
+Result<void> BhyveVisor::PlatformToUisr(const BhyveVm& vm, UisrVm& out, FixupLog* log) const {
+  return BhyvePlatformToUisr(vm.platform, out, log);
 }
 
-Result<VmInfo> BhyveVisor::GetVmInfo(VmId id) const {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  VmInfo info;
-  info.id = id;
-  info.uid = vm->uid;
-  info.name = vm->name;
-  info.vcpus = static_cast<uint32_t>(vm->platform.vcpus.size());
-  info.memory_bytes = vm->memory_bytes;
-  info.huge_pages = vm->huge_pages;
-  for (const UisrDeviceState& dev : vm->devices) {
-    info.has_passthrough |= dev.mode == DeviceAttachMode::kPassthrough;
-  }
-  info.run_state = vm->run_state;
-  return info;
-}
-
-std::vector<VmId> BhyveVisor::ListVms() const {
-  std::vector<VmId> ids;
-  ids.reserve(vms_.size());
-  for (const auto& [handle, vm] : vms_) {
-    ids.push_back(handle);
-  }
-  return ids;
-}
-
-Result<std::vector<GuestMapping>> BhyveVisor::GuestMemoryMap(VmId id) const {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  return vm->memmap.mappings();
-}
-
-Result<uint64_t> BhyveVisor::ReadGuestPage(VmId id, Gfn gfn) const {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  return vm->memmap.Read(machine_->memory(), gfn);
-}
-
-Result<void> BhyveVisor::WriteGuestPage(VmId id, Gfn gfn, uint64_t content) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  ++vm->state_generation;
-  return vm->memmap.Write(machine_->memory(), gfn, content);
-}
-
-Result<void> BhyveVisor::AdvanceGuestClocks(VmId id, SimDuration delta) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  for (BhyveVcpu& vcpu : vm->platform.vcpus) {
-    vcpu.tsc += static_cast<uint64_t>(delta);
-    if (vcpu.tsc_deadline != 0) {
-      vcpu.tsc_deadline += static_cast<uint64_t>(delta);
-    }
-  }
-  vm->platform.hpet_counter += static_cast<uint64_t>(delta / 100);  // 10 MHz HPET.
-  ++vm->state_generation;
-  return OkResult();
-}
-
-Result<uint64_t> BhyveVisor::StateGeneration(VmId id) const {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  return vm->state_generation;
-}
-
-Result<void> BhyveVisor::InjectGuestEvent(VmId id, GuestEventKind kind) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  if (vm->run_state != VmRunState::kRunning) {
-    return FailedPreconditionError("bhyve: cannot inject guest events into a paused vm");
-  }
+void BhyveVisor::ApplyGuestEvent(BhyveVm& vm, GuestEventKind kind) {
   switch (kind) {
     case GuestEventKind::kTimerTick:
       // 1 ms LAPIC timer period on the virtual 1 GHz TSC; the HPET main
       // counter (10 MHz) advances alongside.
-      for (BhyveVcpu& vcpu : vm->platform.vcpus) {
+      for (BhyveVcpu& vcpu : vm.platform.vcpus) {
         vcpu.tsc += 1'000'000;
         vcpu.tsc_deadline = vcpu.tsc + 1'000'000;
       }
-      vm->platform.hpet_counter += 10'000;
+      vm.platform.hpet_counter += 10'000;
       break;
     case GuestEventKind::kEventChannel:
       // Interrupt-controller activity: the HPET ticks while the interrupt
       // is delivered and acknowledged.
-      vm->platform.hpet_counter += 1;
+      vm.platform.hpet_counter += 1;
       break;
     case GuestEventKind::kWorkloadStep:
       // A scheduling quantum of guest execution: registers move.
-      for (BhyveVcpu& vcpu : vm->platform.vcpus) {
+      for (BhyveVcpu& vcpu : vm.platform.vcpus) {
         vcpu.tsc += 10'000'000;
         vcpu.rip += 0x40;
         vcpu.gpr[0] += 1;
       }
       break;
   }
-  ++vm->state_generation;
-  return OkResult();
 }
 
-Result<void> BhyveVisor::EnableDirtyLogging(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  vm->memmap.EnableDirtyLog();
-  return OkResult();
-}
-
-Result<std::vector<Gfn>> BhyveVisor::FetchAndClearDirtyLog(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  if (!vm->memmap.dirty_log_enabled()) {
-    return FailedPreconditionError("bhyve: dirty logging not enabled");
-  }
-  return vm->memmap.FetchAndClearDirty();
-}
-
-Result<void> BhyveVisor::DisableDirtyLogging(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  vm->memmap.DisableDirtyLog();
-  return OkResult();
-}
-
-Result<std::vector<std::pair<Gfn, uint64_t>>> BhyveVisor::DumpGuestContent(VmId id) const {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  return vm->memmap.DumpNonZero(machine_->memory());
-}
-
-Result<void> BhyveVisor::PrepareVmForTransplant(VmId id) {
-  HYPERTP_ASSIGN_OR_RETURN(BhyveVm * vm, MutableVm(id));
-  // Quiescing/unplugging changes translated device state.
-  ++vm->state_generation;
-  return PrepareDevicesForTransplant(vm->devices);
-}
-
-void BhyveVisor::DetachForMicroReboot() {
-  vms_.clear();
-  scheduler_ = UleRunQueue(machine_->profile().threads);
-  hv_frames_ = 0;
-}
-
-Result<UisrVm> BhyveVisor::SaveVmToUisr(VmId id, FixupLog* log) {
-  HYPERTP_ASSIGN_OR_RETURN(const BhyveVm* vm, FindVm(id));
-  if (vm->run_state != VmRunState::kPaused) {
-    return FailedPreconditionError("bhyve: vm must be paused before UISR translation");
-  }
-  UisrVm out;
-  out.vm_uid = vm->uid;
-  out.name = vm->name;
-  out.source_hypervisor = std::string(name());
-  out.memory.memory_bytes = vm->memory_bytes;
-  out.memory.uses_huge_pages = vm->huge_pages;
-  HYPERTP_RETURN_IF_ERROR(BhyvePlatformToUisr(vm->platform, out, log));
-  for (const UisrDeviceState& dev : vm->devices) {
-    HYPERTP_RETURN_IF_ERROR(ValidateDeviceForTransplant(dev));
-    out.devices.push_back(dev);
-    if (dev.mode == DeviceAttachMode::kUnplugged && log != nullptr) {
-      log->push_back({vm->uid, dev.model, "unplugged before transplant; will rescan"});
+void BhyveVisor::AdvanceClocks(BhyveVm& vm, SimDuration delta) {
+  for (BhyveVcpu& vcpu : vm.platform.vcpus) {
+    vcpu.tsc += static_cast<uint64_t>(delta);
+    if (vcpu.tsc_deadline != 0) {
+      vcpu.tsc_deadline += static_cast<uint64_t>(delta);
     }
   }
-  return out;
+  vm.platform.hpet_counter += static_cast<uint64_t>(delta / 100);  // 10 MHz HPET.
 }
 
-Result<VmId> BhyveVisor::RestoreVmFromUisr(const UisrVm& uisr, const GuestMemoryBinding& binding,
-                                           FixupLog* log) {
-  for (const auto& [handle, existing] : vms_) {
-    if (existing.uid == uisr.vm_uid) {
-      return AlreadyExistsError("bhyve: uid " + std::to_string(uisr.vm_uid) + " already hosted");
-    }
-  }
-  BhyveVm vm;
-  vm.vm_handle = next_handle_++;
-  vm.uid = uisr.vm_uid;
-  vm.name = uisr.name;
-  vm.memory_bytes = uisr.memory.memory_bytes;
-  vm.huge_pages = uisr.memory.uses_huge_pages;
-  vm.run_state = VmRunState::kPaused;
-  vm.bhyve_pid = next_pid_++;
-
-  HYPERTP_ASSIGN_OR_RETURN(vm.platform,
-                           BhyvePlatformFromUisr(uisr, log, binding.remap_high_ioapic_pins));
-  vm.devices = uisr.devices;
-
-  switch (binding.mode) {
-    case GuestMemoryBinding::Mode::kAdoptInPlace:
-      HYPERTP_RETURN_IF_ERROR(AdoptGuestMemory(vm, binding.entries));
-      break;
-    case GuestMemoryBinding::Mode::kAllocate:
-      HYPERTP_RETURN_IF_ERROR(AllocateGuestMemory(vm));
-      break;
-  }
-  HYPERTP_RETURN_IF_ERROR(AllocateVmStateFrames(vm));
-
-  for (uint32_t i = 0; i < vm.platform.vcpus.size(); ++i) {
+void BhyveVisor::ScheduleVcpus(const BhyveVm& vm) {
+  for (uint32_t i = 0; i < vm.vcpu_count(); ++i) {
     scheduler_.AddThread(vm.uid, i);
   }
-
-  const VmId id = vm.vm_handle;
-  vms_.emplace(vm.vm_handle, std::move(vm));
-  HYPERTP_LOG(kInfo, "bhyve") << "restored vm " << id << " (uid " << uisr.vm_uid << ")";
-  return id;
 }
 
-uint64_t BhyveVisor::HypervisorFrames() const { return hv_frames_; }
+void BhyveVisor::UnscheduleVm(const BhyveVm& vm) { scheduler_.RemoveVm(vm.uid); }
 
-void BhyveVisor::RebuildScheduler() {
-  scheduler_ = UleRunQueue(machine_->profile().threads);
-  for (const auto& [handle, vm] : vms_) {
-    for (uint32_t i = 0; i < vm.platform.vcpus.size(); ++i) {
-      scheduler_.AddThread(vm.uid, i);
-    }
-  }
-}
+void BhyveVisor::ResetScheduler() { scheduler_ = UleRunQueue(machine().profile().threads); }
 
 }  // namespace hypertp

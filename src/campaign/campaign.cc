@@ -400,7 +400,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
       }
     }
     fleet.seed = root.Fork().NextU64();  // Id-order forks: shard-independent.
-    fleet.trace_capacity = static_cast<size_t>(std::max(shard_plan.hosts, 128)) * 8;
     fleet.wave_pacer = [this](int, SimTime) { return governor_hold_; };
     rt->last_exposed = shard_plan.hosts;
     rt->controller = std::make_unique<FleetController>(*rt->executor, fleet);

@@ -1,9 +1,9 @@
 // Guest physical address space: gfn -> mfn mapping plus dirty logging.
 //
-// Both hypervisors use this mechanism for their second-stage translation
-// structure (Xen's P2M, KVM's memslots); what differs between them is the
-// *allocation policy* that decides which machine frames back the guest, which
-// lives in each hypervisor's module.
+// All three hypervisors use this mechanism for their second-stage translation
+// structure (Xen's P2M, KVM's memslots, bhyve's memseg map); what differs
+// between them is the *allocation policy* that decides which machine frames
+// back the guest, which each hypervisor's module sets (src/hv/host_core.h).
 
 #ifndef HYPERTP_SRC_HV_GUEST_MEMORY_H_
 #define HYPERTP_SRC_HV_GUEST_MEMORY_H_

@@ -1,7 +1,8 @@
 // Hypervisor-neutral interfaces.
 //
-// Both simulated hypervisors (XenVisor, type-I; KVMish, type-II) implement
-// the Hypervisor interface. The HyperTP core (src/core/) drives transplants
+// The three simulated hypervisors (XenVisor, type-I; KVMish and bhyvish,
+// type-II) implement the Hypervisor interface on top of one shared host core
+// (src/hv/host_core.h). The HyperTP core (src/core/) drives transplants
 // exclusively through this interface plus the UISR save/restore entry points,
 // which each hypervisor implements against its own internal state formats —
 // matching the paper's design where to_uisr_xxx/from_uisr_xxx are written by

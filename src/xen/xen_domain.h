@@ -8,8 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "src/hv/guest_memory.h"
-#include "src/hv/hypervisor.h"
+#include "src/hv/host_core.h"
 #include "src/xen/xen_formats.h"
 
 namespace hypertp {
@@ -37,20 +36,11 @@ struct XenGrantEntry {
   uint32_t granted_to = 0;  // Backend domid (dom0).
 };
 
-struct XenDomain {
-  uint32_t domid = 0;   // Xen-local; changes across save/restore.
-  uint64_t uid = 0;     // Datacenter-stable identity.
-  std::string name;
-  VmRunState run_state = VmRunState::kRunning;
-  uint64_t memory_bytes = 0;
-  bool huge_pages = false;
-
-  // Guest State mapping: the P2M.
-  GuestAddressSpace p2m;
+// The common header (src/hv/host_core.h) carries the domid as `id`, the P2M
+// as `memory` and the QEMU-upstream device models as `devices`.
+struct XenDomain : HostedVm {
   // VM_i State: platform context in Xen's native record formats.
   XenHvmContext hvm;
-  // QEMU-upstream device models attached to this domain.
-  std::vector<UisrDeviceState> devices;
   // PV infrastructure (rebuilt, never translated).
   std::vector<XenEventChannel> event_channels;
   std::vector<XenGrantEntry> grant_table;
@@ -60,12 +50,7 @@ struct XenDomain {
   uint32_t sched_weight = 256;
   uint32_t sched_cap = 0;
 
-  // Monotonic platform-state generation (Hypervisor::StateGeneration): bumps
-  // on guest-visible state changes, never on pause/resume/save.
-  uint64_t state_generation = 1;
-
-  // Frames allocated for this domain's NPT/P2M structures (owner kVmState).
-  uint64_t npt_frames = 0;
+  uint32_t vcpu_count() const { return static_cast<uint32_t>(hvm.vcpus.size()); }
 };
 
 }  // namespace hypertp

@@ -120,9 +120,8 @@ TEST_F(KvmHostTest, CreateSpawnsKvmtool) {
   ASSERT_TRUE(id.ok()) << id.error().ToString();
   auto vm = kvm_.FindVm(*id);
   ASSERT_TRUE(vm.ok());
-  EXPECT_GT((*vm)->vmm.pid, 0u);
-  EXPECT_EQ((*vm)->vmm.devices.size(), 3u);
-  EXPECT_GT((*vm)->vmm.working_frames, 0u);
+  EXPECT_GT((*vm)->vmm_pid, 0u);
+  EXPECT_EQ((*vm)->devices.size(), 3u);
   // kvmtool's VMM memory is accounted separately from guest memory.
   EXPECT_FALSE(machine_.memory().ExtentsOfKind(FrameOwnerKind::kVmm).empty());
 }
@@ -145,7 +144,7 @@ TEST_F(KvmHostTest, LowIoapicPinsUsed) {
   ASSERT_TRUE(vm.ok());
   bool low_pin_active = false;
   for (uint32_t p = 5; p < kKvmIoapicPins; ++p) {
-    low_pin_active |= (*vm)->ioapic.redirtbl[p] != 0;
+    low_pin_active |= (*vm)->platform.ioapic.redirtbl[p] != 0;
   }
   EXPECT_TRUE(low_pin_active);
 }

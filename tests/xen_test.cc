@@ -144,23 +144,6 @@ TEST_F(XenVisorTest, BootClaimsHvState) {
   EXPECT_FALSE(machine_.memory().ExtentsOfKind(FrameOwnerKind::kHypervisor).empty());
 }
 
-TEST_F(XenVisorTest, CreateListDestroy) {
-  auto id = xen_.CreateVm(VmConfig::Small("web-1"));
-  ASSERT_TRUE(id.ok()) << id.error().ToString();
-  EXPECT_EQ(xen_.ListVms().size(), 1u);
-
-  auto info = xen_.GetVmInfo(*id);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->name, "web-1");
-  EXPECT_EQ(info->vcpus, 1u);
-  EXPECT_EQ(info->run_state, VmRunState::kRunning);
-
-  const uint64_t allocated_before = machine_.memory().allocated_frames();
-  ASSERT_TRUE(xen_.DestroyVm(*id).ok());
-  EXPECT_TRUE(xen_.ListVms().empty());
-  EXPECT_LT(machine_.memory().allocated_frames(), allocated_before);
-}
-
 TEST_F(XenVisorTest, GuestMemoryIsScattered) {
   VmConfig config = VmConfig::Small("big");
   config.memory_bytes = 2ull << 30;
@@ -175,36 +158,6 @@ TEST_F(XenVisorTest, GuestMemoryIsScattered) {
     frames += m.frames;
   }
   EXPECT_EQ(frames, (2ull << 30) / kPageSize);
-}
-
-TEST_F(XenVisorTest, GuestPagesReadWrite) {
-  auto id = xen_.CreateVm(VmConfig::Small("rw"));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(xen_.ReadGuestPage(*id, 0).value(), 0u);
-  ASSERT_TRUE(xen_.WriteGuestPage(*id, 1000, 0xFEED).ok());
-  EXPECT_EQ(xen_.ReadGuestPage(*id, 1000).value(), 0xFEEDu);
-  EXPECT_FALSE(xen_.WriteGuestPage(*id, 1 << 30, 1).ok());  // Beyond memory.
-}
-
-TEST_F(XenVisorTest, DirtyLoggingLifecycle) {
-  auto id = xen_.CreateVm(VmConfig::Small("dirty"));
-  ASSERT_TRUE(id.ok());
-  EXPECT_FALSE(xen_.FetchAndClearDirtyLog(*id).ok());  // Not enabled yet.
-  ASSERT_TRUE(xen_.EnableDirtyLogging(*id).ok());
-  ASSERT_TRUE(xen_.WriteGuestPage(*id, 7, 1).ok());
-  auto dirty = xen_.FetchAndClearDirtyLog(*id);
-  ASSERT_TRUE(dirty.ok());
-  EXPECT_EQ(*dirty, std::vector<Gfn>{7});
-  ASSERT_TRUE(xen_.DisableDirtyLogging(*id).ok());
-}
-
-TEST_F(XenVisorTest, SaveRequiresPause) {
-  auto id = xen_.CreateVm(VmConfig::Small("sv"));
-  ASSERT_TRUE(id.ok());
-  FixupLog log;
-  auto uisr = xen_.SaveVmToUisr(*id, &log);
-  ASSERT_FALSE(uisr.ok());
-  EXPECT_EQ(uisr.error().code(), ErrorCode::kFailedPrecondition);
 }
 
 TEST_F(XenVisorTest, SaveProducesCompleteUisr) {
@@ -290,38 +243,6 @@ TEST_F(XenVisorTest, GrantTableRebuiltOnRestore) {
   auto domain = xen_.FindDomain(*restored);
   ASSERT_TRUE(domain.ok());
   EXPECT_EQ((*domain)->grant_table.size(), 4u);  // Re-negotiated.
-}
-
-TEST_F(XenVisorTest, DuplicateUidRejected) {
-  VmConfig config = VmConfig::Small("dup");
-  config.uid = 4242;
-  ASSERT_TRUE(xen_.CreateVm(config).ok());
-  config.name = "dup2";
-  auto second = xen_.CreateVm(config);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error().code(), ErrorCode::kAlreadyExists);
-}
-
-TEST_F(XenVisorTest, OvercommitRejected) {
-  VmConfig config = VmConfig::Small("huge");
-  config.memory_bytes = 32ull << 30;  // M1 has 16 GB.
-  auto id = xen_.CreateVm(config);
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.error().code(), ErrorCode::kResourceExhausted);
-}
-
-TEST_F(XenVisorTest, InvalidConfigsRejected) {
-  VmConfig config = VmConfig::Small("");
-  EXPECT_FALSE(xen_.CreateVm(config).ok());
-  config = VmConfig::Small("x");
-  config.vcpus = 0;
-  EXPECT_FALSE(xen_.CreateVm(config).ok());
-  config = VmConfig::Small("y");
-  config.memory_bytes = 123;  // Not page aligned.
-  EXPECT_FALSE(xen_.CreateVm(config).ok());
-  config = VmConfig::Small("z");
-  config.devices.push_back({"floppy", DeviceAttachMode::kEmulated});
-  EXPECT_FALSE(xen_.CreateVm(config).ok());
 }
 
 }  // namespace
