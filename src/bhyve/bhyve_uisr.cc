@@ -1,27 +1,19 @@
 #include "src/bhyve/bhyve_uisr.h"
 
-#include <algorithm>
-#include <cstdio>
+#include <array>
 
 namespace hypertp {
 namespace {
 
-// MSR indices with fixed slots in BhyveVcpu.
-constexpr uint32_t kMsrTsc = 0x00000010;
-constexpr uint32_t kMsrSysenterCs = 0x00000174;
-constexpr uint32_t kMsrSysenterEsp = 0x00000175;
-constexpr uint32_t kMsrSysenterEip = 0x00000176;
-constexpr uint32_t kMsrMiscEnable = 0x000001A0;
-constexpr uint32_t kMsrEfer = 0xC0000080;
-constexpr uint32_t kMsrStar = 0xC0000081;
-constexpr uint32_t kMsrLstar = 0xC0000082;
-constexpr uint32_t kMsrCstar = 0xC0000083;
-constexpr uint32_t kMsrSfmask = 0xC0000084;
-constexpr uint32_t kMsrFsBase = 0xC0000100;
-constexpr uint32_t kMsrGsBase = 0xC0000101;
-constexpr uint32_t kMsrKernelGsBase = 0xC0000102;
-
-constexpr size_t kLapicTprOffset = 0x80;
+// bhyve's field map for the fixed-slot MSRs, in kFixedSlotMsrs order. PAT
+// has a slot too, but UISR carries it in the MTRR record.
+template <typename Vcpu>
+auto BhyveMsrSlots(Vcpu& b) {
+  return std::array{&b.tsc,       &b.sysenter_cs, &b.sysenter_esp, &b.sysenter_eip,
+                    &b.misc_enable, &b.msr_efer,   &b.msr_star,     &b.msr_lstar,
+                    &b.msr_cstar,   &b.msr_sfmask, &b.fs.base,      &b.gs.base,
+                    &b.msr_kgsbase};
+}
 
 // UISR gpr order: rax rbx rcx rdx rsi rdi rsp rbp r8..r15 (KVM member order).
 // Bhyve slot for each UISR index:
@@ -61,22 +53,7 @@ Result<UisrVcpu> BhyveVcpuToUisr(const BhyveVcpu& b) {
   v.sregs.efer = b.msr_efer;
   v.sregs.apic_base = b.apic_base;
 
-  // Canonical sorted MSR list from the fixed slots (PAT stays structural).
-  v.msrs = {
-      {kMsrTsc, b.tsc},
-      {kMsrSysenterCs, b.sysenter_cs},
-      {kMsrSysenterEsp, b.sysenter_esp},
-      {kMsrSysenterEip, b.sysenter_eip},
-      {kMsrMiscEnable, b.misc_enable},
-      {kMsrEfer, b.msr_efer},
-      {kMsrStar, b.msr_star},
-      {kMsrLstar, b.msr_lstar},
-      {kMsrCstar, b.msr_cstar},
-      {kMsrSfmask, b.msr_sfmask},
-      {kMsrFsBase, b.fs.base},
-      {kMsrGsBase, b.gs.base},
-      {kMsrKernelGsBase, b.msr_kgsbase},
-  };
+  v.msrs = GatherFixedSlotMsrs(BhyveMsrSlots(b));
 
   v.fpu = UnpackFxsave(b.fpu);
 
@@ -124,65 +101,16 @@ Result<BhyveVcpu> BhyveVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, Fixup
   b.cr3 = vcpu.sregs.cr3;
   b.cr4 = vcpu.sregs.cr4;
   b.cr8 = vcpu.sregs.cr8;
-  b.msr_efer = vcpu.sregs.efer;
   b.apic_base = vcpu.lapic.apic_base_msr;
 
-  for (const UisrMsr& m : vcpu.msrs) {
-    switch (m.index) {
-      case kMsrTsc:
-        b.tsc = m.value;
-        break;
-      case kMsrSysenterCs:
-        b.sysenter_cs = m.value;
-        break;
-      case kMsrSysenterEsp:
-        b.sysenter_esp = m.value;
-        break;
-      case kMsrSysenterEip:
-        b.sysenter_eip = m.value;
-        break;
-      case kMsrMiscEnable:
-        b.misc_enable = m.value;
-        break;
-      case kMsrEfer:
-        break;  // Carried in sregs.efer.
-      case kMsrStar:
-        b.msr_star = m.value;
-        break;
-      case kMsrLstar:
-        b.msr_lstar = m.value;
-        break;
-      case kMsrCstar:
-        b.msr_cstar = m.value;
-        break;
-      case kMsrSfmask:
-        b.msr_sfmask = m.value;
-        break;
-      case kMsrFsBase:
-        b.fs.base = m.value;
-        break;
-      case kMsrGsBase:
-        b.gs.base = m.value;
-        break;
-      case kMsrKernelGsBase:
-        b.msr_kgsbase = m.value;
-        break;
-      default:
-        if (log != nullptr) {
-          char buf[64];
-          std::snprintf(buf, sizeof(buf), "MSR 0x%X has no bhyve slot; dropped", m.index);
-          log->push_back({vm_uid, "cpu", buf});
-        }
-        break;
-    }
-  }
+  ScatterFixedSlotMsrs(vcpu, BhyveMsrSlots(b), "bhyve", vm_uid, log);
 
   b.fpu = PackFxsave(vcpu.fpu);
 
   b.tsc_deadline = vcpu.lapic.tsc_deadline;
   b.lapic_page = vcpu.lapic.regs;
   // Like KVM: CR8 authoritative, TPR page synchronized.
-  b.lapic_page[kLapicTprOffset] = static_cast<uint8_t>((vcpu.sregs.cr8 & 0xF) << 4);
+  SyncTprFromCr8(vcpu.sregs.cr8, b.lapic_page);
 
   b.mtrr_cap = vcpu.mtrr.cap;
   b.mtrr_def_type = vcpu.mtrr.def_type;
@@ -199,48 +127,11 @@ Result<BhyveVcpu> BhyveVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, Fixup
 Result<BhyvePlatform> BhyvePlatformFromUisr(const UisrVm& vm, FixupLog* log,
                                             bool remap_high_pins) {
   BhyvePlatform platform;
-  for (const UisrVcpu& v : vm.vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(BhyveVcpu b, BhyveVcpuFromUisr(v, vm.vm_uid, log));
-    platform.vcpus.push_back(std::move(b));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(vm.vcpus, platform.vcpus, [&](const UisrVcpu& v) {
+    return BhyveVcpuFromUisr(v, vm.vm_uid, log);
+  }));
 
-  platform.ioapic.id = vm.ioapic.id;
-  platform.ioapic.base_address = vm.ioapic.base_address;
-  const uint32_t copied = std::min(vm.ioapic.num_pins, kBhyveIoapicPins);
-  for (uint32_t i = 0; i < copied; ++i) {
-    platform.ioapic.redirtbl[i] = vm.ioapic.redirection[i];
-  }
-  for (uint32_t i = kBhyveIoapicPins; i < vm.ioapic.num_pins; ++i) {
-    if (vm.ioapic.redirection[i] == 0) {
-      continue;
-    }
-    char buf[96];
-    if (remap_high_pins) {
-      uint32_t free_pin = kBhyveIoapicPins;
-      for (uint32_t candidate = 16; candidate < kBhyveIoapicPins; ++candidate) {
-        if (platform.ioapic.redirtbl[candidate] == 0) {
-          free_pin = candidate;
-          break;
-        }
-      }
-      if (free_pin < kBhyveIoapicPins) {
-        platform.ioapic.redirtbl[free_pin] = vm.ioapic.redirection[i];
-        if (log != nullptr) {
-          std::snprintf(buf, sizeof(buf),
-                        "IOAPIC pin %u remapped to pin %u; guest notified of GSI change", i,
-                        free_pin);
-          log->push_back({vm.vm_uid, "ioapic", buf});
-        }
-        continue;
-      }
-    }
-    if (log != nullptr) {
-      std::snprintf(buf, sizeof(buf),
-                    "IOAPIC pin %u active on source; disconnected (bhyve has %u pins)", i,
-                    kBhyveIoapicPins);
-      log->push_back({vm.vm_uid, "ioapic", buf});
-    }
-  }
+  IoapicFromUisr(vm, "bhyve", remap_high_pins, log, platform.ioapic);
 
   // bhyve has no PIT: drop the state, note the fixup if the PIT was live
   // (programmed mode or pending load — the reset default of count=0x10000,
@@ -260,18 +151,9 @@ Result<BhyvePlatform> BhyvePlatformFromUisr(const UisrVm& vm, FixupLog* log,
 }
 
 Result<void> BhyvePlatformToUisr(const BhyvePlatform& platform, UisrVm& out, FixupLog* log) {
-  out.vcpus.clear();
-  for (const BhyveVcpu& b : platform.vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(UisrVcpu v, BhyveVcpuToUisr(b));
-    out.vcpus.push_back(std::move(v));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(platform.vcpus, out.vcpus, BhyveVcpuToUisr));
 
-  out.ioapic.id = platform.ioapic.id;
-  out.ioapic.base_address = platform.ioapic.base_address;
-  out.ioapic.num_pins = kBhyveIoapicPins;
-  out.ioapic.redirection.fill(0);
-  std::copy(platform.ioapic.redirtbl.begin(), platform.ioapic.redirtbl.end(),
-            out.ioapic.redirection.begin());
+  IoapicToUisr(platform.ioapic, out.ioapic);
 
   // Synthesize a reset-default PIT: the target hypervisor's guest will
   // re-program it; meanwhile timekeeping continues on the HPET-derived TSC.

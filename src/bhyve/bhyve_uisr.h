@@ -13,7 +13,9 @@
 
 namespace hypertp {
 
-// Lossless per-vCPU translation.
+// Per-vCPU translation. On the way in, MSRs without a bhyve slot and an EFER
+// MSR that disagrees with sregs.efer are dropped with a fixup each
+// (ScatterFixedSlotMsrs).
 Result<UisrVcpu> BhyveVcpuToUisr(const BhyveVcpu& vcpu);
 Result<BhyveVcpu> BhyveVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, FixupLog* log);
 

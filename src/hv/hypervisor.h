@@ -20,6 +20,7 @@
 #include "src/hw/physical_memory.h"
 #include "src/pram/pram.h"
 #include "src/uisr/records.h"
+#include "src/uisr/translate.h"
 
 namespace hypertp {
 
@@ -84,16 +85,6 @@ struct VmInfo {
   bool has_passthrough = false;
   VmRunState run_state = VmRunState::kRunning;
 };
-
-// A compatibility adjustment applied during UISR translation (§4.2.1), e.g.
-// disconnecting IOAPIC pins 24-47 when restoring into KVM. Fixups are
-// surfaced in the TransplantReport so operators can audit them.
-struct StateFixup {
-  uint64_t vm_uid = 0;
-  std::string component;  // "ioapic", "lapic", ...
-  std::string description;
-};
-using FixupLog = std::vector<StateFixup>;
 
 // How RestoreVmFromUisr obtains guest memory.
 struct GuestMemoryBinding {

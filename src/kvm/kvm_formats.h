@@ -142,18 +142,6 @@ struct KvmVcpuState {
   bool operator==(const KvmVcpuState&) const = default;
 };
 
-// MSR indices KVM keeps in the generic list but UISR stores structurally.
-inline constexpr uint32_t kMsrApicBase = 0x0000001B;
-inline constexpr uint32_t kMsrMtrrCap = 0x000000FE;
-inline constexpr uint32_t kMsrMtrrPhysBase0 = 0x00000200;  // ..0x20F base/mask pairs.
-inline constexpr uint32_t kMsrMtrrFix64k = 0x00000250;
-inline constexpr uint32_t kMsrMtrrFix16k0 = 0x00000258;
-inline constexpr uint32_t kMsrMtrrFix16k1 = 0x00000259;
-inline constexpr uint32_t kMsrMtrrFix4k0 = 0x00000268;     // ..0x26F.
-inline constexpr uint32_t kMsrPat = 0x00000277;
-inline constexpr uint32_t kMsrMtrrDefType = 0x000002FF;
-inline constexpr uint32_t kMsrTscDeadline = 0x000006E0;
-
 }  // namespace hypertp
 
 #endif  // HYPERTP_SRC_KVM_KVM_FORMATS_H_

@@ -3,8 +3,6 @@
 namespace hypertp {
 namespace {
 
-constexpr uint32_t kMsrTsc = 0x10;  // IA32_TIME_STAMP_COUNTER.
-
 constexpr HostConstants kKvmConstants{
     .name = "kvmish-5.3+kvmtool",
     .kind = HypervisorKind::kKvm,

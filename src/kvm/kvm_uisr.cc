@@ -1,79 +1,66 @@
 #include "src/kvm/kvm_uisr.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace hypertp {
 namespace {
 
-KvmSegment ToKvmSegment(const UisrSegment& s) {
-  KvmSegment k;
-  k.base = s.base;
-  k.limit = s.limit;
-  k.selector = s.selector;
-  k.type = s.type;
-  k.present = s.present;
-  k.dpl = s.dpl;
-  k.db = s.db;
-  k.s = s.s;
-  k.l = s.l;
-  k.g = s.g;
-  k.avl = s.avl;
-  k.unusable = s.unusable;
-  return k;
+// kvm_segment, kvm_sregs and kvm_fpu carry UISR's fields under the same
+// names, so one field copy serves both directions.
+template <typename To, typename From>
+void CopySegment(const From& f, To& t) {
+  t.base = f.base;
+  t.limit = f.limit;
+  t.selector = f.selector;
+  t.type = f.type;
+  t.present = f.present;
+  t.dpl = f.dpl;
+  t.db = f.db;
+  t.s = f.s;
+  t.l = f.l;
+  t.g = f.g;
+  t.avl = f.avl;
+  t.unusable = f.unusable;
 }
 
-UisrSegment FromKvmSegment(const KvmSegment& k) {
-  UisrSegment s;
-  s.base = k.base;
-  s.limit = k.limit;
-  s.selector = k.selector;
-  s.type = k.type;
-  s.present = k.present;
-  s.dpl = k.dpl;
-  s.db = k.db;
-  s.s = k.s;
-  s.l = k.l;
-  s.g = k.g;
-  s.avl = k.avl;
-  s.unusable = k.unusable;
-  return s;
+template <typename To, typename From>
+void CopySregs(const From& f, To& t) {
+  CopySegment(f.cs, t.cs);
+  CopySegment(f.ds, t.ds);
+  CopySegment(f.es, t.es);
+  CopySegment(f.fs, t.fs);
+  CopySegment(f.gs, t.gs);
+  CopySegment(f.ss, t.ss);
+  CopySegment(f.tr, t.tr);
+  CopySegment(f.ldt, t.ldt);
+  t.gdt.base = f.gdt.base;
+  t.gdt.limit = f.gdt.limit;
+  t.idt.base = f.idt.base;
+  t.idt.limit = f.idt.limit;
+  t.cr0 = f.cr0;
+  t.cr2 = f.cr2;
+  t.cr3 = f.cr3;
+  t.cr4 = f.cr4;
+  t.cr8 = f.cr8;
+  t.efer = f.efer;
+  t.apic_base = f.apic_base;
+}
+
+template <typename To, typename From>
+void CopyFpu(const From& f, To& t) {
+  t.fpr = f.fpr;
+  t.fcw = f.fcw;
+  t.fsw = f.fsw;
+  t.ftwx = f.ftwx;
+  t.last_opcode = f.last_opcode;
+  t.last_ip = f.last_ip;
+  t.last_dp = f.last_dp;
+  t.xmm = f.xmm;
+  t.mxcsr = f.mxcsr;
 }
 
 bool IsMtrrVariableMsr(uint32_t index) {
   return index >= kMsrMtrrPhysBase0 && index < kMsrMtrrPhysBase0 + 2 * kMtrrVariableCount;
-}
-
-bool IsMtrrFixedMsr(uint32_t index) {
-  return index == kMsrMtrrFix64k || index == kMsrMtrrFix16k0 || index == kMsrMtrrFix16k1 ||
-         (index >= kMsrMtrrFix4k0 && index <= kMsrMtrrFix4k0 + 7);
-}
-
-// Maps an MTRR fixed-range MSR index to its slot in UisrMtrr::fixed.
-size_t MtrrFixedSlot(uint32_t index) {
-  if (index == kMsrMtrrFix64k) {
-    return 0;
-  }
-  if (index == kMsrMtrrFix16k0) {
-    return 1;
-  }
-  if (index == kMsrMtrrFix16k1) {
-    return 2;
-  }
-  return 3 + (index - kMsrMtrrFix4k0);
-}
-
-uint32_t MtrrFixedIndex(size_t slot) {
-  switch (slot) {
-    case 0:
-      return kMsrMtrrFix64k;
-    case 1:
-      return kMsrMtrrFix16k0;
-    case 2:
-      return kMsrMtrrFix16k1;
-    default:
-      return kMsrMtrrFix4k0 + static_cast<uint32_t>(slot - 3);
-  }
 }
 
 }  // namespace
@@ -90,23 +77,7 @@ Result<UisrVcpu> KvmVcpuToUisr(const KvmVcpuState& state) {
   v.regs.rflags = r.rflags;
 
   const KvmSregs& s = state.sregs;
-  v.sregs.cs = FromKvmSegment(s.cs);
-  v.sregs.ds = FromKvmSegment(s.ds);
-  v.sregs.es = FromKvmSegment(s.es);
-  v.sregs.fs = FromKvmSegment(s.fs);
-  v.sregs.gs = FromKvmSegment(s.gs);
-  v.sregs.ss = FromKvmSegment(s.ss);
-  v.sregs.tr = FromKvmSegment(s.tr);
-  v.sregs.ldt = FromKvmSegment(s.ldt);
-  v.sregs.gdt = {s.gdt.base, s.gdt.limit};
-  v.sregs.idt = {s.idt.base, s.idt.limit};
-  v.sregs.cr0 = s.cr0;
-  v.sregs.cr2 = s.cr2;
-  v.sregs.cr3 = s.cr3;
-  v.sregs.cr4 = s.cr4;
-  v.sregs.cr8 = s.cr8;
-  v.sregs.efer = s.efer;
-  v.sregs.apic_base = s.apic_base;
+  CopySregs(s, v.sregs);
   v.lapic.apic_base_msr = s.apic_base;
 
   // Lift structural MSRs out of the generic list.
@@ -124,8 +95,9 @@ Result<UisrVcpu> KvmVcpuToUisr(const KvmVcpuState& state) {
       v.mtrr.cap = m.data;
     } else if (m.index == kMsrMtrrDefType) {
       v.mtrr.def_type = m.data;
-    } else if (IsMtrrFixedMsr(m.index)) {
-      v.mtrr.fixed[MtrrFixedSlot(m.index)] = m.data;
+    } else if (const auto* fixed = std::ranges::find(kMtrrFixedMsrs, m.index);
+               fixed != kMtrrFixedMsrs.end()) {
+      v.mtrr.fixed[fixed - kMtrrFixedMsrs.begin()] = m.data;
     } else if (IsMtrrVariableMsr(m.index)) {
       const uint32_t off = m.index - kMsrMtrrPhysBase0;
       if (off % 2 == 0) {
@@ -140,16 +112,7 @@ Result<UisrVcpu> KvmVcpuToUisr(const KvmVcpuState& state) {
   std::sort(v.msrs.begin(), v.msrs.end(),
             [](const UisrMsr& a, const UisrMsr& b) { return a.index < b.index; });
 
-  v.fpu.fpr = state.fpu.fpr;
-  v.fpu.fcw = state.fpu.fcw;
-  v.fpu.fsw = state.fpu.fsw;
-  v.fpu.ftwx = state.fpu.ftwx;
-  v.fpu.last_opcode = state.fpu.last_opcode;
-  v.fpu.last_ip = state.fpu.last_ip;
-  v.fpu.last_dp = state.fpu.last_dp;
-  v.fpu.xmm = state.fpu.xmm;
-  v.fpu.mxcsr = state.fpu.mxcsr;
-
+  CopyFpu(state.fpu, v.fpu);
   v.lapic.regs = state.lapic.regs;
 
   v.xsave.xcr0 = state.xcrs.xcr0;
@@ -167,22 +130,7 @@ Result<KvmVcpuState> KvmVcpuFromUisr(const UisrVcpu& vcpu) {
             g[8], g[9], g[10], g[11], g[12], g[13], g[14], g[15],
             vcpu.regs.rip, vcpu.regs.rflags};
 
-  k.sregs.cs = ToKvmSegment(vcpu.sregs.cs);
-  k.sregs.ds = ToKvmSegment(vcpu.sregs.ds);
-  k.sregs.es = ToKvmSegment(vcpu.sregs.es);
-  k.sregs.fs = ToKvmSegment(vcpu.sregs.fs);
-  k.sregs.gs = ToKvmSegment(vcpu.sregs.gs);
-  k.sregs.ss = ToKvmSegment(vcpu.sregs.ss);
-  k.sregs.tr = ToKvmSegment(vcpu.sregs.tr);
-  k.sregs.ldt = ToKvmSegment(vcpu.sregs.ldt);
-  k.sregs.gdt = {vcpu.sregs.gdt.base, vcpu.sregs.gdt.limit};
-  k.sregs.idt = {vcpu.sregs.idt.base, vcpu.sregs.idt.limit};
-  k.sregs.cr0 = vcpu.sregs.cr0;
-  k.sregs.cr2 = vcpu.sregs.cr2;
-  k.sregs.cr3 = vcpu.sregs.cr3;
-  k.sregs.cr4 = vcpu.sregs.cr4;
-  k.sregs.cr8 = vcpu.sregs.cr8;
-  k.sregs.efer = vcpu.sregs.efer;
+  CopySregs(vcpu.sregs, k.sregs);
   k.sregs.apic_base = vcpu.lapic.apic_base_msr;
 
   // Assemble the MSR list: generic MSRs plus the structural ones.
@@ -197,7 +145,7 @@ Result<KvmVcpuState> KvmVcpuFromUisr(const UisrVcpu& vcpu) {
   msrs.push_back({kMsrMtrrCap, vcpu.mtrr.cap});
   msrs.push_back({kMsrMtrrDefType, vcpu.mtrr.def_type});
   for (size_t i = 0; i < kMtrrFixedCount; ++i) {
-    msrs.push_back({MtrrFixedIndex(i), vcpu.mtrr.fixed[i]});
+    msrs.push_back({kMtrrFixedMsrs[i], vcpu.mtrr.fixed[i]});
   }
   for (size_t i = 0; i < kMtrrVariableCount; ++i) {
     msrs.push_back({kMsrMtrrPhysBase0 + static_cast<uint32_t>(2 * i), vcpu.mtrr.var_base[i]});
@@ -207,19 +155,11 @@ Result<KvmVcpuState> KvmVcpuFromUisr(const UisrVcpu& vcpu) {
             [](const KvmMsrEntry& a, const KvmMsrEntry& b) { return a.index < b.index; });
   k.msrs = std::move(msrs);
 
-  k.fpu.fpr = vcpu.fpu.fpr;
-  k.fpu.fcw = vcpu.fpu.fcw;
-  k.fpu.fsw = vcpu.fpu.fsw;
-  k.fpu.ftwx = vcpu.fpu.ftwx;
-  k.fpu.last_opcode = vcpu.fpu.last_opcode;
-  k.fpu.last_ip = vcpu.fpu.last_ip;
-  k.fpu.last_dp = vcpu.fpu.last_dp;
-  k.fpu.xmm = vcpu.fpu.xmm;
-  k.fpu.mxcsr = vcpu.fpu.mxcsr;
+  CopyFpu(vcpu.fpu, k.fpu);
 
   k.lapic.regs = vcpu.lapic.regs;
   // KVM keeps the TPR in both the LAPIC page and CR8; synchronize from CR8.
-  k.lapic.regs[0x80] = static_cast<uint8_t>((vcpu.sregs.cr8 & 0xF) << 4);
+  SyncTprFromCr8(vcpu.sregs.cr8, k.lapic.regs);
 
   k.xcrs.xcr0 = vcpu.xsave.xcr0;
   k.xsave.data = vcpu.xsave.area;
@@ -229,35 +169,10 @@ Result<KvmVcpuState> KvmVcpuFromUisr(const UisrVcpu& vcpu) {
 Result<void> KvmPlatformToUisr(const std::vector<KvmVcpuState>& vcpus,
                                const KvmIoapicState& ioapic, const KvmPitState2& pit,
                                UisrVm& out) {
-  out.vcpus.clear();
-  for (const KvmVcpuState& kv : vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(UisrVcpu v, KvmVcpuToUisr(kv));
-    out.vcpus.push_back(std::move(v));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(vcpus, out.vcpus, KvmVcpuToUisr));
 
-  out.ioapic.id = ioapic.id;
-  out.ioapic.base_address = ioapic.base_address;
-  out.ioapic.num_pins = kKvmIoapicPins;
-  out.ioapic.redirection.fill(0);
-  std::copy(ioapic.redirtbl.begin(), ioapic.redirtbl.end(), out.ioapic.redirection.begin());
-
-  for (size_t i = 0; i < 3; ++i) {
-    const KvmPitChannelState& kc = pit.channels[i];
-    UisrPitChannel& uc = out.pit.channels[i];
-    uc.count = kc.count;
-    uc.latched_count = kc.latched_count;
-    uc.count_latched = kc.count_latched;
-    uc.status_latched = kc.status_latched;
-    uc.status = kc.status;
-    uc.read_state = kc.read_state;
-    uc.write_state = kc.write_state;
-    uc.write_latch = kc.write_latch;
-    uc.rw_mode = kc.rw_mode;
-    uc.mode = kc.mode;
-    uc.bcd = kc.bcd;
-    uc.gate = kc.gate;
-    uc.count_load_time = static_cast<uint64_t>(kc.count_load_time);
-  }
+  IoapicToUisr(ioapic, out.ioapic);
+  CopyPitChannels(pit.channels, out.pit.channels);
   // PIT2's flags word has no UISR equivalent; it is host bookkeeping
   // (KVM_PIT_FLAGS_HPET_LEGACY) and is re-derived on restore.
   out.pit.speaker_data_on = 0;
@@ -267,70 +182,10 @@ Result<void> KvmPlatformToUisr(const std::vector<KvmVcpuState>& vcpus,
 Result<KvmPlatform> KvmPlatformFromUisr(const UisrVm& vm, FixupLog* log,
                                         bool remap_high_pins) {
   KvmPlatform platform;
-  for (const UisrVcpu& v : vm.vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(KvmVcpuState kv, KvmVcpuFromUisr(v));
-    platform.vcpus.push_back(std::move(kv));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(vm.vcpus, platform.vcpus, KvmVcpuFromUisr));
 
-  platform.ioapic.id = vm.ioapic.id;
-  platform.ioapic.base_address = vm.ioapic.base_address;
-  const uint32_t copied = std::min(vm.ioapic.num_pins, kKvmIoapicPins);
-  for (uint32_t i = 0; i < copied; ++i) {
-    platform.ioapic.redirtbl[i] = vm.ioapic.redirection[i];
-  }
-  // Pins beyond KVM's IOAPIC width: remap to free low pins (future-work
-  // extension) or disconnect (paper §4.2.1 default).
-  for (uint32_t i = kKvmIoapicPins; i < vm.ioapic.num_pins; ++i) {
-    if (vm.ioapic.redirection[i] == 0) {
-      continue;
-    }
-    char buf[96];
-    if (remap_high_pins) {
-      uint32_t free_pin = kKvmIoapicPins;
-      // Pins 0-15 carry legacy ISA identity mappings; renegotiate into 16-23.
-      for (uint32_t candidate = 16; candidate < kKvmIoapicPins; ++candidate) {
-        if (platform.ioapic.redirtbl[candidate] == 0) {
-          free_pin = candidate;
-          break;
-        }
-      }
-      if (free_pin < kKvmIoapicPins) {
-        platform.ioapic.redirtbl[free_pin] = vm.ioapic.redirection[i];
-        if (log != nullptr) {
-          std::snprintf(buf, sizeof(buf),
-                        "IOAPIC pin %u remapped to pin %u; guest notified of GSI change", i,
-                        free_pin);
-          log->push_back({vm.vm_uid, "ioapic", buf});
-        }
-        continue;
-      }
-      // No free pin: fall through to disconnection.
-    }
-    if (log != nullptr) {
-      std::snprintf(buf, sizeof(buf),
-                    "IOAPIC pin %u active on source; disconnected (KVM has %u pins)", i,
-                    kKvmIoapicPins);
-      log->push_back({vm.vm_uid, "ioapic", buf});
-    }
-  }
-
-  for (size_t i = 0; i < 3; ++i) {
-    const UisrPitChannel& uc = vm.pit.channels[i];
-    KvmPitChannelState& kc = platform.pit.channels[i];
-    kc.count = uc.count;
-    kc.latched_count = uc.latched_count;
-    kc.count_latched = uc.count_latched;
-    kc.status_latched = uc.status_latched;
-    kc.status = uc.status;
-    kc.read_state = uc.read_state;
-    kc.write_state = uc.write_state;
-    kc.write_latch = uc.write_latch;
-    kc.rw_mode = uc.rw_mode;
-    kc.mode = uc.mode;
-    kc.bcd = uc.bcd;
-    kc.gate = uc.gate;
-    kc.count_load_time = static_cast<int64_t>(uc.count_load_time);
-  }
+  IoapicFromUisr(vm, "KVM", remap_high_pins, log, platform.ioapic);
+  CopyPitChannels(vm.pit.channels, platform.pit.channels);
   platform.pit.flags = 0;
   return platform;
 }

@@ -31,11 +31,10 @@ struct KvmPlatform {
   KvmPitState2 pit;
 };
 
-// UISR -> KVM platform. A UISR IOAPIC wider than KVM's 24 pins gets its high
-// pins disconnected, one fixup entry per *active* dropped pin (§4.2.1: "our
-// implementation simply disconnects the higher 24 IOAPIC pins"). With
-// `remap_high_pins` (the paper's future-work extension) active high pins are
-// instead moved to free low pins and the guest is notified of the new GSI.
+// UISR -> KVM platform. Active IOAPIC pins beyond KVM's 24 are folded
+// (FoldIoapicPins): disconnected, one fixup each (§4.2.1: "our
+// implementation simply disconnects the higher 24 IOAPIC pins"), or with
+// `remap_high_pins` moved to free low pins with the guest notified.
 Result<KvmPlatform> KvmPlatformFromUisr(const UisrVm& vm, FixupLog* log,
                                         bool remap_high_pins = false);
 

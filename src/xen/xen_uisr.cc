@@ -1,28 +1,27 @@
 #include "src/xen/xen_uisr.h"
 
-#include <algorithm>
-#include <cstdio>
+#include <array>
 
 namespace hypertp {
 namespace {
 
-// MSR indices with fixed slots in XenHvmCpu.
-constexpr uint32_t kMsrTsc = 0x00000010;
-constexpr uint32_t kMsrSysenterCs = 0x00000174;
-constexpr uint32_t kMsrSysenterEsp = 0x00000175;
-constexpr uint32_t kMsrSysenterEip = 0x00000176;
-constexpr uint32_t kMsrMiscEnable = 0x000001A0;
-constexpr uint32_t kMsrEfer = 0xC0000080;
-constexpr uint32_t kMsrStar = 0xC0000081;
-constexpr uint32_t kMsrLstar = 0xC0000082;
-constexpr uint32_t kMsrCstar = 0xC0000083;
-constexpr uint32_t kMsrSfmask = 0xC0000084;
-constexpr uint32_t kMsrFsBase = 0xC0000100;
-constexpr uint32_t kMsrGsBase = 0xC0000101;
-constexpr uint32_t kMsrKernelGsBase = 0xC0000102;
+// Xen's field map for the fixed-slot MSRs, in kFixedSlotMsrs order. FS/GS
+// base are the segment bases: architecturally the same state.
+template <typename Cpu>
+auto XenMsrSlots(Cpu& c) {
+  return std::array{&c.tsc,       &c.sysenter_cs,      &c.sysenter_esp, &c.sysenter_eip,
+                    &c.msr_misc_enable, &c.msr_efer,  &c.msr_star,    &c.msr_lstar,
+                    &c.msr_cstar, &c.msr_syscall_mask, &c.fs.base,    &c.gs.base,
+                    &c.shadow_gs};
+}
 
-// Offset of the TPR in the LAPIC register page.
-constexpr size_t kLapicTprOffset = 0x80;
+// Xen's named GPR fields in UISR's gpr order (rax, rbx, rcx, rdx, rsi, rdi,
+// rsp, rbp, r8..r15); Xen's own member order puts rbp before rsi/rdi.
+template <typename Cpu>
+auto XenGprSlots(Cpu& c) {
+  return std::array{&c.rax, &c.rbx, &c.rcx, &c.rdx, &c.rsi, &c.rdi, &c.rsp, &c.rbp,
+                    &c.r8,  &c.r9,  &c.r10, &c.r11, &c.r12, &c.r13, &c.r14, &c.r15};
+}
 
 }  // namespace
 
@@ -31,11 +30,11 @@ Result<UisrVcpu> XenVcpuToUisr(const XenVcpuContext& ctx) {
   v.id = ctx.vcpu_id;
   v.online = ctx.cpu.online != 0;
 
-  // GPRs: Xen names them; UISR uses KVM-member-order array
-  // (rax, rbx, rcx, rdx, rsi, rdi, rsp, rbp, r8..r15).
   const XenHvmCpu& c = ctx.cpu;
-  v.regs.gpr = {c.rax, c.rbx, c.rcx, c.rdx, c.rsi, c.rdi, c.rsp, c.rbp,
-                c.r8,  c.r9,  c.r10, c.r11, c.r12, c.r13, c.r14, c.r15};
+  const auto gprs = XenGprSlots(c);
+  for (size_t i = 0; i < gprs.size(); ++i) {
+    v.regs.gpr[i] = *gprs[i];
+  }
   v.regs.rip = c.rip;
   v.regs.rflags = c.rflags;
 
@@ -59,22 +58,7 @@ Result<UisrVcpu> XenVcpuToUisr(const XenVcpuContext& ctx) {
   v.sregs.efer = c.msr_efer;
   v.sregs.apic_base = ctx.lapic.apic_base_msr;
 
-  // Expand fixed slots into the canonical sorted MSR list.
-  v.msrs = {
-      {kMsrTsc, c.tsc},
-      {kMsrSysenterCs, c.sysenter_cs},
-      {kMsrSysenterEsp, c.sysenter_esp},
-      {kMsrSysenterEip, c.sysenter_eip},
-      {kMsrMiscEnable, c.msr_misc_enable},
-      {kMsrEfer, c.msr_efer},
-      {kMsrStar, c.msr_star},
-      {kMsrLstar, c.msr_lstar},
-      {kMsrCstar, c.msr_cstar},
-      {kMsrSfmask, c.msr_syscall_mask},
-      {kMsrFsBase, c.fs.base},  // Synthesized from the segment base.
-      {kMsrGsBase, c.gs.base},
-      {kMsrKernelGsBase, c.shadow_gs},
-  };
+  v.msrs = GatherFixedSlotMsrs(XenMsrSlots(c));
 
   v.fpu = UnpackFxsave(c.fxsave);
 
@@ -102,23 +86,10 @@ Result<XenVcpuContext> XenVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, Fi
   XenHvmCpu& c = ctx.cpu;
   c.online = vcpu.online ? 1 : 0;
 
-  const auto& g = vcpu.regs.gpr;
-  c.rax = g[0];
-  c.rbx = g[1];
-  c.rcx = g[2];
-  c.rdx = g[3];
-  c.rsi = g[4];
-  c.rdi = g[5];
-  c.rsp = g[6];
-  c.rbp = g[7];
-  c.r8 = g[8];
-  c.r9 = g[9];
-  c.r10 = g[10];
-  c.r11 = g[11];
-  c.r12 = g[12];
-  c.r13 = g[13];
-  c.r14 = g[14];
-  c.r15 = g[15];
+  const auto gprs = XenGprSlots(c);
+  for (size_t i = 0; i < gprs.size(); ++i) {
+    *gprs[i] = vcpu.regs.gpr[i];
+  }
   c.rip = vcpu.regs.rip;
   c.rflags = vcpu.regs.rflags;
 
@@ -138,75 +109,17 @@ Result<XenVcpuContext> XenVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, Fi
   c.cr2 = vcpu.sregs.cr2;
   c.cr3 = vcpu.sregs.cr3;
   c.cr4 = vcpu.sregs.cr4;
-  c.msr_efer = vcpu.sregs.efer;
-
-  // Fill fixed MSR slots; drop anything Xen's record cannot hold.
-  for (const UisrMsr& m : vcpu.msrs) {
-    switch (m.index) {
-      case kMsrTsc:
-        c.tsc = m.value;
-        break;
-      case kMsrSysenterCs:
-        c.sysenter_cs = m.value;
-        break;
-      case kMsrSysenterEsp:
-        c.sysenter_esp = m.value;
-        break;
-      case kMsrSysenterEip:
-        c.sysenter_eip = m.value;
-        break;
-      case kMsrMiscEnable:
-        c.msr_misc_enable = m.value;
-        break;
-      case kMsrEfer:
-        if (m.value != vcpu.sregs.efer && log != nullptr) {
-          log->push_back({vm_uid, "cpu", "EFER MSR disagrees with sregs.efer; using sregs"});
-        }
-        break;
-      case kMsrStar:
-        c.msr_star = m.value;
-        break;
-      case kMsrLstar:
-        c.msr_lstar = m.value;
-        break;
-      case kMsrCstar:
-        c.msr_cstar = m.value;
-        break;
-      case kMsrSfmask:
-        c.msr_syscall_mask = m.value;
-        break;
-      case kMsrFsBase:
-        c.fs.base = m.value;  // Architecturally the same state as fs.base.
-        break;
-      case kMsrGsBase:
-        c.gs.base = m.value;
-        break;
-      case kMsrKernelGsBase:
-        c.shadow_gs = m.value;
-        break;
-      default:
-        if (log != nullptr) {
-          char buf[64];
-          std::snprintf(buf, sizeof(buf), "MSR 0x%X has no Xen HVM slot; dropped", m.index);
-          log->push_back({vm_uid, "cpu", buf});
-        }
-        break;
-    }
-  }
+  // After the segments: FS/GS base MSRs overwrite the segment bases.
+  ScatterFixedSlotMsrs(vcpu, XenMsrSlots(c), "Xen HVM", vm_uid, log);
 
   c.fxsave = PackFxsave(vcpu.fpu);
 
   ctx.lapic.apic_base_msr = vcpu.lapic.apic_base_msr;
   ctx.lapic.tsc_deadline = vcpu.lapic.tsc_deadline;
   ctx.lapic.regs = vcpu.lapic.regs;
-  // Consistency: CR8 must equal the LAPIC TPR[7:4]. Trust CR8 (it is what
-  // the target's VMCS will load) and patch the register page if they differ.
-  const uint8_t tpr_from_cr8 = static_cast<uint8_t>((vcpu.sregs.cr8 & 0xF) << 4);
-  if (ctx.lapic.regs[kLapicTprOffset] != tpr_from_cr8) {
-    if (log != nullptr) {
-      log->push_back({vm_uid, "lapic", "TPR register page disagreed with CR8; synchronized"});
-    }
-    ctx.lapic.regs[kLapicTprOffset] = tpr_from_cr8;
+  // Xen keeps no CR8 of its own, so a TPR that disagreed is worth a fixup.
+  if (SyncTprFromCr8(vcpu.sregs.cr8, ctx.lapic.regs) && log != nullptr) {
+    log->push_back({vm_uid, "lapic", "TPR register page disagreed with CR8; synchronized"});
   }
 
   ctx.mtrr.msr_mtrr_cap = vcpu.mtrr.cap;
@@ -225,75 +138,23 @@ Result<XenVcpuContext> XenVcpuFromUisr(const UisrVcpu& vcpu, uint64_t vm_uid, Fi
 }
 
 Result<void> XenPlatformToUisr(const XenHvmContext& ctx, UisrVm& out) {
-  out.vcpus.clear();
-  out.vcpus.reserve(ctx.vcpus.size());
-  for (const XenVcpuContext& vc : ctx.vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(UisrVcpu v, XenVcpuToUisr(vc));
-    out.vcpus.push_back(std::move(v));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(ctx.vcpus, out.vcpus, XenVcpuToUisr));
 
-  out.ioapic.id = ctx.ioapic.id;
-  out.ioapic.base_address = ctx.ioapic.base_address;
-  out.ioapic.num_pins = kXenIoapicPins;
-  out.ioapic.redirection.fill(0);
-  std::copy(ctx.ioapic.redirtbl.begin(), ctx.ioapic.redirtbl.end(),
-            out.ioapic.redirection.begin());
-
-  for (size_t i = 0; i < 3; ++i) {
-    const XenPitChannel& xc = ctx.pit.channels[i];
-    UisrPitChannel& uc = out.pit.channels[i];
-    uc.count = xc.count;
-    uc.latched_count = xc.latched_count;
-    uc.count_latched = xc.count_latched;
-    uc.status_latched = xc.status_latched;
-    uc.status = xc.status;
-    uc.read_state = xc.read_state;
-    uc.write_state = xc.write_state;
-    uc.write_latch = xc.write_latch;
-    uc.rw_mode = xc.rw_mode;
-    uc.mode = xc.mode;
-    uc.bcd = xc.bcd;
-    uc.gate = xc.gate;
-    uc.count_load_time = static_cast<uint64_t>(xc.count_load_time);
-  }
+  IoapicToUisr(ctx.ioapic, out.ioapic);
+  CopyPitChannels(ctx.pit.channels, out.pit.channels);
   out.pit.speaker_data_on = ctx.pit.speaker_data_on;
   return OkResult();
 }
 
-Result<XenHvmContext> XenPlatformFromUisr(const UisrVm& vm, FixupLog* log) {
+Result<XenHvmContext> XenPlatformFromUisr(const UisrVm& vm, FixupLog* log,
+                                          bool remap_high_pins) {
   XenHvmContext ctx;
-  for (const UisrVcpu& v : vm.vcpus) {
-    HYPERTP_ASSIGN_OR_RETURN(XenVcpuContext xc, XenVcpuFromUisr(v, vm.vm_uid, log));
-    ctx.vcpus.push_back(std::move(xc));
-  }
+  HYPERTP_RETURN_IF_ERROR(TranslateVcpus(vm.vcpus, ctx.vcpus, [&](const UisrVcpu& v) {
+    return XenVcpuFromUisr(v, vm.vm_uid, log);
+  }));
 
-  if (vm.ioapic.num_pins > kXenIoapicPins) {
-    return InvalidArgumentError("uisr ioapic has " + std::to_string(vm.ioapic.num_pins) +
-                                " pins, Xen supports " + std::to_string(kXenIoapicPins));
-  }
-  ctx.ioapic.id = static_cast<uint8_t>(vm.ioapic.id);
-  ctx.ioapic.base_address = vm.ioapic.base_address;
-  ctx.ioapic.redirtbl.fill(0);
-  std::copy(vm.ioapic.redirection.begin(), vm.ioapic.redirection.begin() + vm.ioapic.num_pins,
-            ctx.ioapic.redirtbl.begin());
-
-  for (size_t i = 0; i < 3; ++i) {
-    const UisrPitChannel& uc = vm.pit.channels[i];
-    XenPitChannel& xc = ctx.pit.channels[i];
-    xc.count = uc.count;
-    xc.latched_count = uc.latched_count;
-    xc.count_latched = uc.count_latched;
-    xc.status_latched = uc.status_latched;
-    xc.status = uc.status;
-    xc.read_state = uc.read_state;
-    xc.write_state = uc.write_state;
-    xc.write_latch = uc.write_latch;
-    xc.rw_mode = uc.rw_mode;
-    xc.mode = uc.mode;
-    xc.bcd = uc.bcd;
-    xc.gate = uc.gate;
-    xc.count_load_time = static_cast<int64_t>(uc.count_load_time);
-  }
+  IoapicFromUisr(vm, "Xen", remap_high_pins, log, ctx.ioapic);
+  CopyPitChannels(vm.pit.channels, ctx.pit.channels);
   ctx.pit.speaker_data_on = vm.pit.speaker_data_on;
   return ctx;
 }

@@ -55,9 +55,8 @@ void XenVisor::WireVirtioPin(XenDomain& domain, uint32_t instance) {
 }
 
 Result<void> XenVisor::PlatformFromUisr(XenDomain& domain, const UisrVm& uisr,
-                                        bool /*remap_high_pins*/, FixupLog* log) {
-  // Xen's 48-pin IOAPIC hosts every pin the other kinds wire.
-  HYPERTP_ASSIGN_OR_RETURN(domain.hvm, XenPlatformFromUisr(uisr, log));
+                                        bool remap_high_pins, FixupLog* log) {
+  HYPERTP_ASSIGN_OR_RETURN(domain.hvm, XenPlatformFromUisr(uisr, log, remap_high_pins));
   return OkResult();
 }
 

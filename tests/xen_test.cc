@@ -88,12 +88,40 @@ TEST(XenUisrTest, TprSynchronizedFromCr8) {
   EXPECT_EQ(back->sregs.cr8, 0x9u);
 }
 
-TEST(XenUisrTest, PlatformRejectsTooManyIoapicPins) {
+// A UISR image wider than Xen's 48 pins folds like on every other target:
+// one disconnect fixup per active high pin, inactive ones silently.
+TEST(XenUisrTest, PlatformFoldsHighIoapicPins) {
   UisrVm vm;
+  vm.vm_uid = 1;
   vm.vcpus.push_back(MakeSyntheticVcpu(1, 0));
-  vm.ioapic.num_pins = kXenIoapicPins + 1;
+  vm.ioapic.num_pins = 64;
+  vm.ioapic.redirection[47] = 0x147;  // Fits in Xen's 48 pins.
+  vm.ioapic.redirection[50] = 0x150;
+  vm.ioapic.redirection[63] = 0x163;
   FixupLog log;
-  EXPECT_FALSE(XenPlatformFromUisr(vm, &log).ok());
+  auto ctx = XenPlatformFromUisr(vm, &log);
+  ASSERT_TRUE(ctx.ok()) << ctx.error().ToString();
+  EXPECT_EQ(ctx->ioapic.redirtbl[47], 0x147u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].component, "ioapic");
+  EXPECT_EQ(log[0].description, "IOAPIC pin 50 active on source; disconnected (Xen has 48 pins)");
+  EXPECT_EQ(log[1].description, "IOAPIC pin 63 active on source; disconnected (Xen has 48 pins)");
+}
+
+TEST(XenUisrTest, PlatformRemapsHighIoapicPins) {
+  UisrVm vm;
+  vm.vm_uid = 1;
+  vm.vcpus.push_back(MakeSyntheticVcpu(1, 0));
+  vm.ioapic.num_pins = 64;
+  vm.ioapic.redirection[16] = 0x116;  // Occupied: the remap skips it.
+  vm.ioapic.redirection[50] = 0x150;
+  FixupLog log;
+  auto ctx = XenPlatformFromUisr(vm, &log, /*remap_high_pins=*/true);
+  ASSERT_TRUE(ctx.ok()) << ctx.error().ToString();
+  EXPECT_EQ(ctx->ioapic.redirtbl[16], 0x116u);
+  EXPECT_EQ(ctx->ioapic.redirtbl[17], 0x150u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].description, "IOAPIC pin 50 remapped to pin 17; guest notified of GSI change");
 }
 
 TEST(CreditSchedulerTest, BalancedPlacement) {
