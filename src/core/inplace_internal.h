@@ -67,11 +67,12 @@ Result<WorkSchedule> PrepareVms(Hypervisor& source, Machine& machine,
 // injection points.
 //
 // With a non-null `cache` (options.pre_translate), each VM's state generation
-// is compared against its speculative pre-translation: a match registers the
-// parked extent (zero blob bytes move) for pretranslate_check; a mismatch
-// re-extracts and patches only the dirty UISR sections — rewriting the
-// parked extent in place when the size allows — charged at the full translate
-// cost scaled by the dirtied payload fraction. Null runs the legacy path.
+// is compared against its speculative pre-translation, which must cover the
+// VM with a parked extent: a match registers the parked extent (zero blob
+// bytes move) for pretranslate_check; a mismatch re-extracts and patches only
+// the dirty UISR sections in the parked frames (ReconcilePreTranslated),
+// charged at the full translate cost scaled by the dirtied payload fraction.
+// Null (the pre_translate ablation) translates everything inside the pause.
 Result<WorkSchedule> TranslateVms(Hypervisor& source, Machine& machine,
                                   const InPlaceOptions& options, int workers, int real_threads,
                                   PramBuilder& builder, TransplantReport& report,

@@ -20,27 +20,19 @@ Result<RestoreOutcome> RestoreAllFromPram(Hypervisor& hv, Machine& machine,
   const HostCostProfile& costs = machine.profile().costs;
 
   // PramLoad (serial): borrow every parked UISR blob straight from its
-  // PRAM-resident frames when the store left them contiguously backed (the
-  // zero-copy save path always does); fall back to page-wise reassembly for
-  // anything else. `copies` owns the fallback bytes — inner vectors keep
-  // stable addresses as the outer vector grows, so earlier spans stay valid.
+  // PRAM-resident frames. Every store path leaves a `uisr:` file as one
+  // contiguous frame run; a file that is not is refused, naming it.
   std::vector<const PramFile*> files;
   std::vector<std::span<const uint8_t>> blobs;
-  std::vector<std::vector<uint8_t>> copies;
   for (const PramFile& file : pram.files) {
     if (!file.name.starts_with("uisr:")) {
       continue;
     }
-    if (auto view = pipeline::ViewUisrBlob(machine.memory(), file); view.ok()) {
-      blobs.push_back(*view);
-    } else {
-      auto blob = pipeline::LoadUisrBlob(machine.memory(), file);
-      if (!blob.ok()) {
-        return DataLossError("inplace: UISR page lost: " + blob.error().ToString());
-      }
-      copies.push_back(std::move(*blob));
-      blobs.push_back(copies.back());
+    auto view = pipeline::ViewUisrBlob(machine.memory(), file);
+    if (!view.ok()) {
+      return DataLossError("inplace: " + view.error().message());
     }
+    blobs.push_back(*view);
     files.push_back(&file);
   }
   if (!files.empty() && (inject == InPlaceOptions::Fault::kDecodeFailure ||

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace hypertp {
 
@@ -294,6 +295,12 @@ Result<std::span<const uint8_t>> PhysicalMemory::BackedExtent(Mfn base, uint64_t
                          std::to_string(frames) + ")");
   }
   return std::span<const uint8_t>(it->second.data.get(), it->second.size);
+}
+
+Result<std::span<uint8_t>> PhysicalMemory::BackedExtent(Mfn base, uint64_t frames) {
+  HYPERTP_ASSIGN_OR_RETURN(std::span<const uint8_t> view,
+                           std::as_const(*this).BackedExtent(base, frames));
+  return std::span<uint8_t>(const_cast<uint8_t*>(view.data()), view.size());
 }
 
 void PhysicalMemory::DropBackingsIn(Mfn base, uint64_t count) {

@@ -131,10 +131,11 @@ class PhysicalMemory {
   // by a full overwrite. The default (0) zeroes everything.
   Result<std::span<uint8_t>> BackExtent(Mfn base, uint64_t frames,
                                         uint64_t skip_zero_prefix = 0);
-  // Read view of the backing previously created for exactly (base, frames);
-  // kNotFound when that exact run was never backed (caller falls back to
-  // page-wise reads).
+  // View of the backing previously created for exactly (base, frames);
+  // kNotFound when that exact run was never backed. The mutable form lets a
+  // parked UISR blob be patched where it lies.
   Result<std::span<const uint8_t>> BackedExtent(Mfn base, uint64_t frames) const;
+  Result<std::span<uint8_t>> BackedExtent(Mfn base, uint64_t frames);
 
   // True when `mfn` lies inside an allocated extent.
   bool IsAllocated(Mfn mfn) const;

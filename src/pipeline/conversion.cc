@@ -76,8 +76,8 @@ std::vector<PramPageEntry> UisrFileEntries(Mfn base, uint64_t frames) {
   return entries;
 }
 
-// Serial half of the zero-copy store: allocate + back the extent and register
-// the PRAM file. The writer is ready for an encode that must produce exactly
+// Serial half of the store: allocate + back the extent and register the PRAM
+// file. The writer is ready for an encode that must produce exactly
 // `encoded_size` bytes.
 Result<std::pair<PramFrameWriter, StoredUisrBlob>> OpenUisrFrames(PhysicalMemory& memory,
                                                                  PramBuilder& builder,
@@ -97,23 +97,14 @@ Result<std::pair<PramFrameWriter, StoredUisrBlob>> OpenUisrFrames(PhysicalMemory
 
 }  // namespace
 
-Result<StoredUisrBlob> StoreUisrBlob(PhysicalMemory& memory, PramBuilder& builder,
-                                     uint64_t vm_uid, std::span<const uint8_t> blob) {
-  HYPERTP_ASSIGN_OR_RETURN(FrameExtent parked, ParkUisrBlob(memory, vm_uid, blob));
-  return RegisterParkedBlob(builder, vm_uid, parked, blob.size());
-}
-
 Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
                                  std::span<const uint8_t> blob) {
-  const uint64_t frames = (blob.size() + kPageSize - 1) / kPageSize;
-  const FrameOwner owner{FrameOwnerKind::kUisr, vm_uid};
-  HYPERTP_ASSIGN_OR_RETURN(Mfn base, memory.Alloc(frames, 1, owner));
-  const FrameExtent parked{base, frames, owner};
-  // One contiguous backing + one copy instead of a vector per page; the
-  // trailing bytes of the last frame stay zero. ViewUisrBlob can then serve
-  // the restore side without reassembly.
-  HYPERTP_RETURN_IF_ERROR(RewriteParkedBlob(memory, parked, blob));
-  return parked;
+  // The same frames and backing as the encode-into-frames store, filled by
+  // one copy; the trailing bytes of the last frame stay zero.
+  HYPERTP_ASSIGN_OR_RETURN(PramFrameWriter writer,
+                           PramFrameWriter::Create(memory, vm_uid, blob.size()));
+  writer.PutBytes(blob);
+  return writer.frames();
 }
 
 Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
@@ -122,20 +113,6 @@ Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
                            builder.AddFile("uisr:" + std::to_string(vm_uid), bytes, false,
                                            UisrFileEntries(parked.base, parked.count)));
   return StoredUisrBlob{parked, file_id, bytes};
-}
-
-Result<void> RewriteParkedBlob(PhysicalMemory& memory, const FrameExtent& parked,
-                               std::span<const uint8_t> blob) {
-  if ((blob.size() + kPageSize - 1) / kPageSize != parked.count) {
-    return InvalidArgumentError("parked blob rewrite changes the frame count");
-  }
-  // Re-backing zeroes everything past the blob, so the trailing bytes of the
-  // last frame are deterministic even after a rewrite; the blob prefix is
-  // overwritten in full right here, so it skips the zero pass.
-  HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> dest,
-                           memory.BackExtent(parked.base, parked.count, blob.size()));
-  std::copy(blob.begin(), blob.end(), dest.begin());
-  return OkResult();
 }
 
 Result<StoredUisrBlob> EncodeUisrVmIntoPram(PhysicalMemory& memory, PramBuilder& builder,
@@ -151,7 +128,7 @@ Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memor
                                                            const std::vector<UisrVm>& vms,
                                                            int threads) {
   // Serial: allocation + registration in input order, so the frame layout and
-  // PRAM metadata match a legacy store-by-copy loop byte for byte.
+  // PRAM metadata do not depend on the thread count.
   std::vector<PramFrameWriter> writers;
   std::vector<StoredUisrBlob> stored;
   writers.reserve(vms.size());
@@ -175,37 +152,30 @@ Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memor
   return stored;
 }
 
-Result<std::vector<uint8_t>> LoadUisrBlob(const PhysicalMemory& memory, const PramFile& file) {
-  std::vector<uint8_t> blob;
-  blob.reserve(file.size_bytes);
-  for (const PramPageEntry& e : file.entries) {
-    HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> page, memory.ReadPage(e.mfn));
-    blob.insert(blob.end(), page.begin(), page.end());
-  }
-  blob.resize(file.size_bytes);
-  return blob;
-}
-
 Result<std::span<const uint8_t>> ViewUisrBlob(const PhysicalMemory& memory,
                                               const PramFile& file) {
+  const auto refuse = [&file](const std::string& why) {
+    return DataLossError("uisr file '" + file.name + "' " + why);
+  };
   if (file.entries.empty()) {
-    return NotFoundError("uisr file '" + file.name + "' has no entries");
+    return refuse("has no entries");
   }
-  // The view needs one contiguous frame run covering gfn 0..n-1 in order —
-  // exactly what the store paths emit. Anything else falls back to LoadUisrBlob.
   const Mfn base = file.entries.front().mfn;
   uint64_t frames = 0;
   for (const PramPageEntry& e : file.entries) {
     if (e.gfn != frames || e.mfn != base + frames || e.order != 0) {
-      return NotFoundError("uisr file '" + file.name + "' is not a contiguous frame run");
+      return refuse("is not one contiguous frame run");
     }
     ++frames;
   }
   if (frames * kPageSize < file.size_bytes) {
-    return DataLossError("uisr file '" + file.name + "' entries cover fewer bytes than its size");
+    return refuse("entries cover fewer bytes than its size");
   }
-  HYPERTP_ASSIGN_OR_RETURN(std::span<const uint8_t> backing, memory.BackedExtent(base, frames));
-  return backing.first(file.size_bytes);
+  auto backing = memory.BackedExtent(base, frames);
+  if (!backing.ok()) {
+    return refuse("frames have no contiguous backing");
+  }
+  return backing->first(file.size_bytes);
 }
 
 std::vector<Result<UisrVm>> DecodeVmStates(const std::vector<std::span<const uint8_t>>& blobs,

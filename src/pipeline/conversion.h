@@ -1,7 +1,7 @@
 // Shared per-VM conversion pipeline (paper §3.1 steps 2/4, §3.4 parallelism).
 //
-//   save side:     Extract ──► UisrEncode ──► PramStore
-//   restore side:  PramLoad ──► UisrDecode ──► Restore
+//   save side:     Extract ──► UisrEncode ──► PramStore (fused: encode into frames)
+//   restore side:  PramLoad ──► UisrDecode ──► Restore   (PramLoad is a view)
 //
 // Every mechanism that converts VM state — InPlaceTransplant, the migration
 // engine's stop-and-copy (and MigrationTP above it), checkpointing — calls
@@ -57,28 +57,19 @@ Result<UisrVm> ExtractVmState(Hypervisor& hv, VmId id, FixupLog* fixups);
 // bytes independent of `threads`.
 std::vector<std::vector<uint8_t>> EncodeVmStates(const std::vector<UisrVm>& vms, int threads);
 
-// PramStore: park one encoded blob in fresh kUisr frames and register it as
-// the PRAM file "uisr:<vm_uid>" so it survives the micro-reboot. Serial
-// stage (allocates from PhysicalMemory).
-//
-// This is the legacy blob path: the caller already holds the bytes in a
-// vector (pre-translation cache adoption, migration's wire copy, tests) and
-// they are copied into a contiguous backed extent. The hot save path avoids
-// materializing the vector at all — see EncodeVmStatesIntoPram.
+// Where one VM's encoded UISR blob sits in PRAM: a contiguous run of kUisr
+// frames registered as the PRAM file "uisr:<vm_uid>", which survives the
+// micro-reboot.
 struct StoredUisrBlob {
   FrameExtent frames;
   uint64_t file_id = 0;
   uint64_t bytes = 0;  // Encoded blob size (file size_bytes).
 };
-Result<StoredUisrBlob> StoreUisrBlob(PhysicalMemory& memory, PramBuilder& builder,
-                                     uint64_t vm_uid, std::span<const uint8_t> blob);
 
-// Zero-copy PramStore: registers "uisr:<vm.vm_uid>" and encodes the VM's
-// wire bytes straight into a pre-sized, contiguously backed kUisr extent via
-// a PramFrameWriter — no intermediate vector, no page-by-page copy. Frame
-// allocation and file registration are serial and happen in exactly the
-// order/sizes of the legacy path, so PRAM metadata and frame layout are
-// byte-identical to StoreUisrBlob(EncodeUisrVm(vm)).
+// PramStore: registers "uisr:<vm.vm_uid>" and encodes the VM's wire bytes
+// straight into a pre-sized, contiguously backed kUisr extent via a
+// PramFrameWriter — no intermediate vector, no page-by-page copy. Frame
+// allocation and file registration are serial.
 Result<StoredUisrBlob> EncodeUisrVmIntoPram(PhysicalMemory& memory, PramBuilder& builder,
                                             const UisrVm& vm);
 
@@ -94,29 +85,19 @@ Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memor
 // Split PramStore for speculative pre-translation. ParkUisrBlob performs the
 // allocate-and-fill half outside the pause window (no PRAM registration — at
 // park time there may not even be a builder yet); RegisterParkedBlob performs
-// the registration half inside it, moving zero blob bytes. RewriteParkedBlob
-// refills a parked extent with a same-size patched blob.
-// StoreUisrBlob == ParkUisrBlob + RegisterParkedBlob, and the extent/entry
-// layout is identical.
+// the registration half inside it, moving zero blob bytes. Together they lay
+// out frames and PRAM entries exactly as EncodeUisrVmIntoPram does.
 Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
                                  std::span<const uint8_t> blob);
 Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
                                           const FrameExtent& parked, uint64_t bytes);
-Result<void> RewriteParkedBlob(PhysicalMemory& memory, const FrameExtent& parked,
-                               std::span<const uint8_t> blob);
 
 // --- Restore side. ---------------------------------------------------------
 
-// PramLoad: reassemble one parked UISR blob from its in-RAM pages. Serial
-// stage (reads PhysicalMemory). Fallback for blobs whose frames are not
-// contiguously backed; the zero-copy restore prefers ViewUisrBlob.
-Result<std::vector<uint8_t>> LoadUisrBlob(const PhysicalMemory& memory, const PramFile& file);
-
-// Zero-copy PramLoad: a borrowed view of the parked blob when its entries
-// form one contiguous frame run with contiguous backing (which everything
-// stored through StoreUisrBlob / EncodeUisrVmIntoPram has). kNotFound when
-// the file needs page-wise reassembly; the view is invalidated by freeing or
-// re-backing the extent.
+// PramLoad: a borrowed view of a parked blob. Every store path leaves a
+// `uisr:` file as one contiguous run of order-0 frames (gfn 0..n-1) with one
+// contiguous backing; anything else is refused with kDataLoss naming the
+// file. The view is invalidated by freeing or re-backing the extent.
 Result<std::span<const uint8_t>> ViewUisrBlob(const PhysicalMemory& memory,
                                               const PramFile& file);
 

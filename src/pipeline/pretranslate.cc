@@ -75,9 +75,8 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
   RunOnWorkerPool(tasks, real_threads);
 
   // Park the blobs in kUisr frames now, while guests still run. Serial and
-  // in request order — the same allocation order/sizes a pause-time store
-  // would perform, so the frame layout (and thus PRAM metadata) is identical
-  // whether a blob is adopted from its parking spot or stored at pause time.
+  // in request order, so the frame layout (and thus PRAM metadata) does not
+  // depend on the thread count.
   if (park_memory != nullptr) {
     for (PreTranslatedVm& entry : cache->vms) {
       HYPERTP_ASSIGN_OR_RETURN(entry.parked,
@@ -88,77 +87,101 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
   return ScheduleWork(stage_costs, workers);
 }
 
-Result<ReconcileResult> ReconcilePreTranslated(const PreTranslatedVm& cached,
-                                               const UisrVm& fresh, Arena* scratch) {
-  Arena local_scratch;
-  Arena& arena = scratch != nullptr ? *scratch : local_scratch;
+namespace {
 
+// The ordinal of each section of `layout` among the sections of its type
+// (vCPU #2, device #0, ...); header, IOAPIC and PIT sections are #0.
+std::vector<size_t> SectionOrdinals(const UisrSectionLayout& layout) {
+  std::vector<size_t> ordinals;
+  ordinals.reserve(layout.sections.size());
+  size_t vcpus = 0;
+  size_t devices = 0;
+  for (const UisrSectionSpan& span : layout.sections) {
+    ordinals.push_back(span.type == UisrSectionType::kVcpu     ? vcpus++
+                       : span.type == UisrSectionType::kDevice ? devices++
+                                                               : 0);
+  }
+  return ordinals;
+}
+
+}  // namespace
+
+Result<ReconcileResult> ReconcilePreTranslated(PhysicalMemory& memory, PramBuilder& builder,
+                                               const PreTranslatedVm& cached,
+                                               const UisrVm& fresh, Arena* scratch) {
+  const FrameExtent& parked = cached.parked;
+  if (parked.count == 0) {
+    return FailedPreconditionError("pretranslate: uid " + std::to_string(cached.vm_uid) +
+                                   " has no parked blob to reconcile");
+  }
   ReconcileResult out;
   for (const UisrSectionSpan& span : cached.layout.sections) {
     out.total_payload_bytes += span.payload_size;
   }
 
-  // The cached layout only maps onto `fresh` if the section sequence is the
-  // same: emit order is header, vcpus, ioapic, pit, devices.
-  const bool structure_matches = fresh.vcpus.size() == cached.state.vcpus.size() &&
-                                 fresh.devices.size() == cached.state.devices.size();
-  if (!structure_matches) {
+  // The cached layout only maps onto `fresh` if the section sequence and
+  // every section's payload size are unchanged (emit order is header, vcpus,
+  // ioapic, pit, devices). The size pass is pure counting: nothing is
+  // encoded, and nothing in the parked frames is touched, before the verdict.
+  const std::vector<size_t> ordinals = SectionOrdinals(cached.layout);
+  bool patchable = fresh.vcpus.size() == cached.state.vcpus.size() &&
+                   fresh.devices.size() == cached.state.devices.size();
+  for (size_t i = 0; patchable && i < ordinals.size(); ++i) {
+    const UisrSectionSpan& span = cached.layout.sections[i];
+    patchable = UisrSectionPayloadSize(fresh, span.type, ordinals[i]) == span.payload_size;
+  }
+  if (!patchable) {
+    // A section changed size (e.g. device opaque state grew) or the section
+    // count moved: the TLV lengths shift, so re-encode the whole VM.
     out.kind = ReconcileKind::kReencoded;
-    out.blob = EncodeUisrVm(fresh);
     out.patched_bytes = out.total_payload_bytes;
+    const size_t size = EncodedUisrSize(fresh);
+    if ((size + kPageSize - 1) / kPageSize != parked.count) {
+      HYPERTP_RETURN_IF_ERROR(memory.Free(parked.base, parked.count));
+      HYPERTP_ASSIGN_OR_RETURN(out.stored, EncodeUisrVmIntoPram(memory, builder, fresh));
+      return out;
+    }
+    HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> frames,
+                             memory.BackExtent(parked.base, parked.count, size));
+    SpanWriter writer(frames.first(size));
+    EncodeUisrVm(fresh, writer);
+    HYPERTP_ASSIGN_OR_RETURN(out.stored,
+                             RegisterParkedBlob(builder, cached.vm_uid, parked, size));
     return out;
   }
 
-  // Compare each section's freshly encoded payload against the cached bytes
+  // Compare each section's freshly encoded payload against the parked bytes
   // and rewrite only the ones that differ. Patching every differing section
   // with the fresh payload makes the result byte-identical to a from-scratch
   // EncodeUisrVm(fresh) — same sections, same order, same lengths — once the
-  // CRC trailer is resealed. Scratch payloads come out of the arena (sized
-  // first, encoded second), so a whole batch of VMs reconciles without a
-  // heap allocation per section.
-  std::vector<uint8_t> blob = cached.blob;
-  size_t ordinal_vcpu = 0;
-  size_t ordinal_device = 0;
-  for (const UisrSectionSpan& span : cached.layout.sections) {
-    size_t ordinal = 0;
-    if (span.type == UisrSectionType::kVcpu) {
-      ordinal = ordinal_vcpu++;
-    } else if (span.type == UisrSectionType::kDevice) {
-      ordinal = ordinal_device++;
-    }
-    if (UisrSectionPayloadSize(fresh, span.type, ordinal) != span.payload_size) {
-      // A section changed size (e.g. device opaque state grew): the TLV
-      // lengths shift, so patching in place is impossible. The size check is
-      // pure counting — no payload was encoded for the doomed comparison.
-      out.kind = ReconcileKind::kReencoded;
-      out.blob = EncodeUisrVm(fresh);
-      out.patched_sections = 0;
-      out.patched_bytes = out.total_payload_bytes;
-      return out;
-    }
+  // CRC trailer is resealed. Scratch payloads come out of the arena, so a
+  // whole batch of VMs reconciles without a heap allocation per section.
+  Arena local_scratch;
+  Arena& arena = scratch != nullptr ? *scratch : local_scratch;
+  HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> frames,
+                           memory.BackedExtent(parked.base, parked.count));
+  const std::span<uint8_t> blob = frames.first(cached.blob.size());
+  for (size_t i = 0; i < ordinals.size(); ++i) {
+    const UisrSectionSpan& span = cached.layout.sections[i];
     std::span<uint8_t> payload = arena.Alloc(span.payload_size);
     SpanWriter payload_writer(payload);
-    EncodeUisrSectionPayloadTo(fresh, span.type, ordinal, payload_writer);
-    const auto cached_payload =
-        std::span<const uint8_t>(blob).subspan(span.payload_offset, span.payload_size);
-    if (std::equal(payload.begin(), payload.end(), cached_payload.begin())) {
+    EncodeUisrSectionPayloadTo(fresh, span.type, ordinals[i], payload_writer);
+    if (std::ranges::equal(payload, blob.subspan(span.payload_offset, span.payload_size))) {
       continue;
     }
     HYPERTP_RETURN_IF_ERROR(PatchUisrSectionPayload(blob, span, payload));
     ++out.patched_sections;
     out.patched_bytes += span.payload_size;
   }
-
-  if (out.patched_sections == 0) {
-    // The generation moved but nothing vCPU-visible reached the UISR (e.g.
-    // PV event-channel activity): the cached blob is already correct.
-    out.kind = ReconcileKind::kHit;
-    out.blob = std::move(blob);
-    return out;
+  // No differing section means the generation moved but nothing vCPU-visible
+  // reached the UISR (e.g. PV event-channel activity): the parked blob is
+  // already correct.
+  out.kind = out.patched_sections == 0 ? ReconcileKind::kHit : ReconcileKind::kPatched;
+  if (out.kind == ReconcileKind::kPatched) {
+    HYPERTP_RETURN_IF_ERROR(ResealUisrBlob(blob));
   }
-  HYPERTP_RETURN_IF_ERROR(ResealUisrBlob(blob));
-  out.kind = ReconcileKind::kPatched;
-  out.blob = std::move(blob);
+  HYPERTP_ASSIGN_OR_RETURN(out.stored,
+                           RegisterParkedBlob(builder, cached.vm_uid, parked, blob.size()));
   return out;
 }
 

@@ -1,12 +1,12 @@
 // PramFrameWriter: the ByteWriter interface over freshly allocated kUisr
-// frames — the zero-copy half of the conversion save path.
+// frames — the one way UISR bytes get into PRAM.
 //
-// The legacy PramStore materialized each VM's UISR blob in a std::vector and
-// then copied it page-by-page into PRAM-resident frames: a full extra copy of
-// every translated byte inside the pause window. A PramFrameWriter instead
-// allocates the frame extent up front (pre-sized with ByteCounter /
-// EncodedUisrSize), maps it as one contiguous backing in PhysicalMemory, and
-// lets the encoder write the wire bytes straight into place. Because it is a
+// A PramFrameWriter allocates the frame extent up front (pre-sized with
+// ByteCounter / EncodedUisrSize), maps it as one contiguous backing in
+// PhysicalMemory, and lets the encoder write the wire bytes straight into
+// place: no intermediate vector, no page-by-page copy. Every `uisr:` PRAM
+// file is therefore one contiguous run of order-0 frames, which is all the
+// restore side's ViewUisrBlob accepts. Because it is a
 // SpanWriter, the templated EncodeUisrVm(vm, Writer&) emits byte-identical
 // output through it — same framing, same CRC trailer — as through the
 // vector-backed ByteWriter (pipeline_test pins this).
@@ -41,7 +41,7 @@ class PramFrameWriter : public SpanWriter {
 
   // The frame extent the bytes land in (for PRAM file registration and the
   // caller's preservation bookkeeping). The writer does not own the frames;
-  // freeing them is the transplant cleanup's job, as with the legacy store.
+  // freeing them is the transplant cleanup's job.
   const FrameExtent& frames() const { return frames_; }
 
  private:

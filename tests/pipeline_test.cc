@@ -1,7 +1,8 @@
 // Tests for the shared conversion pipeline (src/pipeline/):
 //  - every encode path (vector, writer overload, batch stage, checkpoint
 //    embedding, migration wire round-trip) produces byte-identical UISR;
-//  - the PramStore/PramLoad stages round-trip blobs through PRAM;
+//  - the PramStore/PramLoad stages round-trip blobs through PRAM, and a
+//    `uisr:` file that is not one contiguous frame run is refused;
 //  - real-thread count never changes any output byte: InPlaceTransplant
 //    reports and trace JSON are identical for real_threads 1/2/8 and for
 //    HYPERTP_PARALLEL, and per-VM spans are laid out by the modeled schedule.
@@ -21,6 +22,7 @@
 #include "src/core/checkpoint.h"
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
+#include "src/core/inplace_internal.h"
 #include "src/core/telemetry.h"
 #include "src/migrate/migrate.h"
 #include "src/obs/trace.h"
@@ -141,35 +143,53 @@ TEST(ConversionParityTest, InPlaceAndMigrationReportTheSameUisrBytes) {
   EXPECT_EQ(inplace_bytes, migrate_bytes);
 }
 
-TEST(PramStageTest, StoreAndLoadRoundTripABlob) {
+TEST(PramStageTest, ScatteredUisrFileIsRefusedAtRestore) {
+  // Every store path leaves a `uisr:` file as one contiguous frame run. A
+  // file whose pages are scattered (here: the right bytes, page by page, in
+  // reverse frame order) is not silently reassembled; the restore refuses it
+  // with kDataLoss naming the file.
   Machine machine(MachineProfile::M1(), 41);
-  std::vector<uint8_t> blob(kPageSize * 2 + 37);
-  for (size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<uint8_t>(i * 31 + 7);
+  auto [xen, id] = PausedXenVm(machine, 4343);
+  FixupLog log;
+  auto uisr = pipeline::ExtractVmState(*xen, id, &log);
+  ASSERT_TRUE(uisr.ok());
+  const std::vector<uint8_t> blob = EncodeUisrVm(*uisr);
+  const uint64_t pages = (blob.size() + kPageSize - 1) / kPageSize;
+  ASSERT_GT(pages, 1u);
+  auto base = machine.memory().Alloc(pages, 1, FrameOwner{FrameOwnerKind::kUisr, 4343});
+  ASSERT_TRUE(base.ok());
+  std::vector<PramPageEntry> entries;
+  for (uint64_t gfn = 0; gfn < pages; ++gfn) {
+    const Mfn mfn = *base + (pages - 1 - gfn);
+    const size_t from = gfn * kPageSize;
+    const size_t to = std::min(blob.size(), from + kPageSize);
+    ASSERT_TRUE(machine.memory()
+                    .WritePage(mfn, std::vector<uint8_t>(blob.begin() + from, blob.begin() + to))
+                    .ok());
+    entries.push_back(PramPageEntry{gfn, mfn, 0});
   }
-
   PramBuilder builder(machine.memory());
-  auto stored = pipeline::StoreUisrBlob(machine.memory(), builder, 77, blob);
-  ASSERT_TRUE(stored.ok()) << stored.error().ToString();
-  EXPECT_EQ(stored->frames.count, 3u);  // ceil(2 pages + 37 bytes).
+  ASSERT_TRUE(builder.AddFile("uisr:4343", blob.size(), false, entries).ok());
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
-
   auto image = ParsePram(machine.memory(), handle->root_mfn);
   ASSERT_TRUE(image.ok()) << image.error().ToString();
-  const PramFile* file = image->FindFile(stored->file_id);
-  ASSERT_NE(file, nullptr);
-  EXPECT_EQ(file->name, "uisr:77");
-  EXPECT_EQ(file->size_bytes, blob.size());
-  auto loaded = pipeline::LoadUisrBlob(machine.memory(), *file);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
-  EXPECT_EQ(*loaded, blob);
+
+  auto restored = inplace_internal::RestoreAllFromPram(
+      *xen, machine, *image, InPlaceOptions{}, HypervisorKind::kXen, 1, 1, &log,
+      InPlaceOptions::Fault::kNone);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss);
+  EXPECT_NE(restored.error().message().find("'uisr:4343'"), std::string::npos)
+      << restored.error().ToString();
+  EXPECT_NE(restored.error().message().find("not one contiguous frame run"), std::string::npos);
 }
 
-// Legacy materialize-then-copy store vs zero-copy encode-into-frames, same
-// machine seed on both sides: the PRAM metadata, the frame extents and every
-// stored byte must be identical. This is the acceptance gate for the
-// zero-copy save path.
+// Encode-then-park (the pre-translation path: a blob vector copied into
+// frames, then registered) vs zero-copy encode-into-frames, same machine seed
+// on both sides: the PRAM metadata, the frame extents and every stored byte
+// must be identical, so a VM's PRAM image does not depend on which path
+// stored it.
 TEST(PramStageTest, ZeroCopyStoreIsByteIdenticalToLegacy) {
   // Three distinct VMs so the batch has different sizes per slot.
   auto make_states = [](Machine& machine) {
@@ -192,23 +212,25 @@ TEST(PramStageTest, ZeroCopyStoreIsByteIdenticalToLegacy) {
     return states;
   };
 
-  // Legacy: encode to a vector, then copy into frames.
-  Machine legacy_machine(MachineProfile::M1(), 61);
-  const std::vector<UisrVm> states = make_states(legacy_machine);
-  PramBuilder legacy_builder(legacy_machine.memory());
-  std::vector<pipeline::StoredUisrBlob> legacy_stored;
-  std::vector<std::vector<uint8_t>> legacy_blobs;
+  // Encode to a vector, park it, register it.
+  Machine park_machine(MachineProfile::M1(), 61);
+  const std::vector<UisrVm> states = make_states(park_machine);
+  PramBuilder park_builder(park_machine.memory());
+  std::vector<pipeline::StoredUisrBlob> park_stored;
+  std::vector<std::vector<uint8_t>> park_blobs;
   for (const UisrVm& vm : states) {
-    legacy_blobs.push_back(EncodeUisrVm(vm));
-    auto stored = pipeline::StoreUisrBlob(legacy_machine.memory(), legacy_builder, vm.vm_uid,
-                                          legacy_blobs.back());
+    park_blobs.push_back(EncodeUisrVm(vm));
+    auto parked = pipeline::ParkUisrBlob(park_machine.memory(), vm.vm_uid, park_blobs.back());
+    ASSERT_TRUE(parked.ok()) << parked.error().ToString();
+    auto stored = pipeline::RegisterParkedBlob(park_builder, vm.vm_uid, *parked,
+                                               park_blobs.back().size());
     ASSERT_TRUE(stored.ok()) << stored.error().ToString();
-    legacy_stored.push_back(*stored);
+    park_stored.push_back(*stored);
   }
-  auto legacy_handle = legacy_builder.Finalize();
-  ASSERT_TRUE(legacy_handle.ok());
-  auto legacy_image = ParsePram(legacy_machine.memory(), legacy_handle->root_mfn);
-  ASSERT_TRUE(legacy_image.ok());
+  auto park_handle = park_builder.Finalize();
+  ASSERT_TRUE(park_handle.ok());
+  auto park_image = ParsePram(park_machine.memory(), park_handle->root_mfn);
+  ASSERT_TRUE(park_image.ok());
 
   for (int threads : {1, 4}) {
     Machine zc_machine(MachineProfile::M1(), 61);  // Same seed: same Mfn layout.
@@ -224,24 +246,29 @@ TEST(PramStageTest, ZeroCopyStoreIsByteIdenticalToLegacy) {
     ASSERT_TRUE(zc_image.ok());
 
     // PRAM metadata (ids, names, sizes, every page entry) identical.
-    EXPECT_EQ(*zc_image, *legacy_image) << "threads=" << threads;
-    EXPECT_EQ(zc_handle->root_mfn, legacy_handle->root_mfn);
+    EXPECT_EQ(*zc_image, *park_image) << "threads=" << threads;
+    EXPECT_EQ(zc_handle->root_mfn, park_handle->root_mfn);
 
     for (size_t i = 0; i < states.size(); ++i) {
-      EXPECT_EQ((*zc_stored)[i].frames.base, legacy_stored[i].frames.base);
-      EXPECT_EQ((*zc_stored)[i].frames.count, legacy_stored[i].frames.count);
-      EXPECT_EQ((*zc_stored)[i].bytes, legacy_blobs[i].size());
-      // Every stored byte identical, through both load paths.
+      EXPECT_EQ((*zc_stored)[i].frames.base, park_stored[i].frames.base);
+      EXPECT_EQ((*zc_stored)[i].frames.count, park_stored[i].frames.count);
+      EXPECT_EQ((*zc_stored)[i].bytes, park_blobs[i].size());
+      // Every stored byte identical, through the view and page by page.
       const PramFile* file = zc_image->FindFile((*zc_stored)[i].file_id);
       ASSERT_NE(file, nullptr);
       auto view = pipeline::ViewUisrBlob(zc_machine.memory(), *file);
       ASSERT_TRUE(view.ok()) << view.error().ToString();
-      EXPECT_TRUE(std::equal(view->begin(), view->end(), legacy_blobs[i].begin(),
-                             legacy_blobs[i].end()))
+      EXPECT_TRUE(std::equal(view->begin(), view->end(), park_blobs[i].begin(),
+                             park_blobs[i].end()))
           << "vm " << i << " threads=" << threads;
-      auto loaded = pipeline::LoadUisrBlob(zc_machine.memory(), *file);
-      ASSERT_TRUE(loaded.ok());
-      EXPECT_EQ(*loaded, legacy_blobs[i]);
+      std::vector<uint8_t> paged;
+      for (const PramPageEntry& e : file->entries) {
+        auto page = zc_machine.memory().ReadPage(e.mfn);
+        ASSERT_TRUE(page.ok());
+        paged.insert(paged.end(), page->begin(), page->end());
+      }
+      paged.resize(file->size_bytes);
+      EXPECT_EQ(paged, park_blobs[i]);
     }
   }
 }
@@ -253,7 +280,9 @@ TEST(PramStageTest, ViewUisrBlobBorrowsWithoutCopying) {
     blob[i] = static_cast<uint8_t>(i * 13 + 5);
   }
   PramBuilder builder(machine.memory());
-  auto stored = pipeline::StoreUisrBlob(machine.memory(), builder, 88, blob);
+  auto parked = pipeline::ParkUisrBlob(machine.memory(), 88, blob);
+  ASSERT_TRUE(parked.ok());
+  auto stored = pipeline::RegisterParkedBlob(builder, 88, *parked, blob.size());
   ASSERT_TRUE(stored.ok());
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
@@ -276,12 +305,13 @@ TEST(PramStageTest, ViewUisrBlobBorrowsWithoutCopying) {
   // decode through views is covered by the transplant integration tests.)
   EXPECT_FALSE(decoded[0].ok());
 
-  // A non-contiguous entry list is declined, not mis-viewed.
+  // A non-contiguous entry list is refused, not mis-viewed.
   PramFile scrambled = *file;
   std::reverse(scrambled.entries.begin(), scrambled.entries.end());
-  if (scrambled.entries.size() > 1) {
-    EXPECT_FALSE(pipeline::ViewUisrBlob(machine.memory(), scrambled).ok());
-  }
+  ASSERT_GT(scrambled.entries.size(), 1u);
+  auto refused = pipeline::ViewUisrBlob(machine.memory(), scrambled);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kDataLoss);
 }
 
 // Golden bytes: a fixed synthetic VM must encode to exactly these bytes

@@ -2,8 +2,9 @@
 // through InPlaceTransplant:
 //  - state generations: bump on guest-visible events, never on
 //    pause/resume/save, on all three hypervisors;
-//  - reconcile byte-identity: hit, patched and re-encoded blobs all equal a
-//    from-scratch encode of the fresh extraction;
+//  - reconcile byte-identity: hit, patched and re-encoded blobs, reconciled
+//    in their parked PRAM frames, all equal a from-scratch encode of the
+//    fresh extraction;
 //  - golden behaviour: pre_translate=false is indistinguishable from the
 //    legacy pipeline (no new report/JSON/trace artifacts), and a fully-clean
 //    cache produces the same UISR bytes and restored guests;
@@ -15,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/factory.h"
@@ -24,6 +26,7 @@
 #include "src/obs/trace.h"
 #include "src/pipeline/conversion.h"
 #include "src/pipeline/pretranslate.h"
+#include "src/pram/pram.h"
 #include "src/uisr/codec.h"
 
 namespace hypertp {
@@ -115,9 +118,10 @@ INSTANTIATE_TEST_SUITE_P(AllHosts, StateGenerationTest,
 
 // --- Reconcile byte-identity ------------------------------------------------
 
-// Builds a cache entry the way PreTranslateVms would, from the VM's current
-// state.
-pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, VmId id, uint64_t pram_file_id) {
+// Builds a cache entry the way InPlaceTransplant's PreTranslateVms call
+// would, from the VM's current state, with the blob parked in `memory`.
+pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, PhysicalMemory& memory, VmId id,
+                                        uint64_t pram_file_id) {
   pipeline::PreTranslatedVm entry;
   EXPECT_TRUE(hv.PauseVm(id).ok());
   auto state = pipeline::ExtractVmState(hv, id, &entry.fixups);
@@ -128,7 +132,26 @@ pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, VmId id, uint64_t pram_f
   entry.state = std::move(*state);
   entry.state.memory.pram_file_id = pram_file_id;
   entry.blob = EncodeUisrVm(entry.state, &entry.layout);
+  entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, entry.blob).value();
   return entry;
+}
+
+// A reconcile in the parked frames, plus the PRAM bytes it left behind.
+struct Reconciled {
+  pipeline::ReconcileResult result;
+  std::vector<uint8_t> bytes;
+};
+
+Reconciled Reconcile(PhysicalMemory& memory, const pipeline::PreTranslatedVm& entry,
+                     const UisrVm& fresh) {
+  PramBuilder builder(memory);
+  auto rec = pipeline::ReconcilePreTranslated(memory, builder, entry, fresh);
+  EXPECT_TRUE(rec.ok()) << rec.error().ToString();
+  const FrameExtent& frames = rec->stored.frames;
+  auto view = std::as_const(memory).BackedExtent(frames.base, frames.count);
+  EXPECT_TRUE(view.ok());
+  const auto bytes = view->first(rec->stored.bytes);
+  return Reconciled{*rec, std::vector<uint8_t>(bytes.begin(), bytes.end())};
 }
 
 UisrVm FreshExtract(Hypervisor& hv, VmId id, uint64_t pram_file_id) {
@@ -146,17 +169,17 @@ TEST(ReconcileTest, CleanGuestIsAHitWithIdenticalBytes) {
   std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
   auto id = xen->CreateVm(VmConfig::Small("clean"));
   ASSERT_TRUE(id.ok());
-  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, *id, 77);
+  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 77);
 
   // Nothing ran: the generation still matches (the transplant would not even
   // reconcile), and a reconcile pass confirms zero differing sections.
   EXPECT_EQ(xen->StateGeneration(*id).value(), entry.generation);
   const UisrVm fresh = FreshExtract(*xen, *id, 77);
-  auto rec = pipeline::ReconcilePreTranslated(entry, fresh);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->kind, pipeline::ReconcileKind::kHit);
-  EXPECT_EQ(rec->patched_sections, 0u);
-  EXPECT_EQ(rec->blob, EncodeUisrVm(fresh));
+  const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
+  EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kHit);
+  EXPECT_EQ(rec.result.patched_sections, 0u);
+  EXPECT_EQ(rec.result.stored.frames.base, entry.parked.base);
+  EXPECT_EQ(rec.bytes, EncodeUisrVm(fresh));
 }
 
 TEST(ReconcileTest, WorkloadStepPatchesOnlyDirtySections) {
@@ -166,20 +189,21 @@ TEST(ReconcileTest, WorkloadStepPatchesOnlyDirtySections) {
   config.vcpus = 4;
   auto id = xen->CreateVm(config);
   ASSERT_TRUE(id.ok());
-  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, *id, 78);
+  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 78);
 
   ASSERT_TRUE(xen->InjectGuestEvent(*id, Hypervisor::GuestEventKind::kWorkloadStep).ok());
   EXPECT_NE(xen->StateGeneration(*id).value(), entry.generation);
 
   const UisrVm fresh = FreshExtract(*xen, *id, 78);
-  auto rec = pipeline::ReconcilePreTranslated(entry, fresh);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->kind, pipeline::ReconcileKind::kPatched);
+  const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
+  EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kPatched);
   // The workload step touched every vCPU's tsc but nothing else: only vCPU
-  // sections are rewritten, a strict subset of the payload.
-  EXPECT_GT(rec->patched_sections, 0u);
-  EXPECT_LT(rec->patched_bytes, rec->total_payload_bytes);
-  EXPECT_EQ(rec->blob, EncodeUisrVm(fresh));
+  // sections are rewritten, a strict subset of the payload, in the parked
+  // frames themselves.
+  EXPECT_GT(rec.result.patched_sections, 0u);
+  EXPECT_LT(rec.result.patched_bytes, rec.result.total_payload_bytes);
+  EXPECT_EQ(rec.result.stored.frames.base, entry.parked.base);
+  EXPECT_EQ(rec.bytes, EncodeUisrVm(fresh));
 }
 
 TEST(ReconcileTest, StructuralChangeFallsBackToReencode) {
@@ -192,14 +216,13 @@ TEST(ReconcileTest, StructuralChangeFallsBackToReencode) {
   config.vcpus = 2;
   auto id = xen->CreateVm(config);
   ASSERT_TRUE(id.ok());
-  pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, *id, 79);
+  pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 79);
 
   UisrVm fresh = FreshExtract(*xen, *id, 79);
   fresh.vcpus.pop_back();
-  auto rec = pipeline::ReconcilePreTranslated(entry, fresh);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->kind, pipeline::ReconcileKind::kReencoded);
-  EXPECT_EQ(rec->blob, EncodeUisrVm(fresh));
+  const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
+  EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kReencoded);
+  EXPECT_EQ(rec.bytes, EncodeUisrVm(fresh));
 }
 
 TEST(ReconcileTest, NonUisrActivityIsAFalsePositiveHit) {
@@ -210,16 +233,15 @@ TEST(ReconcileTest, NonUisrActivityIsAFalsePositiveHit) {
   std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
   auto id = xen->CreateVm(VmConfig::Small("false-positive"));
   ASSERT_TRUE(id.ok());
-  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, *id, 80);
+  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 80);
 
   ASSERT_TRUE(xen->InjectGuestEvent(*id, Hypervisor::GuestEventKind::kEventChannel).ok());
   EXPECT_NE(xen->StateGeneration(*id).value(), entry.generation);
 
   const UisrVm fresh = FreshExtract(*xen, *id, 80);
-  auto rec = pipeline::ReconcilePreTranslated(entry, fresh);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->kind, pipeline::ReconcileKind::kHit);
-  EXPECT_EQ(rec->blob, entry.blob);
+  const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
+  EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kHit);
+  EXPECT_EQ(rec.bytes, entry.blob);
 }
 
 TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
@@ -236,7 +258,8 @@ TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
   for (const int dirty : {0, kVms / 2, kVms}) {
     std::vector<pipeline::PreTranslatedVm> entries;
     for (int i = 0; i < kVms; ++i) {
-      entries.push_back(SnapshotEntry(*xen, ids[static_cast<size_t>(i)], 90 + i));
+      entries.push_back(
+          SnapshotEntry(*xen, machine->memory(), ids[static_cast<size_t>(i)], 90 + i));
     }
     for (int i = 0; i < dirty; ++i) {
       ASSERT_TRUE(xen->InjectGuestEvent(ids[static_cast<size_t>(i)],
@@ -247,24 +270,68 @@ TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
       const pipeline::PreTranslatedVm& entry = entries[static_cast<size_t>(i)];
       const uint64_t generation = xen->StateGeneration(ids[static_cast<size_t>(i)]).value();
       const UisrVm fresh = FreshExtract(*xen, ids[static_cast<size_t>(i)], 90 + i);
-      auto rec = pipeline::ReconcilePreTranslated(entry, fresh);
-      ASSERT_TRUE(rec.ok());
+      const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
       // The invariant that makes salvage safe: whatever the cache held, the
-      // produced bytes equal a from-scratch encode of the *current* state.
-      EXPECT_EQ(rec->blob, EncodeUisrVm(fresh)) << "dirty=" << dirty << " vm=" << i;
+      // PRAM bytes equal a from-scratch encode of the *current* state.
+      EXPECT_EQ(rec.bytes, EncodeUisrVm(fresh)) << "dirty=" << dirty << " vm=" << i;
+      EXPECT_EQ(rec.result.stored.frames.base, entry.parked.base);
       if (i < dirty) {
         // Generation moved and the workload really rewrote payload bytes: the
         // stale blob must have been patched, not adopted.
         EXPECT_NE(generation, entry.generation);
-        EXPECT_NE(rec->kind, pipeline::ReconcileKind::kHit);
-        EXPECT_NE(rec->blob, entry.blob);
+        EXPECT_NE(rec.result.kind, pipeline::ReconcileKind::kHit);
+        EXPECT_NE(rec.bytes, entry.blob);
       } else {
         EXPECT_EQ(generation, entry.generation);
-        EXPECT_EQ(rec->kind, pipeline::ReconcileKind::kHit);
-        EXPECT_EQ(rec->blob, entry.blob);
+        EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kHit);
+        EXPECT_EQ(rec.bytes, entry.blob);
       }
     }
   }
+}
+
+TEST(ReconcileTest, DeviceSizeChangeReencodesInTheParkedFramesOrAnew) {
+  // A device whose opaque state changed size shifts the TLV lengths, so the
+  // VM is re-encoded: into its parked frames while the frame count holds,
+  // through EncodeUisrVmIntoPram (freeing the parking) once it does not.
+  // Either way the PRAM bytes equal a fresh encode and no kUisr frame leaks.
+  auto machine = MakeM1(9);
+  std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
+  auto id = xen->CreateVm(VmConfig::Small("device-growth"));
+  ASSERT_TRUE(id.ok());
+  for (const size_t growth : {size_t{8}, 3 * kPageSize}) {
+    const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 81);
+    UisrVm fresh = FreshExtract(*xen, *id, 81);
+    ASSERT_FALSE(fresh.devices.empty());
+    fresh.devices[0].opaque.resize(fresh.devices[0].opaque.size() + growth, 0x5A);
+    const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
+    EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kReencoded) << "growth=" << growth;
+    EXPECT_EQ(rec.result.patched_bytes, rec.result.total_payload_bytes);
+    EXPECT_EQ(rec.bytes, EncodeUisrVm(fresh)) << "growth=" << growth;
+    const bool same_frames = growth < kPageSize;
+    EXPECT_EQ(rec.result.stored.frames.count == entry.parked.count, same_frames);
+    if (same_frames) {
+      EXPECT_EQ(rec.result.stored.frames.base, entry.parked.base);
+    }
+    const std::vector<FrameExtent> uisr = machine->memory().ExtentsOfKind(FrameOwnerKind::kUisr);
+    ASSERT_EQ(uisr.size(), 1u) << "growth=" << growth;
+    EXPECT_EQ(uisr[0].base, rec.result.stored.frames.base);
+    ASSERT_TRUE(machine->memory().Free(uisr[0].base, uisr[0].count).ok());
+  }
+}
+
+TEST(ReconcileTest, RefusesAnEntryWithoutParkedFrames) {
+  auto machine = MakeM1(10);
+  std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
+  auto id = xen->CreateVm(VmConfig::Small("unparked"));
+  ASSERT_TRUE(id.ok());
+  pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 82);
+  entry.parked = FrameExtent{};
+  PramBuilder builder(machine->memory());
+  auto rec = pipeline::ReconcilePreTranslated(machine->memory(), builder, entry,
+                                              FreshExtract(*xen, *id, 82));
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.error().code(), ErrorCode::kFailedPrecondition);
 }
 
 // --- PreTranslateVms --------------------------------------------------------
