@@ -7,7 +7,8 @@
 //
 // The record layouts follow the paper's choice (§4.2): a slightly modified,
 // neutralized version of the Xen HVM representation. Table 2's mapping is
-// implemented by the per-hypervisor adapters in src/core/.
+// implemented by the per-hypervisor adapters (src/{xen,kvm,bhyve}/*_uisr),
+// which build on the shared translation kit in src/uisr/translate.h.
 
 #ifndef HYPERTP_SRC_UISR_RECORDS_H_
 #define HYPERTP_SRC_UISR_RECORDS_H_
