@@ -16,7 +16,7 @@
 #include "src/core/checkpoint.h"
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
-#include "src/core/telemetry.h"
+#include "src/core/report.h"
 #include "src/guest/guest_image.h"
 #include "src/hw/usage.h"
 #include "src/vulndb/vulndb.h"

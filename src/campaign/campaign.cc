@@ -331,17 +331,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
     bool done = false;
     SimTime admitted_at = -1;
     SpanId span = 0;
-    // Exposure-timeline drain cursor + last seen exposed count.
-    size_t exposure_consumed = 0;
-    int last_exposed = 0;
-    // Barrier snapshots for governor deltas. Attempts come from the monotone
-    // transplant_successes counter, not `upgraded` (crash rollbacks and lost
-    // hosts decrement the latter, which would corrupt the rate denominator).
-    int prev_transplant_successes = 0;
-    int prev_retries = 0;
-    int prev_failed = 0;
-    int prev_post_pause = 0;
-    int prev_crash_rollbacks = 0;
   };
   std::vector<std::unique_ptr<ShardRuntime>> shards;
   shards.reserve(plan.shards.size());
@@ -401,7 +390,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
     }
     fleet.seed = root.Fork().NextU64();  // Id-order forks: shard-independent.
     fleet.wave_pacer = [this](int, SimTime) { return governor_hold_; };
-    rt->last_exposed = shard_plan.hosts;
     rt->controller = std::make_unique<FleetController>(*rt->executor, fleet);
     if (rt->controller->config_error().has_value()) {
       return rt->controller->config_error().value();  // Unreachable: probed in PlanCampaign.
@@ -439,7 +427,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
   CampaignReport report;
   report.shards = static_cast<int>(plan.shards.size());
   report.datacenters = static_cast<int>(config_.datacenters.size());
-  report.hosts = plan.total_hosts;
   report.vms = plan.total_vms;
 
   SimTime now = 0;
@@ -455,6 +442,8 @@ Result<CampaignReport> CampaignPlanner::Run() {
   };
   std::deque<RateSample> rate_window;
   bool throttled = false;
+  // The fleet-wide tally at the previous barrier, for the governor's deltas.
+  RolloutTally last_totals;
 
   // Admission under the global concurrency cap and per-DC bandwidth slots,
   // in shard-id order (deferred shards keep their place in line).
@@ -545,38 +534,32 @@ Result<CampaignReport> CampaignPlanner::Run() {
     }
     RunOnWorkerPool(tasks, threads);
 
-    // Barrier: merge new exposure samples across shards by (time, shard) and
-    // feed the stream, so the curve is identical for any thread count. Deltas
-    // are signed — a crash-induced rollback re-exposes hosts mid-campaign.
-    struct SafeEvent {
-      SimTime time;
-      int shard;
-      int hosts;  // > 0: reached safety; < 0: re-exposed by a crash rollback.
-      int64_t vms;
+    // Barrier: take every running shard's exposure deltas, merge them by
+    // (time, shard) and feed the stream, so the curve is identical for any
+    // thread count. Deltas are signed — a crash-induced rollback re-exposes
+    // hosts mid-campaign.
+    struct ShardDelta {
+      ExposureDelta delta;
+      const ShardRuntime* shard;
     };
-    std::vector<SafeEvent> safe_events;
+    std::vector<ShardDelta> deltas;
     for (ShardRuntime* rt : running) {
-      const std::vector<ExposurePoint>& timeline = rt->controller->trace().exposure_timeline();
-      for (size_t i = rt->exposure_consumed; i < timeline.size(); ++i) {
-        const int delta = rt->last_exposed - timeline[i].exposed_hosts;
-        if (delta != 0) {
-          safe_events.push_back(SafeEvent{
-              timeline[i].time, rt->plan->id, delta,
-              static_cast<int64_t>(delta) * rt->plan->vms_per_host});
+      for (const ExposureDelta& delta : rt->controller->TakeExposureDeltas()) {
+        if (delta.hosts != 0) {
+          deltas.push_back(ShardDelta{delta, rt});
         }
-        rt->last_exposed = timeline[i].exposed_hosts;
       }
-      rt->exposure_consumed = timeline.size();
     }
-    std::stable_sort(safe_events.begin(), safe_events.end(),
-                     [](const SafeEvent& a, const SafeEvent& b) {
-                       return a.time != b.time ? a.time < b.time : a.shard < b.shard;
-                     });
-    for (const SafeEvent& event : safe_events) {
-      if (event.hosts > 0) {
-        stream.OnHostsSafe(event.time, event.hosts, event.vms);
+    std::stable_sort(deltas.begin(), deltas.end(), [](const ShardDelta& a, const ShardDelta& b) {
+      return a.delta.time != b.delta.time ? a.delta.time < b.delta.time
+                                          : a.shard->plan->id < b.shard->plan->id;
+    });
+    for (const auto& [delta, shard] : deltas) {
+      const int64_t vms = static_cast<int64_t>(delta.hosts) * shard->plan->vms_per_host;
+      if (delta.hosts < 0) {
+        stream.OnHostsSafe(delta.time, -delta.hosts, -vms);
       } else {
-        stream.OnHostsExposed(event.time, -event.hosts, -event.vms);
+        stream.OnHostsExposed(delta.time, delta.hosts, vms);
       }
     }
     stream.AdvanceTo(now);
@@ -665,11 +648,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
           }
           const DetachedRack rack = donor_rt->controller->DetachDomain(d.domain);
           thief_rt->controller->AdoptHosts(rack);
-          // Ownership moved; exposure did not. Re-point both drain cursors'
-          // last-seen counts so neither side synthesizes a phantom
-          // safe/re-expose event at the next barrier.
-          donor_rt->last_exposed -= rack.hosts;
-          thief_rt->last_exposed += rack.hosts;
           stream.OnHostsRehomed(now, rack.hosts,
                                 static_cast<int64_t>(rack.hosts) * donor_rt->plan->vms_per_host);
           rem[static_cast<size_t>(di)] -= policy::TransplantCostModel::RemainingEstimate(
@@ -704,27 +682,20 @@ Result<CampaignReport> CampaignPlanner::Run() {
 
     // Governor: fleet-wide deltas since the last barrier. Upgrade-induced
     // faults and crash-induced rollbacks are tallied apart so a fault storm
-    // never trips (or masks) the bad-image budget.
-    int delta_post_pause = 0;
-    int delta_crash_rollbacks = 0;
-    int delta_attempts = 0;
-    int total_failed = 0;
-    int total_lost = 0;
+    // never trips (or masks) the bad-image budget. Attempts come from the
+    // monotone transplant_successes counter, not `upgraded` (crash rollbacks
+    // and lost hosts decrement the latter, which would corrupt the rate
+    // denominator).
+    RolloutTally totals;
     for (auto& rt : shards) {
-      const FleetRolloutReport& r = rt->controller->report();
-      delta_post_pause += r.post_pause_faults - rt->prev_post_pause;
-      delta_crash_rollbacks += r.crash_rollbacks - rt->prev_crash_rollbacks;
-      delta_attempts += (r.transplant_successes - rt->prev_transplant_successes) +
-                        (r.retries - rt->prev_retries) + (r.failed - rt->prev_failed);
-      total_failed += r.failed;
-      total_lost += r.lost;
-      rt->prev_post_pause = r.post_pause_faults;
-      rt->prev_crash_rollbacks = r.crash_rollbacks;
-      rt->prev_transplant_successes = r.transplant_successes;
-      rt->prev_retries = r.retries;
-      rt->prev_failed = r.failed;
+      totals += rt->controller->report();
     }
-    rate_window.push_back({delta_post_pause, delta_crash_rollbacks, delta_attempts});
+    rate_window.push_back({totals.post_pause_faults - last_totals.post_pause_faults,
+                           totals.crash_rollbacks - last_totals.crash_rollbacks,
+                           (totals.transplant_successes - last_totals.transplant_successes) +
+                               (totals.retries - last_totals.retries) +
+                               (totals.failed - last_totals.failed)});
+    last_totals = totals;
     while (static_cast<int>(rate_window.size()) > config_.slo.rate_window_epochs) {
       rate_window.pop_front();
     }
@@ -741,9 +712,9 @@ Result<CampaignReport> CampaignPlanner::Run() {
     const double crash_rollback_rate =
         static_cast<double>(window_crash_rollbacks) / std::max(window_attempts, 1);
     const double failed_fraction =
-        plan.total_hosts > 0 ? static_cast<double>(total_failed) / plan.total_hosts : 0.0;
+        plan.total_hosts > 0 ? static_cast<double>(totals.failed) / plan.total_hosts : 0.0;
     const double crash_loss_fraction =
-        plan.total_hosts > 0 ? static_cast<double>(total_lost) / plan.total_hosts : 0.0;
+        plan.total_hosts > 0 ? static_cast<double>(totals.lost) / plan.total_hosts : 0.0;
     double unavailable_fraction = 0.0;
     if (config_.slo.max_unavailable_fraction < 1.0) {
       int unavailable = 0;
@@ -881,49 +852,13 @@ Result<CampaignReport> CampaignPlanner::Run() {
   SimTime end = report.aborted ? now : 0;
   for (const auto& rt : shards) {
     const FleetRolloutReport& r = rt->controller->report();
-    CampaignShardSummary summary;
-    summary.id = rt->plan->id;
-    summary.datacenter = rt->plan->datacenter;
-    // The controller's count is the final responsibility set (initial plan
-    // +/- stolen racks); without stealing it equals the plan's.
-    summary.hosts = r.hosts;
-    summary.stolen_in = r.adopted_hosts;
-    summary.stolen_out = r.detached_hosts;
-    summary.upgraded = r.upgraded;
-    summary.failed = r.failed;
-    summary.untouched = r.untouched;
-    summary.retries = r.retries;
-    summary.waves = r.waves;
-    summary.post_pause_faults = r.post_pause_faults;
-    summary.rollbacks = r.rollbacks;
-    summary.rollback_failures = r.rollback_failures;
-    summary.crashes = r.crashes;
-    summary.crash_rollbacks = r.crash_rollbacks;
-    summary.lost = r.lost;
-    summary.refused = r.refused;
-    summary.aborted = r.aborted;
-    summary.complete = r.complete;
-    summary.admitted = rt->admitted ? rt->admitted_at : -1;
-    summary.makespan = r.makespan;
-    report.upgraded += r.upgraded;
-    report.failed += r.failed;
-    report.untouched += r.untouched;
-    report.retries += r.retries;
-    report.post_pause_faults += r.post_pause_faults;
-    report.rollbacks += r.rollbacks;
-    report.rollback_failures += r.rollback_failures;
-    report.crashes += r.crashes;
-    report.crash_salvages += r.crash_salvages;
-    report.crash_live_recoveries += r.crash_live_recoveries;
-    report.crash_rollbacks += r.crash_rollbacks;
-    report.crash_upgrades += r.crash_upgrades;
-    report.crash_data_loss += r.crash_data_loss;
-    report.lost += r.lost;
-    report.refused += r.refused;
-    report.policy_inplace_vms += r.policy_inplace_vms;
-    report.policy_migrate_vms += r.policy_migrate_vms;
-    report.policy_refused_vms += r.policy_refused_vms;
-    report.policy_vm_downtime += r.policy_vm_downtime;
+    // The controller's `hosts` is the final responsibility set (initial plan
+    // +/- stolen racks); the sum over shards is the plan's total.
+    report += r;
+    report.shard_summaries.push_back(CampaignShardSummary{
+        r, rt->plan->id, rt->plan->datacenter, /*stolen_in=*/r.adopted_hosts,
+        /*stolen_out=*/r.detached_hosts, r.aborted, r.complete,
+        /*admitted=*/rt->admitted ? rt->admitted_at : -1, r.makespan});
     // Shard-id-order merge keeps the percentile bytes thread-count invariant.
     for (const double sample : r.recovery_latency_seconds.samples()) {
       report.recovery_latency_seconds.Add(sample);
@@ -932,7 +867,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
       end = std::max(end, rt->admitted_at + r.makespan);
       report.shard_makespan_seconds.Add(ToSeconds(r.makespan));
     }
-    report.shard_summaries.push_back(std::move(summary));
   }
   report.makespan = end;
   report.complete = !report.aborted && report.upgraded == report.hosts;

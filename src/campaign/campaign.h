@@ -204,25 +204,13 @@ struct CampaignPlan {
 // and invalid per-shard fleet knobs with a field-naming error.
 Result<CampaignPlan> PlanCampaign(const CampaignConfig& config);
 
-// Per-shard outcome, in shard-id order.
-struct CampaignShardSummary {
+// Per-shard outcome, in shard-id order: the shard controller's tally plus
+// where the shard sat in the campaign.
+struct CampaignShardSummary : RolloutTally {
   int id = 0;
   int datacenter = 0;
-  int hosts = 0;
-  int upgraded = 0;
-  int failed = 0;
-  int untouched = 0;
-  int retries = 0;
-  int waves = 0;
-  int post_pause_faults = 0;
-  int rollbacks = 0;
-  int rollback_failures = 0;
-  int crashes = 0;
-  int crash_rollbacks = 0;
-  int lost = 0;
-  int refused = 0;  // Hosts the adaptive policy excluded (0 under kFixed).
   // Work-stealing traffic: hosts adopted from / handed to sibling shards.
-  // `hosts` above is the final responsibility set (initial + in - out).
+  // `hosts` is the final responsibility set (initial + in - out).
   int stolen_in = 0;
   int stolen_out = 0;
   bool aborted = false;
@@ -231,37 +219,14 @@ struct CampaignShardSummary {
   SimDuration makespan = 0;
 };
 
-struct CampaignReport {
+// Campaign totals: the sum of every shard's tally (upgrade-induced recovery
+// traffic and crash-storm traffic stay separate counters, so neither
+// contaminates the other's SLO rate) plus campaign-scope outcomes.
+struct CampaignReport : RolloutTally {
   int shards = 0;
   int datacenters = 0;
-  int hosts = 0;
   int64_t vms = 0;
-  int upgraded = 0;
-  int failed = 0;
-  int untouched = 0;
-  int retries = 0;
-  // Upgrade-induced recovery traffic: post-pause faults and the planned
-  // ledger rollbacks they triggered.
-  int post_pause_faults = 0;
-  int rollbacks = 0;
-  int rollback_failures = 0;
-  // Crash-storm traffic, tallied separately so neither contaminates the
-  // other's SLO rate: strikes, unplanned recoveries by outcome, upgraded
-  // hosts reverted by a same-kind salvage, and hosts lost outright.
-  int crashes = 0;
-  int crash_salvages = 0;
-  int crash_live_recoveries = 0;
-  int crash_rollbacks = 0;
-  int crash_upgrades = 0;
-  int crash_data_loss = 0;
-  int lost = 0;
-  // Adaptive mechanism policy totals (all zero/false under kFixed).
-  int refused = 0;
-  bool policy_adaptive = false;
-  int policy_inplace_vms = 0;
-  int policy_migrate_vms = 0;
-  int policy_refused_vms = 0;
-  SimDuration policy_vm_downtime = 0;
+  bool policy_adaptive = false;  // Policy mode kAdaptive planned the hosts.
   // Work-stealing totals (zero without CampaignConfig::steal).
   int steals = 0;        // Rack moves across all barriers.
   int stolen_hosts = 0;  // Hosts those racks carried.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/json.h"
 #include "src/base/logging.h"
 
 namespace hypertp {
@@ -268,6 +269,18 @@ Result<PlanExecutionStats> ExecuteClusterUpgrade(ClusterModel& cluster, const Up
     stats.total_time += step_makespan + step_inplace;
   }
   return stats;
+}
+
+std::string PlanExecutionStatsToJson(const PlanExecutionStats& stats) {
+  JsonWriter j;
+  j.BeginObject();
+  j.Key("kind").String("cluster_upgrade");
+  j.Key("migrations").Number(static_cast<int64_t>(stats.migrations));
+  j.Key("migration_time_ms").Number(ToMillis(stats.migration_time));
+  j.Key("inplace_time_ms").Number(ToMillis(stats.inplace_time));
+  j.Key("total_time_ms").Number(ToMillis(stats.total_time));
+  j.EndObject();
+  return j.Take();
 }
 
 }  // namespace hypertp

@@ -170,6 +170,10 @@ struct ClusterExecutionParams {
 Result<PlanExecutionStats> ExecuteClusterUpgrade(ClusterModel& cluster, const UpgradePlan& plan,
                                                  const ClusterExecutionParams& params);
 
+// Cluster-upgrade execution stats as JSON: migrations, migration/inplace/
+// total ms.
+std::string PlanExecutionStatsToJson(const PlanExecutionStats& stats);
+
 }  // namespace hypertp
 
 #endif  // HYPERTP_SRC_CLUSTER_CLUSTER_H_

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/base/json.h"
+
 namespace hypertp {
 
 std::string_view TransplantOutcomeName(TransplantOutcome outcome) {
@@ -55,6 +57,55 @@ std::string TransplantReport::ToString() const {
     out += "  note: " + note + "\n";
   }
   return out;
+}
+
+std::string TransplantReportToJson(const TransplantReport& report) {
+  JsonWriter j;
+  j.BeginObject();
+  j.Key("kind").String("inplace_transplant");
+  j.Key("source").String(report.source_hypervisor);
+  j.Key("target").String(report.target_hypervisor);
+  j.Key("vm_count").Number(static_cast<int64_t>(report.vm_count));
+  j.Key("outcome").String(std::string(TransplantOutcomeName(report.outcome)));
+  j.Key("phases_ms").BeginObject();
+  j.Key("pram").Number(ToMillis(report.phases.pram));
+  j.Key("pre_translation").Number(ToMillis(report.phases.pre_translation));
+  j.Key("translation").Number(ToMillis(report.phases.translation));
+  j.Key("reboot").Number(ToMillis(report.phases.reboot));
+  j.Key("pram_parse").Number(ToMillis(report.phases.pram_parse));
+  j.Key("restoration").Number(ToMillis(report.phases.restoration));
+  j.Key("resume").Number(ToMillis(report.phases.resume));
+  j.Key("cleanup").Number(ToMillis(report.phases.cleanup));
+  j.Key("network").Number(ToMillis(report.phases.network));
+  j.Key("rollback").Number(ToMillis(report.phases.rollback));
+  j.EndObject();
+  j.Key("downtime_ms").Number(ToMillis(report.downtime));
+  j.Key("total_ms").Number(ToMillis(report.total_time));
+  j.Key("network_downtime_ms").Number(ToMillis(report.network_downtime));
+  j.Key("pretranslate_hits").Number(report.pretranslate_hits);
+  j.Key("pretranslate_invalidations").Number(report.pretranslate_invalidations);
+  j.Key("pram_metadata_bytes").Number(report.pram_metadata_bytes);
+  j.Key("uisr_total_bytes").Number(report.uisr_total_bytes);
+  j.Key("frames_scrubbed").Number(report.frames_scrubbed);
+  j.Key("vms").BeginArray();
+  for (const VmTransplantRecord& vm : report.vms) {
+    j.BeginObject();
+    j.Key("uid").Number(vm.uid);
+    j.Key("name").String(vm.name);
+    j.Key("vcpus").Number(static_cast<int64_t>(vm.vcpus));
+    j.Key("memory_bytes").Number(vm.memory_bytes);
+    j.Key("uisr_bytes").Number(static_cast<uint64_t>(vm.uisr_bytes));
+    j.EndObject();
+  }
+  j.EndArray();
+  FixupLogToJson(j, report.fixups);
+  j.Key("notes").BeginArray();
+  for (const std::string& note : report.notes) {
+    j.String(note);
+  }
+  j.EndArray();
+  j.EndObject();
+  return j.Take();
 }
 
 }  // namespace hypertp

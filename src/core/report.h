@@ -158,6 +158,12 @@ struct TransplantReport {
   std::string ToString() const;
 };
 
+// Telemetry export: one JSON object with phases (ms), downtime/total/network
+// (ms), memory overheads (bytes), fixups, and notes — what a production
+// HyperTP would push to its operators' dashboards after each §4.5.2 host live
+// upgrade.
+std::string TransplantReportToJson(const TransplantReport& report);
+
 }  // namespace hypertp
 
 #endif  // HYPERTP_SRC_CORE_REPORT_H_

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
-#include "src/obs/metrics.h"
 
 namespace hypertp {
 
@@ -63,6 +63,33 @@ std::string FleetRolloutReportToJson(const FleetRolloutReport& report) {
   j.EndObject();
   j.EndObject();
   return j.Take();
+}
+
+RolloutTally& RolloutTally::operator+=(const RolloutTally& other) {
+  hosts += other.hosts;
+  upgraded += other.upgraded;
+  failed += other.failed;
+  untouched += other.untouched;
+  retries += other.retries;
+  transplant_successes += other.transplant_successes;
+  waves += other.waves;
+  post_pause_faults += other.post_pause_faults;
+  rollbacks += other.rollbacks;
+  rollback_failures += other.rollback_failures;
+  crashes += other.crashes;
+  crash_salvages += other.crash_salvages;
+  crash_live_recoveries += other.crash_live_recoveries;
+  crash_rollbacks += other.crash_rollbacks;
+  crash_upgrades += other.crash_upgrades;
+  crash_data_loss += other.crash_data_loss;
+  crash_recovery_retries += other.crash_recovery_retries;
+  lost += other.lost;
+  refused += other.refused;
+  policy_inplace_vms += other.policy_inplace_vms;
+  policy_migrate_vms += other.policy_migrate_vms;
+  policy_refused_vms += other.policy_refused_vms;
+  policy_vm_downtime += other.policy_vm_downtime;
+  return *this;
 }
 
 Result<void> ValidateFleetConfig(const FleetConfig& config) {
@@ -243,14 +270,6 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
       report_.policy_refused_vms += plan.refused_vms;
       report_.refused += plan.refused();
     }
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("hypertp_policy_inplace")
-          .Increment(static_cast<uint64_t>(report_.policy_inplace_vms));
-      config_.metrics->GetCounter("hypertp_policy_migrate")
-          .Increment(static_cast<uint64_t>(report_.policy_migrate_vms));
-      config_.metrics->GetCounter("hypertp_policy_refused")
-          .Increment(static_cast<uint64_t>(report_.policy_refused_vms));
-    }
   }
   report_.hosts = config_.hosts;
 }
@@ -306,10 +325,11 @@ void FleetController::Abort() {
     return;
   }
   if (!started_) {
-    // Aborted before the rollout ever scheduled: nothing ran, every host is
-    // untouched and no events exist to finalize against.
+    // Aborted before the rollout ever scheduled: nothing ran, every host the
+    // policy did not refuse is untouched, and no events exist to finalize
+    // against.
     finished_ = true;
-    report_.untouched = report_.hosts;
+    SettleUntouched();
     report_.aborted = true;
     return;
   }
@@ -331,7 +351,6 @@ void FleetController::Start() {
                                  static_cast<int64_t>(config_.parallel_hosts));
   }
   Emit(FleetEventType::kRolloutStart, -1);
-  trace_.RecordExposure(base_, exposed_);
   for (int i = 0; i < config_.hosts; ++i) {
     // A host with a refused guest never enters the rollout: it keeps serving
     // the vulnerable hypervisor (and keeps accruing exposure). Emitted in id
@@ -471,9 +490,7 @@ void FleetController::FinishAttempt(int host) {
     }
     RollHostSpan(host, {});
     Emit(FleetEventType::kTransplantDone, host, h.attempts);
-    AccrueExposure();
-    --exposed_;
-    trace_.RecordExposure(executor_.now(), exposed_);
+    ChangeExposure(-1);
     HostDone(host);
     return;
   }
@@ -577,11 +594,30 @@ void FleetController::AccrueExposure() {
   last_exposure_change_ = executor_.now();
 }
 
+void FleetController::ChangeExposure(int hosts) {
+  AccrueExposure();
+  exposed_ += hosts;
+  const SimTime now = executor_.now();
+  if (!exposure_deltas_.empty() && exposure_deltas_.back().time == now) {
+    exposure_deltas_.back().hosts += hosts;
+    return;
+  }
+  exposure_deltas_.push_back(ExposureDelta{now, hosts});
+}
+
+std::vector<ExposureDelta> FleetController::TakeExposureDeltas() {
+  return std::exchange(exposure_deltas_, {});
+}
+
+void FleetController::SettleUntouched() {
+  report_.untouched =
+      report_.hosts - report_.upgraded - report_.failed - report_.lost - report_.refused;
+}
+
 void FleetController::Finalize(FleetEventType terminal) {
   finished_ = true;
   AccrueExposure();
-  report_.untouched =
-      report_.hosts - report_.upgraded - report_.failed - report_.lost - report_.refused;
+  SettleUntouched();
   report_.aborted = terminal == FleetEventType::kRolloutAborted;
   report_.complete = report_.upgraded == report_.hosts;
   // A drained hold-open rollout finalizes at a later barrier; its makespan is
@@ -777,9 +813,7 @@ void FleetController::FinishRecovery(int host) {
       h.finished = executor_.now();
       ++report_.upgraded;
       ++report_.crash_upgrades;
-      AccrueExposure();
-      --exposed_;
-      trace_.RecordExposure(executor_.now(), exposed_);
+      ChangeExposure(-1);
     } else if (!cross_kind && h.upgraded) {
       // Crash-induced rollback: the committed image predates the upgrade, so
       // a same-kind salvage reverts the host to the vulnerable source kind.
@@ -789,9 +823,7 @@ void FleetController::FinishRecovery(int host) {
       --report_.upgraded;
       ++report_.crash_rollbacks;
       Emit(FleetEventType::kCrashRollback, host);
-      AccrueExposure();
-      ++exposed_;
-      trace_.RecordExposure(executor_.now(), exposed_);
+      ChangeExposure(+1);
     }
   } else {
     // kRecoverLive: no committed image governs; the fresh hypervisor re-adopts
@@ -825,9 +857,7 @@ void FleetController::LoseHost(int host, bool ledger_data_loss) {
   } else {
     // An exposed host that dies stops accruing exposure — its VMs are lost,
     // not running vulnerable.
-    AccrueExposure();
-    --exposed_;
-    trace_.RecordExposure(executor_.now(), exposed_);
+    ChangeExposure(-1);
   }
   if (config_.tracer != nullptr) {
     config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "lost");
@@ -930,8 +960,8 @@ DetachedRack FleetController::DetachDomain(int domain) {
   rack.rngs.reserve(member_ids.size());
   // Ownership moves; global exposure does not change. Accrue to the barrier
   // instant, then drop the hosts from this controller's count *silently* (no
-  // exposure-timeline entry) — the campaign re-points the weight at the
-  // adopting shard so the stream never sees a phantom safe/re-expose event.
+  // exposure delta), so the campaign's stream never sees a phantom
+  // safe/re-expose event.
   AccrueExposure();
   std::vector<char> leaving(hosts_.size(), 0);
   for (const int id : member_ids) {

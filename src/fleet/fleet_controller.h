@@ -31,47 +31,11 @@
 
 namespace hypertp {
 
-struct FleetRolloutReport {
-  int hosts = 0;
-  int upgraded = 0;
-  int failed = 0;      // Permanently failed (retry budget exhausted).
-  int untouched = 0;   // Never started (rollout aborted first).
-  int retries = 0;     // Re-attempts across all hosts.
-  // Monotone count of successful transplant attempts. `upgraded` is the net
-  // serving-upgraded population (crash rollbacks and lost hosts decrement
-  // it); rate governors need the gross attempt outcome instead.
-  int transplant_successes = 0;
-  int waves = 0;
-  // Post-pause recovery: attempts that failed after the point of no return,
-  // how many of those hosts salvaged themselves by PRAM ledger rollback
-  // (and then re-entered the retry policy), and how many were lost because
-  // the rollback itself failed (counted in `failed` too).
-  int post_pause_faults = 0;
-  int rollbacks = 0;
-  int rollback_failures = 0;
-  // ReHype-mode crash recovery under a fault storm (all zero without one).
-  int crashes = 0;                // Hosts struck by an injected hypervisor crash.
-  int crash_salvages = 0;         // Recovered from the committed PRAM image.
-  int crash_live_recoveries = 0;  // Pre-commit ledger: re-adopted live state.
-  int crash_rollbacks = 0;        // Salvage reverted an upgraded host to the
-                                  // vulnerable kind (re-exposed, re-queued).
-  int crash_upgrades = 0;         // Cross-kind salvage upgraded a host early.
-  int crash_data_loss = 0;        // Torn/stale ledger refused every salvage.
-  int crash_recovery_retries = 0;
-  int lost = 0;  // Hosts permanently down from crashes: ledger data loss,
-                 // recovery budget exhausted, or a fleet that cannot recover.
-  // Adaptive mechanism policy (all zero/false with policy mode kFixed).
-  int refused = 0;             // Hosts excluded: a guest refused both mechanisms.
-  bool policy_adaptive = false;
-  int policy_inplace_vms = 0;  // Per-VM decisions across the whole fleet.
-  int policy_migrate_vms = 0;
-  int policy_refused_vms = 0;
-  // Per-VM downtime actually charged by upgraded hosts' plans (each in-place
-  // guest's expected pause + each migrated guest's switchover brownout).
-  SimDuration policy_vm_downtime = 0;
+struct FleetRolloutReport : RolloutTally {
+  bool policy_adaptive = false;  // Policy mode kAdaptive planned the hosts.
   // Campaign work-stealing traffic (zero without FleetConfig::hold_open):
-  // hosts this controller handed to / received from sibling shards. `hosts`
-  // above tracks the *current* responsibility set, so after steals
+  // hosts this controller handed to / received from sibling shards. The
+  // tally's `hosts` tracks the *current* responsibility set, so after steals
   // hosts == initial + adopted - detached.
   int adopted_hosts = 0;
   int detached_hosts = 0;
@@ -97,6 +61,15 @@ std::string FleetRolloutReportToJson(const FleetRolloutReport& report);
 // jitter sigma non-negative. abort_threshold may exceed 1.0 (that disables
 // the abort) but not be negative.
 Result<void> ValidateFleetConfig(const FleetConfig& config);
+
+// One change of a controller's exposed-host count: at `time`, `hosts` more
+// hosts run the vulnerable hypervisor (negative: that many reached safety or
+// died). Changes at one instant coalesce into one entry, so a batch of
+// entries is strictly increasing in time.
+struct ExposureDelta {
+  SimTime time = 0;
+  int hosts = 0;
+};
 
 // One fully-unstarted fault domain (rack) a barrier steal could re-home:
 // every non-detached member host is still queued with zero attempts.
@@ -152,6 +125,11 @@ class FleetController {
   const std::optional<Error>& config_error() const { return config_error_; }
 
   const FleetRolloutReport& report() const { return report_; }
+  // Takes the exposure changes recorded since the last call, oldest first,
+  // and clears them. The rollout starts with every host exposed and records
+  // no entry for that; re-homing a rack (DetachDomain/AdoptHosts) records
+  // none either — ownership moves, exposure does not.
+  std::vector<ExposureDelta> TakeExposureDeltas();
   const FleetTrace& trace() const { return trace_; }
   const std::vector<FleetHost>& hosts() const { return hosts_; }
   const FleetConfig& config() const { return config_; }
@@ -205,6 +183,11 @@ class FleetController {
   void ScheduleRetryOrFail(int host);
   void HostDone(int host);
   void AccrueExposure();
+  // Integrates exposure up to now, then moves the exposed count by `hosts`
+  // and records the change for TakeExposureDeltas().
+  void ChangeExposure(int hosts);
+  // Hosts neither upgraded, failed, lost nor refused: the rest of the books.
+  void SettleUntouched();
   void Finalize(FleetEventType terminal);
   // Per-host durations: adopted hosts carry their origin rack's (DC-scaled)
   // timings; native hosts use the config (or policy plan) values.
@@ -278,6 +261,7 @@ class FleetController {
   SimTime base_ = 0;
   SimTime last_exposure_change_ = 0;
   int exposed_ = 0;
+  std::vector<ExposureDelta> exposure_deltas_;
   double exposed_host_seconds_ = 0.0;
   bool started_ = false;
   bool finished_ = false;

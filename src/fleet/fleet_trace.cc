@@ -95,16 +95,6 @@ void FleetTrace::Record(FleetEvent event) {
   head_ = (head_ + 1) % capacity_;
 }
 
-void FleetTrace::RecordExposure(SimTime time, int exposed_hosts) {
-  // Coalesce same-timestamp updates (several hosts finishing in one event
-  // round) so the timeline stays a function of time.
-  if (!exposure_.empty() && exposure_.back().time == time) {
-    exposure_.back().exposed_hosts = exposed_hosts;
-    return;
-  }
-  exposure_.push_back(ExposurePoint{time, exposed_hosts});
-}
-
 std::vector<FleetEvent> FleetTrace::Events() const {
   std::vector<FleetEvent> out;
   out.reserve(ring_.size());
@@ -148,14 +138,6 @@ std::string FleetTraceToJson(const FleetTrace& trace) {
       j.Key("attempt").Number(static_cast<int64_t>(event.attempt));
     }
     j.EndObject();
-  }
-  j.EndArray();
-  j.Key("exposure_timeline").BeginArray();
-  for (const ExposurePoint& point : trace.exposure_timeline()) {
-    j.BeginArray();
-    j.Number(static_cast<int64_t>(point.time));
-    j.Number(static_cast<int64_t>(point.exposed_hosts));
-    j.EndArray();
   }
   j.EndArray();
   j.EndObject();

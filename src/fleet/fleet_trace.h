@@ -1,6 +1,7 @@
-// Structured trace for fleet rollouts: a bounded ring buffer of FleetEvents
-// plus the fleet exposure timeline (how many hosts still run the vulnerable
-// hypervisor at each instant), exported as one JSON document.
+// Structured trace for fleet rollouts: a bounded ring buffer of FleetEvents,
+// exported as one JSON document. Exposure is not traced here: the controller
+// hands its exposure changes to the campaign as drained deltas
+// (FleetController::TakeExposureDeltas).
 //
 // The trace is the observability contract of the control plane: two runs
 // with the same FleetConfig must serialize to byte-identical JSON, which is
@@ -19,21 +20,11 @@
 
 namespace hypertp {
 
-// One sample of the exposure timeline: at `time`, `exposed_hosts` hosts had
-// not yet reached the safe hypervisor (failed hosts stay exposed). The
-// campaign feeds its ExposureStream from these samples; the controller's own
-// integral is FleetRolloutReport::exposed_host_days.
-struct ExposurePoint {
-  SimTime time = 0;
-  int exposed_hosts = 0;
-};
-
 class FleetTrace {
  public:
   explicit FleetTrace(size_t capacity);
 
   void Record(FleetEvent event);
-  void RecordExposure(SimTime time, int exposed_hosts);
 
   // Events oldest-to-newest (reassembled from the ring).
   std::vector<FleetEvent> Events() const;
@@ -43,17 +34,15 @@ class FleetTrace {
   size_t size() const { return ring_.size(); }
   uint64_t total_recorded() const { return total_recorded_; }
   uint64_t dropped() const { return total_recorded_ - ring_.size(); }
-  const std::vector<ExposurePoint>& exposure_timeline() const { return exposure_; }
 
  private:
   size_t capacity_;
   std::vector<FleetEvent> ring_;  // Ring buffer; `head_` is the oldest slot.
   size_t head_ = 0;
   uint64_t total_recorded_ = 0;
-  std::vector<ExposurePoint> exposure_;
 };
 
-// {"kind":"fleet_trace","events":[...],"exposure_timeline":[[t,n],...],...}.
+// {"kind":"fleet_trace","total_recorded":n,"dropped":n,"events":[...]}.
 // Deterministic: same trace -> same bytes.
 std::string FleetTraceToJson(const FleetTrace& trace);
 

@@ -23,7 +23,6 @@
 
 namespace hypertp {
 
-class MetricsRegistry;
 class Tracer;
 
 // Host lifecycle: kServing -> kDraining -> kTransplanting -> kServing
@@ -118,6 +117,51 @@ struct FleetEvent {
   int host = -1;
   int wave = -1;
   int attempt = 0;
+};
+
+// The additive outcome counters of a rollout. One FleetController fills one
+// tally; the campaign sums its shards' tallies into per-shard summaries and
+// the campaign report, and its SLO governor diffs barrier snapshots of the
+// sum. A new outcome counter goes here and nowhere else.
+struct RolloutTally {
+  int hosts = 0;
+  int upgraded = 0;
+  int failed = 0;      // Permanently failed (retry budget exhausted).
+  int untouched = 0;   // Never started (rollout aborted first).
+  int retries = 0;     // Re-attempts across all hosts.
+  // Monotone count of successful transplant attempts. `upgraded` is the net
+  // serving-upgraded population (crash rollbacks and lost hosts decrement
+  // it); rate governors need the gross attempt outcome instead.
+  int transplant_successes = 0;
+  int waves = 0;
+  // Post-pause recovery: attempts that failed after the point of no return,
+  // how many of those hosts salvaged themselves by PRAM ledger rollback
+  // (and then re-entered the retry policy), and how many were lost because
+  // the rollback itself failed (counted in `failed` too).
+  int post_pause_faults = 0;
+  int rollbacks = 0;
+  int rollback_failures = 0;
+  // ReHype-mode crash recovery under a fault storm (all zero without one).
+  int crashes = 0;                // Hosts struck by an injected hypervisor crash.
+  int crash_salvages = 0;         // Recovered from the committed PRAM image.
+  int crash_live_recoveries = 0;  // Pre-commit ledger: re-adopted live state.
+  int crash_rollbacks = 0;        // Salvage reverted an upgraded host to the
+                                  // vulnerable kind (re-exposed, re-queued).
+  int crash_upgrades = 0;         // Cross-kind salvage upgraded a host early.
+  int crash_data_loss = 0;        // Torn/stale ledger refused every salvage.
+  int crash_recovery_retries = 0;
+  int lost = 0;  // Hosts permanently down from crashes: ledger data loss,
+                 // recovery budget exhausted, or a fleet that cannot recover.
+  // Adaptive mechanism policy (all zero with policy mode kFixed).
+  int refused = 0;             // Hosts excluded: a guest refused both mechanisms.
+  int policy_inplace_vms = 0;  // Per-VM decisions across the whole fleet.
+  int policy_migrate_vms = 0;
+  int policy_refused_vms = 0;
+  // Per-VM downtime actually charged by upgraded hosts' plans (each in-place
+  // guest's expected pause + each migrated guest's switchover brownout).
+  SimDuration policy_vm_downtime = 0;
+
+  RolloutTally& operator+=(const RolloutTally& other);
 };
 
 // Upper bound for saturated retry backoff: far beyond any simulated rollout,
@@ -258,11 +302,6 @@ struct FleetConfig {
   // planner fills this from the datacenter rack layout so a fleet split into
   // any number of shards prices the same VM population identically.
   std::vector<int64_t> policy_host_global_ids;
-  // Adaptive-mode decision counters (hypertp_policy_{inplace,migrate,
-  // refused}). Null records nothing. Must not be shared across concurrently
-  // running controllers (counters are not atomic).
-  MetricsRegistry* metrics = nullptr;
-
   uint64_t seed = 1;
   size_t trace_capacity = 65536;  // Ring buffer: oldest events drop first.
 

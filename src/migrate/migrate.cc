@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "src/base/json.h"
 #include "src/base/logging.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/conversion.h"
@@ -401,6 +402,31 @@ Result<MigrationBatchResult> MigrationEngine::MigrateMany(Hypervisor& src,
     batch.outcomes.push_back(std::move(outcome));
   }
   return batch;
+}
+
+std::string MigrationResultToJson(const MigrationResult& result) {
+  JsonWriter j;
+  j.BeginObject();
+  j.Key("kind").String("migration");
+  j.Key("dest_vm_id").Number(result.dest_vm_id);
+  j.Key("total_ms").Number(ToMillis(result.total_time));
+  j.Key("downtime_ms").Number(ToMillis(result.downtime));
+  j.Key("queue_wait_ms").Number(ToMillis(result.queue_wait));
+  j.Key("bytes_transferred").Number(result.bytes_transferred);
+  j.Key("uisr_bytes").Number(result.uisr_bytes);
+  j.Key("rounds").Number(static_cast<int64_t>(result.rounds));
+  j.Key("converged").Bool(result.converged);
+  j.Key("round_log").BeginArray();
+  for (const MigrationRound& round : result.round_log) {
+    j.BeginObject();
+    j.Key("pages").Number(round.pages);
+    j.Key("duration_ms").Number(ToMillis(round.duration));
+    j.EndObject();
+  }
+  j.EndArray();
+  FixupLogToJson(j, result.fixups);
+  j.EndObject();
+  return j.Take();
 }
 
 }  // namespace hypertp

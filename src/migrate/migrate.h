@@ -18,6 +18,7 @@
 #define HYPERTP_SRC_MIGRATE_MIGRATE_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/base/result.h"
@@ -172,6 +173,9 @@ class MigrationEngine {
 
   NetworkLink link_;
 };
+
+// One JSON object with timing, rounds, bytes, convergence and fixups.
+std::string MigrationResultToJson(const MigrationResult& result);
 
 }  // namespace hypertp
 

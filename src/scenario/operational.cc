@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/base/json.h"
 #include "src/campaign/campaign.h"
 #include "src/fleet/fleet_controller.h"
 #include "src/obs/trace.h"
@@ -261,6 +262,50 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   schedule_next();
   executor.RunUntil(horizon);
   return report;
+}
+
+std::string OperationalReportToJson(const OperationalReport& report) {
+  JsonWriter j;
+  j.BeginObject();
+  j.Key("kind").String("operational_year");
+  j.Key("disclosures").Number(static_cast<int64_t>(report.disclosures));
+  j.Key("transplants_away").Number(static_cast<int64_t>(report.transplants_away));
+  j.Key("transplants_back").Number(static_cast<int64_t>(report.transplants_back));
+  j.Key("no_safe_target").Number(static_cast<int64_t>(report.no_safe_target));
+  j.Key("already_safe").Number(static_cast<int64_t>(report.already_safe));
+  j.Key("exposure_days_traditional").Number(report.exposure_days_traditional);
+  j.Key("exposure_days_hypertp").Number(report.exposure_days_hypertp);
+  j.Key("exposure_reduction_factor").Number(report.exposure_reduction_factor());
+  j.Key("vm_downtime_ms").Number(ToMillis(report.vm_downtime_paid));
+  j.Key("fleet").BeginObject();
+  j.Key("rollouts").Number(static_cast<int64_t>(report.fleet_rollouts));
+  j.Key("retries").Number(static_cast<int64_t>(report.fleet_retries));
+  j.Key("stranded_hosts").Number(static_cast<int64_t>(report.fleet_stranded_hosts));
+  j.Key("aborts").Number(static_cast<int64_t>(report.fleet_aborts));
+  j.Key("post_pause_faults").Number(static_cast<int64_t>(report.fleet_post_pause_faults));
+  j.Key("rollbacks").Number(static_cast<int64_t>(report.fleet_rollbacks));
+  j.Key("rollback_failures").Number(static_cast<int64_t>(report.fleet_rollback_failures));
+  j.Key("crashes").Number(static_cast<int64_t>(report.fleet_crashes));
+  j.Key("crash_salvages").Number(static_cast<int64_t>(report.fleet_crash_salvages));
+  j.Key("crash_live_recoveries").Number(static_cast<int64_t>(report.fleet_crash_live_recoveries));
+  j.Key("crash_rollbacks").Number(static_cast<int64_t>(report.fleet_crash_rollbacks));
+  j.Key("lost").Number(static_cast<int64_t>(report.fleet_lost));
+  j.Key("throttled_epochs").Number(static_cast<int64_t>(report.fleet_throttled_epochs));
+  j.EndObject();
+  j.Key("policy").BeginObject();
+  j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");
+  j.Key("refused_hosts").Number(static_cast<int64_t>(report.fleet_refused_hosts));
+  j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
+  j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
+  j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
+  j.EndObject();
+  j.Key("event_log").BeginArray();
+  for (const std::string& line : report.event_log) {
+    j.String(line);
+  }
+  j.EndArray();
+  j.EndObject();
+  return j.Take();
 }
 
 }  // namespace hypertp

@@ -143,6 +143,10 @@ struct OperationalReport {
 
 OperationalReport RunOperationalSimulation(const OperationalConfig& config);
 
+// Year-in-the-life report as JSON: disclosure buckets, both worlds'
+// exposure, downtime paid, fleet-rollout aggregates, and the event log.
+std::string OperationalReportToJson(const OperationalReport& report);
+
 }  // namespace hypertp
 
 #endif  // HYPERTP_SRC_SCENARIO_OPERATIONAL_H_

@@ -2,7 +2,21 @@
 
 #include <cstdio>
 
+#include "src/base/json.h"
+
 namespace hypertp {
+
+void FixupLogToJson(JsonWriter& j, const FixupLog& fixups) {
+  j.Key("fixups").BeginArray();
+  for (const StateFixup& fixup : fixups) {
+    j.BeginObject();
+    j.Key("vm_uid").Number(fixup.vm_uid);
+    j.Key("component").String(fixup.component);
+    j.Key("description").String(fixup.description);
+    j.EndObject();
+  }
+  j.EndArray();
+}
 
 // Gathering in table order must yield UISR's canonical, index-sorted list.
 static_assert(std::ranges::is_sorted(kFixedSlotMsrs));

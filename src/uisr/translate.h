@@ -27,6 +27,8 @@
 
 namespace hypertp {
 
+class JsonWriter;
+
 // A compatibility adjustment applied during UISR translation (§4.2.1), e.g.
 // disconnecting IOAPIC pins 24-47 when restoring into KVM. Fixups are
 // surfaced in the TransplantReport so operators can audit them.
@@ -36,6 +38,10 @@ struct StateFixup {
   std::string description;
 };
 using FixupLog = std::vector<StateFixup>;
+
+// Writes `"fixups":[{"vm_uid","component","description"},...]` into the open
+// JSON object: the one rendering every report that carries a FixupLog uses.
+void FixupLogToJson(JsonWriter& j, const FixupLog& fixups);
 
 // --- vCPU lists ------------------------------------------------------------
 

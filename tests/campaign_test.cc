@@ -731,6 +731,37 @@ TEST(CampaignPolicyTest, RefusedHostsSurfaceInShardSummariesAndMetrics) {
             static_cast<uint64_t>(run->policy_inplace_vms));
 }
 
+TEST(CampaignPolicyTest, AbortBeforeAdmissionCountsRefusedHostsOnce) {
+  // Every host refused, one shard admitted per barrier, and a horizon that
+  // aborts the campaign while shard 3 still waits for admission.
+  CampaignConfig config;
+  CampaignDatacenter dc;
+  dc.name = "dc0";
+  dc.racks = 4;
+  dc.hosts_per_rack = 25;
+  dc.host_headroom = 0.0;
+  config.datacenters = {dc};
+  config.shards = 4;
+  config.max_concurrent_shards = 1;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.max_vm_pause = Millis(1);
+  config.max_epochs = 2;
+  Result<CampaignReport> run = CampaignPlanner(config).Run();
+  ASSERT_TRUE(run.ok()) << run.error().ToString();
+
+  EXPECT_TRUE(run->aborted);
+  EXPECT_EQ(run->refused, 100);
+  ASSERT_EQ(run->shard_summaries.size(), 4u);
+  EXPECT_LT(run->shard_summaries.back().admitted, 0);  // Never admitted.
+  for (const CampaignShardSummary& shard : run->shard_summaries) {
+    EXPECT_EQ(shard.upgraded + shard.failed + shard.untouched + shard.lost + shard.refused,
+              shard.hosts)
+        << "shard " << shard.id;
+  }
+  EXPECT_EQ(run->upgraded + run->failed + run->untouched + run->lost + run->refused, run->hosts);
+  EXPECT_EQ(run->hosts, 100);
+}
+
 TEST(CampaignPolicyTest, PlanRejectsMalformedDatacenterPolicySignals) {
   CampaignConfig config = BaseConfig();
   config.datacenters[1].link_gbps = -1.0;

@@ -182,15 +182,16 @@ TEST(FaultStormTest, CrashRollbackReExposesAndRequeues) {
   // Every rolled-back host was re-upgraded by the time the rollout finished.
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.upgraded, report.hosts);
-  // The exposure timeline must have gone *up* at each crash rollback.
-  const std::vector<ExposurePoint>& timeline = controller.trace().exposure_timeline();
+  // Exposure must have gone *up* at a crash rollback...
   int increases = 0;
-  for (size_t i = 1; i < timeline.size(); ++i) {
-    increases += timeline[i].exposed_hosts > timeline[i - 1].exposed_hosts;
+  int net = 0;
+  for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+    increases += delta.hosts > 0;
+    net += delta.hosts;
   }
   EXPECT_GT(increases, 0);
-  // ...and exposure accounting stays consistent: final point is zero exposed.
-  EXPECT_EQ(timeline.back().exposed_hosts, 0);
+  // ...and exposure accounting stays consistent: every host ends safe.
+  EXPECT_EQ(net, -report.hosts);
 }
 
 TEST(FaultStormTest, CrossKindSalvageUpgradesHostsEarly) {

@@ -8,7 +8,6 @@
 #include <map>
 
 #include "src/fleet/fleet_controller.h"
-#include "src/obs/metrics.h"
 #include "src/vulndb/window_model.h"
 
 namespace hypertp {
@@ -332,6 +331,70 @@ TEST(FleetControllerTest, ExposureIntegralMatchesHandComputation) {
   EXPECT_NEAR(report.exposed_host_days, expected_host_days, 1e-12);
 }
 
+TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {
+  // Donor: two racks of 4, waves of 2, filled rack-major. Thief: 2 hosts,
+  // drained after one wave.
+  SimExecutor donor_executor;
+  SimExecutor thief_executor;
+  FleetConfig config = BaseConfig();
+  config.hold_open = true;
+  config.hosts = 8;
+  config.fault_domains = 2;
+  config.parallel_hosts = 2;
+  FleetController donor(donor_executor, config);
+  config.hosts = 2;
+  config.fault_domains = 1;
+  FleetController thief(thief_executor, config);
+  donor.Start();
+  thief.Start();
+  EXPECT_TRUE(donor.TakeExposureDeltas().empty());  // Start records nothing.
+  donor_executor.RunUntil(Seconds(15));
+  thief_executor.RunUntil(Seconds(15));
+  ASSERT_TRUE(thief.drained());
+
+  // Both hosts of the first wave finished at 10 s: one coalesced entry.
+  const std::vector<ExposureDelta> first = donor.TakeExposureDeltas();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].time, Seconds(10));
+  EXPECT_EQ(first[0].hosts, -2);
+  EXPECT_TRUE(donor.TakeExposureDeltas().empty());  // Taking clears.
+  int thief_net = 0;
+  for (const ExposureDelta& delta : thief.TakeExposureDeltas()) {
+    thief_net += delta.hosts;
+  }
+  EXPECT_EQ(thief_net, -2);
+
+  // Re-homing the untouched rack moves four exposed hosts and no delta.
+  const std::vector<StealableDomain> domains = donor.StealableDomains();
+  ASSERT_EQ(domains.size(), 1u);
+  thief.AdoptHosts(donor.DetachDomain(domains[0].domain));
+  EXPECT_TRUE(donor.TakeExposureDeltas().empty());
+  EXPECT_TRUE(thief.TakeExposureDeltas().empty());
+
+  donor_executor.Run();
+  thief_executor.Run();
+  // What is left of each side's exposed count drains to zero through the
+  // deltas, in strictly increasing time: the donor's two remaining hosts,
+  // the thief's four adopted ones.
+  const auto net_in_time_order = [](const std::vector<ExposureDelta>& deltas) {
+    int net = 0;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(deltas[i - 1].time, deltas[i].time);
+      }
+      EXPECT_GT(deltas[i].time, Seconds(15));
+      net += deltas[i].hosts;
+    }
+    return net;
+  };
+  EXPECT_EQ(net_in_time_order(donor.TakeExposureDeltas()), -2);
+  EXPECT_EQ(net_in_time_order(thief.TakeExposureDeltas()), -4);
+  donor.FinalizeDrained();
+  thief.FinalizeDrained();
+  EXPECT_EQ(donor.report().upgraded, 4);
+  EXPECT_EQ(thief.report().upgraded, 6);
+}
+
 TEST(FleetControllerTest, LatencyJitterSpreadsWaveLatencies) {
   SimExecutor executor;
   FleetConfig config = BaseConfig();
@@ -393,7 +456,6 @@ TEST(FleetTraceTest, JsonExportIsWellFormed) {
   EXPECT_NE(json.find(R"("kind":"fleet_trace")"), std::string::npos);
   EXPECT_NE(json.find(R"("type":"rollout_start")"), std::string::npos);
   EXPECT_NE(json.find(R"("type":"rollout_complete")"), std::string::npos);
-  EXPECT_NE(json.find(R"("exposure_timeline")"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 
@@ -660,9 +722,7 @@ TEST(FleetPolicyTest, AdaptiveRolloutPricesEveryVmAndReportsDecisions) {
   SimExecutor executor;
   FleetConfig config = BaseConfig();
   config.policy.mode = policy::PolicyMode::kAdaptive;
-  MetricsRegistry metrics;
   Tracer tracer;
-  config.metrics = &metrics;
   config.tracer = &tracer;
   FleetController controller(executor, config);
   const FleetRolloutReport& report = controller.Run();
@@ -677,12 +737,6 @@ TEST(FleetPolicyTest, AdaptiveRolloutPricesEveryVmAndReportsDecisions) {
   EXPECT_GT(report.policy_inplace_vms, 0);
   EXPECT_GT(report.policy_migrate_vms, 0);
   EXPECT_GT(report.policy_vm_downtime, 0);
-  // Decision counters surface once, at construction.
-  EXPECT_EQ(metrics.GetCounter("hypertp_policy_inplace").value(),
-            static_cast<uint64_t>(report.policy_inplace_vms));
-  EXPECT_EQ(metrics.GetCounter("hypertp_policy_migrate").value(),
-            static_cast<uint64_t>(report.policy_migrate_vms));
-  EXPECT_EQ(metrics.GetCounter("hypertp_policy_refused").value(), 0u);
 
   const std::string json = FleetRolloutReportToJson(report);
   EXPECT_NE(json.find("\"policy\":{\"mode\":\"adaptive\""), std::string::npos);

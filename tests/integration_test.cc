@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "src/core/factory.h"
-#include "src/core/telemetry.h"
+#include "src/core/report.h"
 #include "src/guest/guest_image.h"
 #include "src/orch/compute_driver.h"
 #include "src/orch/nova.h"

@@ -23,7 +23,7 @@
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
 #include "src/core/inplace_internal.h"
-#include "src/core/telemetry.h"
+#include "src/core/report.h"
 #include "src/migrate/migrate.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/conversion.h"

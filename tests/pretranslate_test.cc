@@ -21,7 +21,7 @@
 
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
-#include "src/core/telemetry.h"
+#include "src/core/report.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/conversion.h"

@@ -7,9 +7,12 @@
 #include <memory>
 
 #include "src/base/json.h"
+#include "src/cluster/cluster.h"
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
-#include "src/core/telemetry.h"
+#include "src/core/report.h"
+#include "src/migrate/migrate.h"
+#include "src/scenario/operational.h"
 
 namespace hypertp {
 namespace {
