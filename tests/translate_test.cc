@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ struct FixedSlotKind {
   const char* name;
   std::function<FixupLog(const UisrVcpu&)> from_uisr;  // Returns the fixups.
 };
+
+// Prints the kind by name. Without it GoogleTest dumps the struct's bytes,
+// pointers included, so the listed test names changed from build to build.
+void PrintTo(const FixedSlotKind& kind, std::ostream* os) { *os << kind.name; }
 
 const FixedSlotKind kFixedSlotKinds[] = {
     {"xen",
