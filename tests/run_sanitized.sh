@@ -81,7 +81,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
   -DHYPERTP_SANITIZE=thread
 cmake --build "${tsan_dir}" -j "$(nproc)" \
   --target worker_pool_test pipeline_test pretranslate_test campaign_test \
-  fault_storm_test policy_test bench_pipeline_scaling
+  fault_storm_test policy_test emission_golden_test bench_pipeline_scaling
 
 export TSAN_OPTIONS="halt_on_error=1"
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/worker_pool_test"
@@ -106,6 +106,9 @@ HYPERTP_PARALLEL=4 "${tsan_dir}/tests/fault_storm_test"
 # threads; campaign_test's adaptive byte-identity tests race them above, and
 # policy_test pins the decision table itself under TSan's instrumented build.
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/policy_test"
+# The emission pins run every campaign case at 1 and 4 real threads, so the
+# counters, spans and exposure writes are raced while their bytes are checked.
+HYPERTP_PARALLEL=4 "${tsan_dir}/tests/emission_golden_test"
 HYPERTP_PARALLEL=4 HYPERTP_TRACE=1 HYPERTP_BENCH_DIR="${bench_out}" \
   "${tsan_dir}/bench/bench_pipeline_scaling" > /dev/null
 test -s "${bench_out}/BENCH_pipeline_scaling.json" \
