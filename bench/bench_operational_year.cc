@@ -100,16 +100,16 @@ void FixedVsAdaptive(int seeds, bench::BenchReport& bench_report) {
   }
   bench::Row("sample year (seed 1, adaptive): %d in-place VMs, %d migrated, %d refused,"
              " %d refused hosts",
-             sample_adaptive.policy_inplace_vms, sample_adaptive.policy_migrate_vms,
-             sample_adaptive.policy_refused_vms, sample_adaptive.fleet_refused_hosts);
+             sample_adaptive.fleet.policy_inplace_vms, sample_adaptive.fleet.policy_migrate_vms,
+             sample_adaptive.fleet.policy_refused_vms, sample_adaptive.fleet.refused);
   bench_report.Series("fixed_downtime_vm_minutes") = fixed_downtime;
   bench_report.Series("adaptive_downtime_vm_minutes") = adaptive_downtime;
   bench_report.Series("fixed_exposure_days") = fixed_exposure;
   bench_report.Series("adaptive_exposure_days") = adaptive_exposure;
-  bench_report.SetScalar("sample_policy_inplace_vms", sample_adaptive.policy_inplace_vms);
-  bench_report.SetScalar("sample_policy_migrate_vms", sample_adaptive.policy_migrate_vms);
-  bench_report.SetScalar("sample_policy_refused_vms", sample_adaptive.policy_refused_vms);
-  bench_report.SetScalar("sample_refused_hosts", sample_adaptive.fleet_refused_hosts);
+  bench_report.SetScalar("sample_policy_inplace_vms", sample_adaptive.fleet.policy_inplace_vms);
+  bench_report.SetScalar("sample_policy_migrate_vms", sample_adaptive.fleet.policy_migrate_vms);
+  bench_report.SetScalar("sample_policy_refused_vms", sample_adaptive.fleet.policy_refused_vms);
+  bench_report.SetScalar("sample_refused_hosts", sample_adaptive.fleet.refused);
 }
 
 void Run(bool smoke) {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "src/base/json.h"
@@ -358,8 +359,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
     const CampaignDatacenter& dc =
         config_.datacenters[static_cast<size_t>(shard_plan.datacenter)];
     // Heterogeneous per-DC timing: scale this shard's per-host durations by
-    // its datacenter's host class / reboot cost / link generation. Uniform
-    // multipliers short-circuit to the exact legacy durations.
+    // its datacenter's host class / reboot cost / link generation.
     fleet.drain_time = policy::TransplantCostModel::ScaledDrain(fleet.drain_time, dc.timing);
     fleet.per_host_transplant =
         policy::TransplantCostModel::ScaledTransplant(fleet.per_host_transplant, dc.timing);
@@ -403,18 +403,8 @@ Result<CampaignReport> CampaignPlanner::Run() {
   stream_options.tracer = tracer;
   stream_options.metrics = config_.metrics;
   ExposureStream stream(plan.total_hosts, plan.total_vms, 0, stream_options);
-  Counter* epochs_counter = nullptr;
-  Counter* throttled_counter = nullptr;
-  Counter* steals_counter = nullptr;
-  Counter* idle_counter = nullptr;
-  Gauge* active_gauge = nullptr;
-  if (config_.metrics != nullptr) {
-    epochs_counter = &config_.metrics->GetCounter("campaign_epochs");
-    throttled_counter = &config_.metrics->GetCounter("campaign_throttled_epochs");
-    steals_counter = &config_.metrics->GetCounter("campaign_steals");
-    idle_counter = &config_.metrics->GetCounter("campaign_idle_epochs_skipped");
-    active_gauge = &config_.metrics->GetGauge("campaign_active_shards");
-  }
+  Gauge* const active_gauge =
+      config_.metrics != nullptr ? &config_.metrics->GetGauge("campaign_active_shards") : nullptr;
 
   SpanId campaign_span = 0;
   if (tracer != nullptr) {
@@ -501,9 +491,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
     }
     now += config_.epoch;
     ++report.epochs;
-    if (epochs_counter != nullptr) {
-      epochs_counter->Increment();
-    }
 
     // Advance every in-flight shard to the barrier. Shards share no mutable
     // state, so this is the (optionally real-threaded) parallel section;
@@ -555,12 +542,8 @@ Result<CampaignReport> CampaignPlanner::Run() {
                                           : a.shard->plan->id < b.shard->plan->id;
     });
     for (const auto& [delta, shard] : deltas) {
-      const int64_t vms = static_cast<int64_t>(delta.hosts) * shard->plan->vms_per_host;
-      if (delta.hosts < 0) {
-        stream.OnHostsSafe(delta.time, -delta.hosts, -vms);
-      } else {
-        stream.OnHostsExposed(delta.time, delta.hosts, vms);
-      }
+      stream.OnHostsDelta(delta.time, delta.hosts,
+                          static_cast<int64_t>(delta.hosts) * shard->plan->vms_per_host);
     }
     stream.AdvanceTo(now);
 
@@ -648,17 +631,12 @@ Result<CampaignReport> CampaignPlanner::Run() {
           }
           const DetachedRack rack = donor_rt->controller->DetachDomain(d.domain);
           thief_rt->controller->AdoptHosts(rack);
-          stream.OnHostsRehomed(now, rack.hosts,
-                                static_cast<int64_t>(rack.hosts) * donor_rt->plan->vms_per_host);
           rem[static_cast<size_t>(di)] -= policy::TransplantCostModel::RemainingEstimate(
               rack_work, donor_rt->controller->config().parallel_hosts);
           rem[static_cast<size_t>(thief)] += thief_cost;
           ++report.steals;
           report.stolen_hosts += rack.hosts;
           ++moved;
-          if (steals_counter != nullptr) {
-            steals_counter->Increment();
-          }
           if (tracer != nullptr) {
             const SpanId mark = tracer->AddInstant("campaign_steal", now, "steal");
             tracer->SetAttribute(mark, "donor", static_cast<int64_t>(donor_rt->plan->id));
@@ -760,12 +738,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
          crash_rollback_rate > config_.slo.throttle_crash_rollback_rate) ||
         (config_.slo.max_unavailable_fraction < 1.0 &&
          unavailable_fraction > config_.slo.max_unavailable_fraction);
-    if (now_throttled) {
-      ++report.throttled_epochs;
-      if (throttled_counter != nullptr) {
-        throttled_counter->Increment();
-      }
-    }
+    report.throttled_epochs += now_throttled;
     if (tracer != nullptr && now_throttled != throttled) {
       const SpanId mark =
           tracer->AddInstant(now_throttled ? "slo_throttle_on" : "slo_throttle_off", now, "slo");
@@ -812,12 +785,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
           now += skip * config_.epoch;
           report.epochs += static_cast<int>(skip);
           report.idle_epochs_skipped += static_cast<int>(skip);
-          if (epochs_counter != nullptr) {
-            epochs_counter->Increment(static_cast<uint64_t>(skip));
-          }
-          if (idle_counter != nullptr) {
-            idle_counter->Increment(static_cast<uint64_t>(skip));
-          }
           // The skipped barriers' all-zero rate samples still slide the
           // trailing window.
           const int64_t pushes = std::min<int64_t>(skip, config_.slo.rate_window_epochs);
@@ -871,16 +838,28 @@ Result<CampaignReport> CampaignPlanner::Run() {
   report.makespan = end;
   report.complete = !report.aborted && report.upgraded == report.hosts;
   report.policy_adaptive = config_.policy.adaptive();
-  // Campaign-scope decision counters. Shard controllers get no registry of
-  // their own (Counter::Increment is not atomic and shards advance on real
-  // threads), so the totals land here, once, at the coordinator.
-  if (report.policy_adaptive && config_.metrics != nullptr) {
-    config_.metrics->GetCounter("hypertp_policy_inplace")
-        .Increment(static_cast<uint64_t>(report.policy_inplace_vms));
-    config_.metrics->GetCounter("hypertp_policy_migrate")
-        .Increment(static_cast<uint64_t>(report.policy_migrate_vms));
-    config_.metrics->GetCounter("hypertp_policy_refused")
-        .Increment(static_cast<uint64_t>(report.policy_refused_vms));
+  // Campaign-scope counters, written once from the finished report. Shard
+  // controllers get no registry of their own (Counter::Increment is not
+  // atomic and shards advance on real threads), and the report is the one
+  // tally of epochs, throttles, steals and decisions. Stealing requires a
+  // uniform vms_per_host, so the rehomed VMs follow from the stolen hosts.
+  if (config_.metrics != nullptr) {
+    MetricsRegistry& metrics = *config_.metrics;
+    const auto publish = [&metrics](std::string_view name, int64_t value) {
+      metrics.GetCounter(name).Increment(static_cast<uint64_t>(value));
+    };
+    publish("campaign_epochs", report.epochs);
+    publish("campaign_throttled_epochs", report.throttled_epochs);
+    publish("campaign_steals", report.steals);
+    publish("campaign_idle_epochs_skipped", report.idle_epochs_skipped);
+    publish("campaign_hosts_rehomed", report.stolen_hosts);
+    publish("campaign_vms_rehomed", static_cast<int64_t>(report.stolen_hosts) *
+                                        config_.datacenters.front().vms_per_host);
+    if (report.policy_adaptive) {
+      publish("hypertp_policy_inplace", report.policy_inplace_vms);
+      publish("hypertp_policy_migrate", report.policy_migrate_vms);
+      publish("hypertp_policy_refused", report.policy_refused_vms);
+    }
   }
 
   stream.Seal(std::max(now, end));

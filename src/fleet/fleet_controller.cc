@@ -2,12 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
 
 namespace hypertp {
+namespace {
+
+// What a fleet event does to the tracer's spans: the whole span vocabulary
+// of the controller in one table, indexed by FleetEventType.
+enum class SpanOp : uint8_t {
+  kNone,
+  kBeginRollout,  // Opens "fleet_rollout" (hosts, parallel_hosts).
+  kEndRollout,    // Closes every open span at the rollout's end; `label` is
+                  // the rollout's outcome.
+  kBeginWave,     // Opens "wave-<n>" on track "waves" (hosts_in_wave).
+  kEndWave,
+  kOpenHost,      // Closes the host's open span and opens `label`.
+  kCloseHost,     // Tags the host's open span outcome=`label` and closes it.
+};
+
+struct SpanRule {
+  constexpr SpanRule(SpanOp op, std::string_view label = {}, bool attempt = false)
+      : op(op), label(label), attempt(attempt) {}
+
+  SpanOp op;
+  std::string_view label;
+  bool attempt;  // kOpenHost: tag the span with the event's attempt.
+};
+
+constexpr SpanRule kSpanRules[] = {
+    {SpanOp::kBeginRollout},                  // kRolloutStart
+    {SpanOp::kBeginWave},                     // kWaveStart
+    {SpanOp::kOpenHost, "drain"},             // kDrainStart
+    {SpanOp::kOpenHost, "transplant", true},  // kTransplantStart
+    {SpanOp::kCloseHost, "upgraded"},         // kTransplantDone
+    {SpanOp::kCloseHost, "failed"},           // kTransplantFailed
+    {SpanOp::kNone},                          // kRetryScheduled
+    {SpanOp::kNone},                          // kHostFailed
+    {SpanOp::kEndWave},                       // kWaveDone
+    {SpanOp::kEndRollout, "complete"},        // kRolloutComplete
+    {SpanOp::kEndRollout, "aborted"},         // kRolloutAborted
+    {SpanOp::kOpenHost, "rollback"},          // kRollbackStart
+    {SpanOp::kCloseHost, "recovered"},        // kRollbackSucceeded
+    {SpanOp::kCloseHost, "lost"},             // kRollbackFailed
+    {SpanOp::kOpenHost, "crashed"},           // kHostCrashed
+    {SpanOp::kOpenHost, "recover", true},     // kRecoveryStart
+    {SpanOp::kOpenHost, "recovery_backoff"},  // kRecoveryRetry
+    {SpanOp::kCloseHost, "recovered"},        // kRecoveryDone
+    {SpanOp::kNone},                          // kCrashRollback
+    {SpanOp::kCloseHost, "lost"},             // kHostLost
+    {SpanOp::kNone},                          // kHostRefused
+    {SpanOp::kNone},                          // kHostDetached
+    {SpanOp::kNone},                          // kHostsAdopted
+};
+static_assert(std::size(kSpanRules) == static_cast<size_t>(FleetEventType::kHostsAdopted) + 1,
+              "one span rule per FleetEventType");
+
+}  // namespace
 
 std::string FleetRolloutReportToJson(const FleetRolloutReport& report) {
   JsonWriter j;
@@ -42,7 +96,6 @@ std::string FleetRolloutReportToJson(const FleetRolloutReport& report) {
   j.Key("aborted").Bool(report.aborted);
   j.Key("complete").Bool(report.complete);
   j.Key("makespan_ms").Number(ToMillis(report.makespan));
-  j.Key("exposed_host_days").Number(report.exposed_host_days);
   j.Key("wave_latency_seconds").BeginObject();
   j.Key("count").Number(static_cast<uint64_t>(report.wave_latency_seconds.count()));
   if (!report.wave_latency_seconds.empty()) {
@@ -240,11 +293,9 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
     // never depend on how the waves interleave.
     host_rngs_.push_back(root.Fork());
   }
-  // The storm stream forks *after* every host stream, so enabling a storm
-  // never perturbs the per-host draw sequences of an existing seed.
-  if (config_.crash_storm.enabled()) {
-    storm_rng_.emplace(root.Fork());
-  }
+  // The storm stream forks *after* every host stream and `root` draws
+  // nothing more, so no host draw depends on whether a storm is configured.
+  storm_rng_ = root.Fork();
   // Adaptive mechanism policy: plan every host up front. Plans are pure
   // functions of (PolicyConfig, global host id, env) — no RNG — so the
   // decision set is identical however the fleet is partitioned or scheduled.
@@ -296,22 +347,6 @@ std::function<void()> FleetController::Guarded(void (FleetController::*method)()
   };
 }
 
-SpanId FleetController::RollHostSpan(int host, std::string_view next_name) {
-  Tracer* const tracer = config_.tracer;
-  if (tracer == nullptr) {
-    return 0;
-  }
-  SpanId& slot = host_spans_[static_cast<size_t>(host)];
-  tracer->EndSpan(slot, executor_.now());
-  if (next_name.empty()) {
-    slot = 0;
-    return 0;
-  }
-  slot = tracer->BeginSpan(next_name, executor_.now(), rollout_span_,
-                           "host-" + std::to_string(host));
-  return slot;
-}
-
 const FleetRolloutReport& FleetController::Run() {
   Start();
   if (!finished_) {
@@ -342,14 +377,6 @@ void FleetController::Start() {
   }
   started_ = true;
   base_ = executor_.now();
-  last_exposure_change_ = base_;
-  exposed_ = config_.hosts;
-  if (config_.tracer != nullptr) {
-    rollout_span_ = config_.tracer->BeginSpan("fleet_rollout", base_);
-    config_.tracer->SetAttribute(rollout_span_, "hosts", static_cast<int64_t>(config_.hosts));
-    config_.tracer->SetAttribute(rollout_span_, "parallel_hosts",
-                                 static_cast<int64_t>(config_.parallel_hosts));
-  }
   Emit(FleetEventType::kRolloutStart, -1);
   for (int i = 0; i < config_.hosts; ++i) {
     // A host with a refused guest never enters the rollout: it keeps serving
@@ -371,7 +398,7 @@ void FleetController::Start() {
       return da != db ? da < db : a < b;
     });
   }
-  if (storm_rng_.has_value()) {
+  if (config_.crash_storm.enabled()) {
     const CrashStormConfig& storm = config_.crash_storm;
     storm_end_ = storm.duration > 0 ? base_ + storm.start + storm.duration : -1;
     executor_.ScheduleAt(base_ + storm.start, Guarded(&FleetController::ScheduleNextCrash));
@@ -380,7 +407,64 @@ void FleetController::Start() {
 }
 
 void FleetController::Emit(FleetEventType type, int host, int attempt) {
-  trace_.Record(FleetEvent{executor_.now(), type, host, wave_, attempt});
+  const SimTime now = executor_.now();
+  trace_.Record(FleetEvent{now, type, host, wave_, attempt});
+  Tracer* const tracer = config_.tracer;
+  if (tracer == nullptr) {
+    return;
+  }
+  const SpanRule& rule = kSpanRules[static_cast<size_t>(type)];
+  switch (rule.op) {
+    case SpanOp::kNone:
+      return;
+    case SpanOp::kBeginRollout:
+      rollout_span_ = tracer->BeginSpan("fleet_rollout", now);
+      tracer->SetAttribute(rollout_span_, "hosts", static_cast<int64_t>(config_.hosts));
+      tracer->SetAttribute(rollout_span_, "parallel_hosts",
+                           static_cast<int64_t>(config_.parallel_hosts));
+      return;
+    case SpanOp::kEndRollout: {
+      // An abort leaves in-flight hosts mid-state: close their spans where
+      // the rollout stopped, so every track ends at the rollout's end (for a
+      // drained hold-open rollout, its drain instant, not the barrier).
+      const SimTime end = base_ + report_.makespan;
+      for (SpanId& slot : host_spans_) {
+        tracer->EndSpan(slot, end);
+        slot = 0;
+      }
+      tracer->EndSpan(wave_span_, end);
+      wave_span_ = 0;
+      tracer->SetAttribute(rollout_span_, "upgraded", static_cast<int64_t>(report_.upgraded));
+      tracer->SetAttribute(rollout_span_, "failed", static_cast<int64_t>(report_.failed));
+      tracer->SetAttribute(rollout_span_, "outcome", rule.label);
+      tracer->EndSpan(rollout_span_, end);
+      return;
+    }
+    case SpanOp::kBeginWave:
+      wave_span_ = tracer->BeginSpan("wave-" + std::to_string(wave_), now, rollout_span_, "waves");
+      tracer->SetAttribute(wave_span_, "hosts_in_wave", static_cast<int64_t>(wave_in_flight_));
+      return;
+    case SpanOp::kEndWave:
+      tracer->EndSpan(wave_span_, now);
+      wave_span_ = 0;
+      return;
+    case SpanOp::kOpenHost: {
+      SpanId& slot = host_spans_[static_cast<size_t>(host)];
+      tracer->EndSpan(slot, now);
+      slot = tracer->BeginSpan(rule.label, now, rollout_span_, "host-" + std::to_string(host));
+      if (rule.attempt) {
+        tracer->SetAttribute(slot, "attempt", static_cast<int64_t>(attempt));
+      }
+      return;
+    }
+    case SpanOp::kCloseHost: {
+      SpanId& slot = host_spans_[static_cast<size_t>(host)];
+      tracer->SetAttribute(slot, "outcome", rule.label);
+      tracer->EndSpan(slot, now);
+      slot = 0;
+      return;
+    }
+  }
 }
 
 void FleetController::StartNextWave() {
@@ -424,12 +508,7 @@ void FleetController::StartNextWave() {
   ++report_.waves;
   wave_started_ = executor_.now();
   wave_in_flight_ = static_cast<int>(wave_hosts.size());
-  if (config_.tracer != nullptr) {
-    wave_span_ = config_.tracer->BeginSpan("wave-" + std::to_string(wave_), executor_.now(),
-                                           rollout_span_, "waves");
-    config_.tracer->SetAttribute(wave_span_, "hosts_in_wave",
-                                 static_cast<int64_t>(wave_hosts.size()));
-  }
+  Emit(FleetEventType::kWaveStart, -1);
   // Per-wave policy decision marker: what the adaptive policy resolved for
   // this wave's guests (summed over the wave's hosts).
   if (policy_.has_value() && config_.tracer != nullptr) {
@@ -444,7 +523,6 @@ void FleetController::StartNextWave() {
     config_.tracer->SetAttribute(mark, "inplace_vms", wave_inplace);
     config_.tracer->SetAttribute(mark, "migrate_vms", wave_migrate);
   }
-  Emit(FleetEventType::kWaveStart, -1);
   for (int host : wave_hosts) {
     StartDrain(host);
   }
@@ -454,7 +532,6 @@ void FleetController::StartDrain(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   h.state = FleetHostState::kDraining;
   h.drain_started = executor_.now();
-  RollHostSpan(host, "drain");
   Emit(FleetEventType::kDrainStart, host);
   executor_.ScheduleAfter(Jittered(HostDrainTime(host), host_rngs_[static_cast<size_t>(host)]),
                           Guarded(&FleetController::StartTransplant, host));
@@ -465,9 +542,6 @@ void FleetController::StartTransplant(int host) {
   h.state = FleetHostState::kTransplanting;
   h.transplant_started = executor_.now();
   ++h.attempts;
-  if (const SpanId span = RollHostSpan(host, "transplant"); span != 0) {
-    config_.tracer->SetAttribute(span, "attempt", static_cast<int64_t>(h.attempts));
-  }
   Emit(FleetEventType::kTransplantStart, host, h.attempts);
   executor_.ScheduleAfter(
       Jittered(HostTransplantTime(host), host_rngs_[static_cast<size_t>(host)]),
@@ -485,29 +559,18 @@ void FleetController::FinishAttempt(int host) {
     if (policy_.has_value()) {
       report_.policy_vm_downtime += host_plans_[static_cast<size_t>(host)].vm_downtime;
     }
-    if (config_.tracer != nullptr) {
-      config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "upgraded");
-    }
-    RollHostSpan(host, {});
     Emit(FleetEventType::kTransplantDone, host, h.attempts);
     ChangeExposure(-1);
     HostDone(host);
     return;
   }
-  if (config_.tracer != nullptr) {
-    config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "failed");
-  }
-  RollHostSpan(host, {});
   Emit(FleetEventType::kTransplantFailed, host, h.attempts);
   // Some failures strike after the point of no return (the micro-reboot
   // already happened): the host is stranded mid-transplant and must roll
-  // back to its source hypervisor via the PRAM ledger before any retry. The
-  // draw is guarded so legacy configs consume the exact same RNG sequence.
-  if (config_.post_pause_fraction > 0.0 &&
-      host_rngs_[static_cast<size_t>(host)].NextBool(config_.post_pause_fraction)) {
+  // back to its source hypervisor via the PRAM ledger before any retry.
+  if (host_rngs_[static_cast<size_t>(host)].NextBool(config_.post_pause_fraction)) {
     ++report_.post_pause_faults;
     h.state = FleetHostState::kRollingBack;
-    RollHostSpan(host, "rollback");
     Emit(FleetEventType::kRollbackStart, host, h.attempts);
     executor_.ScheduleAfter(
         Jittered(config_.rollback_time, host_rngs_[static_cast<size_t>(host)]),
@@ -519,15 +582,10 @@ void FleetController::FinishAttempt(int host) {
 
 void FleetController::FinishRollback(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
-  if (config_.rollback_failure_probability > 0.0 &&
-      host_rngs_[static_cast<size_t>(host)].NextBool(config_.rollback_failure_probability)) {
+  if (host_rngs_[static_cast<size_t>(host)].NextBool(config_.rollback_failure_probability)) {
     // Fatal: the ledger was torn or the PRAM image corrupt — there is no
     // hypervisor to serve from, so retrying is meaningless.
     ++report_.rollback_failures;
-    if (config_.tracer != nullptr) {
-      config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "lost");
-    }
-    RollHostSpan(host, {});
     Emit(FleetEventType::kRollbackFailed, host, h.attempts);
     h.state = FleetHostState::kFailed;
     h.finished = executor_.now();
@@ -539,10 +597,6 @@ void FleetController::FinishRollback(int host) {
   // Recoverable: the host serves un-upgraded on the source hypervisor again
   // (still exposed — no exposure change) and the normal retry policy applies.
   ++report_.rollbacks;
-  if (config_.tracer != nullptr) {
-    config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "recovered");
-  }
-  RollHostSpan(host, {});
   Emit(FleetEventType::kRollbackSucceeded, host, h.attempts);
   h.state = FleetHostState::kServing;
   ScheduleRetryOrFail(host);
@@ -578,25 +632,13 @@ void FleetController::HostDone(int host) {
   // claim it before the next wave can.
   TryStartRecoveries();
   if (wave_in_flight_ == 0) {
-    if (config_.tracer != nullptr) {
-      config_.tracer->EndSpan(wave_span_, executor_.now());
-      wave_span_ = 0;
-    }
     Emit(FleetEventType::kWaveDone, -1);
     report_.wave_latency_seconds.Add(ToSeconds(executor_.now() - wave_started_));
     StartNextWave();
   }
 }
 
-void FleetController::AccrueExposure() {
-  exposed_host_seconds_ +=
-      ToSeconds(executor_.now() - last_exposure_change_) * static_cast<double>(exposed_);
-  last_exposure_change_ = executor_.now();
-}
-
 void FleetController::ChangeExposure(int hosts) {
-  AccrueExposure();
-  exposed_ += hosts;
   const SimTime now = executor_.now();
   if (!exposure_deltas_.empty() && exposure_deltas_.back().time == now) {
     exposure_deltas_.back().hosts += hosts;
@@ -616,7 +658,6 @@ void FleetController::SettleUntouched() {
 
 void FleetController::Finalize(FleetEventType terminal) {
   finished_ = true;
-  AccrueExposure();
   SettleUntouched();
   report_.aborted = terminal == FleetEventType::kRolloutAborted;
   report_.complete = report_.upgraded == report_.hosts;
@@ -624,22 +665,6 @@ void FleetController::Finalize(FleetEventType terminal) {
   // the instant the last work finished, not when the coordinator got to it.
   const SimTime rollout_end = (drained_ && drained_at_ >= 0) ? drained_at_ : executor_.now();
   report_.makespan = rollout_end - base_;
-  report_.exposed_host_days = exposed_host_seconds_ / (24.0 * 3600.0);
-  if (config_.tracer != nullptr) {
-    // An abort leaves in-flight hosts mid-state: close their spans where the
-    // rollout stopped so every track ends at the terminal event.
-    for (int i = 0; i < static_cast<int>(hosts_.size()); ++i) {
-      RollHostSpan(i, {});
-    }
-    config_.tracer->EndSpan(wave_span_, executor_.now());
-    wave_span_ = 0;
-    config_.tracer->SetAttribute(rollout_span_, "upgraded",
-                                 static_cast<int64_t>(report_.upgraded));
-    config_.tracer->SetAttribute(rollout_span_, "failed", static_cast<int64_t>(report_.failed));
-    config_.tracer->SetAttribute(rollout_span_, "outcome",
-                                 report_.aborted ? "aborted" : "complete");
-    config_.tracer->EndSpan(rollout_span_, executor_.now());
-  }
   Emit(terminal, -1);
   if (report_.aborted) {
     // Graceful stop: events already in flight dispatch as guarded no-ops on
@@ -652,7 +677,7 @@ void FleetController::ScheduleNextCrash() {
   // Poisson arrivals: exponential inter-event gap. NextDouble() < 1, so the
   // log argument is never zero.
   const double rate_per_ns = config_.crash_storm.rate_per_hour / (3600.0 * 1e9);
-  const double gap_ns = -std::log(1.0 - storm_rng_->NextDouble()) / rate_per_ns;
+  const double gap_ns = -std::log(1.0 - storm_rng_.NextDouble()) / rate_per_ns;
   executor_.ScheduleAfter(std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)),
                           Guarded(&FleetController::CrashEvent));
 }
@@ -683,7 +708,7 @@ void FleetController::CrashEvent() {
                                     static_cast<int>(eligible.size()));
   for (int s = 0; s < strikes; ++s) {
     const size_t pick =
-        static_cast<size_t>(storm_rng_->NextBelow(static_cast<uint64_t>(eligible.size())));
+        static_cast<size_t>(storm_rng_.NextBelow(static_cast<uint64_t>(eligible.size())));
     const int victim = eligible[pick];
     eligible[pick] = eligible.back();
     eligible.pop_back();
@@ -697,7 +722,7 @@ void FleetController::CrashEvent() {
 
 CrashLedgerState FleetController::SampleCrashLedgerState() {
   const CrashStormConfig& storm = config_.crash_storm;
-  const double u = storm_rng_->NextDouble();
+  const double u = storm_rng_.NextDouble();
   double edge = storm.pre_pause_fraction;
   if (u < edge) {
     return CrashLedgerState::kPrePause;
@@ -728,7 +753,6 @@ void FleetController::CrashHost(int host) {
   // ledger bytes.
   h.crash_ledger = SampleCrashLedgerState();
   std::erase(pending_, host);
-  RollHostSpan(host, "crashed");
   Emit(FleetEventType::kHostCrashed, host);
   if (!config_.crash_storm.recover) {
     // Control arm: a fixed fleet has no ReHype path; crashed hosts stay down.
@@ -758,9 +782,6 @@ void FleetController::StartRecovery(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   h.state = FleetHostState::kRecovering;
   ++h.recovery_attempts;
-  if (const SpanId span = RollHostSpan(host, "recover"); span != 0) {
-    config_.tracer->SetAttribute(span, "attempt", static_cast<int64_t>(h.recovery_attempts));
-  }
   Emit(FleetEventType::kRecoveryStart, host, h.recovery_attempts);
   executor_.ScheduleAfter(
       Jittered(config_.crash_storm.recovery_time, host_rngs_[static_cast<size_t>(host)]),
@@ -771,15 +792,10 @@ void FleetController::FinishRecovery(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   const CrashStormConfig& storm = config_.crash_storm;
   Rng& rng = host_rngs_[static_cast<size_t>(host)];
-  // Guarded draw (same discipline as post_pause_fraction): a zero probability
-  // consumes nothing, so storms without recovery faults don't shift the
-  // host's upgrade-path draw sequence.
-  if (storm.recovery_failure_probability > 0.0 &&
-      rng.NextBool(storm.recovery_failure_probability)) {
+  if (rng.NextBool(storm.recovery_failure_probability)) {
     if (h.recovery_attempts <= storm.recovery_max_retries) {
       ++report_.crash_recovery_retries;
       Emit(FleetEventType::kRecoveryRetry, host, h.recovery_attempts);
-      RollHostSpan(host, "recovery_backoff");
       // The recovery retry policy is distinct from the upgrade one: its own
       // base, its own budget, saturating backoff. The slot stays held —
       // a host mid-recovery is not schedulable capacity.
@@ -804,8 +820,7 @@ void FleetController::FinishRecovery(int host) {
     ++report_.crash_salvages;
     // Cross-kind salvage re-instantiates the campaign's *target* kind from
     // the kind-neutral UISR image; same-kind restores the ledger's source.
-    const bool cross_kind =
-        storm.cross_kind_fraction > 0.0 && rng.NextBool(storm.cross_kind_fraction);
+    const bool cross_kind = rng.NextBool(storm.cross_kind_fraction);
     if (cross_kind && !h.upgraded) {
       // The host comes back already upgraded: the crash did the campaign's
       // work for it.
@@ -834,10 +849,6 @@ void FleetController::FinishRecovery(int host) {
     pending_.push_back(host);  // Erased at crash time, so never a duplicate.
   }
   h.state = FleetHostState::kServing;
-  if (config_.tracer != nullptr) {
-    config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "recovered");
-  }
-  RollHostSpan(host, {});
   Emit(FleetEventType::kRecoveryDone, host, h.recovery_attempts);
   TryStartRecoveries();
   if (wave_in_flight_ == 0) {
@@ -859,10 +870,6 @@ void FleetController::LoseHost(int host, bool ledger_data_loss) {
     // not running vulnerable.
     ChangeExposure(-1);
   }
-  if (config_.tracer != nullptr) {
-    config_.tracer->SetAttribute(host_spans_[static_cast<size_t>(host)], "outcome", "lost");
-  }
-  RollHostSpan(host, {});
   h.state = FleetHostState::kFailed;
   h.finished = executor_.now();
   Emit(FleetEventType::kHostLost, host, h.recovery_attempts);
@@ -874,11 +881,9 @@ void FleetController::MaybeFinishRollout() {
     if (config_.hold_open) {
       // Work-stealing mode: stay alive for the coordinator, which either
       // adopts more work into this controller or finalizes it at a barrier.
-      // Close the exposure integral at the drain instant either way.
       if (!drained_) {
         drained_ = true;
         drained_at_ = executor_.now();
-        AccrueExposure();
       }
       return;
     }
@@ -958,11 +963,8 @@ DetachedRack FleetController::DetachDomain(int domain) {
   rack.drain_time = HostDrainTime(member_ids.front());
   rack.transplant_time = HostTransplantTime(member_ids.front());
   rack.rngs.reserve(member_ids.size());
-  // Ownership moves; global exposure does not change. Accrue to the barrier
-  // instant, then drop the hosts from this controller's count *silently* (no
-  // exposure delta), so the campaign's stream never sees a phantom
-  // safe/re-expose event.
-  AccrueExposure();
+  // Ownership moves; exposure does not, so no exposure delta is recorded and
+  // the campaign's stream never sees a phantom safe/re-expose event.
   std::vector<char> leaving(hosts_.size(), 0);
   for (const int id : member_ids) {
     FleetHost& h = hosts_[static_cast<size_t>(id)];
@@ -970,7 +972,6 @@ DetachedRack FleetController::DetachDomain(int domain) {
     leaving[static_cast<size_t>(id)] = 1;
     rack.rngs.push_back(host_rngs_[static_cast<size_t>(id)]);
     Emit(FleetEventType::kHostDetached, id);
-    --exposed_;
   }
   pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
                                 [&leaving](int id) { return leaving[static_cast<size_t>(id)]; }),
@@ -989,7 +990,6 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
   }
   const int domain = fault_domain_count_++;
   const int first_id = static_cast<int>(hosts_.size());
-  AccrueExposure();
   for (int i = 0; i < rack.hosts; ++i) {
     FleetHost host;
     host.id = first_id + i;
@@ -1000,7 +1000,6 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
     host_drain_override_.push_back(rack.drain_time);
     host_transplant_override_.push_back(rack.transplant_time);
     pending_.push_back(host.id);
-    ++exposed_;
   }
   report_.hosts += rack.hosts;
   report_.adopted_hosts += rack.hosts;

@@ -10,7 +10,10 @@
 // retries with exponential backoff until the budget runs out. Crossing the
 // fleet abort threshold stops the rollout gracefully: remaining hosts keep
 // serving the vulnerable hypervisor and the report states the partial
-// exposure. Every transition lands in the FleetTrace.
+// exposure. Every transition goes through one Emit(), which records it in the
+// FleetTrace and, with a tracer attached, drives the rollout, wave and host
+// spans. Exposure leaves the controller only as ExposureDelta records; an
+// ExposureStream (src/vulndb/) integrates them.
 
 #ifndef HYPERTP_SRC_FLEET_FLEET_CONTROLLER_H_
 #define HYPERTP_SRC_FLEET_FLEET_CONTROLLER_H_
@@ -42,10 +45,6 @@ struct FleetRolloutReport : RolloutTally {
   bool aborted = false;
   bool complete = false;  // Every host upgraded.
   SimDuration makespan = 0;
-  // Exposure integral over the rollout (failed/untouched hosts keep
-  // accruing exposure after the rollout ends; that tail is the caller's —
-  // it depends on when the patch lands).
-  double exposed_host_days = 0.0;
   SampleSet wave_latency_seconds;
   // Crash-to-serving latency of every successful unplanned recovery.
   SampleSet recovery_latency_seconds;
@@ -128,7 +127,9 @@ class FleetController {
   // Takes the exposure changes recorded since the last call, oldest first,
   // and clears them. The rollout starts with every host exposed and records
   // no entry for that; re-homing a rack (DetachDomain/AdoptHosts) records
-  // none either — ownership moves, exposure does not.
+  // none either — ownership moves, exposure does not. The controller keeps
+  // no integral: a standalone caller feeds these into an ExposureStream that
+  // opens at Start() with every host exposed and seals at the rollout's end.
   std::vector<ExposureDelta> TakeExposureDeltas();
   const FleetTrace& trace() const { return trace_; }
   const std::vector<FleetHost>& hosts() const { return hosts_; }
@@ -147,7 +148,6 @@ class FleetController {
   // Aggregate (drain + transplant) cost of every unstarted host — the
   // numerator of the shard's remaining-work estimate.
   SimDuration PendingWork() const;
-  int pending_hosts() const { return static_cast<int>(pending_.size()); }
 
   // Fault domains whose every live member is still unstarted, in ascending
   // domain order — the racks a barrier steal may re-home without ever
@@ -155,8 +155,8 @@ class FleetController {
   std::vector<StealableDomain> StealableDomains() const;
 
   // Re-homes the whole (fully-unstarted) domain out of this controller: hosts
-  // become kDetached, leave the pending queue, the report totals and the
-  // exposure count (silently — ownership moves, exposure does not change).
+  // become kDetached and leave the pending queue and the report totals. No
+  // exposure delta is recorded: ownership moves, exposure does not change.
   DetachedRack DetachDomain(int domain);
 
   // Adopts a stolen rack as a fresh fault domain: new hosts appended with the
@@ -165,11 +165,13 @@ class FleetController {
   void AdoptHosts(const DetachedRack& rack);
 
   // Finalizes a drained hold-open rollout as complete, with the makespan
-  // stamped at drained_at() — the instant the last work actually finished —
-  // not at the barrier that got around to calling this.
+  // (and the rollout span's end) stamped at drained_at() — the instant the
+  // last work finished — not at the barrier that got around to calling this.
   void FinalizeDrained();
 
  private:
+  // Records a transition in the FleetTrace and, with a tracer, applies its
+  // span rule (kSpanRules): the one writer of both.
   void Emit(FleetEventType type, int host, int attempt = 0);
   void StartNextWave();
   void StartDrain(int host);
@@ -182,9 +184,8 @@ class FleetController {
   // budget lasts, else park the host in kFailed.
   void ScheduleRetryOrFail(int host);
   void HostDone(int host);
-  void AccrueExposure();
-  // Integrates exposure up to now, then moves the exposed count by `hosts`
-  // and records the change for TakeExposureDeltas().
+  // Records that `hosts` more hosts are exposed as of now (negative: fewer),
+  // coalesced per instant, for TakeExposureDeltas().
   void ChangeExposure(int hosts);
   // Hosts neither upgraded, failed, lost nor refused: the rest of the books.
   void SettleUntouched();
@@ -215,10 +216,6 @@ class FleetController {
   std::function<void()> Guarded(void (FleetController::*method)(int), int host);
   std::function<void()> Guarded(void (FleetController::*method)());
 
-  // Closes host `id`'s open span (if any) and optionally opens the next one,
-  // so each host's track is a gap-free sequence of state spans.
-  SpanId RollHostSpan(int host, std::string_view next_name);
-
   SimExecutor& executor_;
   FleetConfig config_;
   std::optional<Error> config_error_;
@@ -232,7 +229,7 @@ class FleetController {
   FleetTrace trace_;
   FleetRolloutReport report_;
   std::shared_ptr<bool> alive_;
-  // Span bookkeeping (all 0 when config_.tracer is null).
+  // Span bookkeeping, written only by Emit() (all 0 without a tracer).
   SpanId rollout_span_ = 0;
   SpanId wave_span_ = 0;
   std::vector<SpanId> host_spans_;  // The one open span per host.
@@ -247,11 +244,11 @@ class FleetController {
   SimTime drained_at_ = -1;
   std::vector<SimDuration> host_drain_override_;
   std::vector<SimDuration> host_transplant_override_;
-  // Crash-storm state: a dedicated RNG stream (forked after all host rngs, so
-  // legacy configs keep their exact sequences), the queue of crashed hosts
-  // awaiting an unplanned recovery, how many recoveries hold worker slots,
-  // and when the storm window closes (-1 = open-ended).
-  std::optional<Rng> storm_rng_;
+  // Crash-storm state: a dedicated RNG stream (forked after every host stream
+  // on every run, so no host draw depends on the storm), the queue of crashed
+  // hosts awaiting an unplanned recovery, how many recoveries hold worker
+  // slots, and when the storm window closes (-1 = open-ended).
+  Rng storm_rng_{0};
   std::deque<int> recovery_queue_;
   int recovering_ = 0;
   SimTime storm_end_ = -1;
@@ -259,10 +256,7 @@ class FleetController {
   int wave_in_flight_ = 0;
   SimTime wave_started_ = 0;
   SimTime base_ = 0;
-  SimTime last_exposure_change_ = 0;
-  int exposed_ = 0;
   std::vector<ExposureDelta> exposure_deltas_;
-  double exposed_host_seconds_ = 0.0;
   bool started_ = false;
   bool finished_ = false;
 };

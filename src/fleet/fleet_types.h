@@ -192,8 +192,8 @@ constexpr SimDuration SaturatingBackoff(SimDuration base, int consecutive_failur
 
 // Seeded hypervisor-crash storm: hosts suffer unplanned crashes mid-traffic
 // and the fleet answers with ReHype-mode micro-reboot recoveries from the
-// last PRAM image. All defaults off: a zero rate leaves legacy configs with
-// byte-identical draws, events and reports.
+// last PRAM image. All defaults off: a zero rate schedules no crash and
+// draws nothing from the storm stream.
 struct CrashStormConfig {
   // Poisson arrival rate of crash events per hour of sim time, fleet-wide.
   // 0 disables the storm entirely.
@@ -277,8 +277,8 @@ struct FleetConfig {
   double abort_threshold = 1.0;
   // Fraction of failed attempts that are post-pause faults (the host already
   // committed its ledger and micro-rebooted): those hosts must roll back via
-  // PRAM before the retry policy applies. 0 keeps the legacy draw sequence,
-  // so seeded replays of existing configs are unchanged.
+  // PRAM before the retry policy applies. A zero fraction draws nothing:
+  // Rng::NextBool(0) returns without consuming the host's stream.
   double post_pause_fraction = 0.0;
   // Probability a rollback itself fails (torn ledger / corrupt image): the
   // host is lost immediately, bypassing the retry budget.
@@ -286,7 +286,7 @@ struct FleetConfig {
   SimDuration rollback_time = Seconds(5);  // Second micro-reboot + restore.
 
   // Injected hypervisor-crash storm + unplanned recovery policy. Disabled by
-  // default (rate 0): legacy configs keep their exact draw sequences.
+  // default (rate 0).
   CrashStormConfig crash_storm;
 
   // Adaptive mechanism selection (src/policy/). With the default mode
@@ -318,8 +318,9 @@ struct FleetConfig {
   // Observability: when non-null, every host state transition opens/closes a
   // span on that host's track (an upgrade wave renders as one swimlane per
   // host in Perfetto), waves and the rollout get spans of their own, and
-  // timestamps come from the driving executor. Null records nothing; the
-  // FleetTrace ring above is unaffected either way.
+  // timestamps come from the driving executor. One event->span table in the
+  // controller drives them all. Null records nothing; the FleetTrace ring
+  // above is unaffected either way.
   Tracer* tracer = nullptr;
 };
 

@@ -136,17 +136,11 @@ SimDuration TransplantCostModel::FleetMakespan(int hosts, int parallel_hosts,
 }
 
 SimDuration TransplantCostModel::ScaledTransplant(SimDuration base, const DcTimingModel& timing) {
-  if (timing.host_class == 1.0 && timing.reboot_cost == 1.0) {
-    return base;  // Homogeneous: keep the exact integer duration.
-  }
   const double scaled = static_cast<double>(base) * timing.host_class * timing.reboot_cost;
   return std::max<SimDuration>(base > 0 ? 1 : 0, static_cast<SimDuration>(scaled));
 }
 
 SimDuration TransplantCostModel::ScaledDrain(SimDuration base, const DcTimingModel& timing) {
-  if (timing.host_class == 1.0 && timing.link_generation == 1.0) {
-    return base;
-  }
   const double scaled = static_cast<double>(base) * timing.host_class / timing.link_generation;
   return std::max<SimDuration>(base > 0 ? 1 : 0, static_cast<SimDuration>(scaled));
 }

@@ -71,16 +71,11 @@ struct VmSignals {
 // `reboot_cost` additionally scales the transplant leg (firmware / kexec
 // latency of the host generation), and `link_generation` divides the drain
 // leg (newer NICs evacuate faster). All-1.0 (the default) is the homogeneous
-// fleet and must leave every consumer byte-identical, so the scaling helpers
-// short-circuit on it instead of round-tripping through double.
+// fleet and leaves every duration unchanged.
 struct DcTimingModel {
   double host_class = 1.0;
   double reboot_cost = 1.0;
   double link_generation = 1.0;
-
-  bool uniform() const {
-    return host_class == 1.0 && reboot_cost == 1.0 && link_generation == 1.0;
-  }
 };
 
 // Environment signals: what the datacenter around the VM looks like.
@@ -179,8 +174,9 @@ class TransplantCostModel {
   static SimDuration FleetMakespan(int hosts, int parallel_hosts, SimDuration per_host);
 
   // Heterogeneous-DC scaling of the baseline per-host durations (campaign
-  // layer). Uniform timing returns `base` unchanged — no double round-trip —
-  // so homogeneous configs keep their exact legacy durations.
+  // layer), truncated to whole nanoseconds. All-1.0 timing returns `base`
+  // unchanged: an integer duration below 2^53 ns survives the round trip
+  // through double exactly.
   static SimDuration ScaledTransplant(SimDuration base, const DcTimingModel& timing);
   static SimDuration ScaledDrain(SimDuration base, const DcTimingModel& timing);
 
@@ -229,7 +225,6 @@ class MechanismPolicy {
   MechanismPolicy(PolicyConfig config, HostCostProfile costs);
 
   const PolicyConfig& config() const { return config_; }
-  const TransplantCostModel& cost_model() const { return model_; }
 
   // Environment signals from the config's defaults (rollback risk 0).
   EnvSignals DefaultEnv() const;

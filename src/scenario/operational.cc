@@ -48,13 +48,14 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // stranded on the vulnerable hypervisor for the residual window.
   auto reject_rollout = [&](const Error& error, double residual_exposure_days) -> SimDuration {
     report.event_log.push_back("rollout rejected: " + error.ToString());
-    report.fleet_stranded_hosts += config.fleet.hosts;
+    report.fleet.untouched += config.fleet.hosts;
     report.exposure_days_hypertp += residual_exposure_days;
     return 0;
   };
 
   // Charges a rollout that ran to the year, whichever mode ran it (a
-  // FleetRolloutReport or a CampaignReport: both carry these fields).
+  // FleetRolloutReport or a CampaignReport: both are a RolloutTally with an
+  // `aborted` flag and a makespan).
   // Downtime is the plans' modeled per-VM downtime under the adaptive policy,
   // else the flat Fig. 6 charge. Hosts neither upgraded nor lost (failed,
   // never reached because the rollout aborted, or refused by the policy)
@@ -62,21 +63,8 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // Lost hosts are dead, not exposed.
   auto tally = [&](const auto& rollout, double residual_exposure_days) {
     ++report.fleet_rollouts;
-    report.fleet_retries += rollout.retries;
-    report.fleet_stranded_hosts += rollout.failed + rollout.untouched;
+    report.fleet += rollout;
     report.fleet_aborts += rollout.aborted;
-    report.fleet_post_pause_faults += rollout.post_pause_faults;
-    report.fleet_rollbacks += rollout.rollbacks;
-    report.fleet_rollback_failures += rollout.rollback_failures;
-    report.fleet_crashes += rollout.crashes;
-    report.fleet_crash_salvages += rollout.crash_salvages;
-    report.fleet_crash_live_recoveries += rollout.crash_live_recoveries;
-    report.fleet_crash_rollbacks += rollout.crash_rollbacks;
-    report.fleet_lost += rollout.lost;
-    report.fleet_refused_hosts += rollout.refused;
-    report.policy_inplace_vms += rollout.policy_inplace_vms;
-    report.policy_migrate_vms += rollout.policy_migrate_vms;
-    report.policy_refused_vms += rollout.policy_refused_vms;
     report.vm_downtime_paid +=
         adaptive ? rollout.policy_vm_downtime : config.per_vm_downtime * total_vms;
     if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
@@ -278,26 +266,27 @@ std::string OperationalReportToJson(const OperationalReport& report) {
   j.Key("exposure_reduction_factor").Number(report.exposure_reduction_factor());
   j.Key("vm_downtime_ms").Number(ToMillis(report.vm_downtime_paid));
   j.Key("fleet").BeginObject();
+  const RolloutTally& fleet = report.fleet;
   j.Key("rollouts").Number(static_cast<int64_t>(report.fleet_rollouts));
-  j.Key("retries").Number(static_cast<int64_t>(report.fleet_retries));
-  j.Key("stranded_hosts").Number(static_cast<int64_t>(report.fleet_stranded_hosts));
+  j.Key("retries").Number(static_cast<int64_t>(fleet.retries));
+  j.Key("stranded_hosts").Number(static_cast<int64_t>(report.stranded_hosts()));
   j.Key("aborts").Number(static_cast<int64_t>(report.fleet_aborts));
-  j.Key("post_pause_faults").Number(static_cast<int64_t>(report.fleet_post_pause_faults));
-  j.Key("rollbacks").Number(static_cast<int64_t>(report.fleet_rollbacks));
-  j.Key("rollback_failures").Number(static_cast<int64_t>(report.fleet_rollback_failures));
-  j.Key("crashes").Number(static_cast<int64_t>(report.fleet_crashes));
-  j.Key("crash_salvages").Number(static_cast<int64_t>(report.fleet_crash_salvages));
-  j.Key("crash_live_recoveries").Number(static_cast<int64_t>(report.fleet_crash_live_recoveries));
-  j.Key("crash_rollbacks").Number(static_cast<int64_t>(report.fleet_crash_rollbacks));
-  j.Key("lost").Number(static_cast<int64_t>(report.fleet_lost));
+  j.Key("post_pause_faults").Number(static_cast<int64_t>(fleet.post_pause_faults));
+  j.Key("rollbacks").Number(static_cast<int64_t>(fleet.rollbacks));
+  j.Key("rollback_failures").Number(static_cast<int64_t>(fleet.rollback_failures));
+  j.Key("crashes").Number(static_cast<int64_t>(fleet.crashes));
+  j.Key("crash_salvages").Number(static_cast<int64_t>(fleet.crash_salvages));
+  j.Key("crash_live_recoveries").Number(static_cast<int64_t>(fleet.crash_live_recoveries));
+  j.Key("crash_rollbacks").Number(static_cast<int64_t>(fleet.crash_rollbacks));
+  j.Key("lost").Number(static_cast<int64_t>(fleet.lost));
   j.Key("throttled_epochs").Number(static_cast<int64_t>(report.fleet_throttled_epochs));
   j.EndObject();
   j.Key("policy").BeginObject();
   j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");
-  j.Key("refused_hosts").Number(static_cast<int64_t>(report.fleet_refused_hosts));
-  j.Key("inplace_vms").Number(static_cast<int64_t>(report.policy_inplace_vms));
-  j.Key("migrate_vms").Number(static_cast<int64_t>(report.policy_migrate_vms));
-  j.Key("refused_vms").Number(static_cast<int64_t>(report.policy_refused_vms));
+  j.Key("refused_hosts").Number(static_cast<int64_t>(fleet.refused));
+  j.Key("inplace_vms").Number(static_cast<int64_t>(fleet.policy_inplace_vms));
+  j.Key("migrate_vms").Number(static_cast<int64_t>(fleet.policy_migrate_vms));
+  j.Key("refused_vms").Number(static_cast<int64_t>(fleet.policy_refused_vms));
   j.EndObject();
   j.Key("event_log").BeginArray();
   for (const std::string& line : report.event_log) {

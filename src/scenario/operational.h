@@ -106,34 +106,23 @@ struct OperationalReport {
   double exposure_days_hypertp = 0.0;      // This world.
   // Cumulative per-VM downtime HyperTP charged (both directions).
   SimDuration vm_downtime_paid = 0;
-  // Aggregates over every rollout the year ran. A rollout whose config was
-  // rejected is not counted: its error lands in event_log and every host
-  // stays stranded for the residual window.
+  // The outcome tally of every rollout the year ran, summed (retries,
+  // post-pause recovery, crash-storm outcomes, policy decisions...). A
+  // rollout whose config was rejected runs nothing and is not counted as a
+  // rollout: its error lands in event_log and all its hosts join
+  // fleet.untouched, stranded for the residual window.
+  RolloutTally fleet;
   int fleet_rollouts = 0;
-  int fleet_retries = 0;
-  int fleet_stranded_hosts = 0;  // Failed or never reached by an abort.
   int fleet_aborts = 0;
-  // Post-pause recovery outcomes across every rollout of the year.
-  int fleet_post_pause_faults = 0;
-  int fleet_rollbacks = 0;          // Hosts salvaged by PRAM rollback.
-  int fleet_rollback_failures = 0;  // Hosts lost to a failed rollback.
-  // Crash strikes under `fleet_storm` and their unplanned-recovery outcomes,
-  // summed over every rollout of the year.
-  int fleet_crashes = 0;
-  int fleet_crash_salvages = 0;
-  int fleet_crash_live_recoveries = 0;
-  int fleet_crash_rollbacks = 0;
-  int fleet_lost = 0;
   // kCampaign mode: epoch barriers the SLO governor spent throttled, summed
   // over every campaign of the year.
   int fleet_throttled_epochs = 0;
-  // Adaptive mechanism policy (all zero/false under kFixed).
-  bool policy_adaptive = false;
-  int fleet_refused_hosts = 0;  // Hosts excluded by refusals, summed over rollouts.
-  int policy_inplace_vms = 0;   // Per-VM decisions, summed over rollouts.
-  int policy_migrate_vms = 0;
-  int policy_refused_vms = 0;
+  bool policy_adaptive = false;  // fleet_policy was kAdaptive.
   std::vector<std::string> event_log;
+
+  // Hosts left on the vulnerable hypervisor: failed, or never reached
+  // because a rollout aborted or was rejected.
+  int stranded_hosts() const { return fleet.failed + fleet.untouched; }
 
   double exposure_reduction_factor() const {
     return exposure_days_hypertp > 0.0 ? exposure_days_traditional / exposure_days_hypertp

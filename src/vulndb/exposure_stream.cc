@@ -29,9 +29,6 @@ ExposureStream::ExposureStream(int64_t total_hosts, int64_t total_vms, SimTime s
     hosts_reexposed_ =
         &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_reexposed");
     vms_reexposed_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_reexposed");
-    hosts_rehomed_counter_ =
-        &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_rehomed");
-    vms_rehomed_counter_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_rehomed");
   }
   MaybeRecordPoint(start, /*force=*/true);  // The curve always opens at 1.0.
 }
@@ -79,15 +76,12 @@ void ExposureStream::OnHostsExposed(SimTime t, int64_t hosts, int64_t vms) {
   MaybeRecordPoint(last_update_, /*force=*/false);
 }
 
-void ExposureStream::OnHostsRehomed(SimTime t, int64_t hosts, int64_t vms) {
-  Accrue(t);
-  hosts_rehomed_ += std::max<int64_t>(hosts, 0);
-  vms_rehomed_ += std::max<int64_t>(vms, 0);
-  if (hosts_rehomed_counter_ != nullptr) {
-    hosts_rehomed_counter_->Increment(static_cast<uint64_t>(std::max<int64_t>(hosts, 0)));
-    vms_rehomed_counter_->Increment(static_cast<uint64_t>(std::max<int64_t>(vms, 0)));
+void ExposureStream::OnHostsDelta(SimTime t, int64_t hosts, int64_t vms) {
+  if (hosts < 0) {
+    OnHostsSafe(t, -hosts, -vms);
+  } else {
+    OnHostsExposed(t, hosts, vms);
   }
-  // Exposure-neutral by definition: counts, fraction and curve are untouched.
 }
 
 void ExposureStream::AdvanceTo(SimTime t) { Accrue(t); }

@@ -1,14 +1,16 @@
 // Streaming exposure analytics: the live "fraction of the fleet still
 // vulnerable" curve of a transplant campaign.
 //
-// The closed-form window model (window_model.h) and the per-rollout
-// FleetTrace both report exposure *post hoc*: the integral exists only after
-// the run finishes. A campaign over 100k hosts needs the opposite — an
-// incremental stream fed by shard events while the campaign is in flight, so
-// SLO governors and dashboards see exposure decay as it happens. The stream
-// maintains the exposed host/VM counts, the running exposure integral and a
-// downsampled curve, and mirrors every update into the tracer/metrics layer
-// (src/obs/) when instruments are attached.
+// The closed-form window model (window_model.h) reports exposure *post hoc*:
+// the integral exists only after the run finishes. A campaign over 100k hosts
+// needs the opposite — an incremental stream fed by shard events while the
+// campaign is in flight, so SLO governors and dashboards see exposure decay
+// as it happens. The stream maintains the exposed host/VM counts, the running
+// exposure integral and a downsampled curve, and mirrors every update into
+// the tracer/metrics layer (src/obs/) when instruments are attached. It is
+// the one integrator of simulated exposure: a FleetController only records
+// ExposureDeltas, and whoever drives it (the campaign, or a standalone
+// caller) feeds them here.
 //
 // During an undisturbed campaign hosts only ever *leave* the vulnerable set
 // (failed hosts stay exposed but never re-expose an upgraded one), so the
@@ -50,8 +52,6 @@ struct ExposureStreamOptions {
   //   <prefix>_vms_upgraded         (counter)
   //   <prefix>_hosts_reexposed      (counter, OnHostsExposed)
   //   <prefix>_vms_reexposed        (counter)
-  //   <prefix>_hosts_rehomed        (counter, OnHostsRehomed)
-  //   <prefix>_vms_rehomed          (counter)
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
   std::string metric_prefix = "campaign";
@@ -73,11 +73,10 @@ class ExposureStream {
   // totals. Mirrors into <prefix>_hosts_reexposed / <prefix>_vms_reexposed.
   void OnHostsExposed(SimTime t, int64_t hosts, int64_t vms);
 
-  // Exposure-neutral ownership move: `hosts`/`vms` changed which shard owns
-  // them at `t` (campaign rack work-stealing) without changing whether they
-  // are exposed. Accrues the integral to `t` and tallies the traffic into
-  // <prefix>_hosts_rehomed / <prefix>_vms_rehomed; the curve is untouched.
-  void OnHostsRehomed(SimTime t, int64_t hosts, int64_t vms);
+  // One signed net change, as a FleetController's ExposureDelta carries it:
+  // negative `hosts`/`vms` go to OnHostsSafe, the rest to OnHostsExposed
+  // (zero only accrues the integral to `t`).
+  void OnHostsDelta(SimTime t, int64_t hosts, int64_t vms);
 
   // Advances the exposure integral to `t` with no membership change (epoch
   // barriers, and the campaign end).
@@ -91,9 +90,6 @@ class ExposureStream {
   int64_t total_vms() const { return total_vms_; }
   int64_t exposed_hosts() const { return exposed_hosts_; }
   int64_t exposed_vms() const { return exposed_vms_; }
-  // Cumulative rack-steal traffic fed through OnHostsRehomed.
-  int64_t hosts_rehomed() const { return hosts_rehomed_; }
-  int64_t vms_rehomed() const { return vms_rehomed_; }
   SimTime last_update() const { return last_update_; }
   // VM-weighted fraction of the fleet still on the vulnerable hypervisor.
   double fraction_vulnerable() const;
@@ -124,10 +120,6 @@ class ExposureStream {
   Gauge* fraction_gauge_ = nullptr;
   Counter* hosts_reexposed_ = nullptr;
   Counter* vms_reexposed_ = nullptr;
-  int64_t hosts_rehomed_ = 0;
-  int64_t vms_rehomed_ = 0;
-  Counter* hosts_rehomed_counter_ = nullptr;
-  Counter* vms_rehomed_counter_ = nullptr;
 };
 
 }  // namespace hypertp

@@ -1057,25 +1057,30 @@ TEST(CampaignStrideTest, StrideSkipsIdleEpochsWithoutChangingOutput) {
   EXPECT_EQ(CampaignReportToJson(reports[0]), CampaignReportToJson(reports[1]));
 }
 
-TEST(ExposureStreamTest, RehomedTrafficIsExposureNeutral) {
+TEST(CampaignStealTest, RehomedCountersFollowStolenHostsAndLeaveTheCurve) {
+  // The campaign writes the rehome counters once, from the report's stolen
+  // hosts; a steal moves ownership, never exposure, so the curve only falls
+  // and ends at the hosts left exposed.
   MetricsRegistry metrics;
-  ExposureStreamOptions options;
-  options.metrics = &metrics;
-  ExposureStream stream(10, 100, 0, options);
-  stream.OnHostsSafe(Seconds(10), 2, 20);
-  const size_t points = stream.curve().size();
-  stream.OnHostsRehomed(Seconds(20), 5, 50);
-  // Counts, fraction and curve untouched; only the tallies moved.
-  EXPECT_EQ(stream.exposed_hosts(), 8);
-  EXPECT_EQ(stream.exposed_vms(), 80);
-  EXPECT_EQ(stream.hosts_rehomed(), 5);
-  EXPECT_EQ(stream.vms_rehomed(), 50);
-  EXPECT_EQ(stream.curve().size(), points);
-  EXPECT_EQ(metrics.GetCounter("campaign_hosts_rehomed").value(), 5u);
-  EXPECT_EQ(metrics.GetCounter("campaign_vms_rehomed").value(), 50u);
-  // The integral accrued to t=20 at the unchanged exposure level.
-  stream.Seal(Seconds(20));
-  EXPECT_DOUBLE_EQ(stream.exposed_host_days(), (10.0 * 10 + 8.0 * 10) / 86400.0);
+  CampaignConfig config = SkewedConfig();
+  config.steal.enabled = true;
+  config.metrics = &metrics;
+  Result<CampaignReport> run = CampaignPlanner(config).Run();
+  ASSERT_TRUE(run.ok()) << run.error().ToString();
+  ASSERT_GT(run->stolen_hosts, 0);
+  const int vms_per_host = config.datacenters[0].vms_per_host;
+  EXPECT_EQ(metrics.GetCounter("campaign_hosts_rehomed").value(),
+            static_cast<uint64_t>(run->stolen_hosts));
+  EXPECT_EQ(metrics.GetCounter("campaign_vms_rehomed").value(),
+            static_cast<uint64_t>(run->stolen_hosts) * vms_per_host);
+  EXPECT_EQ(metrics.GetCounter("campaign_steals").value(), static_cast<uint64_t>(run->steals));
+
+  ASSERT_FALSE(run->exposure_curve.empty());
+  for (size_t i = 1; i < run->exposure_curve.size(); ++i) {
+    EXPECT_LE(run->exposure_curve[i].exposed_vms, run->exposure_curve[i - 1].exposed_vms);
+  }
+  EXPECT_EQ(run->exposure_curve.back().exposed_vms,
+            static_cast<int64_t>(run->hosts - run->upgraded) * vms_per_host);
 }
 
 }  // namespace

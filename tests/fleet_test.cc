@@ -8,6 +8,8 @@
 #include <map>
 
 #include "src/fleet/fleet_controller.h"
+#include "src/obs/trace.h"
+#include "src/vulndb/exposure_stream.h"
 #include "src/vulndb/window_model.h"
 
 namespace hypertp {
@@ -20,6 +22,17 @@ FleetConfig BaseConfig() {
   config.per_host_transplant = Seconds(10);
   config.seed = 42;
   return config;
+}
+
+// Integrates a standalone rollout's exposure deltas from its start at t=0
+// (every host exposed) to `end`, in host-days.
+double ExposedHostDays(FleetController& controller, SimTime end) {
+  ExposureStream stream(controller.config().hosts, controller.config().hosts);
+  for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+    stream.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
+  }
+  stream.Seal(end);
+  return stream.exposed_host_days();
 }
 
 TEST(FleetControllerTest, FaultFreeRolloutMatchesClosedForm) {
@@ -284,9 +297,9 @@ TEST(FleetControllerTest, FailedRollbackIsFatalWithoutRetry) {
       EXPECT_EQ(host.attempts, 1);  // Lost on the first (only) attempt.
     }
   }
-  // Failed hosts keep accruing exposure: the integral exceeds the fault-free
-  // rollout's (they never stop being exposed until the rollout ends).
-  EXPECT_GT(report.exposed_host_days, 0.0);
+  // Failed hosts keep accruing exposure: they never stop being exposed
+  // until the rollout ends.
+  EXPECT_GT(ExposedHostDays(controller, report.makespan), 0.0);
 }
 
 TEST(FleetControllerTest, LegacyConfigsKeepTheirDrawSequence) {
@@ -328,7 +341,38 @@ TEST(FleetControllerTest, ExposureIntegralMatchesHandComputation) {
 
   // Wave 1: 4 hosts exposed for 10 s; wave 2: 2 hosts for 10 s.
   const double expected_host_days = (4 * 10.0 + 2 * 10.0) / (24.0 * 3600.0);
-  EXPECT_NEAR(report.exposed_host_days, expected_host_days, 1e-12);
+  EXPECT_NEAR(ExposedHostDays(controller, report.makespan), expected_host_days, 1e-12);
+}
+
+TEST(FleetControllerTest, HoldOpenExposureEndsAtDrain) {
+  // Four hosts that all fail stay exposed; the hold-open rollout drains at
+  // 10 s and is finalized an hour later. Its exposure and its rollout span
+  // both end at the drain, not at the finalizing barrier.
+  SimExecutor executor;
+  FleetConfig config = BaseConfig();
+  config.hosts = 4;
+  config.parallel_hosts = 4;
+  config.failure_probability = 1.0;
+  config.max_retries = 0;
+  config.hold_open = true;
+  Tracer tracer;
+  config.tracer = &tracer;
+  FleetController controller(executor, config);
+  controller.Start();
+  executor.Run();
+  ASSERT_TRUE(controller.drained());
+  EXPECT_EQ(controller.drained_at(), Seconds(10));
+  executor.AdvanceTo(Seconds(10) + Seconds(3600));
+  controller.FinalizeDrained();
+
+  const FleetRolloutReport& report = controller.report();
+  EXPECT_EQ(report.failed, 4);
+  EXPECT_EQ(report.makespan, Seconds(10));
+  EXPECT_NEAR(ExposedHostDays(controller, report.makespan),
+              4 * ToSeconds(report.makespan) / (24.0 * 3600.0), 1e-15);
+  const Span* rollout = tracer.FindSpan("fleet_rollout");
+  ASSERT_NE(rollout, nullptr);
+  EXPECT_EQ(rollout->duration(), report.makespan);
 }
 
 TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {

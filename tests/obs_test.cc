@@ -20,6 +20,7 @@
 #include "src/migrate/migrate.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/vulndb/exposure_stream.h"
 #include "src/xen/xenvisor.h"
 
 namespace hypertp {
@@ -562,7 +563,16 @@ TEST(FleetTraceSpanTest, TracingDoesNotPerturbTheRollout) {
   EXPECT_EQ(plain_report.failed, traced_report.failed);
   EXPECT_EQ(plain_report.retries, traced_report.retries);
   EXPECT_EQ(plain_report.rollbacks, traced_report.rollbacks);
-  EXPECT_EQ(plain_report.exposed_host_days, traced_report.exposed_host_days);
+  const auto exposed_host_days = [&config](FleetController& controller, SimTime end) {
+    ExposureStream exposure(config.hosts, config.hosts);
+    for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+      exposure.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
+    }
+    exposure.Seal(end);
+    return exposure.exposed_host_days();
+  };
+  EXPECT_EQ(exposed_host_days(plain, plain_report.makespan),
+            exposed_host_days(traced, traced_report.makespan));
   EXPECT_EQ(FleetTraceToJson(plain.trace()), FleetTraceToJson(traced.trace()));
   EXPECT_EQ(tracer.open_span_count(), 0u);
   // The faulty run exercised the rollback span path.

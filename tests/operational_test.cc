@@ -94,8 +94,8 @@ TEST(OperationalTest, FleetControllerModeAgreesWithClosedFormWhenFaultFree) {
       }
     }
     EXPECT_EQ(report.fleet_rollouts, report.transplants_away + report.transplants_back);
-    EXPECT_EQ(report.fleet_retries, 0);
-    EXPECT_EQ(report.fleet_stranded_hosts, 0);
+    EXPECT_EQ(report.fleet.retries, 0);
+    EXPECT_EQ(report.stranded_hosts(), 0);
   }
   EXPECT_GT(checked, 0);
 }
@@ -108,7 +108,7 @@ TEST(OperationalTest, FleetControllerModeIsDeterministic) {
   const OperationalReport b = RunOperationalSimulation(config);
   EXPECT_EQ(a.disclosures, b.disclosures);
   EXPECT_DOUBLE_EQ(a.exposure_days_hypertp, b.exposure_days_hypertp);
-  EXPECT_EQ(a.fleet_retries, b.fleet_retries);
+  EXPECT_EQ(a.fleet.retries, b.fleet.retries);
   EXPECT_EQ(a.event_log, b.event_log);
 }
 
@@ -129,8 +129,8 @@ TEST(OperationalTest, CampaignModeAgreesWithClosedFormWhenFaultFree) {
     ASSERT_EQ(a.disclosures, b.disclosures);
     ASSERT_EQ(a.transplants_away, b.transplants_away);
     EXPECT_EQ(b.fleet_rollouts, b.transplants_away + b.transplants_back);
-    EXPECT_EQ(b.fleet_retries, 0);
-    EXPECT_EQ(b.fleet_stranded_hosts, 0);
+    EXPECT_EQ(b.fleet.retries, 0);
+    EXPECT_EQ(b.stranded_hosts(), 0);
     EXPECT_EQ(b.fleet_throttled_epochs, 0);
     EXPECT_NEAR(b.exposure_days_hypertp / a.exposure_days_hypertp, 1.0, 0.05);
     return;  // One meaningful seed is enough.
@@ -148,7 +148,7 @@ TEST(OperationalTest, CampaignModeIsDeterministic) {
   const OperationalReport b = RunOperationalSimulation(config);
   EXPECT_EQ(a.disclosures, b.disclosures);
   EXPECT_DOUBLE_EQ(a.exposure_days_hypertp, b.exposure_days_hypertp);
-  EXPECT_EQ(a.fleet_retries, b.fleet_retries);
+  EXPECT_EQ(a.fleet.retries, b.fleet.retries);
   EXPECT_EQ(a.fleet_throttled_epochs, b.fleet_throttled_epochs);
   EXPECT_EQ(a.event_log, b.event_log);
 }
@@ -166,7 +166,7 @@ TEST(OperationalTest, CampaignSloThrottlingSurfacesInTheReport) {
     if (report.transplants_away == 0) {
       continue;
     }
-    EXPECT_GT(report.fleet_post_pause_faults, 0);
+    EXPECT_GT(report.fleet.post_pause_faults, 0);
     EXPECT_GT(report.fleet_throttled_epochs, 0);
     return;
   }
@@ -187,8 +187,8 @@ TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {
     faulty.fleet_max_retries = 1;  // Many hosts exhaust the budget.
     const OperationalReport hit = RunOperationalSimulation(faulty);
     ASSERT_EQ(hit.transplants_away, base.transplants_away);
-    EXPECT_GT(hit.fleet_retries, 0);
-    EXPECT_GT(hit.fleet_stranded_hosts, 0);
+    EXPECT_GT(hit.fleet.retries, 0);
+    EXPECT_GT(hit.stranded_hosts(), 0);
     EXPECT_GT(hit.exposure_days_hypertp, base.exposure_days_hypertp);
     return;  // One meaningful seed is enough.
   }
@@ -205,19 +205,19 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
     config.fleet_failure_probability = 0.3;
     config.fleet_post_pause_fraction = 0.8;
     const OperationalReport recovered = RunOperationalSimulation(config);
-    if (recovered.transplants_away == 0 || recovered.fleet_post_pause_faults == 0) {
+    if (recovered.transplants_away == 0 || recovered.fleet.post_pause_faults == 0) {
       continue;
     }
     // Reliable rollbacks: every stranded host salvaged itself, none lost.
-    EXPECT_GT(recovered.fleet_rollbacks, 0);
-    EXPECT_EQ(recovered.fleet_rollbacks, recovered.fleet_post_pause_faults);
-    EXPECT_EQ(recovered.fleet_rollback_failures, 0);
+    EXPECT_GT(recovered.fleet.rollbacks, 0);
+    EXPECT_EQ(recovered.fleet.rollbacks, recovered.fleet.post_pause_faults);
+    EXPECT_EQ(recovered.fleet.rollback_failures, 0);
 
     OperationalConfig lossy = config;
     lossy.fleet_rollback_failure_probability = 1.0;
     const OperationalReport lost = RunOperationalSimulation(lossy);
-    EXPECT_GT(lost.fleet_rollback_failures, 0);
-    EXPECT_GT(lost.fleet_stranded_hosts, recovered.fleet_stranded_hosts);
+    EXPECT_GT(lost.fleet.rollback_failures, 0);
+    EXPECT_GT(lost.stranded_hosts(), recovered.stranded_hosts());
     EXPECT_GT(lost.exposure_days_hypertp, recovered.exposure_days_hypertp);
     return;  // One meaningful seed is enough.
   }
@@ -243,14 +243,14 @@ TEST(OperationalTest, FaultStormModeSurfacesCrashRecoveryCounters) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const OperationalConfig config = StormConfig(seed);
     const OperationalReport report = RunOperationalSimulation(config);
-    if (report.transplants_away == 0 || report.fleet_crashes == 0) {
+    if (report.transplants_away == 0 || report.fleet.crashes == 0) {
       continue;
     }
-    EXPECT_EQ(report.fleet_crashes,
-              report.fleet_crash_salvages + report.fleet_crash_live_recoveries +
-                  report.fleet_lost);
+    EXPECT_EQ(report.fleet.crashes,
+              report.fleet.crash_salvages + report.fleet.crash_live_recoveries +
+                  report.fleet.lost);
     const OperationalReport again = RunOperationalSimulation(config);
-    EXPECT_EQ(report.fleet_crashes, again.fleet_crashes);
+    EXPECT_EQ(report.fleet.crashes, again.fleet.crashes);
     EXPECT_DOUBLE_EQ(report.exposure_days_hypertp, again.exposure_days_hypertp);
     EXPECT_EQ(report.event_log, again.event_log);
     return;  // One meaningful seed is enough.
@@ -266,15 +266,15 @@ TEST(OperationalTest, CampaignModeComposesWithFaultStorms) {
     OperationalConfig config = StormConfig(seed);
     config.fleet_mode = FleetExecutionMode::kCampaign;
     const OperationalReport report = RunOperationalSimulation(config);
-    if (report.transplants_away == 0 || report.fleet_crashes == 0) {
+    if (report.transplants_away == 0 || report.fleet.crashes == 0) {
       continue;
     }
-    EXPECT_EQ(report.fleet_crashes,
-              report.fleet_crash_salvages + report.fleet_crash_live_recoveries +
-                  report.fleet_lost);
+    EXPECT_EQ(report.fleet.crashes,
+              report.fleet.crash_salvages + report.fleet.crash_live_recoveries +
+                  report.fleet.lost);
     EXPECT_EQ(report.fleet_rollouts, report.transplants_away + report.transplants_back);
     const OperationalReport again = RunOperationalSimulation(config);
-    EXPECT_EQ(report.fleet_crashes, again.fleet_crashes);
+    EXPECT_EQ(report.fleet.crashes, again.fleet.crashes);
     EXPECT_DOUBLE_EQ(report.exposure_days_hypertp, again.exposure_days_hypertp);
     return;  // One meaningful seed is enough.
   }
@@ -302,7 +302,7 @@ TEST(OperationalTest, RejectedRolloutsAreChargedAlikeInBothModes) {
       EXPECT_EQ(r.transplants_away, clean.transplants_away);
       EXPECT_EQ(r.fleet_rollouts, 0);
       EXPECT_EQ(r.vm_downtime_paid, 0);
-      EXPECT_EQ(r.fleet_stranded_hosts,
+      EXPECT_EQ(r.stranded_hosts(),
                 config.fleet.hosts * (r.transplants_away + r.transplants_back));
       EXPECT_GT(r.exposure_days_hypertp, clean.exposure_days_hypertp);
       int logged = 0;
@@ -344,7 +344,7 @@ TEST(OperationalPolicyTest, AdaptivePolicyReplacesTheFlatDowntimeCharge) {
   ASSERT_GT(fixed.transplants_away, 0);
   EXPECT_GT(adaptive.vm_downtime_paid, 0);
   EXPECT_LT(adaptive.vm_downtime_paid, fixed.vm_downtime_paid);
-  EXPECT_GT(adaptive.policy_inplace_vms + adaptive.policy_migrate_vms, 0);
+  EXPECT_GT(adaptive.fleet.policy_inplace_vms + adaptive.fleet.policy_migrate_vms, 0);
   // Same disclosure stream either way: the policy only reprices rollouts.
   EXPECT_EQ(adaptive.disclosures, fixed.disclosures);
   EXPECT_EQ(adaptive.transplants_away, fixed.transplants_away);

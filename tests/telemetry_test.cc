@@ -130,16 +130,17 @@ TEST(TelemetryTest, OperationalReportExport) {
   report.exposure_days_hypertp = 2.01;
   report.vm_downtime_paid = Seconds(1700);
   report.fleet_rollouts = 11;
-  report.fleet_retries = 4;
-  report.fleet_stranded_hosts = 2;
-  report.fleet_post_pause_faults = 3;
-  report.fleet_rollbacks = 2;
-  report.fleet_rollback_failures = 1;
-  report.fleet_crashes = 5;
-  report.fleet_crash_salvages = 3;
-  report.fleet_crash_live_recoveries = 1;
-  report.fleet_crash_rollbacks = 2;
-  report.fleet_lost = 1;
+  report.fleet.retries = 4;
+  report.fleet.failed = 1;     // Stranded hosts: failed...
+  report.fleet.untouched = 1;  // ...plus never reached.
+  report.fleet.post_pause_faults = 3;
+  report.fleet.rollbacks = 2;
+  report.fleet.rollback_failures = 1;
+  report.fleet.crashes = 5;
+  report.fleet.crash_salvages = 3;
+  report.fleet.crash_live_recoveries = 1;
+  report.fleet.crash_rollbacks = 2;
+  report.fleet.lost = 1;
   report.event_log.push_back("day   12.5: CVE-2015-3456 — fleet -> kvmish-5.3");
   const std::string json = OperationalReportToJson(report);
   EXPECT_NE(json.find(R"("kind":"operational_year")"), std::string::npos);
