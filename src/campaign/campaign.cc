@@ -390,7 +390,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
     }
     fleet.seed = root.Fork().NextU64();  // Id-order forks: shard-independent.
     fleet.wave_pacer = [this](int, SimTime) { return governor_hold_; };
-    rt->controller = std::make_unique<FleetController>(*rt->executor, fleet);
+    rt->controller = std::make_unique<FleetController>(*rt->executor, std::move(fleet));
     if (rt->controller->config_error().has_value()) {
       return rt->controller->config_error().value();  // Unreachable: probed in PlanCampaign.
     }

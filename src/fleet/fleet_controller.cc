@@ -299,6 +299,8 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   // Adaptive mechanism policy: plan every host up front. Plans are pure
   // functions of (PolicyConfig, global host id, env) — no RNG — so the
   // decision set is identical however the fleet is partitioned or scheduled.
+  // They repeat with period HostPlanPeriod() in the global id, so one period
+  // is priced and each host records only its phase into that cycle.
   if (config_.policy.adaptive()) {
     policy_.emplace(config_.policy);
     policy::EnvSignals env;
@@ -307,15 +309,20 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
     env.rollback_risk =
         policy::LedgerRollbackRisk(config_.failure_probability, config_.post_pause_fraction);
     env.migration_overhead = config_.policy.migration_overhead;
-    host_plans_.reserve(static_cast<size_t>(config_.hosts));
+    const int period = policy_->HostPlanPeriod();
+    plan_cycle_.reserve(static_cast<size_t>(period));
+    for (int phase = 0; phase < period; ++phase) {
+      plan_cycle_.push_back(policy_->PlanHost(phase, env, config_.per_host_transplant,
+                                              config_.drain_time, /*conversion_workers=*/1));
+    }
+    plan_phase_.reserve(static_cast<size_t>(config_.hosts));
     report_.policy_adaptive = true;
     for (int i = 0; i < config_.hosts; ++i) {
       const int64_t global_id = config_.policy_host_global_ids.empty()
                                     ? i
                                     : config_.policy_host_global_ids[static_cast<size_t>(i)];
-      host_plans_.push_back(policy_->PlanHost(global_id, env, config_.per_host_transplant,
-                                              config_.drain_time, /*conversion_workers=*/1));
-      const policy::HostPolicyPlan& plan = host_plans_.back();
+      plan_phase_.push_back(static_cast<uint8_t>(global_id % period));
+      const policy::HostPolicyPlan& plan = HostPlan(i);
       report_.policy_inplace_vms += plan.inplace_vms;
       report_.policy_migrate_vms += plan.migrate_vms;
       report_.policy_refused_vms += plan.refused_vms;
@@ -382,7 +389,7 @@ void FleetController::Start() {
     // A host with a refused guest never enters the rollout: it keeps serving
     // the vulnerable hypervisor (and keeps accruing exposure). Emitted in id
     // order, before any wave work, so the trace is partition-independent.
-    if (policy_.has_value() && host_plans_[static_cast<size_t>(i)].refused()) {
+    if (policy_.has_value() && HostPlan(i).refused()) {
       Emit(FleetEventType::kHostRefused, i);
       continue;
     }
@@ -515,8 +522,8 @@ void FleetController::StartNextWave() {
     int64_t wave_inplace = 0;
     int64_t wave_migrate = 0;
     for (int host : wave_hosts) {
-      wave_inplace += host_plans_[static_cast<size_t>(host)].inplace_vms;
-      wave_migrate += host_plans_[static_cast<size_t>(host)].migrate_vms;
+      wave_inplace += HostPlan(host).inplace_vms;
+      wave_migrate += HostPlan(host).migrate_vms;
     }
     const SpanId mark = config_.tracer->AddInstant("policy:decision", executor_.now(), "policy");
     config_.tracer->SetAttribute(mark, "wave", static_cast<int64_t>(wave_));
@@ -557,7 +564,7 @@ void FleetController::FinishAttempt(int host) {
     ++report_.upgraded;
     ++report_.transplant_successes;
     if (policy_.has_value()) {
-      report_.policy_vm_downtime += host_plans_[static_cast<size_t>(host)].vm_downtime;
+      report_.policy_vm_downtime += HostPlan(host).vm_downtime;
     }
     Emit(FleetEventType::kTransplantDone, host, h.attempts);
     ChangeExposure(-1);
@@ -891,9 +898,13 @@ void FleetController::MaybeFinishRollout() {
   }
 }
 
+const policy::HostPolicyPlan& FleetController::HostPlan(int host) const {
+  return plan_cycle_[plan_phase_[static_cast<size_t>(host)]];
+}
+
 SimDuration FleetController::HostDrainTime(int host) const {
   if (policy_.has_value()) {
-    return host_plans_[static_cast<size_t>(host)].drain_time;
+    return HostPlan(host).drain_time;
   }
   if (!host_drain_override_.empty()) {
     return host_drain_override_[static_cast<size_t>(host)];
@@ -903,7 +914,7 @@ SimDuration FleetController::HostDrainTime(int host) const {
 
 SimDuration FleetController::HostTransplantTime(int host) const {
   if (policy_.has_value()) {
-    return host_plans_[static_cast<size_t>(host)].transplant_time;
+    return HostPlan(host).transplant_time;
   }
   if (!host_transplant_override_.empty()) {
     return host_transplant_override_[static_cast<size_t>(host)];

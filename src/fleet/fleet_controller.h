@@ -18,6 +18,7 @@
 #ifndef HYPERTP_SRC_FLEET_FLEET_CONTROLLER_H_
 #define HYPERTP_SRC_FLEET_FLEET_CONTROLLER_H_
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -194,6 +195,8 @@ class FleetController {
   // timings; native hosts use the config (or policy plan) values.
   SimDuration HostDrainTime(int host) const;
   SimDuration HostTransplantTime(int host) const;
+  // The adaptive policy's plan for native host `host` (policy_ engaged).
+  const policy::HostPolicyPlan& HostPlan(int host) const;
   // ReHype-mode crash recovery (active only when config_.crash_storm is
   // enabled). Crash arrivals draw from storm_rng_, recovery durations and
   // outcome draws from the struck host's own rng.
@@ -219,11 +222,15 @@ class FleetController {
   SimExecutor& executor_;
   FleetConfig config_;
   std::optional<Error> config_error_;
-  // Adaptive mechanism policy (engaged when config_.policy.mode == kAdaptive):
-  // per-host plans are computed once at construction from each host's global
-  // id — pure functions of config, so any partition of the fleet agrees.
+  // Adaptive mechanism policy (engaged when config_.policy.mode == kAdaptive).
+  // Plans are pure functions of config and the host's global id, so any
+  // partition of the fleet agrees; they repeat with period HostPlanPeriod()
+  // (<= kSyntheticVmPeriod) in that id. plan_cycle_[p] is the plan of global
+  // id p, priced once at construction; plan_phase_[h] is host h's global id
+  // mod the period, so host h's plan is plan_cycle_[plan_phase_[h]].
   std::optional<policy::MechanismPolicy> policy_;
-  std::vector<policy::HostPolicyPlan> host_plans_;
+  std::vector<policy::HostPolicyPlan> plan_cycle_;
+  std::vector<uint8_t> plan_phase_;
   std::vector<FleetHost> hosts_;
   std::vector<Rng> host_rngs_;  // Forked in id order: interleaving-independent.
   FleetTrace trace_;

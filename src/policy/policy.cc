@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/pipeline/conversion.h"
 #include "src/sim/worker_pool.h"
@@ -190,6 +191,10 @@ EnvSignals MechanismPolicy::DefaultEnv() const {
   return env;
 }
 
+int MechanismPolicy::HostPlanPeriod() const {
+  return kSyntheticVmPeriod / std::gcd(config_.vms_per_host, kSyntheticVmPeriod);
+}
+
 MechanismDecision MechanismPolicy::Decide(const VmSignals& vm, const EnvSignals& env,
                                           HypervisorKind target) const {
   MechanismDecision decision;
@@ -220,14 +225,15 @@ HostPolicyPlan MechanismPolicy::PlanHost(int64_t host_global_id, const EnvSignal
                                          SimDuration base_transplant, SimDuration base_drain,
                                          int conversion_workers, HypervisorKind target) const {
   HostPolicyPlan plan;
-  std::vector<SimDuration> all_dirty_costs;
+  // The all-dirty serial conversion share the constant embeds: serial
+  // ScheduleWork is an in-order sum, so a running sum is the same value.
+  SimDuration serial_share = 0;
   std::vector<SimDuration> inplace_costs;
   std::vector<SimDuration> migration_costs;
-  all_dirty_costs.reserve(static_cast<size_t>(config_.vms_per_host));
   for (int v = 0; v < config_.vms_per_host; ++v) {
     const VmSignals vm =
         SyntheticVmSignals(host_global_id * static_cast<int64_t>(config_.vms_per_host) + v);
-    all_dirty_costs.push_back(model_.VmConversionCostAllDirty(vm, target));
+    serial_share += model_.VmConversionCostAllDirty(vm, target);
     const MechanismDecision decision = Decide(vm, env, target);
     switch (decision.mechanism) {
       case Mechanism::kInPlaceTP:
@@ -255,7 +261,6 @@ HostPolicyPlan MechanismPolicy::PlanHost(int64_t host_global_id, const EnvSignal
   }
   // Swap the all-dirty serial conversion share the constant embeds for the
   // in-place guests' pooled share.
-  const SimDuration serial_share = ScheduleWork(all_dirty_costs, 1).makespan;
   const SimDuration pooled_share =
       ScheduleWork(inplace_costs, std::max(conversion_workers, 1)).makespan;
   plan.transplant_time =

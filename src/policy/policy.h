@@ -201,6 +201,12 @@ double LedgerRollbackRisk(double failure_probability, double post_pause_fraction
 // of the index, so any partition of a fleet sees the same population.
 VmSignals SyntheticVmSignals(int64_t global_vm_index);
 
+// Period of SyntheticVmSignals in the VM index: lcm(10, 8). Every non-negative
+// index i satisfies SyntheticVmSignals(i) == SyntheticVmSignals(i + 40), and
+// MechanismPolicy::HostPlanPeriod() derives the per-host period from it. A
+// change to the mix's moduli must update this constant (policy_test pins it).
+inline constexpr int kSyntheticVmPeriod = 40;
+
 // Aggregate plan for one host's guests under the policy.
 struct HostPolicyPlan {
   int inplace_vms = 0;
@@ -248,6 +254,13 @@ class MechanismPolicy {
                           SimDuration base_transplant, SimDuration base_drain,
                           int conversion_workers,
                           HypervisorKind target = HypervisorKind::kKvm) const;
+
+  // Period of PlanHost in the global host id:
+  // kSyntheticVmPeriod / gcd(vms_per_host, kSyntheticVmPeriod). Host h prices
+  // VMs [h * vms_per_host, (h + 1) * vms_per_host), so PlanHost(h) ==
+  // PlanHost(h mod HostPlanPeriod()) for every h >= 0 — a consumer prices one
+  // period (at most kSyntheticVmPeriod plans) and indexes hosts by phase.
+  int HostPlanPeriod() const;
 
  private:
   PolicyConfig config_;

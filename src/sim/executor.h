@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -50,7 +49,7 @@ class SimExecutor {
   // Timestamp of the earliest queued event, or -1 when the queue is empty.
   // Lets a coordinator that advances many executors in lockstep (the campaign
   // planner) stride over barriers it can prove would dispatch nothing.
-  SimTime NextEventTime() const { return queue_.empty() ? -1 : queue_.top().time; }
+  SimTime NextEventTime() const { return queue_.empty() ? -1 : queue_.front().time; }
 
  private:
   struct Event {
@@ -67,7 +66,13 @@ class SimExecutor {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Removes the earliest event and returns it by move: the closure is never
+  // copied (a copy of a capturing std::function is a heap allocation).
+  Event PopNext();
+
+  // Binary min-heap on (time, seq) under EventLater; front() is the earliest.
+  // (time, seq) is a total order, so the dispatch order is fully determined.
+  std::vector<Event> queue_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   bool stopped_ = false;

@@ -875,6 +875,66 @@ TEST(FleetPolicyTest, AdaptiveDecisionsAreInvariantUnderHostIdRelabeling) {
   EXPECT_EQ(a_report.policy_vm_downtime, b_report.policy_vm_downtime);
 }
 
+TEST(FleetPolicyTest, PhaseIndexedPlansMatchDirectPerHostPlans) {
+  // Oracle for the controller's cycle table: scattered, large global ids and
+  // budgets tight enough to refuse some hosts, checked against one direct
+  // PlanHost call per host.
+  FleetConfig config = BaseConfig();
+  config.hosts = 120;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.vms_per_host = 7;  // Period 40: every phase of the cycle.
+  // Thin idle and CPU+mem guests pause in budget, thin streaming and fat
+  // idle ones migrate, and a fat busy guest fits neither budget, so its host
+  // is refused.
+  config.policy.max_vm_pause = Millis(200);
+  config.policy.max_migration_duration = Seconds(20);
+  for (int i = 0; i < config.hosts; ++i) {
+    config.policy_host_global_ids.push_back((int64_t{1} << 40) + int64_t{7919} * i * i + 13 * i);
+  }
+
+  const policy::MechanismPolicy oracle(config.policy);
+  const policy::EnvSignals env = oracle.DefaultEnv();
+  std::vector<policy::HostPolicyPlan> plans;
+  int64_t inplace = 0;
+  int64_t migrate = 0;
+  int64_t refused_vms = 0;
+  int refused = 0;
+  SimDuration downtime = 0;
+  for (const int64_t id : config.policy_host_global_ids) {
+    plans.push_back(oracle.PlanHost(id, env, config.per_host_transplant, config.drain_time, 1));
+    const policy::HostPolicyPlan& plan = plans.back();
+    inplace += plan.inplace_vms;
+    migrate += plan.migrate_vms;
+    refused_vms += plan.refused_vms;
+    refused += plan.refused();
+    downtime += plan.vm_downtime;
+  }
+  ASSERT_GT(refused, 0);
+  ASSERT_LT(refused, config.hosts);
+  ASSERT_GT(inplace, 0);
+  ASSERT_GT(migrate, 0);
+
+  SimExecutor executor;
+  FleetController controller(executor, config);
+  const FleetRolloutReport& report = controller.Run();
+  EXPECT_EQ(report.policy_inplace_vms, inplace);
+  EXPECT_EQ(report.policy_migrate_vms, migrate);
+  EXPECT_EQ(report.policy_refused_vms, refused_vms);
+  EXPECT_EQ(report.refused, refused);
+  EXPECT_EQ(report.upgraded, config.hosts - refused);
+  EXPECT_EQ(report.policy_vm_downtime, downtime);
+  // Without jitter or failures each upgraded host's legs last exactly its
+  // plan's drain and transplant times.
+  for (const FleetHost& host : controller.hosts()) {
+    const policy::HostPolicyPlan& plan = plans[static_cast<size_t>(host.id)];
+    EXPECT_EQ(host.upgraded, !plan.refused()) << host.id;
+    if (host.upgraded) {
+      EXPECT_EQ(host.transplant_started - host.drain_started, plan.drain_time) << host.id;
+      EXPECT_EQ(host.finished - host.transplant_started, plan.transplant_time) << host.id;
+    }
+  }
+}
+
 TEST(FleetConfigValidationTest, RejectsOutOfRangePolicyKnobsAndStaysInert) {
   FleetConfig config = BaseConfig();
   config.policy.link_gbps = -2.0;

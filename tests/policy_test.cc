@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/policy/policy.h"
@@ -248,6 +249,82 @@ TEST(MechanismPolicyTest, PlanHostIsAPureFunctionOfTheGlobalId) {
 
   // Every guest of the host is decided, whatever the outcome split.
   EXPECT_EQ(a.inplace_vms + a.migrate_vms + a.refused_vms, config.vms_per_host);
+}
+
+// The fleet layer prices one HostPlanPeriod() of plans and indexes every host
+// by phase; these two tests pin the periodicity that table relies on. A change
+// to the SyntheticVmSignals mix that breaks kSyntheticVmPeriod fails here.
+TEST(SyntheticVmSignalsTest, RepeatsWithTheDeclaredPeriod) {
+  const auto expect_same = [](int64_t i, int64_t j) {
+    const VmSignals a = SyntheticVmSignals(i);
+    const VmSignals b = SyntheticVmSignals(j);
+    EXPECT_EQ(a.memory_bytes, b.memory_bytes) << i << " vs " << j;
+    EXPECT_EQ(a.vcpus, b.vcpus) << i << " vs " << j;
+    EXPECT_EQ(a.activity, b.activity) << i << " vs " << j;
+    EXPECT_EQ(a.dirty_fraction, b.dirty_fraction) << i << " vs " << j;
+    EXPECT_EQ(a.dirty_factor, b.dirty_factor) << i << " vs " << j;
+  };
+  for (int64_t i = 0; i < 4 * kSyntheticVmPeriod; ++i) {
+    expect_same(i, i + kSyntheticVmPeriod);
+  }
+  const int64_t far = (int64_t{1} << 46) - 3;  // 2^40 hosts x 64 VMs, off-phase.
+  for (int64_t i = far; i < far + 2 * kSyntheticVmPeriod; ++i) {
+    expect_same(i, i + kSyntheticVmPeriod);
+  }
+
+  // And no shorter period exists, so the cycle table is as small as it can be.
+  for (int p = 1; p < kSyntheticVmPeriod; ++p) {
+    if (kSyntheticVmPeriod % p != 0) {
+      continue;  // Any period divides the least one.
+    }
+    bool repeats = true;
+    for (int64_t i = 0; i < kSyntheticVmPeriod && repeats; ++i) {
+      const VmSignals a = SyntheticVmSignals(i);
+      const VmSignals b = SyntheticVmSignals(i + p);
+      repeats = a.activity == b.activity && a.vcpus == b.vcpus;
+    }
+    EXPECT_FALSE(repeats) << "SyntheticVmSignals repeats every " << p << " VMs";
+  }
+}
+
+void ExpectSamePlan(const HostPolicyPlan& a, const HostPolicyPlan& b, const std::string& what) {
+  EXPECT_EQ(a.inplace_vms, b.inplace_vms) << what;
+  EXPECT_EQ(a.migrate_vms, b.migrate_vms) << what;
+  EXPECT_EQ(a.refused_vms, b.refused_vms) << what;
+  EXPECT_EQ(a.transplant_time, b.transplant_time) << what;
+  EXPECT_EQ(a.drain_time, b.drain_time) << what;
+  EXPECT_EQ(a.vm_downtime, b.vm_downtime) << what;
+}
+
+TEST(MechanismPolicyTest, PlanHostRepeatsWithHostPlanPeriod) {
+  // {vms_per_host, 40 / gcd(vms_per_host, 40)}.
+  const std::vector<std::pair<int, int>> cases = {{1, 40},  {3, 40},  {7, 40}, {10, 4},
+                                                  {16, 5},  {40, 1},  {41, 40}, {64, 5}};
+  for (const auto& [vms_per_host, expected_period] : cases) {
+    PolicyConfig config;
+    config.mode = PolicyMode::kAdaptive;
+    config.vms_per_host = vms_per_host;
+    config.link_gbps = 0.5;  // Fat busy guests refuse, so refused plans repeat too.
+    MechanismPolicy policy{config};
+    EnvSignals env = policy.DefaultEnv();
+    env.rollback_risk = 0.1;
+    const int period = policy.HostPlanPeriod();
+    ASSERT_EQ(period, expected_period) << "vms_per_host=" << vms_per_host;
+
+    const int64_t far = int64_t{1} << 40;
+    std::vector<int64_t> hosts;
+    for (int64_t h = 0; h < 2 * period; ++h) {
+      hosts.push_back(h);
+      hosts.push_back(far - period + h);
+    }
+    for (const int64_t h : hosts) {
+      const std::string what =
+          "vms_per_host=" + std::to_string(vms_per_host) + " host=" + std::to_string(h);
+      const HostPolicyPlan plan = policy.PlanHost(h, env, Seconds(10), Seconds(2), 1);
+      ExpectSamePlan(plan, policy.PlanHost(h + period, env, Seconds(10), Seconds(2), 1), what);
+      ExpectSamePlan(plan, policy.PlanHost(h % period, env, Seconds(10), Seconds(2), 1), what);
+    }
+  }
 }
 
 TEST(MechanismPolicyTest, RefusedHostCarriesCountsButZeroTimings) {
