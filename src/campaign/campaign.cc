@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -93,7 +94,18 @@ Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
     if (Result<void> storm_valid = ValidateFleetConfig(storm_probe); !storm_valid.ok()) {
       return InvalidArgumentError(where + ": " + storm_valid.error().message());
     }
-    plan.total_hosts += dc.hosts();
+    // Host counts are ints downstream. Checking the running total also keeps
+    // total_vms below INT_MAX^2 and total_racks below INT_MAX.
+    const int64_t dc_hosts = static_cast<int64_t>(dc.racks) * dc.hosts_per_rack;
+    if (dc_hosts > std::numeric_limits<int>::max()) {
+      return InvalidArgumentError(where + ": racks * hosts_per_rack overflows int, got " +
+                                  std::to_string(dc_hosts));
+    }
+    if (plan.total_hosts + dc_hosts > std::numeric_limits<int>::max()) {
+      return InvalidArgumentError("CampaignConfig::datacenters host total overflows int at " +
+                                  where);
+    }
+    plan.total_hosts += static_cast<int>(dc_hosts);
     plan.total_vms += dc.vms();
     plan.total_racks += dc.racks;
   }
@@ -125,16 +137,10 @@ Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
     return InvalidArgumentError("CampaignStealConfig::max_racks_per_epoch must be >= 0");
   }
   if (config.steal.enabled) {
-    // Work-stealing re-homes whole racks between shards. A stolen rack must
-    // mean the same thing everywhere: uniform per-VM weight (exposure
-    // accounting), no adaptive per-host plans (plans are keyed to the owning
-    // shard's topology), and no crash storms (a fully-unstarted rack is only
-    // well-defined when hosts can't crash out from under the steal planner).
-    if (config.policy.adaptive()) {
-      return InvalidArgumentError(
-          "CampaignStealConfig::enabled requires the fixed mechanism policy "
-          "(adaptive per-host plans cannot travel between shards)");
-    }
+    // Work-stealing re-homes whole racks between shards, each host carrying
+    // its plan and RNG stream. Exposure deltas count hosts, so the per-VM
+    // weight must be uniform; storms are thinned per shard, and a rack is
+    // only fully unstarted while no host can crash under the steal planner.
     for (size_t d = 0; d < config.datacenters.size(); ++d) {
       if (config.datacenters[d].crash_storm.enabled()) {
         return InvalidArgumentError("CampaignStealConfig::enabled is incompatible with "
@@ -617,10 +623,8 @@ Result<CampaignReport> CampaignPlanner::Run() {
             continue;
           }
           const StealableDomain& d = domains.front();  // Lowest rack id.
-          const SimDuration rack_work =
-              static_cast<SimDuration>(d.hosts) * (d.drain_time + d.transplant_time);
           const SimDuration thief_cost = policy::TransplantCostModel::RemainingEstimate(
-              rack_work, thief_rt->controller->config().parallel_hosts);
+              d.work, thief_rt->controller->config().parallel_hosts);
           // Strict improvement only: the thief must land strictly below the
           // donor's pre-move load. Allowing equality lets an equal-cost rack
           // ping-pong between two shards inside one barrier; with strictness
@@ -632,16 +636,16 @@ Result<CampaignReport> CampaignPlanner::Run() {
           const DetachedRack rack = donor_rt->controller->DetachDomain(d.domain);
           thief_rt->controller->AdoptHosts(rack);
           rem[static_cast<size_t>(di)] -= policy::TransplantCostModel::RemainingEstimate(
-              rack_work, donor_rt->controller->config().parallel_hosts);
+              d.work, donor_rt->controller->config().parallel_hosts);
           rem[static_cast<size_t>(thief)] += thief_cost;
           ++report.steals;
-          report.stolen_hosts += rack.hosts;
+          report.stolen_hosts += static_cast<int>(rack.hosts.size());
           ++moved;
           if (tracer != nullptr) {
             const SpanId mark = tracer->AddInstant("campaign_steal", now, "steal");
             tracer->SetAttribute(mark, "donor", static_cast<int64_t>(donor_rt->plan->id));
             tracer->SetAttribute(mark, "thief", static_cast<int64_t>(thief_rt->plan->id));
-            tracer->SetAttribute(mark, "hosts", static_cast<int64_t>(rack.hosts));
+            tracer->SetAttribute(mark, "hosts", static_cast<int64_t>(rack.hosts.size()));
           }
           stole = true;
           break;

@@ -70,6 +70,7 @@ struct CampaignDatacenter {
   // 1.0 — byte-identical to the homogeneous campaign.
   policy::DcTimingModel timing;
 
+  // PlanCampaign rejects a topology whose host count overflows int.
   int hosts() const { return racks * hosts_per_rack; }
   int64_t vms() const { return static_cast<int64_t>(hosts()) * vms_per_host; }
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "src/base/json.h"
@@ -279,16 +280,49 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
     return;
   }
 
+  // Plan table: the fixed policy is one plan of the configured timings; the
+  // adaptive one prices every host up front. Plans are pure functions of
+  // (PolicyConfig, global host id, env) — no RNG — so the decision set is
+  // identical however the fleet is partitioned or scheduled. They repeat with
+  // period HostPlanPeriod() in the global id, so one period is priced and
+  // each host records only its phase into it.
+  if (config_.policy.adaptive()) {
+    const policy::MechanismPolicy policy(config_.policy);
+    policy::EnvSignals env;
+    env.link_gbps = config_.policy.link_gbps;
+    env.host_headroom = config_.policy.host_headroom;
+    env.rollback_risk =
+        policy::LedgerRollbackRisk(config_.failure_probability, config_.post_pause_fraction);
+    env.migration_overhead = config_.policy.migration_overhead;
+    for (int phase = 0; phase < policy.HostPlanPeriod(); ++phase) {
+      plans_.push_back(policy.PlanHost(phase, env, config_.per_host_transplant,
+                                       config_.drain_time, /*conversion_workers=*/1));
+    }
+    report_.policy_adaptive = true;
+  } else {
+    policy::HostPolicyPlan fixed;
+    fixed.drain_time = config_.drain_time;
+    fixed.transplant_time = config_.per_host_transplant;
+    plans_.push_back(fixed);
+  }
+  const auto period = static_cast<int64_t>(plans_.size());
+
   fault_domain_count_ = config_.fault_domains;
   hosts_.reserve(static_cast<size_t>(config_.hosts));
   host_rngs_.reserve(static_cast<size_t>(config_.hosts));
   host_spans_.resize(static_cast<size_t>(config_.hosts), 0);
+  plan_index_.reserve(static_cast<size_t>(config_.hosts));
   Rng root(config_.seed);
   for (int i = 0; i < config_.hosts; ++i) {
     FleetHost host;
     host.id = i;
     host.fault_domain = i % config_.fault_domains;
+    const int64_t global_id = config_.policy_host_global_ids.empty()
+                                  ? i
+                                  : config_.policy_host_global_ids[static_cast<size_t>(i)];
+    plan_index_.push_back(static_cast<uint16_t>(global_id % period));
     hosts_.push_back(host);
+    TallyPlan(HostPlan(i), +1);
     // One stream per host, forked in id order: a host's failure/jitter draws
     // never depend on how the waves interleave.
     host_rngs_.push_back(root.Fork());
@@ -296,39 +330,6 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   // The storm stream forks *after* every host stream and `root` draws
   // nothing more, so no host draw depends on whether a storm is configured.
   storm_rng_ = root.Fork();
-  // Adaptive mechanism policy: plan every host up front. Plans are pure
-  // functions of (PolicyConfig, global host id, env) — no RNG — so the
-  // decision set is identical however the fleet is partitioned or scheduled.
-  // They repeat with period HostPlanPeriod() in the global id, so one period
-  // is priced and each host records only its phase into that cycle.
-  if (config_.policy.adaptive()) {
-    policy_.emplace(config_.policy);
-    policy::EnvSignals env;
-    env.link_gbps = config_.policy.link_gbps;
-    env.host_headroom = config_.policy.host_headroom;
-    env.rollback_risk =
-        policy::LedgerRollbackRisk(config_.failure_probability, config_.post_pause_fraction);
-    env.migration_overhead = config_.policy.migration_overhead;
-    const int period = policy_->HostPlanPeriod();
-    plan_cycle_.reserve(static_cast<size_t>(period));
-    for (int phase = 0; phase < period; ++phase) {
-      plan_cycle_.push_back(policy_->PlanHost(phase, env, config_.per_host_transplant,
-                                              config_.drain_time, /*conversion_workers=*/1));
-    }
-    plan_phase_.reserve(static_cast<size_t>(config_.hosts));
-    report_.policy_adaptive = true;
-    for (int i = 0; i < config_.hosts; ++i) {
-      const int64_t global_id = config_.policy_host_global_ids.empty()
-                                    ? i
-                                    : config_.policy_host_global_ids[static_cast<size_t>(i)];
-      plan_phase_.push_back(static_cast<uint8_t>(global_id % period));
-      const policy::HostPolicyPlan& plan = HostPlan(i);
-      report_.policy_inplace_vms += plan.inplace_vms;
-      report_.policy_migrate_vms += plan.migrate_vms;
-      report_.policy_refused_vms += plan.refused_vms;
-      report_.refused += plan.refused();
-    }
-  }
   report_.hosts = config_.hosts;
 }
 
@@ -389,7 +390,7 @@ void FleetController::Start() {
     // A host with a refused guest never enters the rollout: it keeps serving
     // the vulnerable hypervisor (and keeps accruing exposure). Emitted in id
     // order, before any wave work, so the trace is partition-independent.
-    if (policy_.has_value() && HostPlan(i).refused()) {
+    if (HostPlan(i).refused()) {
       Emit(FleetEventType::kHostRefused, i);
       continue;
     }
@@ -518,7 +519,7 @@ void FleetController::StartNextWave() {
   Emit(FleetEventType::kWaveStart, -1);
   // Per-wave policy decision marker: what the adaptive policy resolved for
   // this wave's guests (summed over the wave's hosts).
-  if (policy_.has_value() && config_.tracer != nullptr) {
+  if (report_.policy_adaptive && config_.tracer != nullptr) {
     int64_t wave_inplace = 0;
     int64_t wave_migrate = 0;
     for (int host : wave_hosts) {
@@ -540,8 +541,9 @@ void FleetController::StartDrain(int host) {
   h.state = FleetHostState::kDraining;
   h.drain_started = executor_.now();
   Emit(FleetEventType::kDrainStart, host);
-  executor_.ScheduleAfter(Jittered(HostDrainTime(host), host_rngs_[static_cast<size_t>(host)]),
-                          Guarded(&FleetController::StartTransplant, host));
+  executor_.ScheduleAfter(
+      Jittered(HostPlan(host).drain_time, host_rngs_[static_cast<size_t>(host)]),
+      Guarded(&FleetController::StartTransplant, host));
 }
 
 void FleetController::StartTransplant(int host) {
@@ -551,7 +553,7 @@ void FleetController::StartTransplant(int host) {
   ++h.attempts;
   Emit(FleetEventType::kTransplantStart, host, h.attempts);
   executor_.ScheduleAfter(
-      Jittered(HostTransplantTime(host), host_rngs_[static_cast<size_t>(host)]),
+      Jittered(HostPlan(host).transplant_time, host_rngs_[static_cast<size_t>(host)]),
       Guarded(&FleetController::FinishAttempt, host));
 }
 
@@ -563,9 +565,7 @@ void FleetController::FinishAttempt(int host) {
     h.finished = executor_.now();
     ++report_.upgraded;
     ++report_.transplant_successes;
-    if (policy_.has_value()) {
-      report_.policy_vm_downtime += HostPlan(host).vm_downtime;
-    }
+    report_.policy_vm_downtime += HostPlan(host).vm_downtime;
     Emit(FleetEventType::kTransplantDone, host, h.attempts);
     ChangeExposure(-1);
     HostDone(host);
@@ -898,124 +898,116 @@ void FleetController::MaybeFinishRollout() {
   }
 }
 
-const policy::HostPolicyPlan& FleetController::HostPlan(int host) const {
-  return plan_cycle_[plan_phase_[static_cast<size_t>(host)]];
+void FleetController::TallyPlan(const policy::HostPolicyPlan& plan, int sign) {
+  report_.refused += sign * static_cast<int>(plan.refused());
+  report_.policy_inplace_vms += sign * plan.inplace_vms;
+  report_.policy_migrate_vms += sign * plan.migrate_vms;
+  report_.policy_refused_vms += sign * plan.refused_vms;
 }
 
-SimDuration FleetController::HostDrainTime(int host) const {
-  if (policy_.has_value()) {
-    return HostPlan(host).drain_time;
+uint16_t FleetController::PlanIndex(const policy::HostPolicyPlan& plan) {
+  const auto found = std::find(plans_.begin(), plans_.end(), plan);
+  if (found != plans_.end()) {
+    return static_cast<uint16_t>(found - plans_.begin());
   }
-  if (!host_drain_override_.empty()) {
-    return host_drain_override_[static_cast<size_t>(host)];
-  }
-  return config_.drain_time;
-}
-
-SimDuration FleetController::HostTransplantTime(int host) const {
-  if (policy_.has_value()) {
-    return HostPlan(host).transplant_time;
-  }
-  if (!host_transplant_override_.empty()) {
-    return host_transplant_override_[static_cast<size_t>(host)];
-  }
-  return config_.per_host_transplant;
+  // Distinct plans are bounded by one period per datacenter environment, far
+  // below the index range; never let an index wrap silently.
+  HYPERTP_CHECK(plans_.size() <= std::numeric_limits<uint16_t>::max());
+  plans_.push_back(plan);
+  return static_cast<uint16_t>(plans_.size() - 1);
 }
 
 SimDuration FleetController::PendingWork() const {
   SimDuration total = 0;
   for (const int host : pending_) {
-    total += HostDrainTime(host) + HostTransplantTime(host);
+    const policy::HostPolicyPlan& plan = HostPlan(host);
+    total += plan.drain_time + plan.transplant_time;
   }
   return total;
 }
 
 std::vector<StealableDomain> FleetController::StealableDomains() const {
-  // Precondition (enforced by PlanCampaign): no crash storm and no adaptive
-  // policy, so "kServing with zero attempts" is exactly "still queued".
-  std::vector<int> members(static_cast<size_t>(fault_domain_count_), 0);
-  std::vector<int> unstarted(static_cast<size_t>(fault_domain_count_), 0);
-  std::vector<int> first_host(static_cast<size_t>(fault_domain_count_), -1);
+  // Precondition (enforced by PlanCampaign): no crash storm, so "kServing
+  // with zero attempts" is exactly "still queued" or "refused".
+  struct Rack {
+    bool started = false;
+    int queued = 0;
+    SimDuration work = 0;
+  };
+  std::vector<Rack> racks(static_cast<size_t>(fault_domain_count_));
   for (const FleetHost& h : hosts_) {
     if (h.state == FleetHostState::kDetached) {
       continue;
     }
-    const auto d = static_cast<size_t>(h.fault_domain);
-    ++members[d];
-    if (first_host[d] < 0) {
-      first_host[d] = h.id;
+    Rack& rack = racks[static_cast<size_t>(h.fault_domain)];
+    const policy::HostPolicyPlan& plan = HostPlan(h.id);
+    if (h.state != FleetHostState::kServing || h.upgraded || h.attempts != 0) {
+      rack.started = true;
+    } else if (!plan.refused()) {
+      ++rack.queued;
+      rack.work += plan.drain_time + plan.transplant_time;
     }
-    unstarted[d] +=
-        h.state == FleetHostState::kServing && !h.upgraded && h.attempts == 0;
   }
   std::vector<StealableDomain> out;
   for (int d = 0; d < fault_domain_count_; ++d) {
-    const auto i = static_cast<size_t>(d);
-    if (members[i] > 0 && members[i] == unstarted[i]) {
-      out.push_back(StealableDomain{d, members[i], HostDrainTime(first_host[i]),
-                                    HostTransplantTime(first_host[i])});
+    const Rack& rack = racks[static_cast<size_t>(d)];
+    if (!rack.started && rack.queued > 0) {
+      out.push_back(StealableDomain{d, rack.work});
     }
   }
   return out;
 }
 
 DetachedRack FleetController::DetachDomain(int domain) {
-  HYPERTP_CHECK(config_.hold_open && !policy_.has_value() && started_ && !finished_);
-  std::vector<int> member_ids;
-  for (const FleetHost& h : hosts_) {
-    if (h.fault_domain == domain && h.state != FleetHostState::kDetached) {
-      HYPERTP_CHECK(h.state == FleetHostState::kServing && !h.upgraded && h.attempts == 0);
-      member_ids.push_back(h.id);
-    }
-  }
-  HYPERTP_CHECK(!member_ids.empty());
+  HYPERTP_CHECK(config_.hold_open && started_ && !finished_);
   DetachedRack rack;
-  rack.hosts = static_cast<int>(member_ids.size());
-  rack.drain_time = HostDrainTime(member_ids.front());
-  rack.transplant_time = HostTransplantTime(member_ids.front());
-  rack.rngs.reserve(member_ids.size());
   // Ownership moves; exposure does not, so no exposure delta is recorded and
   // the campaign's stream never sees a phantom safe/re-expose event.
   std::vector<char> leaving(hosts_.size(), 0);
-  for (const int id : member_ids) {
-    FleetHost& h = hosts_[static_cast<size_t>(id)];
+  for (FleetHost& h : hosts_) {
+    if (h.fault_domain != domain || h.state == FleetHostState::kDetached) {
+      continue;
+    }
+    HYPERTP_CHECK(h.state == FleetHostState::kServing && !h.upgraded && h.attempts == 0);
     h.state = FleetHostState::kDetached;
-    leaving[static_cast<size_t>(id)] = 1;
-    rack.rngs.push_back(host_rngs_[static_cast<size_t>(id)]);
-    Emit(FleetEventType::kHostDetached, id);
+    leaving[static_cast<size_t>(h.id)] = 1;
+    rack.hosts.push_back({HostPlan(h.id), host_rngs_[static_cast<size_t>(h.id)]});
+    TallyPlan(rack.hosts.back().plan, -1);
+    Emit(FleetEventType::kHostDetached, h.id);
   }
+  HYPERTP_CHECK(!rack.hosts.empty());
   pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
                                 [&leaving](int id) { return leaving[static_cast<size_t>(id)]; }),
                  pending_.end());
-  report_.hosts -= rack.hosts;
-  report_.detached_hosts += rack.hosts;
+  const int moved = static_cast<int>(rack.hosts.size());
+  report_.hosts -= moved;
+  report_.detached_hosts += moved;
   return rack;
 }
 
 void FleetController::AdoptHosts(const DetachedRack& rack) {
-  HYPERTP_CHECK(config_.hold_open && !policy_.has_value() && started_ && !finished_);
-  HYPERTP_CHECK(rack.hosts > 0 && static_cast<int>(rack.rngs.size()) == rack.hosts);
-  if (host_drain_override_.empty()) {
-    host_drain_override_.assign(hosts_.size(), config_.drain_time);
-    host_transplant_override_.assign(hosts_.size(), config_.per_host_transplant);
-  }
+  HYPERTP_CHECK(config_.hold_open && started_ && !finished_);
+  HYPERTP_CHECK(!rack.hosts.empty());
   const int domain = fault_domain_count_++;
   const int first_id = static_cast<int>(hosts_.size());
-  for (int i = 0; i < rack.hosts; ++i) {
+  for (const DetachedRack::Host& adopted : rack.hosts) {
     FleetHost host;
-    host.id = first_id + i;
+    host.id = static_cast<int>(hosts_.size());
     host.fault_domain = domain;
+    plan_index_.push_back(PlanIndex(adopted.plan));
     hosts_.push_back(host);
-    host_rngs_.push_back(rack.rngs[static_cast<size_t>(i)]);
+    host_rngs_.push_back(adopted.rng);
     host_spans_.push_back(0);
-    host_drain_override_.push_back(rack.drain_time);
-    host_transplant_override_.push_back(rack.transplant_time);
-    pending_.push_back(host.id);
+    TallyPlan(adopted.plan, +1);
+    if (!adopted.plan.refused()) {
+      pending_.push_back(host.id);
+    }
   }
-  report_.hosts += rack.hosts;
-  report_.adopted_hosts += rack.hosts;
-  Emit(FleetEventType::kHostsAdopted, first_id, rack.hosts);
-  if (drained_) {
+  const int moved = static_cast<int>(rack.hosts.size());
+  report_.hosts += moved;
+  report_.adopted_hosts += moved;
+  Emit(FleetEventType::kHostsAdopted, first_id, moved);
+  if (drained_ && !pending_.empty()) {
     drained_ = false;
     drained_at_ = -1;
     executor_.ScheduleAt(executor_.now(), Guarded(&FleetController::StartNextWave));

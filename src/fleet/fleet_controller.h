@@ -72,25 +72,23 @@ struct ExposureDelta {
 };
 
 // One fully-unstarted fault domain (rack) a barrier steal could re-home:
-// every non-detached member host is still queued with zero attempts.
+// every live member is queued with zero attempts or refused, and `work` is
+// the queued members' drain + transplant, each under its own plan.
 struct StealableDomain {
   int domain = 0;
-  int hosts = 0;
-  // Uniform per-host durations of the rack's hosts (DC-scaled by the campaign
-  // at construction, or carried along from a previous adoption).
-  SimDuration drain_time = 0;
-  SimDuration transplant_time = 0;
+  SimDuration work = 0;
 };
 
 // A rack in flight between two controllers: DetachDomain() produces it,
-// AdoptHosts() consumes it. Each host's RNG stream travels with the host, so
-// its jitter/failure draws are a function of the steal plan, not of which
+// AdoptHosts() consumes it. Each host carries its plan and RNG stream, so its
+// timings, tallies and draws are a function of the steal plan, not of which
 // controller happens to schedule it — deterministic for any thread count.
 struct DetachedRack {
-  int hosts = 0;
-  SimDuration drain_time = 0;
-  SimDuration transplant_time = 0;
-  std::vector<Rng> rngs;
+  struct Host {
+    policy::HostPolicyPlan plan;
+    Rng rng;
+  };
+  std::vector<Host> hosts;  // In the donor's id order.
 };
 
 class FleetController {
@@ -134,6 +132,11 @@ class FleetController {
   std::vector<ExposureDelta> TakeExposureDeltas();
   const FleetTrace& trace() const { return trace_; }
   const std::vector<FleetHost>& hosts() const { return hosts_; }
+  // The plan host `host` runs under: its drain and transplant durations, its
+  // per-VM decisions and whether it is refused.
+  const policy::HostPolicyPlan& HostPlan(int host) const {
+    return plans_[plan_index_[static_cast<size_t>(host)]];
+  }
   const FleetConfig& config() const { return config_; }
 
   // --- Campaign work-stealing surface (FleetConfig::hold_open mode). All of
@@ -150,9 +153,9 @@ class FleetController {
   // numerator of the shard's remaining-work estimate.
   SimDuration PendingWork() const;
 
-  // Fault domains whose every live member is still unstarted, in ascending
-  // domain order — the racks a barrier steal may re-home without ever
-  // splitting one across shards.
+  // Fault domains whose every live member is unstarted and that hold queued
+  // work, in ascending domain order — the racks a barrier steal may re-home
+  // without ever splitting one across shards. Requires no crash storm.
   std::vector<StealableDomain> StealableDomains() const;
 
   // Re-homes the whole (fully-unstarted) domain out of this controller: hosts
@@ -160,8 +163,8 @@ class FleetController {
   // exposure delta is recorded: ownership moves, exposure does not change.
   DetachedRack DetachDomain(int domain);
 
-  // Adopts a stolen rack as a fresh fault domain: new hosts appended with the
-  // rack's per-host durations and travelling RNG streams, queued behind the
+  // Adopts a stolen rack as a fresh fault domain: its hosts are appended with
+  // their plans and RNG streams and, unless refused, queued behind the
   // existing pending work. Restarts the wave loop if the rollout was drained.
   void AdoptHosts(const DetachedRack& rack);
 
@@ -191,12 +194,10 @@ class FleetController {
   // Hosts neither upgraded, failed, lost nor refused: the rest of the books.
   void SettleUntouched();
   void Finalize(FleetEventType terminal);
-  // Per-host durations: adopted hosts carry their origin rack's (DC-scaled)
-  // timings; native hosts use the config (or policy plan) values.
-  SimDuration HostDrainTime(int host) const;
-  SimDuration HostTransplantTime(int host) const;
-  // The adaptive policy's plan for native host `host` (policy_ engaged).
-  const policy::HostPolicyPlan& HostPlan(int host) const;
+  // Adds (sign +1) or removes (-1) a host's refusal and VM decision tallies.
+  void TallyPlan(const policy::HostPolicyPlan& plan, int sign);
+  // The plans_ entry equal to `plan`, appended when new.
+  uint16_t PlanIndex(const policy::HostPolicyPlan& plan);
   // ReHype-mode crash recovery (active only when config_.crash_storm is
   // enabled). Crash arrivals draw from storm_rng_, recovery durations and
   // outcome draws from the struck host's own rng.
@@ -222,15 +223,14 @@ class FleetController {
   SimExecutor& executor_;
   FleetConfig config_;
   std::optional<Error> config_error_;
-  // Adaptive mechanism policy (engaged when config_.policy.mode == kAdaptive).
-  // Plans are pure functions of config and the host's global id, so any
-  // partition of the fleet agrees; they repeat with period HostPlanPeriod()
-  // (<= kSyntheticVmPeriod) in that id. plan_cycle_[p] is the plan of global
-  // id p, priced once at construction; plan_phase_[h] is host h's global id
-  // mod the period, so host h's plan is plan_cycle_[plan_phase_[h]].
-  std::optional<policy::MechanismPolicy> policy_;
-  std::vector<policy::HostPolicyPlan> plan_cycle_;
-  std::vector<uint8_t> plan_phase_;
+  // The plan table: host h runs under plans_[plan_index_[h]]. A fixed-policy
+  // controller starts with one entry (the configured timings, zero VM
+  // tallies); an adaptive one with one period of MechanismPolicy::PlanHost
+  // (at most kSyntheticVmPeriod entries, indexed by global id mod the
+  // period). Adopted hosts bring their own plans, deduplicated. The index is
+  // a dense vector, not a FleetHost field: PendingWork() scans it per barrier.
+  std::vector<policy::HostPolicyPlan> plans_;
+  std::vector<uint16_t> plan_index_;
   std::vector<FleetHost> hosts_;
   std::vector<Rng> host_rngs_;  // Forked in id order: interleaving-independent.
   FleetTrace trace_;
@@ -243,14 +243,10 @@ class FleetController {
 
   std::deque<int> pending_;
   // Work-stealing state (hold_open mode): live fault-domain count (grows as
-  // racks are adopted), the drained-but-not-finalized flag/instant, and the
-  // per-host duration overrides (empty until the first adoption; then entry i
-  // is host i's duration — adopted hosts differ from the config values).
+  // racks are adopted) and the drained-but-not-finalized flag/instant.
   int fault_domain_count_ = 1;
   bool drained_ = false;
   SimTime drained_at_ = -1;
-  std::vector<SimDuration> host_drain_override_;
-  std::vector<SimDuration> host_transplant_override_;
   // Crash-storm state: a dedicated RNG stream (forked after every host stream
   // on every run, so no host draw depends on the storm), the queue of crashed
   // hosts awaiting an unplanned recovery, how many recoveries hold worker

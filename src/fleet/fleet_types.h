@@ -254,7 +254,7 @@ struct FleetConfig {
   int max_per_domain_in_flight = 0;
 
   // Campaign work-stealing mode. Two coupled behavior changes, both off by
-  // default so every existing seeded replay is byte-identical:
+  // default (a standalone rollout finalizes itself):
   //   1. The pending queue fills domain-major (rack 0's hosts first) instead
   //      of id-order, so waves pack into the lowest racks and whole high
   //      racks stay fully unstarted — the unit a barrier steal can re-home.

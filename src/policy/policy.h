@@ -223,6 +223,8 @@ struct HostPolicyPlan {
   // A host with any refused guest is never upgraded: it keeps serving the
   // vulnerable hypervisor (and keeps accruing exposure).
   bool refused() const { return refused_vms > 0; }
+
+  bool operator==(const HostPolicyPlan&) const = default;
 };
 
 class MechanismPolicy {

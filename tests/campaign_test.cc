@@ -109,6 +109,41 @@ TEST(CampaignPlanTest, RejectsDegenerateConfigs) {
   EXPECT_NE(bad_prob.error().message().find("failure_probability"), std::string::npos);
 }
 
+TEST(CampaignPlanTest, RejectsHostCountsThatOverflowInt) {
+  // 50000 x 50000 = 2.5e9 hosts in one datacenter: more than an int holds.
+  CampaignConfig config = BaseConfig();
+  config.datacenters[0].racks = 50000;
+  config.datacenters[0].hosts_per_rack = 50000;
+  Result<CampaignPlan> one_dc = PlanCampaign(config);
+  ASSERT_FALSE(one_dc.ok()) << "total_hosts " << one_dc->total_hosts;
+  EXPECT_EQ(one_dc.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(one_dc.error().message().find("east"), std::string::npos);
+  EXPECT_NE(one_dc.error().message().find("hosts_per_rack"), std::string::npos);
+
+  // Each DC fits an int; their sum does not.
+  config = BaseConfig();
+  for (CampaignDatacenter& dc : config.datacenters) {
+    dc.racks = 40000;
+    dc.hosts_per_rack = 30000;
+  }
+  Result<CampaignPlan> total = PlanCampaign(config);
+  ASSERT_FALSE(total.ok()) << "total_hosts " << total->total_hosts;
+  EXPECT_EQ(total.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(total.error().message().find("CampaignConfig::datacenters"), std::string::npos);
+  EXPECT_NE(total.error().message().find("west"), std::string::npos);
+
+  // Exactly INT_MAX hosts still plans.
+  config = BaseConfig();
+  config.datacenters.resize(1);
+  config.datacenters[0].racks = 1;
+  config.datacenters[0].hosts_per_rack = std::numeric_limits<int>::max();
+  config.shards = 1;
+  Result<CampaignPlan> at_limit = PlanCampaign(config);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error().ToString();
+  EXPECT_EQ(at_limit->total_hosts, std::numeric_limits<int>::max());
+  EXPECT_EQ(at_limit->total_vms, int64_t{std::numeric_limits<int>::max()} * 10);
+}
+
 TEST(CampaignTest, FaultFreeCampaignUpgradesEveryHost) {
   CampaignPlanner planner(BaseConfig());
   Result<CampaignReport> run = planner.Run();
@@ -1010,13 +1045,12 @@ TEST(CampaignStealTest, PlanRejectsStealWithIncompatibleModes) {
   ASSERT_FALSE(storm.ok());
   EXPECT_NE(storm.error().message().find("crash storms"), std::string::npos);
 
-  // Stealing + adaptive policy: per-host plans cannot travel.
+  // Stealing + adaptive policy composes: each host carries its plan.
   config = BaseConfig();
   config.steal.enabled = true;
   config.policy.mode = policy::PolicyMode::kAdaptive;
   Result<CampaignPlan> adaptive = PlanCampaign(config);
-  ASSERT_FALSE(adaptive.ok());
-  EXPECT_NE(adaptive.error().message().find("adaptive"), std::string::npos);
+  EXPECT_TRUE(adaptive.ok()) << adaptive.error().ToString();
 
   // Stealing across unequal per-host VM weights breaks exposure accounting.
   config = BaseConfig();
@@ -1033,6 +1067,76 @@ TEST(CampaignStealTest, PlanRejectsStealWithIncompatibleModes) {
   config = BaseConfig();
   config.steal.max_racks_per_epoch = -1;
   EXPECT_FALSE(PlanCampaign(config).ok());
+}
+
+// SkewedConfig under the adaptive policy, with budgets that refuse some
+// hosts in both datacenters, so stolen racks carry refused hosts along.
+CampaignConfig AdaptiveSkewedConfig() {
+  CampaignConfig config = SkewedConfig();
+  for (CampaignDatacenter& dc : config.datacenters) {
+    dc.vms_per_host = 5;
+  }
+  config.datacenters[1].host_headroom = 0.0;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.max_vm_pause = Millis(100);
+  config.policy.max_migration_duration = Seconds(20);
+  return config;
+}
+
+TEST(CampaignStealTest, AdaptiveStealingComposes) {
+  CampaignConfig unstolen = AdaptiveSkewedConfig();
+  Result<CampaignReport> off = CampaignPlanner(unstolen).Run();
+  ASSERT_TRUE(off.ok()) << off.error().ToString();
+
+  std::string report_json[2];
+  std::string trace_json[2];
+  std::string metrics_json[2];
+  const int threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    Tracer tracer;
+    MetricsRegistry metrics;
+    CampaignConfig config = AdaptiveSkewedConfig();
+    config.steal.enabled = true;
+    config.real_threads = threads[i];
+    config.tracer = &tracer;
+    config.metrics = &metrics;
+    Result<CampaignReport> run = CampaignPlanner(config).Run();
+    ASSERT_TRUE(run.ok()) << run.error().ToString();
+    report_json[i] = CampaignReportToJson(*run);
+    trace_json[i] = tracer.ToChromeTraceJson();
+    metrics_json[i] = metrics.ToJson();
+
+    EXPECT_GT(run->steals, 0);
+    // Refused hosts travel with their racks: some shard ends with a refused
+    // count the steal-off run did not give it.
+    bool refused_moved = false;
+    for (size_t s = 0; s < run->shard_summaries.size(); ++s) {
+      const CampaignShardSummary& shard = run->shard_summaries[s];
+      EXPECT_EQ(shard.upgraded + shard.failed + shard.untouched + shard.lost + shard.refused,
+                shard.hosts)
+          << "shard " << shard.id;
+      EXPECT_GE(shard.untouched, 0) << "shard " << shard.id;
+      refused_moved |= shard.refused != off->shard_summaries[s].refused;
+    }
+    EXPECT_TRUE(refused_moved);
+    EXPECT_EQ(run->upgraded + run->failed + run->untouched + run->lost + run->refused, run->hosts);
+    // Plans and their tallies are the hosts', not the shards': the campaign
+    // decides exactly what the steal-off run decides.
+    EXPECT_GT(run->refused, 0);
+    EXPECT_EQ(run->refused, off->refused);
+    EXPECT_EQ(run->policy_inplace_vms, off->policy_inplace_vms);
+    EXPECT_EQ(run->policy_migrate_vms, off->policy_migrate_vms);
+    EXPECT_EQ(run->policy_refused_vms, off->policy_refused_vms);
+    EXPECT_EQ(run->policy_vm_downtime, off->policy_vm_downtime);
+    // Fault-free, so every transplant start succeeds once: the hosts that
+    // started are exactly the ones the policy did not refuse.
+    EXPECT_EQ(run->transplant_successes, run->hosts - run->refused);
+    EXPECT_EQ(run->upgraded, off->upgraded);
+    EXPECT_EQ(run->untouched, 0);
+  }
+  EXPECT_EQ(report_json[0], report_json[1]);
+  EXPECT_EQ(trace_json[0], trace_json[1]);
+  EXPECT_EQ(metrics_json[0], metrics_json[1]);
 }
 
 TEST(CampaignStrideTest, StrideSkipsIdleEpochsWithoutChangingOutput) {

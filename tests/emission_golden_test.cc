@@ -248,6 +248,21 @@ CampaignConfig AdaptiveWithConcurrencyCap() {
   return config;
 }
 
+// Adaptive policy with rack stealing: budgets refuse hosts in both DCs, so
+// stolen racks carry refused hosts and their plans along.
+CampaignConfig AdaptiveStealWithRefusals() {
+  CampaignConfig config = StealAcrossHostClasses();
+  for (CampaignDatacenter& dc : config.datacenters) {
+    dc.vms_per_host = 5;
+  }
+  config.datacenters[1].host_headroom = 0.0;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.max_vm_pause = Millis(100);
+  config.policy.max_migration_duration = Seconds(20);
+  config.seed = 25;
+  return config;
+}
+
 // Same for a campaign at 1 and 4 real threads; returns the last report.
 CampaignReport ExpectCampaignPins(const CampaignConfig& base, Pin report_pin, Pin metrics_pin,
                                   Pin tracer_pin) {
@@ -303,6 +318,15 @@ TEST(EmissionGoldenTest, CampaignAdaptiveWithConcurrencyCap) {
                          {3162, 0xc52f009}, {475, 0xb3872435}, {5581, 0x2f03a0ae});
   EXPECT_TRUE(report.policy_adaptive);
   EXPECT_GT(report.policy_migrate_vms, 0);
+}
+
+TEST(EmissionGoldenTest, CampaignAdaptiveStealWithRefusals) {
+  const CampaignReport report =
+      ExpectCampaignPins(AdaptiveStealWithRefusals(),
+                         {2544, 0x13da665d}, {478, 0x389b4c34}, {4395, 0x9ee15c6a});
+  EXPECT_TRUE(report.policy_adaptive);
+  EXPECT_GT(report.steals, 0);
+  EXPECT_GT(report.refused, 0);
 }
 
 }  // namespace

@@ -439,6 +439,119 @@ TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {
   EXPECT_EQ(thief.report().upgraded, 6);
 }
 
+TEST(FleetControllerTest, StolenRackCarriesItsPlansAndTallies) {
+  // An adaptive donor whose budgets refuse some hosts, so its rack 1 mixes
+  // refused and queued hosts. The thief prices its own hosts under other env
+  // signals and timings: only travelling plans reproduce the donor's.
+  FleetConfig donor_config = BaseConfig();
+  donor_config.hosts = 8;
+  donor_config.fault_domains = 2;
+  donor_config.parallel_hosts = 2;
+  donor_config.hold_open = true;
+  donor_config.policy.mode = policy::PolicyMode::kAdaptive;
+  donor_config.policy.vms_per_host = 7;
+  donor_config.policy.max_vm_pause = Millis(200);
+  donor_config.policy.max_migration_duration = Seconds(20);
+  FleetConfig thief_config = donor_config;
+  thief_config.hosts = 2;
+  thief_config.fault_domains = 1;
+  thief_config.drain_time = Seconds(1);
+  thief_config.per_host_transplant = Seconds(20);
+  thief_config.policy.link_gbps = 40.0;
+  thief_config.policy.host_headroom = 0.2;
+  SimExecutor donor_executor;
+  SimExecutor thief_executor;
+  FleetController donor(donor_executor, donor_config);
+  FleetController thief(thief_executor, thief_config);
+  donor.Start();
+  thief.Start();
+
+  std::vector<int> members;
+  int rack_refused = 0;
+  SimDuration queued_work = 0;
+  for (const FleetHost& host : donor.hosts()) {
+    if (host.fault_domain != 1) {
+      continue;
+    }
+    members.push_back(host.id);
+    const policy::HostPolicyPlan& plan = donor.HostPlan(host.id);
+    rack_refused += plan.refused();
+    if (!plan.refused()) {
+      queued_work += plan.drain_time + plan.transplant_time;
+    }
+  }
+  ASSERT_GT(rack_refused, 0);
+  ASSERT_LT(rack_refused, static_cast<int>(members.size()));
+  // Nothing ran yet, so both racks are stealable; rack 1's work is its
+  // queued hosts' drain + transplant, refused hosts adding nothing.
+  const std::vector<StealableDomain> domains = donor.StealableDomains();
+  ASSERT_EQ(domains.size(), 2u);
+  EXPECT_EQ(domains[1].domain, 1);
+  EXPECT_EQ(domains[1].work, queued_work);
+
+  // Re-priced under the thief's signals, the rack would run differently.
+  const policy::MechanismPolicy thief_policy(thief_config.policy);
+  bool reprices = false;
+  for (const int id : members) {
+    reprices |= thief_policy.PlanHost(id, thief_policy.DefaultEnv(),
+                                      thief_config.per_host_transplant,
+                                      thief_config.drain_time, 1) != donor.HostPlan(id);
+  }
+  ASSERT_TRUE(reprices);
+
+  const auto books = [](const FleetController& a, const FleetController& b) {
+    const FleetRolloutReport& x = a.report();
+    const FleetRolloutReport& y = b.report();
+    return std::vector<int>{x.hosts + y.hosts, x.refused + y.refused,
+                            x.policy_inplace_vms + y.policy_inplace_vms,
+                            x.policy_migrate_vms + y.policy_migrate_vms,
+                            x.policy_refused_vms + y.policy_refused_vms};
+  };
+  const std::vector<int> before = books(donor, thief);
+  const int thief_refused = thief.report().refused;
+  const SimDuration thief_work = thief.PendingWork();
+  const int first = static_cast<int>(thief.hosts().size());
+  const DetachedRack rack = donor.DetachDomain(1);
+  ASSERT_EQ(rack.hosts.size(), members.size());
+  thief.AdoptHosts(rack);
+  EXPECT_EQ(books(donor, thief), before);
+  EXPECT_EQ(thief.report().refused, thief_refused + rack_refused);
+  EXPECT_EQ(thief.PendingWork(), thief_work + queued_work);
+  for (size_t k = 0; k < members.size(); ++k) {
+    EXPECT_EQ(thief.HostPlan(first + static_cast<int>(k)), donor.HostPlan(members[k])) << k;
+  }
+
+  donor_executor.Run();
+  thief_executor.Run();
+  // Without jitter or failures each adopted host's legs last exactly the
+  // donor's plan; refused hosts never queue, so they never drain or start.
+  for (size_t k = 0; k < members.size(); ++k) {
+    const FleetHost& host = thief.hosts()[static_cast<size_t>(first) + k];
+    const policy::HostPolicyPlan& plan = donor.HostPlan(members[k]);
+    EXPECT_EQ(host.upgraded, !plan.refused()) << k;
+    if (plan.refused()) {
+      EXPECT_EQ(host.attempts, 0) << k;
+      EXPECT_EQ(host.drain_started, -1) << k;
+    } else {
+      EXPECT_EQ(host.transplant_started - host.drain_started, plan.drain_time) << k;
+      EXPECT_EQ(host.finished - host.transplant_started, plan.transplant_time) << k;
+    }
+  }
+  for (const FleetEvent& event : thief.trace().Events()) {
+    if (event.type == FleetEventType::kDrainStart ||
+        event.type == FleetEventType::kTransplantStart) {
+      EXPECT_FALSE(thief.HostPlan(event.host).refused()) << event.host;
+    }
+  }
+  donor.FinalizeDrained();
+  thief.FinalizeDrained();
+  for (const FleetController* controller : {&donor, &thief}) {
+    const FleetRolloutReport& report = controller->report();
+    EXPECT_EQ(report.untouched, 0);
+    EXPECT_EQ(report.upgraded + report.refused, report.hosts);
+  }
+}
+
 TEST(FleetControllerTest, LatencyJitterSpreadsWaveLatencies) {
   SimExecutor executor;
   FleetConfig config = BaseConfig();
