@@ -36,6 +36,9 @@ FleetConfig ShardFleetConfig(const CampaignConfig& config) {
   fleet.rollback_failure_probability = config.rollback_failure_probability;
   fleet.rollback_time = config.rollback_time;
   fleet.policy = config.policy;
+  // CampaignPlanner exposes no controller, so no API can read a shard's
+  // FleetTrace: keep one slot instead of the default 1.5 MB ring.
+  fleet.trace_capacity = 1;
   return fleet;
 }
 

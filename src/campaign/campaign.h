@@ -267,7 +267,7 @@ class CampaignPlanner {
   // SLO abort. Single-shot: a second call returns kFailedPrecondition.
   Result<CampaignReport> Run();
 
-  // The sharding plan; set after Plan()/Run() succeeds.
+  // The sharding plan; set after Run() succeeds.
   const std::optional<CampaignPlan>& plan() const { return plan_; }
   const CampaignConfig& config() const { return config_; }
 

@@ -272,7 +272,7 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
     : executor_(executor),
       config_(std::move(config)),
       trace_(std::max<size_t>(config_.trace_capacity, 1)),
-      alive_(std::make_shared<bool>(true)) {
+      owner_(executor.NewOwner()) {
   if (Result<void> valid = ValidateFleetConfig(config_); !valid.ok()) {
     config_error_ = valid.error();
     finished_ = true;  // Inert: Start()/Run() have nothing to execute.
@@ -333,26 +333,34 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   report_.hosts = config_.hosts;
 }
 
-FleetController::~FleetController() { *alive_ = false; }
+FleetController::~FleetController() { executor_.Disown(owner_); }
 
-std::function<void()> FleetController::Guarded(void (FleetController::*method)(int), int host) {
-  return [alive = std::weak_ptr<bool>(alive_), this, method, host] {
-    const auto guard = alive.lock();
-    if (!guard || !*guard || finished_) {
-      return;  // Stale event from an aborted rollout.
-    }
-    (this->*method)(host);
-  };
+void FleetController::Schedule(SimDuration delay, EventCall::Op op, int host) {
+  executor_.ScheduleAfter(delay, EventCall{this, host, op}, owner_);
 }
 
-std::function<void()> FleetController::Guarded(void (FleetController::*method)()) {
-  return [alive = std::weak_ptr<bool>(alive_), this, method] {
-    const auto guard = alive.lock();
-    if (!guard || !*guard || finished_) {
-      return;
-    }
-    (this->*method)();
-  };
+void FleetController::Dispatch(EventCall::Op op, int host) {
+  if (finished_) {
+    return;  // Stale event from an aborted rollout.
+  }
+  switch (op) {
+    case EventCall::Op::kStartNextWave:
+      return StartNextWave();
+    case EventCall::Op::kStartTransplant:
+      return StartTransplant(host);
+    case EventCall::Op::kFinishAttempt:
+      return FinishAttempt(host);
+    case EventCall::Op::kFinishRollback:
+      return FinishRollback(host);
+    case EventCall::Op::kScheduleNextCrash:
+      return ScheduleNextCrash();
+    case EventCall::Op::kCrashEvent:
+      return CrashEvent();
+    case EventCall::Op::kStartRecovery:
+      return StartRecovery(host);
+    case EventCall::Op::kFinishRecovery:
+      return FinishRecovery(host);
+  }
 }
 
 const FleetRolloutReport& FleetController::Run() {
@@ -392,26 +400,25 @@ void FleetController::Start() {
     // order, before any wave work, so the trace is partition-independent.
     if (HostPlan(i).refused()) {
       Emit(FleetEventType::kHostRefused, i);
-      continue;
     }
-    pending_.push_back(i);
   }
-  if (config_.hold_open) {
-    // Work-stealing mode: fill domain-major so waves pack into the lowest
-    // racks and whole high racks stay fully unstarted — the unit a barrier
-    // steal can re-home. Id-order fill would touch every rack in wave one.
-    std::sort(pending_.begin(), pending_.end(), [this](int a, int b) {
-      const int da = hosts_[static_cast<size_t>(a)].fault_domain;
-      const int db = hosts_[static_cast<size_t>(b)].fault_domain;
-      return da != db ? da < db : a < b;
-    });
+  // Id order, or in work-stealing mode domain-major (host i is in domain
+  // i % fault_domains), so waves pack into the lowest racks and whole high
+  // racks stay fully unstarted — the unit a barrier steal can re-home.
+  const int stride = config_.hold_open ? config_.fault_domains : 1;
+  for (int domain = 0; domain < stride; ++domain) {
+    for (int i = domain; i < config_.hosts; i += stride) {
+      if (!HostPlan(i).refused()) {
+        pending_.push_back(i);
+      }
+    }
   }
   if (config_.crash_storm.enabled()) {
     const CrashStormConfig& storm = config_.crash_storm;
     storm_end_ = storm.duration > 0 ? base_ + storm.start + storm.duration : -1;
-    executor_.ScheduleAt(base_ + storm.start, Guarded(&FleetController::ScheduleNextCrash));
+    Schedule(storm.start, EventCall::Op::kScheduleNextCrash);
   }
-  executor_.ScheduleAt(base_, Guarded(&FleetController::StartNextWave));
+  Schedule(0, EventCall::Op::kStartNextWave);
 }
 
 void FleetController::Emit(FleetEventType type, int host, int attempt) {
@@ -485,7 +492,7 @@ void FleetController::StartNextWave() {
   if (config_.wave_pacer) {
     const SimDuration hold = config_.wave_pacer(wave_ + 1, executor_.now());
     if (hold > 0) {
-      executor_.ScheduleAfter(hold, Guarded(&FleetController::StartNextWave));
+      Schedule(hold, EventCall::Op::kStartNextWave);
       return;
     }
   }
@@ -499,6 +506,7 @@ void FleetController::StartNextWave() {
   // Compose the wave: first-come order under the width and per-fault-domain
   // caps. Deferred hosts keep their queue position for the next wave.
   std::vector<int> wave_hosts;
+  wave_hosts.reserve(static_cast<size_t>(width));
   std::vector<int> domain_in_flight(static_cast<size_t>(fault_domain_count_), 0);
   for (auto it = pending_.begin();
        it != pending_.end() && static_cast<int>(wave_hosts.size()) < width;) {
@@ -541,9 +549,8 @@ void FleetController::StartDrain(int host) {
   h.state = FleetHostState::kDraining;
   h.drain_started = executor_.now();
   Emit(FleetEventType::kDrainStart, host);
-  executor_.ScheduleAfter(
-      Jittered(HostPlan(host).drain_time, host_rngs_[static_cast<size_t>(host)]),
-      Guarded(&FleetController::StartTransplant, host));
+  Schedule(Jittered(HostPlan(host).drain_time, host_rngs_[static_cast<size_t>(host)]),
+           EventCall::Op::kStartTransplant, host);
 }
 
 void FleetController::StartTransplant(int host) {
@@ -552,9 +559,8 @@ void FleetController::StartTransplant(int host) {
   h.transplant_started = executor_.now();
   ++h.attempts;
   Emit(FleetEventType::kTransplantStart, host, h.attempts);
-  executor_.ScheduleAfter(
-      Jittered(HostPlan(host).transplant_time, host_rngs_[static_cast<size_t>(host)]),
-      Guarded(&FleetController::FinishAttempt, host));
+  Schedule(Jittered(HostPlan(host).transplant_time, host_rngs_[static_cast<size_t>(host)]),
+           EventCall::Op::kFinishAttempt, host);
 }
 
 void FleetController::FinishAttempt(int host) {
@@ -568,7 +574,7 @@ void FleetController::FinishAttempt(int host) {
     report_.policy_vm_downtime += HostPlan(host).vm_downtime;
     Emit(FleetEventType::kTransplantDone, host, h.attempts);
     ChangeExposure(-1);
-    HostDone(host);
+    HostDone();
     return;
   }
   Emit(FleetEventType::kTransplantFailed, host, h.attempts);
@@ -579,9 +585,8 @@ void FleetController::FinishAttempt(int host) {
     ++report_.post_pause_faults;
     h.state = FleetHostState::kRollingBack;
     Emit(FleetEventType::kRollbackStart, host, h.attempts);
-    executor_.ScheduleAfter(
-        Jittered(config_.rollback_time, host_rngs_[static_cast<size_t>(host)]),
-        Guarded(&FleetController::FinishRollback, host));
+    Schedule(Jittered(config_.rollback_time, host_rngs_[static_cast<size_t>(host)]),
+             EventCall::Op::kFinishRollback, host);
     return;
   }
   ScheduleRetryOrFail(host);
@@ -598,7 +603,7 @@ void FleetController::FinishRollback(int host) {
     h.finished = executor_.now();
     ++report_.failed;
     Emit(FleetEventType::kHostFailed, host, h.attempts);
-    HostDone(host);
+    HostDone();
     return;
   }
   // Recoverable: the host serves un-upgraded on the source hypervisor again
@@ -617,18 +622,17 @@ void FleetController::ScheduleRetryOrFail(int host) {
     // Exponential backoff per consecutive failure, saturating at the ceiling
     // instead of overflowing SimDuration at 30+ retries (fleet_types.h).
     const SimDuration backoff = SaturatingBackoff(config_.retry_backoff, h.attempts - 1);
-    executor_.ScheduleAfter(backoff, Guarded(&FleetController::StartTransplant, host));
+    Schedule(backoff, EventCall::Op::kStartTransplant, host);
     return;
   }
   h.state = FleetHostState::kFailed;
   h.finished = executor_.now();
   ++report_.failed;
   Emit(FleetEventType::kHostFailed, host, h.attempts);
-  HostDone(host);  // Failed hosts stay exposed; no exposure change.
+  HostDone();  // Failed hosts stay exposed; no exposure change.
 }
 
-void FleetController::HostDone(int host) {
-  (void)host;
+void FleetController::HostDone() {
   if (config_.abort_threshold < 1.0 && config_.hosts > 0 &&
       static_cast<double>(report_.failed) / config_.hosts > config_.abort_threshold) {
     Finalize(FleetEventType::kRolloutAborted);
@@ -685,8 +689,7 @@ void FleetController::ScheduleNextCrash() {
   // log argument is never zero.
   const double rate_per_ns = config_.crash_storm.rate_per_hour / (3600.0 * 1e9);
   const double gap_ns = -std::log(1.0 - storm_rng_.NextDouble()) / rate_per_ns;
-  executor_.ScheduleAfter(std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)),
-                          Guarded(&FleetController::CrashEvent));
+  Schedule(std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)), EventCall::Op::kCrashEvent);
 }
 
 void FleetController::CrashEvent() {
@@ -790,9 +793,8 @@ void FleetController::StartRecovery(int host) {
   h.state = FleetHostState::kRecovering;
   ++h.recovery_attempts;
   Emit(FleetEventType::kRecoveryStart, host, h.recovery_attempts);
-  executor_.ScheduleAfter(
-      Jittered(config_.crash_storm.recovery_time, host_rngs_[static_cast<size_t>(host)]),
-      Guarded(&FleetController::FinishRecovery, host));
+  Schedule(Jittered(config_.crash_storm.recovery_time, host_rngs_[static_cast<size_t>(host)]),
+           EventCall::Op::kFinishRecovery, host);
 }
 
 void FleetController::FinishRecovery(int host) {
@@ -806,8 +808,8 @@ void FleetController::FinishRecovery(int host) {
       // The recovery retry policy is distinct from the upgrade one: its own
       // base, its own budget, saturating backoff. The slot stays held —
       // a host mid-recovery is not schedulable capacity.
-      executor_.ScheduleAfter(SaturatingBackoff(storm.recovery_backoff, h.recovery_attempts - 1),
-                              Guarded(&FleetController::StartRecovery, host));
+      Schedule(SaturatingBackoff(storm.recovery_backoff, h.recovery_attempts - 1),
+               EventCall::Op::kStartRecovery, host);
       return;
     }
     --recovering_;
@@ -1010,7 +1012,7 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
   if (drained_ && !pending_.empty()) {
     drained_ = false;
     drained_at_ = -1;
-    executor_.ScheduleAt(executor_.now(), Guarded(&FleetController::StartNextWave));
+    Schedule(0, EventCall::Op::kStartNextWave);
   }
 }
 

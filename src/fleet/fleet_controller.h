@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -139,6 +138,20 @@ class FleetController {
   }
   const FleetConfig& config() const { return config_; }
 
+  // The closure of every event the controller schedules: which event method
+  // to run, for which host (-1: none). Trivially copyable and two words, so
+  // std::function stores it inline and no fleet event allocates.
+  struct EventCall {
+    enum class Op : uint8_t {
+      kStartNextWave, kStartTransplant, kFinishAttempt, kFinishRollback,
+      kScheduleNextCrash, kCrashEvent, kStartRecovery, kFinishRecovery
+    };
+    FleetController* controller = nullptr;
+    int host = -1;
+    Op op = Op::kStartNextWave;
+    void operator()() const { controller->Dispatch(op, host); }
+  };
+
   // --- Campaign work-stealing surface (FleetConfig::hold_open mode). All of
   // these are coordinator-only calls, made strictly at epoch barriers while
   // no shard is advancing, so they need no synchronization.
@@ -187,7 +200,7 @@ class FleetController {
   // Shared tail of every recoverable failure: retry with backoff while the
   // budget lasts, else park the host in kFailed.
   void ScheduleRetryOrFail(int host);
-  void HostDone(int host);
+  void HostDone();
   // Records that `hosts` more hosts are exposed as of now (negative: fewer),
   // coalesced per instant, for TakeExposureDeltas().
   void ChangeExposure(int hosts);
@@ -215,10 +228,10 @@ class FleetController {
   // Finalizes kRolloutComplete once no upgrade *and* no recovery work remains.
   void MaybeFinishRollout();
   SimDuration Jittered(SimDuration base, Rng& rng);
-  // Wraps a member-call closure with a liveness guard so events left queued
-  // after an abort (or controller destruction) dispatch as no-ops.
-  std::function<void()> Guarded(void (FleetController::*method)(int), int host);
-  std::function<void()> Guarded(void (FleetController::*method)());
+  // Schedules event `op` for `host` `delay` from now, tagged with owner_.
+  void Schedule(SimDuration delay, EventCall::Op op, int host = -1);
+  // Runs one scheduled event; a no-op once the rollout has finished.
+  void Dispatch(EventCall::Op op, int host);
 
   SimExecutor& executor_;
   FleetConfig config_;
@@ -235,7 +248,7 @@ class FleetController {
   std::vector<Rng> host_rngs_;  // Forked in id order: interleaving-independent.
   FleetTrace trace_;
   FleetRolloutReport report_;
-  std::shared_ptr<bool> alive_;
+  SimExecutor::Owner owner_;  // Tags our events; the destructor disowns them.
   // Span bookkeeping, written only by Emit() (all 0 without a tracer).
   SpanId rollout_span_ = 0;
   SpanId wave_span_ = 0;

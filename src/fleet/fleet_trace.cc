@@ -1,83 +1,28 @@
 #include "src/fleet/fleet_trace.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/base/json.h"
 
 namespace hypertp {
 
-std::string_view FleetHostStateName(FleetHostState state) {
-  switch (state) {
-    case FleetHostState::kServing:
-      return "serving";
-    case FleetHostState::kDraining:
-      return "draining";
-    case FleetHostState::kTransplanting:
-      return "transplanting";
-    case FleetHostState::kFailed:
-      return "failed";
-    case FleetHostState::kRollingBack:
-      return "rolling_back";
-    case FleetHostState::kCrashed:
-      return "crashed";
-    case FleetHostState::kRecovering:
-      return "recovering";
-    case FleetHostState::kDetached:
-      return "detached";
-  }
-  return "unknown";
-}
+// Indexed by FleetEventType: the JSON name of every event type.
+constexpr std::string_view kFleetEventTypeNames[] = {
+    "rollout_start",      "wave_start",         "drain_start",        "transplant_start",
+    "transplant_done",    "transplant_failed",  "retry_scheduled",    "host_failed",
+    "wave_done",          "rollout_complete",   "rollout_aborted",    "rollback_start",
+    "rollback_succeeded", "rollback_failed",    "host_crashed",       "recovery_start",
+    "recovery_retry",     "recovery_done",      "crash_rollback",     "host_lost",
+    "host_refused",       "host_detached",      "hosts_adopted",
+};
+static_assert(std::size(kFleetEventTypeNames) ==
+                  static_cast<size_t>(FleetEventType::kHostsAdopted) + 1,
+              "one name per FleetEventType");
 
 std::string_view FleetEventTypeName(FleetEventType type) {
-  switch (type) {
-    case FleetEventType::kRolloutStart:
-      return "rollout_start";
-    case FleetEventType::kWaveStart:
-      return "wave_start";
-    case FleetEventType::kDrainStart:
-      return "drain_start";
-    case FleetEventType::kTransplantStart:
-      return "transplant_start";
-    case FleetEventType::kTransplantDone:
-      return "transplant_done";
-    case FleetEventType::kTransplantFailed:
-      return "transplant_failed";
-    case FleetEventType::kRetryScheduled:
-      return "retry_scheduled";
-    case FleetEventType::kHostFailed:
-      return "host_failed";
-    case FleetEventType::kWaveDone:
-      return "wave_done";
-    case FleetEventType::kRolloutComplete:
-      return "rollout_complete";
-    case FleetEventType::kRolloutAborted:
-      return "rollout_aborted";
-    case FleetEventType::kRollbackStart:
-      return "rollback_start";
-    case FleetEventType::kRollbackSucceeded:
-      return "rollback_succeeded";
-    case FleetEventType::kRollbackFailed:
-      return "rollback_failed";
-    case FleetEventType::kHostCrashed:
-      return "host_crashed";
-    case FleetEventType::kRecoveryStart:
-      return "recovery_start";
-    case FleetEventType::kRecoveryRetry:
-      return "recovery_retry";
-    case FleetEventType::kRecoveryDone:
-      return "recovery_done";
-    case FleetEventType::kCrashRollback:
-      return "crash_rollback";
-    case FleetEventType::kHostLost:
-      return "host_lost";
-    case FleetEventType::kHostRefused:
-      return "host_refused";
-    case FleetEventType::kHostDetached:
-      return "host_detached";
-    case FleetEventType::kHostsAdopted:
-      return "hosts_adopted";
-  }
-  return "unknown";
+  const auto index = static_cast<size_t>(type);
+  return index < std::size(kFleetEventTypeNames) ? kFleetEventTypeNames[index] : "unknown";
 }
 
 FleetTrace::FleetTrace(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {

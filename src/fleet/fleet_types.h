@@ -51,8 +51,6 @@ enum class FleetHostState : uint8_t {
   kDetached,
 };
 
-std::string_view FleetHostStateName(FleetHostState state);
-
 struct FleetHost {
   int id = 0;
   // Anti-affinity bucket (rack / power feed); assigned round-robin.

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "src/fleet/fleet_controller.h"
 #include "src/obs/trace.h"
@@ -217,6 +219,43 @@ TEST(FleetControllerTest, ExecutorSurvivesAnAbortedRollout) {
   const FleetRolloutReport& report = again.Run();
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.makespan, Seconds(100));
+}
+
+TEST(FleetControllerTest, ControllerAtAReusedAddressIgnoresItsPredecessorsEvents) {
+  // Each operational rollout builds its controller on the stack, so two
+  // controllers can occupy one address, one after the other, on one
+  // executor. The first aborts with events still queued; they must dispatch
+  // as no-ops, never as the second controller's work.
+  SimExecutor executor;
+  FleetConfig doomed = BaseConfig();
+  doomed.failure_probability = 1.0;
+  doomed.max_retries = 0;
+  doomed.abort_threshold = 0.01;
+  std::optional<FleetController> controller;
+  controller.emplace(executor, doomed);
+  const FleetController* const first = &*controller;
+  ASSERT_TRUE(controller->Run().aborted);
+  ASSERT_GT(executor.pending_events(), 0u);
+  const SimTime start = executor.now();
+
+  FleetConfig healthy = BaseConfig();
+  healthy.drain_time = Seconds(2);
+  healthy.failure_probability = 0.1;
+  healthy.max_retries = 3;
+  healthy.latency_jitter = 0.3;
+  controller.emplace(executor, healthy);
+  ASSERT_EQ(&*controller, first);
+  const std::string report = FleetRolloutReportToJson(controller->Run());
+  const std::string trace = FleetTraceToJson(controller->trace());
+
+  SimExecutor fresh_executor;
+  fresh_executor.AdvanceTo(start);
+  FleetController fresh(fresh_executor, healthy);
+  const FleetRolloutReport& fresh_report = fresh.Run();
+  EXPECT_TRUE(fresh_report.complete);
+  EXPECT_GT(fresh_report.retries, 0);
+  EXPECT_EQ(report, FleetRolloutReportToJson(fresh_report));
+  EXPECT_EQ(trace, FleetTraceToJson(fresh.trace()));
 }
 
 TEST(FleetControllerTest, InjectedFailuresRetryAndStillComplete) {

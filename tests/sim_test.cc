@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/executor.h"
@@ -268,6 +270,110 @@ TEST(ExecutorTest, StopBeforeRunUntilIsConsumed) {
   ex.RunUntil(Seconds(5));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(ex.now(), Seconds(5));
+}
+
+TEST(ExecutorTest, ClosureThatGrowsThePoolDispatchesInTimeSeqOrder) {
+  // One closure schedules 10 000 events while it runs, growing the slot pool
+  // many times over; it must stay valid afterwards (it was moved out of its
+  // slot before the call), and its events dispatch in (time, seq) order.
+  SimExecutor ex;
+  constexpr int kEvents = 10000;
+  std::vector<std::pair<SimTime, int>> order;
+  size_t tag_size_after = 0;
+  const std::string tag(64, 'x');  // Too big to sit in std::function's inline buffer.
+  ex.ScheduleAt(Seconds(1), [&, tag] {
+    for (int i = 0; i < kEvents; ++i) {
+      // 97 distinct times, so most times carry ~100 events in FIFO order.
+      const SimTime t = Seconds(2) + Millis((i * 31) % 97);
+      ex.ScheduleAt(t, [&order, &ex, i] { order.emplace_back(ex.now(), i); });
+    }
+    tag_size_after = tag.size();
+  });
+  ex.Run();
+  EXPECT_EQ(tag_size_after, tag.size());
+  ASSERT_EQ(order.size(), static_cast<size_t>(kEvents));
+  // Scheduled in index order, so seq order is index order.
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(ex.now(), Seconds(2) + Millis(96));
+  EXPECT_EQ(ex.pending_events(), 0u);
+}
+
+TEST(ExecutorTest, DisownedEventsStillTickTheClock) {
+  SimExecutor ex;
+  const SimExecutor::Owner gone = ex.NewOwner();
+  const SimExecutor::Owner kept = ex.NewOwner();
+  EXPECT_NE(gone, kept);
+  std::vector<std::string> fired;
+  ex.ScheduleAt(Seconds(1), [&] { fired.push_back("gone@1"); }, gone);
+  ex.ScheduleAt(Seconds(2), [&] { fired.push_back("untagged@2"); });
+  ex.ScheduleAt(Seconds(3), [&] { fired.push_back("kept@3"); }, kept);
+  ex.ScheduleAt(Seconds(4), [&] { fired.push_back("gone@4"); }, gone);
+  ex.Disown(gone);
+  // The campaign's stride reads both: disowning changes neither.
+  EXPECT_EQ(ex.pending_events(), 4u);
+  EXPECT_EQ(ex.NextEventTime(), Seconds(1));
+
+  ex.RunUntil(Seconds(1));
+  EXPECT_EQ(ex.now(), Seconds(1));
+  EXPECT_EQ(ex.pending_events(), 3u);  // The disowned event dispatched as a no-op.
+  ex.Run();
+  EXPECT_EQ(fired, (std::vector<std::string>{"untagged@2", "kept@3"}));
+  EXPECT_EQ(ex.now(), Seconds(4));  // The last disowned event still moved the clock.
+  EXPECT_EQ(ex.pending_events(), 0u);
+
+  // A fresh owner's events run even where the disowned owner's slots were.
+  ex.ScheduleAfter(Seconds(1), [&] { fired.push_back("new@5"); }, ex.NewOwner());
+  ex.Run();
+  EXPECT_EQ(fired.back(), "new@5");
+}
+
+TEST(SimExecutorDeathTest, RunUntilCannotMoveTheClockBack) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex;
+        ex.RunUntil(Seconds(10));
+        ex.RunUntil(Seconds(5));
+      },
+      "check failed");
+}
+
+TEST(SimExecutorDeathTest, ScheduleAtRejectsThePast) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex;
+        ex.RunUntil(Seconds(10));
+        ex.ScheduleAt(Seconds(1), [] {});
+      },
+      "check failed");
+}
+
+TEST(SimExecutorDeathTest, ScheduleAfterRejectsNegativeDelays) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex;
+        ex.ScheduleAfter(-1, [] {});
+      },
+      "check failed");
+}
+
+TEST(SimExecutorDeathTest, AdvanceToCannotMoveTheClockBack) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex;
+        ex.AdvanceTo(Seconds(10));
+        ex.AdvanceTo(Seconds(5));
+      },
+      "check failed");
+}
+
+TEST(SimExecutorDeathTest, AdvanceToCannotSkipPendingEvents) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex;
+        ex.ScheduleAt(Seconds(1), [] {});
+        ex.AdvanceTo(Seconds(2));
+      },
+      "check failed");
 }
 
 TEST(ParallelMakespanTest, SingleWorkerIsSum) {
