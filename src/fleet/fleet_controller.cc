@@ -310,7 +310,10 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   fault_domain_count_ = config_.fault_domains;
   hosts_.reserve(static_cast<size_t>(config_.hosts));
   host_rngs_.reserve(static_cast<size_t>(config_.hosts));
-  host_spans_.resize(static_cast<size_t>(config_.hosts), 0);
+  if (config_.tracer != nullptr) {
+    host_spans_.resize(static_cast<size_t>(config_.hosts), 0);
+  }
+  pending_.Resize(config_.hosts);
   plan_index_.reserve(static_cast<size_t>(config_.hosts));
   Rng root(config_.seed);
   for (int i = 0; i < config_.hosts; ++i) {
@@ -402,6 +405,11 @@ void FleetController::Start() {
       Emit(FleetEventType::kHostRefused, i);
     }
   }
+  if (config_.crash_storm.enabled()) {
+    victims_.Resize(config_.hosts);
+    burst_moves_.reserve(static_cast<size_t>(config_.crash_storm.burst));
+    struck_.reserve(static_cast<size_t>(config_.crash_storm.burst));
+  }
   // Id order, or in work-stealing mode domain-major (host i is in domain
   // i % fault_domains), so waves pack into the lowest racks and whole high
   // racks stay fully unstarted — the unit a barrier steal can re-home.
@@ -409,7 +417,7 @@ void FleetController::Start() {
   for (int domain = 0; domain < stride; ++domain) {
     for (int i = domain; i < config_.hosts; i += stride) {
       if (!HostPlan(i).refused()) {
-        pending_.push_back(i);
+        Enqueue(i);
       }
     }
   }
@@ -482,6 +490,36 @@ void FleetController::Emit(FleetEventType type, int host, int attempt) {
   }
 }
 
+void FleetController::SetState(int host, FleetHostState state) {
+  hosts_[static_cast<size_t>(host)].state = state;
+  Reindex(host);
+}
+
+void FleetController::Enqueue(int host) {
+  pending_.PushBack(host);
+  const policy::HostPolicyPlan& plan = HostPlan(host);
+  pending_work_ += plan.drain_time + plan.transplant_time;
+  Reindex(host);
+}
+
+void FleetController::Unqueue(int host) {
+  if (!pending_.Contains(host)) {
+    return;
+  }
+  pending_.Erase(host);
+  const policy::HostPolicyPlan& plan = HostPlan(host);
+  pending_work_ -= plan.drain_time + plan.transplant_time;
+  Reindex(host);
+}
+
+void FleetController::Reindex(int host) {
+  if (!config_.crash_storm.enabled() || burst_open_) {
+    return;
+  }
+  const FleetHost& h = hosts_[static_cast<size_t>(host)];
+  victims_.Set(host, h.state == FleetHostState::kServing && (h.upgraded || pending_.Contains(host)));
+}
+
 void FleetController::StartNextWave() {
   if (pending_.empty()) {
     MaybeFinishRollout();
@@ -508,17 +546,17 @@ void FleetController::StartNextWave() {
   std::vector<int> wave_hosts;
   wave_hosts.reserve(static_cast<size_t>(width));
   std::vector<int> domain_in_flight(static_cast<size_t>(fault_domain_count_), 0);
-  for (auto it = pending_.begin();
-       it != pending_.end() && static_cast<int>(wave_hosts.size()) < width;) {
-    int& domain_count = domain_in_flight[static_cast<size_t>(hosts_[*it].fault_domain)];
-    if (config_.max_per_domain_in_flight > 0 &&
-        domain_count >= config_.max_per_domain_in_flight) {
-      ++it;
-      continue;
+  for (int host = pending_.front();
+       host != IdFifo::kNone && static_cast<int>(wave_hosts.size()) < width;) {
+    const int next = pending_.next(host);
+    int& domain_count = domain_in_flight[static_cast<size_t>(hosts_[host].fault_domain)];
+    if (config_.max_per_domain_in_flight == 0 ||
+        domain_count < config_.max_per_domain_in_flight) {
+      ++domain_count;
+      wave_hosts.push_back(host);
+      Unqueue(host);
     }
-    ++domain_count;
-    wave_hosts.push_back(*it);
-    it = pending_.erase(it);
+    host = next;
   }
   ++wave_;
   ++report_.waves;
@@ -546,7 +584,7 @@ void FleetController::StartNextWave() {
 
 void FleetController::StartDrain(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
-  h.state = FleetHostState::kDraining;
+  SetState(host, FleetHostState::kDraining);
   h.drain_started = executor_.now();
   Emit(FleetEventType::kDrainStart, host);
   Schedule(Jittered(HostPlan(host).drain_time, host_rngs_[static_cast<size_t>(host)]),
@@ -555,7 +593,7 @@ void FleetController::StartDrain(int host) {
 
 void FleetController::StartTransplant(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
-  h.state = FleetHostState::kTransplanting;
+  SetState(host, FleetHostState::kTransplanting);
   h.transplant_started = executor_.now();
   ++h.attempts;
   Emit(FleetEventType::kTransplantStart, host, h.attempts);
@@ -566,8 +604,8 @@ void FleetController::StartTransplant(int host) {
 void FleetController::FinishAttempt(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   if (!host_rngs_[static_cast<size_t>(host)].NextBool(config_.failure_probability)) {
-    h.state = FleetHostState::kServing;
     h.upgraded = true;
+    SetState(host, FleetHostState::kServing);
     h.finished = executor_.now();
     ++report_.upgraded;
     ++report_.transplant_successes;
@@ -583,7 +621,7 @@ void FleetController::FinishAttempt(int host) {
   // back to its source hypervisor via the PRAM ledger before any retry.
   if (host_rngs_[static_cast<size_t>(host)].NextBool(config_.post_pause_fraction)) {
     ++report_.post_pause_faults;
-    h.state = FleetHostState::kRollingBack;
+    SetState(host, FleetHostState::kRollingBack);
     Emit(FleetEventType::kRollbackStart, host, h.attempts);
     Schedule(Jittered(config_.rollback_time, host_rngs_[static_cast<size_t>(host)]),
              EventCall::Op::kFinishRollback, host);
@@ -599,7 +637,7 @@ void FleetController::FinishRollback(int host) {
     // hypervisor to serve from, so retrying is meaningless.
     ++report_.rollback_failures;
     Emit(FleetEventType::kRollbackFailed, host, h.attempts);
-    h.state = FleetHostState::kFailed;
+    SetState(host, FleetHostState::kFailed);
     h.finished = executor_.now();
     ++report_.failed;
     Emit(FleetEventType::kHostFailed, host, h.attempts);
@@ -610,7 +648,7 @@ void FleetController::FinishRollback(int host) {
   // (still exposed — no exposure change) and the normal retry policy applies.
   ++report_.rollbacks;
   Emit(FleetEventType::kRollbackSucceeded, host, h.attempts);
-  h.state = FleetHostState::kServing;
+  SetState(host, FleetHostState::kServing);
   ScheduleRetryOrFail(host);
 }
 
@@ -625,7 +663,7 @@ void FleetController::ScheduleRetryOrFail(int host) {
     Schedule(backoff, EventCall::Op::kStartTransplant, host);
     return;
   }
-  h.state = FleetHostState::kFailed;
+  SetState(host, FleetHostState::kFailed);
   h.finished = executor_.now();
   ++report_.failed;
   Emit(FleetEventType::kHostFailed, host, h.attempts);
@@ -689,7 +727,16 @@ void FleetController::ScheduleNextCrash() {
   // log argument is never zero.
   const double rate_per_ns = config_.crash_storm.rate_per_hour / (3600.0 * 1e9);
   const double gap_ns = -std::log(1.0 - storm_rng_.NextDouble()) / rate_per_ns;
-  Schedule(std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)), EventCall::Op::kCrashEvent);
+  // A gap past the end of representable time ends the arrival chain: the
+  // next crash would never come. (A rate that underflows makes it inf or NaN.)
+  if (!(gap_ns < 0x1p63)) {
+    return;
+  }
+  const SimDuration gap = std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns));
+  if (gap > std::numeric_limits<SimTime>::max() - executor_.now()) {
+    return;
+  }
+  Schedule(gap, EventCall::Op::kCrashEvent);
 }
 
 void FleetController::CrashEvent() {
@@ -700,34 +747,45 @@ void FleetController::CrashEvent() {
   // ones still queued for their upgrade. Hosts mid-drain/transplant/rollback
   // or parked in retry backoff have scheduled events pointed at them; crashing
   // those would fire stale transitions on a dead host, and the paper's storm
-  // strikes running hypervisors anyway.
-  std::vector<char> in_pending(hosts_.size(), 0);
-  for (int id : pending_) {
-    in_pending[static_cast<size_t>(id)] = 1;
-  }
-  std::vector<int> eligible;
-  for (const FleetHost& h : hosts_) {
-    if (h.state == FleetHostState::kServing &&
-        (h.upgraded || in_pending[static_cast<size_t>(h.id)])) {
-      eligible.push_back(h.id);
-    }
-  }
+  // strikes running hypervisors anyway. victims_ holds exactly those hosts.
+  //
   // Correlated burst: strike up to `burst` distinct victims, sampled without
-  // replacement from the storm stream (scheduling-order independent).
-  const int strikes = std::min<int>(config_.crash_storm.burst,
-                                    static_cast<int>(eligible.size()));
-  for (int s = 0; s < strikes; ++s) {
-    const size_t pick =
-        static_cast<size_t>(storm_rng_.NextBelow(static_cast<uint64_t>(eligible.size())));
-    const int victim = eligible[pick];
-    eligible[pick] = eligible.back();
-    eligible.pop_back();
-    CrashHost(victim);
-    if (finished_) {
-      return;  // A loss mid-burst can finalize the rollout; stop striking it.
+  // replacement from the storm stream (scheduling-order independent). The
+  // draw is a partial Fisher-Yates shuffle of the candidates in id order:
+  // pick a position, strike its host, move the last candidate into the hole.
+  // The list stays virtual: position p holds victims_.Select(p) unless a move
+  // overrode it. victims_ keeps the burst's starting set until the burst
+  // ends, which is exact because only the struck hosts change eligibility
+  // meanwhile.
+  const auto candidate = [this](int position) {
+    for (auto it = burst_moves_.rbegin(); it != burst_moves_.rend(); ++it) {
+      if (it->first == position) {
+        return it->second;
+      }
     }
+    return victims_.Select(position);
+  };
+  int candidates = victims_.count();
+  const int strikes = std::min(config_.crash_storm.burst, candidates);
+  burst_moves_.clear();
+  struck_.clear();
+  burst_open_ = true;
+  // A loss mid-burst can finalize the rollout; stop striking it then.
+  for (int s = 0; s < strikes && !finished_; ++s) {
+    const int pick = static_cast<int>(storm_rng_.NextBelow(static_cast<uint64_t>(candidates)));
+    const int victim = candidate(pick);
+    --candidates;
+    burst_moves_.emplace_back(pick, candidate(candidates));
+    struck_.push_back(victim);
+    CrashHost(victim);
   }
-  ScheduleNextCrash();
+  burst_open_ = false;
+  for (const int host : struck_) {
+    Reindex(host);
+  }
+  if (!finished_) {
+    ScheduleNextCrash();
+  }
 }
 
 CrashLedgerState FleetController::SampleCrashLedgerState() {
@@ -755,14 +813,14 @@ CrashLedgerState FleetController::SampleCrashLedgerState() {
 void FleetController::CrashHost(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   ++report_.crashes;
-  h.state = FleetHostState::kCrashed;
+  SetState(host, FleetHostState::kCrashed);
   h.crash_started = executor_.now();
   h.recovery_attempts = 0;
   // What the crash left of the transplant ledger decides everything
   // downstream, via the same DecideSalvage() table Assess() applies to real
   // ledger bytes.
   h.crash_ledger = SampleCrashLedgerState();
-  std::erase(pending_, host);
+  Unqueue(host);
   Emit(FleetEventType::kHostCrashed, host);
   if (!config_.crash_storm.recover) {
     // Control arm: a fixed fleet has no ReHype path; crashed hosts stay down.
@@ -790,7 +848,7 @@ void FleetController::TryStartRecoveries() {
 
 void FleetController::StartRecovery(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
-  h.state = FleetHostState::kRecovering;
+  SetState(host, FleetHostState::kRecovering);
   ++h.recovery_attempts;
   Emit(FleetEventType::kRecoveryStart, host, h.recovery_attempts);
   Schedule(Jittered(config_.crash_storm.recovery_time, host_rngs_[static_cast<size_t>(host)]),
@@ -855,9 +913,9 @@ void FleetController::FinishRecovery(int host) {
     ++report_.crash_live_recoveries;
   }
   if (!h.upgraded) {
-    pending_.push_back(host);  // Erased at crash time, so never a duplicate.
+    Enqueue(host);  // Unqueued at crash time, so never a duplicate.
   }
-  h.state = FleetHostState::kServing;
+  SetState(host, FleetHostState::kServing);
   Emit(FleetEventType::kRecoveryDone, host, h.recovery_attempts);
   TryStartRecoveries();
   if (wave_in_flight_ == 0) {
@@ -879,7 +937,7 @@ void FleetController::LoseHost(int host, bool ledger_data_loss) {
     // not running vulnerable.
     ChangeExposure(-1);
   }
-  h.state = FleetHostState::kFailed;
+  SetState(host, FleetHostState::kFailed);
   h.finished = executor_.now();
   Emit(FleetEventType::kHostLost, host, h.recovery_attempts);
   MaybeFinishRollout();
@@ -919,15 +977,6 @@ uint16_t FleetController::PlanIndex(const policy::HostPolicyPlan& plan) {
   return static_cast<uint16_t>(plans_.size() - 1);
 }
 
-SimDuration FleetController::PendingWork() const {
-  SimDuration total = 0;
-  for (const int host : pending_) {
-    const policy::HostPolicyPlan& plan = HostPlan(host);
-    total += plan.drain_time + plan.transplant_time;
-  }
-  return total;
-}
-
 std::vector<StealableDomain> FleetController::StealableDomains() const {
   // Precondition (enforced by PlanCampaign): no crash storm, so "kServing
   // with zero attempts" is exactly "still queued" or "refused".
@@ -965,22 +1014,18 @@ DetachedRack FleetController::DetachDomain(int domain) {
   DetachedRack rack;
   // Ownership moves; exposure does not, so no exposure delta is recorded and
   // the campaign's stream never sees a phantom safe/re-expose event.
-  std::vector<char> leaving(hosts_.size(), 0);
-  for (FleetHost& h : hosts_) {
+  for (const FleetHost& h : hosts_) {
     if (h.fault_domain != domain || h.state == FleetHostState::kDetached) {
       continue;
     }
     HYPERTP_CHECK(h.state == FleetHostState::kServing && !h.upgraded && h.attempts == 0);
-    h.state = FleetHostState::kDetached;
-    leaving[static_cast<size_t>(h.id)] = 1;
+    Unqueue(h.id);
+    SetState(h.id, FleetHostState::kDetached);
     rack.hosts.push_back({HostPlan(h.id), host_rngs_[static_cast<size_t>(h.id)]});
     TallyPlan(rack.hosts.back().plan, -1);
     Emit(FleetEventType::kHostDetached, h.id);
   }
   HYPERTP_CHECK(!rack.hosts.empty());
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [&leaving](int id) { return leaving[static_cast<size_t>(id)]; }),
-                 pending_.end());
   const int moved = static_cast<int>(rack.hosts.size());
   report_.hosts -= moved;
   report_.detached_hosts += moved;
@@ -999,10 +1044,19 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
     plan_index_.push_back(PlanIndex(adopted.plan));
     hosts_.push_back(host);
     host_rngs_.push_back(adopted.rng);
-    host_spans_.push_back(0);
     TallyPlan(adopted.plan, +1);
-    if (!adopted.plan.refused()) {
-      pending_.push_back(host.id);
+  }
+  const int size = static_cast<int>(hosts_.size());
+  if (config_.tracer != nullptr) {
+    host_spans_.resize(static_cast<size_t>(size), 0);
+  }
+  pending_.Resize(size);
+  if (config_.crash_storm.enabled()) {
+    victims_.Resize(size);
+  }
+  for (int id = first_id; id < size; ++id) {
+    if (!HostPlan(id).refused()) {
+      Enqueue(id);
     }
   }
   const int moved = static_cast<int>(rack.hosts.size());

@@ -22,6 +22,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -29,6 +30,8 @@
 #include "src/fleet/fleet_types.h"
 #include "src/obs/trace.h"
 #include "src/sim/executor.h"
+#include "src/sim/id_fifo.h"
+#include "src/sim/rank_index.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 
@@ -163,8 +166,8 @@ class FleetController {
   SimTime drained_at() const { return drained_at_; }
 
   // Aggregate (drain + transplant) cost of every unstarted host — the
-  // numerator of the shard's remaining-work estimate.
-  SimDuration PendingWork() const;
+  // numerator of the shard's remaining-work estimate. A running sum, O(1).
+  SimDuration PendingWork() const { return pending_work_; }
 
   // Fault domains whose every live member is unstarted and that hold queued
   // work, in ascending domain order — the racks a barrier steal may re-home
@@ -190,6 +193,16 @@ class FleetController {
   // Records a transition in the FleetTrace and, with a tracer, applies its
   // span rule (kSpanRules): the one writer of both.
   void Emit(FleetEventType type, int host, int attempt = 0);
+  // The one writer of a host's state; keeps the victim index current.
+  void SetState(int host, FleetHostState state);
+  // Queues `host` for a wave / takes it out of the queue (a no-op when it is
+  // not queued), keeping PendingWork() and the victim index current.
+  void Enqueue(int host);
+  void Unqueue(int host);
+  // Re-derives whether `host` is a crash candidate — serving, and upgraded or
+  // queued — into victims_. A no-op without a storm, and held back while a
+  // burst strikes (CrashEvent() re-derives its victims once it ends).
+  void Reindex(int host);
   void StartNextWave();
   void StartDrain(int host);
   void StartTransplant(int host);
@@ -241,7 +254,8 @@ class FleetController {
   // tallies); an adaptive one with one period of MechanismPolicy::PlanHost
   // (at most kSyntheticVmPeriod entries, indexed by global id mod the
   // period). Adopted hosts bring their own plans, deduplicated. The index is
-  // a dense vector, not a FleetHost field: PendingWork() scans it per barrier.
+  // a dense vector, not a FleetHost field: StealableDomains() scans it per
+  // barrier.
   std::vector<policy::HostPolicyPlan> plans_;
   std::vector<uint16_t> plan_index_;
   std::vector<FleetHost> hosts_;
@@ -252,9 +266,12 @@ class FleetController {
   // Span bookkeeping, written only by Emit() (all 0 without a tracer).
   SpanId rollout_span_ = 0;
   SpanId wave_span_ = 0;
-  std::vector<SpanId> host_spans_;  // The one open span per host.
+  std::vector<SpanId> host_spans_;  // The one open span per host; tracer only.
 
-  std::deque<int> pending_;
+  // Hosts awaiting an upgrade wave, first come first served, and the sum of
+  // their drain + transplant times.
+  IdFifo pending_;
+  SimDuration pending_work_ = 0;
   // Work-stealing state (hold_open mode): live fault-domain count (grows as
   // racks are adopted) and the drained-but-not-finalized flag/instant.
   int fault_domain_count_ = 1;
@@ -268,6 +285,12 @@ class FleetController {
   std::deque<int> recovery_queue_;
   int recovering_ = 0;
   SimTime storm_end_ = -1;
+  // The hosts a crash may strike, kept exact by Reindex(), and one burst's
+  // scratch (CrashEvent): its (position, host) overrides and its victims.
+  RankIndex victims_;
+  std::vector<std::pair<int, int>> burst_moves_;
+  std::vector<int> struck_;
+  bool burst_open_ = false;
   int wave_ = -1;
   int wave_in_flight_ = 0;
   SimTime wave_started_ = 0;

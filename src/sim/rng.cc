@@ -1,7 +1,8 @@
 #include "src/sim/rng.h"
 
-#include <cassert>
 #include <cmath>
+
+#include "src/base/logging.h"
 
 namespace hypertp {
 namespace {
@@ -38,7 +39,7 @@ uint64_t Rng::NextU64() {
 }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
-  assert(bound > 0);
+  HYPERTP_CHECK(bound > 0);
   // Rejection sampling to avoid modulo bias.
   const uint64_t threshold = -bound % bound;
   for (;;) {
@@ -50,7 +51,7 @@ uint64_t Rng::NextBelow(uint64_t bound) {
 }
 
 int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
+  HYPERTP_CHECK(lo <= hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(span == 0 ? NextU64() : NextBelow(span));
 }

@@ -19,10 +19,10 @@ class Rng {
   // Uniform over the full 64-bit range.
   uint64_t NextU64();
 
-  // Uniform in [0, bound). bound must be > 0.
+  // Uniform in [0, bound). bound must be > 0, checked in every build.
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive. Requires lo <= hi.
+  // Uniform in [lo, hi] inclusive. Requires lo <= hi, checked in every build.
   int64_t NextInRange(int64_t lo, int64_t hi);
 
   // Uniform in [0, 1).

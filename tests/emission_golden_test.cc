@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/base/crc32.h"
 #include "src/campaign/campaign.h"
@@ -23,6 +24,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/executor.h"
+#include "src/sim/rng.h"
 
 namespace hypertp {
 namespace {
@@ -166,6 +168,138 @@ TEST(EmissionGoldenTest, FleetAdaptive) {
       ExpectFleetPins(AdaptiveFleet(), {5155, 0x3f5a59cb}, {4902, 0x42e16cbc});
   EXPECT_GT(report.refused, 0);
   EXPECT_GT(report.policy_migrate_vms, 0);
+}
+
+// --- Generated crash-storm fleets -------------------------------------------
+// kGeneratedStorms seeded storm fleets. The grid over the index covers burst
+// 1-4, recovery on and off, and a per-domain cap of 0 or 2. Every third
+// storm window is half an hour, and most of those storms outlast their
+// rollout. The rest of each config (fleet shape, upgrade failures with
+// post-pause rollbacks, the ledger mix, recovery retries, cross-kind salvage)
+// is drawn from a per-index Rng.
+
+constexpr int kGeneratedStorms = 24;
+
+FleetConfig GeneratedStorm(int index) {
+  Rng rng(1000 + static_cast<uint64_t>(index));
+  FleetConfig config;
+  config.hosts = 30 + static_cast<int>(rng.NextBelow(50));
+  config.parallel_hosts = 2 + static_cast<int>(rng.NextBelow(6));
+  config.fault_domains = 1 + static_cast<int>(rng.NextBelow(5));
+  config.max_per_domain_in_flight = (index / 8) % 2 == 0 ? 0 : 2;
+  config.drain_time = Seconds(1);
+  config.per_host_transplant = Seconds(10);
+  config.latency_jitter = 0.3 * rng.NextDouble();
+  config.failure_probability = 0.05 + 0.25 * rng.NextDouble();
+  config.post_pause_fraction = 0.1 + 0.5 * rng.NextDouble();
+  config.rollback_failure_probability = 0.1 * rng.NextDouble();
+  config.max_retries = 2;
+  config.seed = 100 + static_cast<uint64_t>(index);
+  CrashStormConfig& storm = config.crash_storm;
+  storm.burst = 1 + index % 4;
+  storm.recover = (index / 4) % 2 == 0;
+  storm.rate_per_hour = 600.0 + 2400.0 * rng.NextDouble();
+  storm.start = Seconds(static_cast<int64_t>(rng.NextBelow(20)));
+  storm.duration = index % 3 == 2 ? Seconds(1800)
+                                  : Seconds(40 + static_cast<int64_t>(rng.NextBelow(60)));
+  storm.recovery_time = Seconds(2 + static_cast<int64_t>(rng.NextBelow(6)));
+  storm.recovery_failure_probability = 0.3 * rng.NextDouble();
+  storm.recovery_max_retries = static_cast<int>(rng.NextBelow(3));
+  storm.cross_kind_fraction = 0.1 + 0.8 * rng.NextDouble();
+  storm.pre_pause_fraction = 0.2 * rng.NextDouble();
+  storm.mid_save_torn_fraction = 0.1 * rng.NextDouble();
+  storm.stale_commit_fraction = 0.1 * rng.NextDouble();
+  storm.scrubbed_fraction = 0.05 * rng.NextDouble();
+  return config;
+}
+
+struct StormPins {
+  Pin report;
+  Pin fleet_trace;
+};
+
+constexpr StormPins kGeneratedStormPins[kGeneratedStorms] = {
+    {{681, 0xae6a71d7}, {20580, 0x7c1e715b}},
+    {{682, 0x4e7f043e}, {17702, 0xd3841496}},
+    {{699, 0x49399f65}, {315038, 0xb557b76b}},
+    {{686, 0x94e624a9}, {32493, 0xe00eeba8}},
+    {{623, 0x43e1a135}, {13932, 0xa719f07f}},
+    {{623, 0x7e235cdc}, {7977, 0xa5efe3cb}},
+    {{623, 0x9fe8238d}, {11717, 0x86abdbc6}},
+    {{620, 0x361897cd}, {8710, 0xe8af1289}},
+    {{695, 0x6bae670e}, {99331, 0x1855b1b6}},
+    {{682, 0x466da4d8}, {30412, 0xa32193a0}},
+    {{683, 0xc996cd27}, {26019, 0xe1e8e6f4}},
+    {{695, 0xddc2d900}, {160132, 0xf8d95d0d}},
+    {{621, 0xc8fa4684}, {8558, 0xbf9e935f}},
+    {{623, 0x2ef8fa20}, {14793, 0x423956a7}},
+    {{623, 0x4eb68cf3}, {10833, 0x3bb34f29}},
+    {{623, 0xdf2ae187}, {8182, 0x20642a79}},
+    {{682, 0x339977c5}, {30707, 0x55f35d10}},
+    {{688, 0x65f8744a}, {50098, 0xf9da4d97}},
+    {{685, 0xfaf5792d}, {28586, 0xe00b4e75}},
+    {{679, 0xcd27f4ce}, {18237, 0x2b208af8}},
+    {{622, 0xa3f12fdd}, {6583, 0xed144f8e}},
+    {{626, 0xec070512}, {21850, 0x5c21b6e1}},
+    {{622, 0xa21bd86b}, {13793, 0xfd06e339}},
+    {{622, 0xa25ea242}, {6581, 0x68c8d792}},
+};
+
+FleetRolloutReport RunGeneratedStorm(int index) {
+  SimExecutor executor;
+  FleetController controller(executor, GeneratedStorm(index));
+  EXPECT_FALSE(controller.config_error().has_value());
+  const FleetRolloutReport report = controller.Run();
+  const StormPins& pins = kGeneratedStormPins[index];
+  EXPECT_EQ(PinOf(FleetRolloutReportToJson(report)), pins.report) << "report JSON";
+  EXPECT_EQ(PinOf(FleetTraceToJson(controller.trace())), pins.fleet_trace) << "FleetTrace JSON";
+  return report;
+}
+
+class GeneratedStormTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GeneratedStormTest, PinsReportAndFleetTrace) {
+  const FleetRolloutReport report = RunGeneratedStorm(GetParam());
+  EXPECT_GT(report.crashes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(EmissionGoldenTest, GeneratedStormTest,
+                         ::testing::Range(0, kGeneratedStorms));
+
+// The generated set reaches what it claims to cover.
+TEST(EmissionGoldenTest, GeneratedStormsCoverTheFaultPath) {
+  bool multi_strike_burst = false;
+  bool lost_without_recovery = false;
+  bool crash_upgrade = false;
+  bool crash_rollback = false;
+  bool recovery_retry = false;
+  bool upgrade_rollback = false;
+  bool outlasted = false;
+  for (int index = 0; index < kGeneratedStorms; ++index) {
+    SimExecutor executor;
+    const FleetConfig config = GeneratedStorm(index);
+    FleetController controller(executor, config);
+    const FleetRolloutReport& report = controller.Run();
+    const CrashStormConfig& storm = config.crash_storm;
+    const std::vector<FleetEvent> crashes =
+        controller.trace().EventsOfType(FleetEventType::kHostCrashed);
+    for (size_t i = 1; i < crashes.size(); ++i) {
+      multi_strike_burst |= crashes[i].time == crashes[i - 1].time;
+    }
+    lost_without_recovery |= !storm.recover && report.lost > 0;
+    crash_upgrade |= report.crash_upgrades > 0;
+    crash_rollback |= report.crash_rollbacks > 0;
+    recovery_retry |= report.crash_recovery_retries > 0;
+    upgrade_rollback |= report.rollbacks > 0;
+    outlasted |= report.makespan < storm.start + storm.duration;
+  }
+  EXPECT_TRUE(multi_strike_burst);
+  EXPECT_TRUE(lost_without_recovery);
+  EXPECT_TRUE(crash_upgrade);
+  EXPECT_TRUE(crash_rollback);
+  EXPECT_TRUE(recovery_retry);
+  EXPECT_TRUE(upgrade_rollback);
+  EXPECT_TRUE(outlasted);
 }
 
 // --- Campaign configurations ------------------------------------------------

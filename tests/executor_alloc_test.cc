@@ -66,5 +66,31 @@ TEST(ExecutorAllocTest, FleetEventsDoNotAllocate) {
                                       << " dispatched events";
 }
 
+// A crash arrival draws its victims from an index kept current as hosts
+// change state: it neither copies the queue nor lists the serving hosts, so
+// a storm costs fewer allocations than it has arrivals.
+TEST(ExecutorAllocTest, CrashArrivalsDoNotAllocate) {
+  FleetConfig config = FixedFleet();
+  config.crash_storm.rate_per_hour = 20000.0;
+  config.crash_storm.duration = Seconds(200);
+  config.crash_storm.recovery_time = Seconds(5);
+  config.crash_storm.cross_kind_fraction = 0.5;
+  SimExecutor executor;
+  {
+    FleetController warmup(executor, config);
+    ASSERT_TRUE(warmup.Run().complete);
+  }
+  FleetController controller(executor, config);
+  const uint64_t before = g_allocations.load();
+  const FleetRolloutReport& report = controller.Run();
+  const uint64_t allocations = g_allocations.load() - before;
+  ASSERT_TRUE(report.complete);
+  // Burst 1: every arrival that found a victim struck exactly one host.
+  const auto arrivals = static_cast<uint64_t>(report.crashes);
+  ASSERT_GE(arrivals, 500u);
+  EXPECT_LT(allocations, arrivals) << allocations << " allocations for " << arrivals
+                                   << " crash arrivals";
+}
+
 }  // namespace
 }  // namespace hypertp

@@ -320,5 +320,26 @@ TEST(FaultStormTest, DisabledStormKeepsLegacyRunsByteIdentical) {
   EXPECT_EQ(run(false), run(true));
 }
 
+// A storm so faint its next arrival lies past the end of representable time
+// ends the arrival chain. The gap used to be cast to SimDuration unchecked:
+// on x86 that gave INT64_MIN, clamped to 1 ns, so the fleet crashed host
+// after host 1 ns apart.
+TEST(FaultStormTest, UnrepresentableArrivalGapEndsTheStorm) {
+  SimExecutor executor;
+  FleetConfig config;
+  config.hosts = 200;
+  config.parallel_hosts = 1;
+  config.per_host_transplant = Seconds(10);
+  config.seed = 7;
+  // Expected crashes over the ~2000 s rollout: about 5e-11.
+  config.crash_storm.rate_per_hour = 1e-7;
+  config.crash_storm.recover = false;
+  FleetController controller(executor, config);
+  const FleetRolloutReport& report = controller.Run();
+  EXPECT_EQ(report.crashes, 0);
+  EXPECT_EQ(report.lost, 0);
+  EXPECT_TRUE(report.complete);
+}
+
 }  // namespace
 }  // namespace hypertp

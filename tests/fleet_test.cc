@@ -8,6 +8,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/fleet/fleet_controller.h"
 #include "src/obs/trace.h"
@@ -589,6 +591,75 @@ TEST(FleetControllerTest, StolenRackCarriesItsPlansAndTallies) {
     EXPECT_EQ(report.untouched, 0);
     EXPECT_EQ(report.upgraded + report.refused, report.hosts);
   }
+}
+
+// PendingWork() is a running sum over the pending queue. At every barrier it
+// must equal the queued hosts' drain + transplant recomputed from scratch,
+// through waves, failed attempts, rollbacks and rack steals.
+TEST(FleetControllerTest, PendingWorkMatchesARecomputationAcrossSteals) {
+  FleetConfig config = BaseConfig();
+  config.hold_open = true;
+  config.hosts = 48;
+  config.fault_domains = 12;
+  config.parallel_hosts = 3;
+  config.failure_probability = 0.2;
+  config.post_pause_fraction = 0.5;
+  config.max_retries = 3;
+  config.latency_jitter = 0.2;
+  // Adaptive plans with refusals: per-host timings differ, and refused hosts
+  // never queue.
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.vms_per_host = 7;
+  config.policy.max_vm_pause = Millis(200);
+  config.policy.max_migration_duration = Seconds(20);
+  SimExecutor left_executor;
+  SimExecutor right_executor;
+  FleetController left(left_executor, config);
+  config.hosts = 4;
+  config.fault_domains = 1;
+  config.seed = 43;
+  FleetController right(right_executor, config);
+  left.Start();
+  right.Start();
+
+  // Without a storm, a host is queued exactly when it serves un-upgraded,
+  // never started an attempt and is not refused.
+  const auto recomputed = [](const FleetController& controller) {
+    SimDuration work = 0;
+    for (const FleetHost& host : controller.hosts()) {
+      const policy::HostPolicyPlan& plan = controller.HostPlan(host.id);
+      if (host.state == FleetHostState::kServing && !host.upgraded && host.attempts == 0 &&
+          !plan.refused()) {
+        work += plan.drain_time + plan.transplant_time;
+      }
+    }
+    return work;
+  };
+  int steals = 0;
+  for (SimTime barrier = Seconds(3); !(left.drained() && right.drained()); barrier += Seconds(3)) {
+    ASSERT_LT(barrier, Seconds(3600));
+    left_executor.RunUntil(barrier);
+    right_executor.RunUntil(barrier);
+    EXPECT_EQ(left.PendingWork(), recomputed(left)) << ToSeconds(barrier);
+    EXPECT_EQ(right.PendingWork(), recomputed(right)) << ToSeconds(barrier);
+    // A drained side steals the other's highest fully-unstarted rack.
+    for (auto [thief, donor] : {std::pair{&left, &right}, std::pair{&right, &left}}) {
+      const std::vector<StealableDomain> domains = donor->StealableDomains();
+      if (thief->drained() && !domains.empty()) {
+        thief->AdoptHosts(donor->DetachDomain(domains.back().domain));
+        ++steals;
+        EXPECT_EQ(thief->PendingWork(), recomputed(*thief));
+        EXPECT_EQ(donor->PendingWork(), recomputed(*donor));
+      }
+    }
+  }
+  EXPECT_GE(steals, 2);
+  EXPECT_EQ(left.PendingWork(), 0);
+  EXPECT_EQ(right.PendingWork(), 0);
+  left.FinalizeDrained();
+  right.FinalizeDrained();
+  EXPECT_GT(left.report().retries + right.report().retries, 0);
+  EXPECT_GT(left.report().refused + right.report().refused, 0);
 }
 
 TEST(FleetControllerTest, LatencyJitterSpreadsWaveLatencies) {

@@ -17,9 +17,12 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build-sanitized}"
 tsan_dir="${build_dir}-tsan"
 
+# GCC's -fsanitize=undefined leaves out float-cast-overflow: a double cast to
+# an integer it cannot represent (an exponential gap drawn from a vanishing
+# rate, say) would pass silently.
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DHYPERTP_SANITIZE="address;undefined"
+  -DHYPERTP_SANITIZE="address;undefined;float-cast-overflow"
 cmake --build "${build_dir}" -j "$(nproc)"
 
 # halt_on_error so UBSan findings fail the suite instead of scrolling past.

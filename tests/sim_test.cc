@@ -75,6 +75,26 @@ TEST(RngTest, NextInRangeInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
+// Both range preconditions hold in release builds too: NextBelow(0) would
+// otherwise divide by zero.
+TEST(RngDeathTest, NextBelowRejectsAZeroBound) {
+  EXPECT_DEATH(
+      {
+        Rng rng(1);
+        rng.NextBelow(0);
+      },
+      "check failed");
+}
+
+TEST(RngDeathTest, NextInRangeRejectsAnEmptyRange) {
+  EXPECT_DEATH(
+      {
+        Rng rng(1);
+        rng.NextInRange(3, 2);
+      },
+      "check failed");
+}
+
 TEST(RngTest, DoubleInUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
