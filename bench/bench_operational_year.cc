@@ -75,7 +75,7 @@ void FixedVsAdaptive(int seeds, bench::BenchReport& bench_report) {
 
     OperationalReport fixed = RunOperationalSimulation(config);
 
-    config.fleet_policy.mode = policy::PolicyMode::kAdaptive;
+    config.policy.mode = policy::PolicyMode::kAdaptive;
     OperationalReport adaptive = RunOperationalSimulation(config);
 
     if (seed == 1) {

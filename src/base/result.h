@@ -8,6 +8,8 @@
 #define HYPERTP_SRC_BASE_RESULT_H_
 
 #include <cassert>
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -142,6 +144,22 @@ inline Error UnavailableError(std::string msg) {
   return Error(ErrorCode::kUnavailable, std::move(msg));
 }
 inline Error AbortedError(std::string msg) { return Error(ErrorCode::kAborted, std::move(msg)); }
+
+// Field checks shared by the config validators. Every error reads
+// "<prefix><field> must be <rule>, got <value>", where `prefix` names the
+// struct the caller set ("CampaignConfig::", "FleetConfig::policy."): a knob
+// handed down a layer is still reported under the caller's name. The list
+// checks return the first field that fails.
+template <typename T>
+using NamedFields = std::initializer_list<std::pair<const char*, T>>;
+Error InvalidFieldError(std::string_view prefix, std::string_view field, std::string_view rule,
+                        const std::string& value);
+Result<void> CheckPositive(std::string_view prefix, NamedFields<int> fields);
+// Durations in ns, each >= 0.
+Result<void> CheckDurations(std::string_view prefix, NamedFields<int64_t> fields);
+// Each inside [0, 1] (NaN rejected); `noun` names the range in the error.
+Result<void> CheckUnitRange(std::string_view prefix, std::string_view noun,
+                            NamedFields<double> fields);
 
 // Propagates an error from an expression producing Result<void>.
 #define HYPERTP_RETURN_IF_ERROR(expr)        \

@@ -18,31 +18,6 @@
 #include "src/sim/worker_pool.h"
 
 namespace hypertp {
-namespace {
-
-// Builds the per-shard FleetConfig for validation and execution. `hosts`,
-// `fault_domains` and `seed` are filled per shard by the caller.
-FleetConfig ShardFleetConfig(const CampaignConfig& config) {
-  FleetConfig fleet;
-  fleet.parallel_hosts = config.parallel_hosts_per_shard;
-  fleet.max_per_domain_in_flight = config.max_per_rack_in_flight;
-  fleet.drain_time = config.drain_time;
-  fleet.per_host_transplant = config.per_host_transplant;
-  fleet.failure_probability = config.failure_probability;
-  fleet.latency_jitter = config.latency_jitter;
-  fleet.max_retries = config.max_retries;
-  fleet.retry_backoff = config.retry_backoff;
-  fleet.post_pause_fraction = config.post_pause_fraction;
-  fleet.rollback_failure_probability = config.rollback_failure_probability;
-  fleet.rollback_time = config.rollback_time;
-  fleet.policy = config.policy;
-  // CampaignPlanner exposes no controller, so no API can read a shard's
-  // FleetTrace: keep one slot instead of the default 1.5 MB ring.
-  fleet.trace_capacity = 1;
-  return fleet;
-}
-
-}  // namespace
 
 Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
   if (config.datacenters.empty()) {
@@ -52,50 +27,33 @@ Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
   for (size_t d = 0; d < config.datacenters.size(); ++d) {
     const CampaignDatacenter& dc = config.datacenters[d];
     const std::string where = "datacenter '" + dc.name + "' (#" + std::to_string(d) + ")";
-    if (dc.racks <= 0) {
-      return InvalidArgumentError(where + ": racks must be > 0, got " + std::to_string(dc.racks));
-    }
-    if (dc.hosts_per_rack <= 0) {
-      return InvalidArgumentError(where + ": hosts_per_rack must be > 0, got " +
-                                  std::to_string(dc.hosts_per_rack));
-    }
-    if (dc.vms_per_host <= 0) {
-      return InvalidArgumentError(where + ": vms_per_host must be > 0, got " +
-                                  std::to_string(dc.vms_per_host));
-    }
+    const std::string prefix = where + ": ";
+    HYPERTP_RETURN_IF_ERROR(CheckPositive(prefix, {{"racks", dc.racks},
+                                                   {"hosts_per_rack", dc.hosts_per_rack},
+                                                   {"vms_per_host", dc.vms_per_host}}));
     if (dc.bandwidth_slots < 0) {
-      return InvalidArgumentError(where + ": bandwidth_slots must be >= 0, got " +
-                                  std::to_string(dc.bandwidth_slots));
+      return InvalidFieldError(prefix, "bandwidth_slots", ">= 0",
+                               std::to_string(dc.bandwidth_slots));
     }
     if (!(dc.link_gbps >= 0.0) || !std::isfinite(dc.link_gbps)) {
-      return InvalidArgumentError(where + ": link_gbps must be finite and >= 0, got " +
-                                  std::to_string(dc.link_gbps));
+      return InvalidFieldError(prefix, "link_gbps", "finite and >= 0",
+                               std::to_string(dc.link_gbps));
     }
-    if (!(dc.host_headroom >= 0.0 && dc.host_headroom <= 1.0)) {
-      return InvalidArgumentError(where + ": host_headroom must be a fraction in [0, 1], got " +
-                                  std::to_string(dc.host_headroom));
-    }
+    HYPERTP_RETURN_IF_ERROR(
+        CheckUnitRange(prefix, "fraction", {{"host_headroom", dc.host_headroom}}));
     // Heterogeneous timing multipliers must be finite and positive (1.0 = the
     // homogeneous default).
-    if (!(dc.timing.host_class > 0.0) || !std::isfinite(dc.timing.host_class)) {
-      return InvalidArgumentError(where + ": timing.host_class must be finite and > 0, got " +
-                                  std::to_string(dc.timing.host_class));
+    for (const auto& [field, v] : NamedFields<double>{
+             {"timing.host_class", dc.timing.host_class},
+             {"timing.reboot_cost", dc.timing.reboot_cost},
+             {"timing.link_generation", dc.timing.link_generation}}) {
+      if (!(v > 0.0) || !std::isfinite(v)) {
+        return InvalidFieldError(prefix, field, "finite and > 0", std::to_string(v));
+      }
     }
-    if (!(dc.timing.reboot_cost > 0.0) || !std::isfinite(dc.timing.reboot_cost)) {
-      return InvalidArgumentError(where + ": timing.reboot_cost must be finite and > 0, got " +
-                                  std::to_string(dc.timing.reboot_cost));
-    }
-    if (!(dc.timing.link_generation > 0.0) || !std::isfinite(dc.timing.link_generation)) {
-      return InvalidArgumentError(where + ": timing.link_generation must be finite and > 0, got " +
-                                  std::to_string(dc.timing.link_generation));
-    }
-    // Per-DC crash storms fail fast with the fleet layer's own field-naming
-    // errors, prefixed with the datacenter they came from.
-    FleetConfig storm_probe;
-    storm_probe.hosts = 1;
-    storm_probe.crash_storm = dc.crash_storm;
-    if (Result<void> storm_valid = ValidateFleetConfig(storm_probe); !storm_valid.ok()) {
-      return InvalidArgumentError(where + ": " + storm_valid.error().message());
+    if (Result<void> storm = ValidateCrashStorm(dc.crash_storm, "CampaignDatacenter");
+        !storm.ok()) {
+      return InvalidArgumentError(prefix + storm.error().message());
     }
     // Host counts are ints downstream. Checking the running total also keeps
     // total_vms below INT_MAX^2 and total_racks below INT_MAX.
@@ -159,13 +117,13 @@ Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
       }
     }
   }
-  // Per-shard fleet knobs fail fast here, with the same field-naming errors
-  // the controller itself would produce.
-  FleetConfig probe = ShardFleetConfig(config);
-  probe.hosts = 1;
-  if (Result<void> fleet_valid = ValidateFleetConfig(probe); !fleet_valid.ok()) {
-    return fleet_valid.error();
+  HYPERTP_RETURN_IF_ERROR(CheckPositive(
+      "CampaignConfig::", {{"parallel_hosts_per_shard", config.parallel_hosts_per_shard}}));
+  if (config.max_per_rack_in_flight < 0) {
+    return InvalidFieldError("CampaignConfig::", "max_per_rack_in_flight", ">= 0",
+                             std::to_string(config.max_per_rack_in_flight));
   }
+  HYPERTP_RETURN_IF_ERROR(ValidateRolloutKnobs(config, "CampaignConfig"));
 
   // Apportion shards to datacenters by host count (D'Hondt: every DC starts
   // with one shard; each remaining shard goes to the DC maximizing
@@ -356,12 +314,19 @@ Result<CampaignReport> CampaignPlanner::Run() {
     auto rt = std::make_unique<ShardRuntime>();
     rt->plan = &shard_plan;
     rt->executor = std::make_unique<SimExecutor>();
-    FleetConfig fleet = ShardFleetConfig(config_);
+    FleetConfig fleet;
+    static_cast<RolloutKnobs&>(fleet) = config_;
+    // The failed-fraction abort is the governor's, over the whole campaign.
+    fleet.abort_threshold = 1.0;
     fleet.hosts = shard_plan.hosts;
     fleet.fault_domains = static_cast<int>(shard_plan.racks.size());
     // The controller composes waves under the shard-wide width cap; clamping
     // to the shard size keeps wave accounting meaningful for tiny shards.
     fleet.parallel_hosts = std::min(config_.parallel_hosts_per_shard, shard_plan.hosts);
+    fleet.max_per_domain_in_flight = config_.max_per_rack_in_flight;
+    // CampaignPlanner exposes no controller, so no API can read a shard's
+    // FleetTrace: keep one slot instead of the default 1.5 MB ring.
+    fleet.trace_capacity = 1;
     // Poisson thinning: the DC-wide storm rate splits across the DC's shards
     // in proportion to their host counts, so expected intensity is invariant
     // under resharding and every draw stays in one shard's stream.
@@ -401,7 +366,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
     fleet.wave_pacer = [this](int, SimTime) { return governor_hold_; };
     rt->controller = std::make_unique<FleetController>(*rt->executor, std::move(fleet));
     if (rt->controller->config_error().has_value()) {
-      return rt->controller->config_error().value();  // Unreachable: probed in PlanCampaign.
+      return rt->controller->config_error().value();  // Unreachable: PlanCampaign checked.
     }
     shards.push_back(std::move(rt));
   }
@@ -719,8 +684,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
           plan.total_hosts > 0 ? static_cast<double>(unavailable) / plan.total_hosts : 0.0;
     }
 
-    if (config_.slo.abort_failed_fraction < 1.0 &&
-        failed_fraction > config_.slo.abort_failed_fraction) {
+    if (config_.abort_threshold < 1.0 && failed_fraction > config_.abort_threshold) {
       abort_reason = "failed_fraction";
       break;
     }

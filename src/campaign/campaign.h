@@ -75,7 +75,8 @@ struct CampaignDatacenter {
   int64_t vms() const { return static_cast<int64_t>(hosts()) * vms_per_host; }
 };
 
-// Fleet-wide SLO budgets, evaluated at every epoch barrier.
+// Fleet-wide SLO budgets, evaluated at every epoch barrier. The fourth hard
+// abort, on the permanently-failed fraction, is CampaignConfig::abort_threshold.
 struct CampaignSlo {
   // Downtime budget: fraction of all campaign hosts concurrently out of
   // service (draining / transplanting / rolling back). Above it, shards defer
@@ -89,9 +90,6 @@ struct CampaignSlo {
   double abort_rollback_rate = 1.0;
   int rate_window_epochs = 4;
   SimDuration throttle_hold = Seconds(30);
-  // Hard abort when this fraction of all campaign hosts has permanently
-  // failed. >= 1.0 disables.
-  double abort_failed_fraction = 1.0;
   // Crash-storm budgets, kept apart from the upgrade-induced ones so a storm
   // can never masquerade as a bad image (and vice versa): the rates above
   // count only post-pause faults of *upgrade* attempts, the ones below only
@@ -121,7 +119,14 @@ struct CampaignStealConfig {
   int max_racks_per_epoch = 0;
 };
 
-struct CampaignConfig {
+// The inherited RolloutKnobs are every shard's FleetController knobs, two of
+// them read at campaign scope. `abort_threshold` is the SLO governor's abort
+// on the failed fraction of all campaign hosts (abort_reason
+// "failed_fraction"); shard controllers never abort on it. `policy` has its
+// environment overridden per datacenter (link_gbps / host_headroom) and keys
+// every host plan on the host's campaign-global id, so decisions are
+// byte-identical across shard and thread counts.
+struct CampaignConfig : RolloutKnobs {
   std::vector<CampaignDatacenter> datacenters;
   // Shard count: >= datacenters (every DC runs at least one shard) and
   // <= total racks (a shard owns whole racks).
@@ -133,26 +138,10 @@ struct CampaignConfig {
   // all datacenters (0 = unconstrained).
   int max_concurrent_shards = 0;
 
-  // Per-shard FleetController knobs (see FleetConfig for semantics).
+  // Per-shard wave width and per-rack anti-affinity cap
+  // (FleetConfig::parallel_hosts / max_per_domain_in_flight of each shard).
   int parallel_hosts_per_shard = 100;
   int max_per_rack_in_flight = 0;
-  SimDuration drain_time = 0;
-  SimDuration per_host_transplant = Seconds(10);
-  double failure_probability = 0.0;
-  double latency_jitter = 0.0;
-  int max_retries = 3;
-  SimDuration retry_backoff = Seconds(5);
-  double post_pause_fraction = 0.0;
-  double rollback_failure_probability = 0.0;
-  SimDuration rollback_time = Seconds(5);
-
-  // Adaptive mechanism selection (src/policy/), threaded into every shard's
-  // FleetController. The planner overrides the policy's environment defaults
-  // per datacenter (CampaignDatacenter::link_gbps / host_headroom) and keys
-  // every host plan on the host's campaign-global id, so decisions are
-  // byte-identical across shard counts and thread counts. kFixed (the
-  // default) keeps the configured timings.
-  policy::PolicyConfig policy;
 
   // Straggler-tail mitigation (stealing off by default; the stride never
   // changes output).
@@ -202,7 +191,9 @@ struct CampaignPlan {
 // Rack-aware partition: shards are apportioned to datacenters by host count
 // (D'Hondt, every DC >= 1), racks round-robin over the DC's shards. Rejects
 // empty/degenerate topologies, shard counts outside [datacenters, racks],
-// and invalid per-shard fleet knobs with a field-naming error.
+// and invalid rollout knobs or crash storms with an error naming the field
+// the caller set (`CampaignConfig::max_retries`, or
+// `CampaignDatacenter::crash_storm.burst` after the datacenter's name).
 Result<CampaignPlan> PlanCampaign(const CampaignConfig& config);
 
 // Per-shard outcome, in shard-id order: the shard controller's tally plus

@@ -146,111 +146,81 @@ RolloutTally& RolloutTally::operator+=(const RolloutTally& other) {
   return *this;
 }
 
-Result<void> ValidateFleetConfig(const FleetConfig& config) {
-  const auto positive_int = [](int v, const char* field) -> Result<void> {
-    if (v <= 0) {
-      return InvalidArgumentError(std::string("FleetConfig::") + field + " must be > 0, got " +
-                                  std::to_string(v));
-    }
-    return OkResult();
-  };
-  const auto non_negative_duration = [](SimDuration v, const char* field) -> Result<void> {
-    if (v < 0) {
-      return InvalidArgumentError(std::string("FleetConfig::") + field +
-                                  " must be >= 0, got " + std::to_string(v) + " ns");
-    }
-    return OkResult();
-  };
-  const auto probability = [](double v, const char* field) -> Result<void> {
-    if (!(v >= 0.0 && v <= 1.0)) {  // Negated so NaN is rejected too.
-      return InvalidArgumentError(std::string("FleetConfig::") + field +
-                                  " must be a probability in [0, 1], got " + std::to_string(v));
-    }
-    return OkResult();
-  };
+Result<void> ValidateRolloutKnobs(const RolloutKnobs& knobs, std::string_view owner) {
+  const std::string prefix = std::string(owner) + "::";
+  if (knobs.max_retries < 0) {
+    return InvalidFieldError(prefix, "max_retries", ">= 0", std::to_string(knobs.max_retries));
+  }
+  HYPERTP_RETURN_IF_ERROR(
+      CheckDurations(prefix, {{"drain_time", knobs.drain_time},
+                              {"per_host_transplant", knobs.per_host_transplant},
+                              {"retry_backoff", knobs.retry_backoff},
+                              {"rollback_time", knobs.rollback_time}}));
+  HYPERTP_RETURN_IF_ERROR(CheckUnitRange(
+      prefix, "probability",
+      {{"failure_probability", knobs.failure_probability},
+       {"post_pause_fraction", knobs.post_pause_fraction},
+       {"rollback_failure_probability", knobs.rollback_failure_probability}}));
+  // An abort_threshold >= 1.0 just disables the abort.
+  for (const auto& [field, v] : NamedFields<double>{{"abort_threshold", knobs.abort_threshold},
+                                                    {"latency_jitter", knobs.latency_jitter}}) {
+    if (!(v >= 0.0)) return InvalidFieldError(prefix, field, ">= 0", std::to_string(v));
+  }
+  return policy::ValidatePolicyConfig(knobs.policy, prefix + "policy.");
+}
 
-  if (auto r = positive_int(config.hosts, "hosts"); !r.ok()) return r;
-  if (auto r = positive_int(config.parallel_hosts, "parallel_hosts"); !r.ok()) return r;
-  if (auto r = positive_int(config.fault_domains, "fault_domains"); !r.ok()) return r;
-  if (config.max_retries < 0) {
-    return InvalidArgumentError("FleetConfig::max_retries must be >= 0, got " +
-                                std::to_string(config.max_retries));
+Result<void> ValidateCrashStorm(const CrashStormConfig& storm, std::string_view owner) {
+  const std::string prefix = std::string(owner) + "::crash_storm.";
+  if (!(storm.rate_per_hour >= 0.0) || !std::isfinite(storm.rate_per_hour)) {
+    return InvalidFieldError(prefix, "rate_per_hour", "finite and >= 0",
+                             std::to_string(storm.rate_per_hour));
   }
+  if (!storm.enabled()) {
+    return OkResult();
+  }
+  if (storm.burst < 1) {
+    return InvalidFieldError(prefix, "burst", ">= 1", std::to_string(storm.burst));
+  }
+  if (storm.recovery_max_retries < 0) {
+    return InvalidFieldError(prefix, "recovery_max_retries", ">= 0",
+                             std::to_string(storm.recovery_max_retries));
+  }
+  HYPERTP_RETURN_IF_ERROR(CheckDurations(prefix, {{"start", storm.start},
+                                                  {"duration", storm.duration},
+                                                  {"recovery_time", storm.recovery_time},
+                                                  {"recovery_backoff", storm.recovery_backoff}}));
+  HYPERTP_RETURN_IF_ERROR(
+      CheckUnitRange(prefix, "probability",
+                     {{"pre_pause_fraction", storm.pre_pause_fraction},
+                      {"mid_save_torn_fraction", storm.mid_save_torn_fraction},
+                      {"stale_commit_fraction", storm.stale_commit_fraction},
+                      {"scrubbed_fraction", storm.scrubbed_fraction},
+                      {"recovery_failure_probability", storm.recovery_failure_probability},
+                      {"cross_kind_fraction", storm.cross_kind_fraction}}));
+  const double mix = storm.pre_pause_fraction + storm.mid_save_torn_fraction +
+                     storm.stale_commit_fraction + storm.scrubbed_fraction;
+  if (mix > 1.0) {
+    return InvalidArgumentError(std::string(owner) +
+                                "::crash_storm ledger-state fractions must sum to <= 1, got " +
+                                std::to_string(mix));
+  }
+  return OkResult();
+}
+
+Result<void> ValidateFleetConfig(const FleetConfig& config) {
+  HYPERTP_RETURN_IF_ERROR(CheckPositive("FleetConfig::",
+                                        {{"hosts", config.hosts},
+                                         {"parallel_hosts", config.parallel_hosts},
+                                         {"fault_domains", config.fault_domains}}));
   if (config.max_per_domain_in_flight < 0) {
-    return InvalidArgumentError("FleetConfig::max_per_domain_in_flight must be >= 0, got " +
-                                std::to_string(config.max_per_domain_in_flight));
-  }
-  if (auto r = non_negative_duration(config.drain_time, "drain_time"); !r.ok()) return r;
-  if (auto r = non_negative_duration(config.per_host_transplant, "per_host_transplant"); !r.ok())
-    return r;
-  if (auto r = non_negative_duration(config.retry_backoff, "retry_backoff"); !r.ok()) return r;
-  if (auto r = non_negative_duration(config.rollback_time, "rollback_time"); !r.ok()) return r;
-  if (auto r = probability(config.failure_probability, "failure_probability"); !r.ok()) return r;
-  if (auto r = probability(config.post_pause_fraction, "post_pause_fraction"); !r.ok()) return r;
-  if (auto r = probability(config.rollback_failure_probability, "rollback_failure_probability");
-      !r.ok())
-    return r;
-  if (!(config.abort_threshold >= 0.0)) {  // >= 1.0 just disables the abort.
-    return InvalidArgumentError("FleetConfig::abort_threshold must be >= 0, got " +
-                                std::to_string(config.abort_threshold));
-  }
-  if (!(config.latency_jitter >= 0.0)) {
-    return InvalidArgumentError("FleetConfig::latency_jitter must be >= 0, got " +
-                                std::to_string(config.latency_jitter));
+    return InvalidFieldError("FleetConfig::", "max_per_domain_in_flight", ">= 0",
+                             std::to_string(config.max_per_domain_in_flight));
   }
   if (config.trace_capacity == 0) {
     return InvalidArgumentError("FleetConfig::trace_capacity must be > 0");
   }
-  const CrashStormConfig& storm = config.crash_storm;
-  if (!(storm.rate_per_hour >= 0.0) || !std::isfinite(storm.rate_per_hour)) {
-    return InvalidArgumentError(
-        "FleetConfig::crash_storm.rate_per_hour must be finite and >= 0, got " +
-        std::to_string(storm.rate_per_hour));
-  }
-  if (storm.enabled()) {
-    if (storm.burst < 1) {
-      return InvalidArgumentError("FleetConfig::crash_storm.burst must be >= 1, got " +
-                                  std::to_string(storm.burst));
-    }
-    if (storm.recovery_max_retries < 0) {
-      return InvalidArgumentError(
-          "FleetConfig::crash_storm.recovery_max_retries must be >= 0, got " +
-          std::to_string(storm.recovery_max_retries));
-    }
-    if (auto r = non_negative_duration(storm.start, "crash_storm.start"); !r.ok()) return r;
-    if (auto r = non_negative_duration(storm.duration, "crash_storm.duration"); !r.ok()) return r;
-    if (auto r = non_negative_duration(storm.recovery_time, "crash_storm.recovery_time"); !r.ok())
-      return r;
-    if (auto r = non_negative_duration(storm.recovery_backoff, "crash_storm.recovery_backoff");
-        !r.ok())
-      return r;
-    if (auto r = probability(storm.pre_pause_fraction, "crash_storm.pre_pause_fraction"); !r.ok())
-      return r;
-    if (auto r = probability(storm.mid_save_torn_fraction, "crash_storm.mid_save_torn_fraction");
-        !r.ok())
-      return r;
-    if (auto r = probability(storm.stale_commit_fraction, "crash_storm.stale_commit_fraction");
-        !r.ok())
-      return r;
-    if (auto r = probability(storm.scrubbed_fraction, "crash_storm.scrubbed_fraction"); !r.ok())
-      return r;
-    if (auto r = probability(storm.recovery_failure_probability,
-                             "crash_storm.recovery_failure_probability");
-        !r.ok())
-      return r;
-    if (auto r = probability(storm.cross_kind_fraction, "crash_storm.cross_kind_fraction"); !r.ok())
-      return r;
-    const double mix = storm.pre_pause_fraction + storm.mid_save_torn_fraction +
-                       storm.stale_commit_fraction + storm.scrubbed_fraction;
-    if (mix > 1.0) {
-      return InvalidArgumentError(
-          "FleetConfig::crash_storm ledger-state fractions must sum to <= 1, got " +
-          std::to_string(mix));
-    }
-  }
-  if (auto r = policy::ValidatePolicyConfig(config.policy, "FleetConfig::policy."); !r.ok()) {
-    return r;
-  }
+  HYPERTP_RETURN_IF_ERROR(ValidateRolloutKnobs(config, "FleetConfig"));
+  HYPERTP_RETURN_IF_ERROR(ValidateCrashStorm(config.crash_storm, "FleetConfig"));
   if (!config.policy_host_global_ids.empty()) {
     if (static_cast<int>(config.policy_host_global_ids.size()) != config.hosts) {
       return InvalidArgumentError(

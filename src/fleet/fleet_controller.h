@@ -22,6 +22,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,12 +57,18 @@ struct FleetRolloutReport : RolloutTally {
 // {"kind":"fleet_rollout", summary counters, wave-latency percentiles}.
 std::string FleetRolloutReportToJson(const FleetRolloutReport& report);
 
+// Rejects degenerate rollout knobs with errors naming `<owner>::<field>`:
+// max_retries >= 0, durations non-negative, probabilities inside [0, 1], the
+// jitter sigma and abort_threshold non-negative (>= 1.0 disables the abort),
+// and a valid policy.
+Result<void> ValidateRolloutKnobs(const RolloutKnobs& knobs, std::string_view owner);
+// The same for a crash storm, fields named `crash_storm.<field>`.
+Result<void> ValidateCrashStorm(const CrashStormConfig& storm, std::string_view owner);
+
 // Rejects degenerate configurations with a field-naming kInvalidArgument
-// instead of the silent clamping the controller used to do: hosts and
-// parallel_hosts must be positive, fault_domains >= 1, max_retries >= 0,
-// durations non-negative, probabilities/fractions inside [0, 1] and the
-// jitter sigma non-negative. abort_threshold may exceed 1.0 (that disables
-// the abort) but not be negative.
+// instead of the silent clamping the controller used to do: hosts,
+// parallel_hosts and fault_domains must be positive, and the knobs and
+// storm must pass the validators above (owner "FleetConfig").
 Result<void> ValidateFleetConfig(const FleetConfig& config);
 
 // One change of a controller's exposed-host count: at `time`, `hosts` more

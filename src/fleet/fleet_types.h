@@ -232,12 +232,11 @@ struct CrashStormConfig {
   bool enabled() const { return rate_per_hour > 0.0; }
 };
 
-struct FleetConfig {
-  int hosts = 100;
-  // Wave width: at most this many transplants in flight at once (the
-  // blast-radius bound, mirroring FleetProfile::parallel_hosts).
-  int parallel_hosts = 10;
-
+// The knobs of one rollout, declared once and inherited by every config that
+// drives one (FleetConfig, CampaignConfig, OperationalConfig): a layer hands
+// them down with `static_cast<RolloutKnobs&>(fleet) = config;` and checks
+// them with ValidateRolloutKnobs (fleet_controller.h).
+struct RolloutKnobs {
   // Per-host timings. With the defaults (no drain, 10 s per host, no jitter,
   // no failures) the rollout makespan equals the closed-form
   // FleetTransplantTime exactly. The adaptive policy re-prices both per host
@@ -245,24 +244,7 @@ struct FleetConfig {
   SimDuration drain_time = 0;
   SimDuration per_host_transplant = Seconds(10);
 
-  // Anti-affinity: hosts spread round-robin over `fault_domains`; a wave
-  // holds at most `max_per_domain_in_flight` hosts of one domain
-  // (0 = unconstrained).
-  int fault_domains = 1;
-  int max_per_domain_in_flight = 0;
-
-  // Campaign work-stealing mode. Two coupled behavior changes, both off by
-  // default (a standalone rollout finalizes itself):
-  //   1. The pending queue fills domain-major (rack 0's hosts first) instead
-  //      of id-order, so waves pack into the lowest racks and whole high
-  //      racks stay fully unstarted — the unit a barrier steal can re-home.
-  //   2. A drained rollout (no pending, in-flight or recovery work) does NOT
-  //      self-finalize; it records drained_at() and waits for the coordinator
-  //      to either AdoptHosts() more work or FinalizeDrained() it, with the
-  //      makespan stamped at the drain instant, not the barrier.
-  bool hold_open = false;
-
-  // Fault injection (all draws come from per-host forks of `seed`, so the
+  // Fault injection (all draws come from per-host forks of the seed, so the
   // outcome of host i never depends on scheduling order).
   double failure_probability = 0.0;  // Per transplant attempt.
   double latency_jitter = 0.0;       // Lognormal sigma on per-host durations.
@@ -283,22 +265,47 @@ struct FleetConfig {
   double rollback_failure_probability = 0.0;
   SimDuration rollback_time = Seconds(5);  // Second micro-reboot + restore.
 
+  // Adaptive mechanism selection (src/policy/). With the default mode
+  // (kFixed) the policy is inert: the configured timings apply and no host
+  // is refused. With kAdaptive, every host's guests are priced per VM and the
+  // per-host drain/transplant durations and per-VM downtime come from the
+  // resulting HostPolicyPlan; hosts with a refused guest are excluded from
+  // the rollout.
+  policy::PolicyConfig policy;
+};
+
+struct FleetConfig : RolloutKnobs {
+  int hosts = 100;
+  // Wave width: at most this many transplants in flight at once (the
+  // blast-radius bound, mirroring FleetProfile::parallel_hosts).
+  int parallel_hosts = 10;
+
+  // Anti-affinity: hosts spread round-robin over `fault_domains`; a wave
+  // holds at most `max_per_domain_in_flight` hosts of one domain
+  // (0 = unconstrained).
+  int fault_domains = 1;
+  int max_per_domain_in_flight = 0;
+
+  // Campaign work-stealing mode. Two coupled behavior changes, both off by
+  // default (a standalone rollout finalizes itself):
+  //   1. The pending queue fills domain-major (rack 0's hosts first) instead
+  //      of id-order, so waves pack into the lowest racks and whole high
+  //      racks stay fully unstarted — the unit a barrier steal can re-home.
+  //   2. A drained rollout (no pending, in-flight or recovery work) does NOT
+  //      self-finalize; it records drained_at() and waits for the coordinator
+  //      to either AdoptHosts() more work or FinalizeDrained() it, with the
+  //      makespan stamped at the drain instant, not the barrier.
+  bool hold_open = false;
+
   // Injected hypervisor-crash storm + unplanned recovery policy. Disabled by
   // default (rate 0).
   CrashStormConfig crash_storm;
 
-  // Adaptive mechanism selection (src/policy/). With the default mode
-  // (kFixed) the policy is inert: the configured timings apply and no host
-  // is refused. With kAdaptive, every host's guests
-  // are priced per VM (SyntheticVmSignals over the host's *global* id) and
-  // the per-host drain/transplant durations and per-VM downtime come from
-  // the resulting HostPolicyPlan; hosts with a refused guest are excluded
-  // from the rollout and emit kHostRefused.
-  policy::PolicyConfig policy;
-  // Global host ids for partition invariance: entry i is the fleet-wide id
-  // of local host i. Empty = identity (local id == global id). The campaign
-  // planner fills this from the datacenter rack layout so a fleet split into
-  // any number of shards prices the same VM population identically.
+  // Global host ids for partition invariance: the adaptive policy prices
+  // local host i's guests (SyntheticVmSignals) under entry i, its fleet-wide
+  // id. Empty = identity (local id == global id). The campaign planner fills
+  // this from the datacenter rack layout so a fleet split into any number of
+  // shards prices the same VM population identically.
   std::vector<int64_t> policy_host_global_ids;
   uint64_t seed = 1;
   size_t trace_capacity = 65536;  // Ring buffer: oldest events drop first.

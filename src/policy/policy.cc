@@ -47,46 +47,21 @@ std::string_view MechanismName(Mechanism mechanism) {
 }
 
 Result<void> ValidatePolicyConfig(const PolicyConfig& config, const std::string& prefix) {
-  const auto non_negative_duration = [&](SimDuration v, const char* field) -> Result<void> {
-    if (v < 0) {
-      return InvalidArgumentError(prefix + field + " must be >= 0, got " + std::to_string(v) +
-                                  " ns");
-    }
-    return OkResult();
-  };
-  const auto fraction = [&](double v, const char* field) -> Result<void> {
-    if (!(v >= 0.0 && v <= 1.0)) {  // Negated so NaN is rejected too.
-      return InvalidArgumentError(prefix + field + " must be a fraction in [0, 1], got " +
-                                  std::to_string(v));
-    }
-    return OkResult();
-  };
-  const auto positive_int = [&](int v, const char* field) -> Result<void> {
-    if (v <= 0) {
-      return InvalidArgumentError(prefix + field + " must be > 0, got " + std::to_string(v));
-    }
-    return OkResult();
-  };
-
-  if (auto r = non_negative_duration(config.max_vm_pause, "max_vm_pause"); !r.ok()) return r;
-  if (auto r = non_negative_duration(config.max_migration_duration, "max_migration_duration");
-      !r.ok())
-    return r;
-  if (auto r = non_negative_duration(config.migration_overhead, "migration_overhead"); !r.ok())
-    return r;
-  if (auto r = non_negative_duration(config.migration_vm_downtime, "migration_vm_downtime");
-      !r.ok())
-    return r;
-  if (auto r = fraction(config.min_migration_headroom, "min_migration_headroom"); !r.ok())
-    return r;
-  if (auto r = fraction(config.host_headroom, "host_headroom"); !r.ok()) return r;
+  HYPERTP_RETURN_IF_ERROR(
+      CheckDurations(prefix, {{"max_vm_pause", config.max_vm_pause},
+                              {"max_migration_duration", config.max_migration_duration},
+                              {"migration_overhead", config.migration_overhead},
+                              {"migration_vm_downtime", config.migration_vm_downtime}}));
+  HYPERTP_RETURN_IF_ERROR(
+      CheckUnitRange(prefix, "fraction",
+                     {{"min_migration_headroom", config.min_migration_headroom},
+                      {"host_headroom", config.host_headroom}}));
   if (!(config.link_gbps >= 0.0) || !std::isfinite(config.link_gbps)) {
-    return InvalidArgumentError(prefix + "link_gbps must be finite and >= 0, got " +
-                                std::to_string(config.link_gbps));
+    return InvalidFieldError(prefix, "link_gbps", "finite and >= 0",
+                             std::to_string(config.link_gbps));
   }
-  if (auto r = positive_int(config.vms_per_host, "vms_per_host"); !r.ok()) return r;
-  if (auto r = positive_int(config.migration_streams, "migration_streams"); !r.ok()) return r;
-  return OkResult();
+  return CheckPositive(prefix, {{"vms_per_host", config.vms_per_host},
+                                {"migration_streams", config.migration_streams}});
 }
 
 TransplantCostModel::TransplantCostModel() : costs_(MachineProfile::C1().costs) {}

@@ -16,6 +16,10 @@ namespace hypertp {
 namespace {
 
 constexpr double kDaySeconds = 24.0 * 3600.0;
+// Operator reaction: disclosure -> fleet transplant begins.
+constexpr SimDuration kReactionTime = Seconds(4 * 3600);
+// Per-VM downtime charged by one InPlaceTP pass under the fixed policy (Fig. 6).
+constexpr SimDuration kPerVmDowntime = SecondsF(1.7);
 
 SimDuration Days(double d) { return static_cast<SimDuration>(d * kDaySeconds * 1e9); }
 
@@ -23,6 +27,21 @@ std::string Stamp(SimTime t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "day %6.1f", ToSeconds(t) / kDaySeconds);
   return buf;
+}
+
+// Every rollout of the year shares one config, so it is checked once and
+// its errors name the OperationalConfig field the caller set.
+Result<void> ValidateOperationalConfig(const OperationalConfig& config) {
+  // campaign_shards lays out the fleet only in campaign mode.
+  const bool campaign = config.fleet_mode == FleetExecutionMode::kCampaign;
+  HYPERTP_RETURN_IF_ERROR(
+      CheckPositive("OperationalConfig::",
+                    {{"hosts", config.hosts},
+                     {"parallel_hosts", config.parallel_hosts},
+                     {"vms_per_host", config.vms_per_host},
+                     {"campaign_shards", campaign ? config.campaign_shards : 1}}));
+  HYPERTP_RETURN_IF_ERROR(ValidateRolloutKnobs(config, "OperationalConfig"));
+  return ValidateCrashStorm(config.crash_storm, "OperationalConfig");
 }
 
 }  // namespace
@@ -36,9 +55,16 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // Dedicated stream for fleet rollouts, forked unconditionally so the
   // disclosure sequence is identical across fleet modes for one seed.
   Rng fleet_stream = rng.Fork();
-  const bool adaptive = config.fleet_policy.adaptive();
+  const bool adaptive = config.policy.adaptive();
   report.policy_adaptive = adaptive;
-  const int total_vms = config.fleet.hosts * config.vms_per_host;
+  const bool campaign = config.fleet_mode == FleetExecutionMode::kCampaign;
+  const Result<void> valid = ValidateOperationalConfig(config);
+  // The hosts a rollout lays out: campaign mode packs the fleet into equal
+  // racks, one per shard and never more racks than hosts, so hosts round
+  // down to a whole number of racks. Downtime and strands charge these.
+  const int racks = std::max(std::min(config.campaign_shards, config.hosts), 1);
+  const int hosts = std::max(campaign ? racks * (config.hosts / racks) : config.hosts, 0);
+  const int64_t total_vms = static_cast<int64_t>(hosts) * config.vms_per_host;
   // One nested executor reused across every rollout of the year (an aborted
   // rollout's Stop() must not poison the next one).
   SimExecutor fleet_executor;
@@ -48,7 +74,7 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // stranded on the vulnerable hypervisor for the residual window.
   auto reject_rollout = [&](const Error& error, double residual_exposure_days) -> SimDuration {
     report.event_log.push_back("rollout rejected: " + error.ToString());
-    report.fleet.untouched += config.fleet.hosts;
+    report.fleet.untouched += hosts;
     report.exposure_days_hypertp += residual_exposure_days;
     return 0;
   };
@@ -65,8 +91,7 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     ++report.fleet_rollouts;
     report.fleet += rollout;
     report.fleet_aborts += rollout.aborted;
-    report.vm_downtime_paid +=
-        adaptive ? rollout.policy_vm_downtime : config.per_vm_downtime * total_vms;
+    report.vm_downtime_paid += adaptive ? rollout.policy_vm_downtime : kPerVmDowntime * total_vms;
     if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
       report.exposure_days_hypertp += static_cast<double>(rollout.hosts - rollout.upgraded -
                                                           rollout.lost) /
@@ -78,19 +103,11 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // and returns its makespan.
   auto fleet_rollout = [&](double residual_exposure_days) -> SimDuration {
     FleetConfig fleet_config;
-    fleet_config.hosts = config.fleet.hosts;
-    fleet_config.parallel_hosts = config.fleet.parallel_hosts;
-    fleet_config.per_host_transplant = config.fleet.per_host_transplant;
-    fleet_config.failure_probability = config.fleet_failure_probability;
-    fleet_config.latency_jitter = config.fleet_latency_jitter;
-    fleet_config.max_retries = config.fleet_max_retries;
-    fleet_config.abort_threshold = config.fleet_abort_threshold;
-    fleet_config.post_pause_fraction = config.fleet_post_pause_fraction;
-    fleet_config.rollback_failure_probability = config.fleet_rollback_failure_probability;
-    fleet_config.rollback_time = config.fleet_rollback_time;
-    fleet_config.crash_storm = config.fleet_storm;
+    static_cast<RolloutKnobs&>(fleet_config) = config;
+    fleet_config.hosts = hosts;
+    fleet_config.parallel_hosts = config.parallel_hosts;
+    fleet_config.crash_storm = config.crash_storm;
     if (adaptive) {
-      fleet_config.policy = config.fleet_policy;
       fleet_config.policy.vms_per_host = config.vms_per_host;
     }
     fleet_config.seed = fleet_stream.NextU64();
@@ -104,31 +121,24 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   };
 
   // Same contract as fleet_rollout, but through the sharded campaign control
-  // plane: N coordinated per-shard controllers under the SLO governor.
+  // plane: one coordinated controller per rack under the SLO governor.
   auto campaign_rollout = [&](double residual_exposure_days) -> SimDuration {
     CampaignConfig cc;
+    static_cast<RolloutKnobs&>(cc) = config;
     CampaignDatacenter dc;
     dc.name = "dc0";
-    dc.racks = std::max(config.campaign_shards, 1);
-    dc.hosts_per_rack = std::max(config.fleet.hosts / dc.racks, 1);
+    dc.racks = racks;
+    dc.hosts_per_rack = hosts / racks;
     dc.vms_per_host = config.vms_per_host;
-    dc.crash_storm = config.fleet_storm;
+    dc.crash_storm = config.crash_storm;
     if (adaptive) {
       // The single synthetic DC carries the policy's environment signals.
-      dc.link_gbps = config.fleet_policy.link_gbps;
-      dc.host_headroom = config.fleet_policy.host_headroom;
-      cc.policy = config.fleet_policy;
+      dc.link_gbps = config.policy.link_gbps;
+      dc.host_headroom = config.policy.host_headroom;
     }
     cc.datacenters.push_back(dc);
-    cc.shards = dc.racks;
-    cc.parallel_hosts_per_shard = std::max(config.fleet.parallel_hosts / cc.shards, 1);
-    cc.per_host_transplant = config.fleet.per_host_transplant;
-    cc.failure_probability = config.fleet_failure_probability;
-    cc.latency_jitter = config.fleet_latency_jitter;
-    cc.max_retries = config.fleet_max_retries;
-    cc.post_pause_fraction = config.fleet_post_pause_fraction;
-    cc.rollback_failure_probability = config.fleet_rollback_failure_probability;
-    cc.rollback_time = config.fleet_rollback_time;
+    cc.shards = racks;
+    cc.parallel_hosts_per_shard = std::max(config.parallel_hosts / racks, 1);
     cc.slo = config.campaign_slo;
     cc.seed = fleet_stream.NextU64();
     Result<CampaignReport> run = CampaignPlanner(std::move(cc)).Run();
@@ -143,9 +153,11 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   // One fleet-wide transplant under the configured execution mode; returns
   // the charged makespan.
   auto run_rollout = [&](double residual_exposure_days) -> SimDuration {
-    return config.fleet_mode == FleetExecutionMode::kCampaign
-               ? campaign_rollout(residual_exposure_days)
-               : fleet_rollout(residual_exposure_days);
+    if (!valid.ok()) {
+      return reject_rollout(valid.error(), residual_exposure_days);
+    }
+    return campaign ? campaign_rollout(residual_exposure_days)
+                    : fleet_rollout(residual_exposure_days);
   };
 
   // Historical disclosure rate: critical flaws affecting the home hypervisor
@@ -213,11 +225,11 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
           ++report.transplants_away;
           current = *decision.target;
           const SimDuration fleet_time = run_rollout(traditional);
-          const SimDuration exposed = config.reaction_time + fleet_time;
+          const SimDuration exposed = kReactionTime + fleet_time;
           if (tracer != nullptr) {
             tracer->SetAttribute(disclosure_mark, "outcome", "transplant");
             const SpanId rollout = tracer->AddSpan(
-                "rollout:away", at + config.reaction_time, fleet_time, 0, "fleet");
+                "rollout:away", at + kReactionTime, fleet_time, 0, "fleet");
             tracer->SetAttribute(rollout, "cve", std::string_view(cve->id));
             tracer->SetAttribute(rollout, "target", HypervisorKindName(current));
           }

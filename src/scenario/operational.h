@@ -25,7 +25,7 @@ namespace hypertp {
 class Tracer;
 
 // How each disclosure's fleet-wide transplant is executed. Both modes are
-// event-driven and inject the configured faults (and `fleet_storm`, when
+// event-driven and inject the configured faults (and `crash_storm`, when
 // enabled); with neither, a rollout's makespan is the closed-form
 // FleetTransplantTime.
 enum class FleetExecutionMode : uint8_t {
@@ -33,58 +33,50 @@ enum class FleetExecutionMode : uint8_t {
   // injected failures, retries with backoff, abort threshold.
   kFleetController,
   // Sharded campaign through src/campaign's CampaignPlanner: the fleet is
-  // laid out as one datacenter of `campaign_shards` racks and every
-  // disclosure's rollout runs N coordinated per-shard controllers under the
-  // `campaign_slo` budgets. Hosts round down to a whole number of racks.
+  // laid out as one datacenter of min(`campaign_shards`, hosts) racks and
+  // every disclosure's rollout runs one coordinated controller per rack
+  // under the `campaign_slo` budgets, with the campaign's SLO governor
+  // enforcing `abort_threshold`. Hosts round down to a whole number of
+  // racks; only the laid-out hosts are run and charged.
   kCampaign,
 };
 
-struct OperationalConfig {
+// The inherited RolloutKnobs drive every rollout of the year, in either
+// mode. With `policy` kFixed (the default) every VM pays the flat Fig. 6
+// InPlaceTP downtime per rollout and the timings are the configured
+// constants; with kAdaptive each rollout prices every VM individually
+// (in-place guests pay their modeled pause, migrated guests the switchover
+// brownout) and hosts with refused guests stay exposed. Unlike a bare
+// FleetConfig, a year aborts a rollout once more than a quarter of its
+// hosts have failed for good.
+struct OperationalConfig : RolloutKnobs {
+  OperationalConfig() { abort_threshold = 0.25; }
+
   HypervisorKind home = HypervisorKind::kXen;
   std::vector<HypervisorKind> pool = {HypervisorKind::kXen, HypervisorKind::kKvm};
-  FleetProfile fleet;
+  // The fleet: host count and wave width (the blast-radius bound).
+  int hosts = 100;
+  int parallel_hosts = 10;
   PatchPolicy patch_policy;
-  // Operator reaction: disclosure -> fleet transplant begins.
-  SimDuration reaction_time = Seconds(4 * 3600);  // 4 hours.
   int years = 1;
   uint64_t seed = 1;
   double fallback_window_days = 60.0;
-  // Per-VM downtime charged by one InPlaceTP pass (Fig. 6).
-  SimDuration per_vm_downtime = SecondsF(1.7);
+  // Guests per host: the flat downtime charge's multiplier and the adaptive
+  // policy's per-host population.
   int vms_per_host = 10;
 
   FleetExecutionMode fleet_mode = FleetExecutionMode::kFleetController;
-  // Fault-injection knobs, applied in either mode.
-  double fleet_failure_probability = 0.0;
-  double fleet_latency_jitter = 0.0;
-  int fleet_max_retries = 3;
-  double fleet_abort_threshold = 0.25;
-  // Post-pause recovery (failure-atomic transplant): fraction of failed
-  // attempts stranded past the point of no return, chance the PRAM ledger
-  // rollback itself fails, and the rollback's duration.
-  double fleet_post_pause_fraction = 0.0;
-  double fleet_rollback_failure_probability = 0.0;
-  SimDuration fleet_rollback_time = Seconds(5);
   // Hypervisor-crash storm replayed against every rollout of the year when
   // enabled: seeded crashes mid-traffic, each answered by an unplanned
   // InPlaceTP recovery from the last PRAM image (ReHype-mode salvage) — or
   // lost when the crash tore the ledger. In kCampaign mode it is the
   // datacenter's storm, thinned across the shards by host count.
-  CrashStormConfig fleet_storm;
-
-  // Adaptive mechanism selection (src/policy/) for every rollout of the
-  // year. With kFixed (the default) per-VM downtime is the flat
-  // per_vm_downtime charge and rollout timings are the configured constants.
-  // With kAdaptive each rollout prices every VM individually: in-place
-  // guests are charged their modeled pause, migrated guests the switchover
-  // brownout, and hosts with refused guests stay exposed. vms_per_host above
-  // feeds the policy's per-host population.
-  policy::PolicyConfig fleet_policy;
+  CrashStormConfig crash_storm;
 
   // kCampaign mode: shard count and fleet-wide SLO budgets for the sharded
   // campaign control plane. The per-shard wave width is
-  // fleet.parallel_hosts / campaign_shards (at least 1), so total in-flight
-  // capacity matches the single-controller modes.
+  // parallel_hosts / shards (at least 1), so total in-flight capacity
+  // matches the single-controller mode.
   int campaign_shards = 4;
   CampaignSlo campaign_slo;
 
@@ -109,7 +101,7 @@ struct OperationalReport {
   // The outcome tally of every rollout the year ran, summed (retries,
   // post-pause recovery, crash-storm outcomes, policy decisions...). A
   // rollout whose config was rejected runs nothing and is not counted as a
-  // rollout: its error lands in event_log and all its hosts join
+  // rollout: its error lands in event_log and all its laid-out hosts join
   // fleet.untouched, stranded for the residual window.
   RolloutTally fleet;
   int fleet_rollouts = 0;
@@ -117,7 +109,7 @@ struct OperationalReport {
   // kCampaign mode: epoch barriers the SLO governor spent throttled, summed
   // over every campaign of the year.
   int fleet_throttled_epochs = 0;
-  bool policy_adaptive = false;  // fleet_policy was kAdaptive.
+  bool policy_adaptive = false;  // OperationalConfig::policy was kAdaptive.
   std::vector<std::string> event_log;
 
   // Hosts left on the vulnerable hypervisor: failed, or never reached

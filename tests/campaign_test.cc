@@ -300,7 +300,7 @@ TEST(CampaignTest, FailedFractionBudgetAborts) {
   CampaignConfig config = BaseConfig();
   config.failure_probability = 1.0;  // Every attempt fails...
   config.max_retries = 0;            // ...and hosts park in kFailed at once.
-  config.slo.abort_failed_fraction = 0.1;
+  config.abort_threshold = 0.1;
   Result<CampaignReport> run = CampaignPlanner(config).Run();
   ASSERT_TRUE(run.ok()) << run.error().ToString();
 

@@ -54,7 +54,7 @@ TEST(OperationalTest, HyperTpSlashesExposure) {
 TEST(OperationalTest, DowntimePaidScalesWithFleetAndTransplants) {
   OperationalConfig config = BaseConfig(3);
   const OperationalReport small = RunOperationalSimulation(config);
-  config.fleet.hosts = 200;  // Double the fleet.
+  config.hosts = 200;  // Double the fleet.
   const OperationalReport big = RunOperationalSimulation(config);
   // Same seed -> same event sequence; downtime doubles with the VM count.
   ASSERT_EQ(small.transplants_away, big.transplants_away);
@@ -89,7 +89,9 @@ TEST(OperationalTest, FleetControllerModeAgreesWithClosedFormWhenFaultFree) {
     ASSERT_EQ(static_cast<int>(back.size()), report.transplants_back) << "seed " << seed;
     for (const std::vector<const Span*>* spans : {&away, &back}) {
       for (const Span* span : *spans) {
-        EXPECT_EQ(span->duration(), FleetTransplantTime(config.fleet)) << "seed " << seed;
+        EXPECT_EQ(span->duration(), FleetTransplantTime({config.hosts, config.per_host_transplant,
+                                                         config.parallel_hosts}))
+            << "seed " << seed;
         ++checked;
       }
     }
@@ -102,8 +104,8 @@ TEST(OperationalTest, FleetControllerModeAgreesWithClosedFormWhenFaultFree) {
 
 TEST(OperationalTest, FleetControllerModeIsDeterministic) {
   OperationalConfig config = BaseConfig(7);
-  config.fleet_failure_probability = 0.05;
-  config.fleet_latency_jitter = 0.2;
+  config.failure_probability = 0.05;
+  config.latency_jitter = 0.2;
   const OperationalReport a = RunOperationalSimulation(config);
   const OperationalReport b = RunOperationalSimulation(config);
   EXPECT_EQ(a.disclosures, b.disclosures);
@@ -141,9 +143,9 @@ TEST(OperationalTest, CampaignModeAgreesWithClosedFormWhenFaultFree) {
 TEST(OperationalTest, CampaignModeIsDeterministic) {
   OperationalConfig config = BaseConfig(7);
   config.fleet_mode = FleetExecutionMode::kCampaign;
-  config.fleet_failure_probability = 0.1;
-  config.fleet_latency_jitter = 0.2;
-  config.fleet_post_pause_fraction = 0.5;
+  config.failure_probability = 0.1;
+  config.latency_jitter = 0.2;
+  config.post_pause_fraction = 0.5;
   const OperationalReport a = RunOperationalSimulation(config);
   const OperationalReport b = RunOperationalSimulation(config);
   EXPECT_EQ(a.disclosures, b.disclosures);
@@ -159,8 +161,8 @@ TEST(OperationalTest, CampaignSloThrottlingSurfacesInTheReport) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     OperationalConfig config = BaseConfig(seed);
     config.fleet_mode = FleetExecutionMode::kCampaign;
-    config.fleet_failure_probability = 0.5;
-    config.fleet_post_pause_fraction = 1.0;
+    config.failure_probability = 0.5;
+    config.post_pause_fraction = 1.0;
     config.campaign_slo.throttle_rollback_rate = 0.05;
     const OperationalReport report = RunOperationalSimulation(config);
     if (report.transplants_away == 0) {
@@ -173,6 +175,49 @@ TEST(OperationalTest, CampaignSloThrottlingSurfacesInTheReport) {
   FAIL() << "no seed produced a transplant";
 }
 
+TEST(OperationalTest, AbortThresholdIsHonouredInBothModes) {
+  // Nine attempts in ten fail and none retries, so a quarter of the hosts
+  // fail for good within a few waves: the default 0.25 abort_threshold must
+  // stop rollouts in campaign mode (the SLO governor's failed-fraction abort)
+  // exactly as it does under one FleetController.
+  for (const FleetExecutionMode mode :
+       {FleetExecutionMode::kFleetController, FleetExecutionMode::kCampaign}) {
+    OperationalConfig config = BaseConfig(3);
+    config.fleet_mode = mode;
+    config.failure_probability = 0.9;
+    config.max_retries = 0;
+    const OperationalReport report = RunOperationalSimulation(config);
+    ASSERT_GT(report.fleet_rollouts, 0);
+    EXPECT_GT(report.fleet_aborts, 0) << "mode " << static_cast<int>(mode);
+    EXPECT_GT(report.fleet.untouched, 0) << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(OperationalTest, CampaignModeChargesTheHostsItLaysOut) {
+  // Four shards lay the fleet out as min(4, hosts) equal racks: 10 hosts run
+  // as 4 racks of 2 (8 hosts), 2 hosts as 2 racks of 1. The tally, the flat
+  // Fig. 6 downtime charge and a rejected rollout's strand all count the
+  // hosts laid out, never hosts the layout dropped or invented.
+  for (const auto& [hosts, laid_out] : {std::pair{10, 8}, std::pair{2, 2}}) {
+    OperationalConfig config = BaseConfig(3);
+    config.fleet_mode = FleetExecutionMode::kCampaign;
+    config.campaign_shards = 4;
+    config.hosts = hosts;
+    const OperationalReport ran = RunOperationalSimulation(config);
+    ASSERT_GT(ran.fleet_rollouts, 0);
+    EXPECT_EQ(ran.fleet.hosts, laid_out * ran.fleet_rollouts) << hosts << " hosts";
+    EXPECT_EQ(ran.vm_downtime_paid,
+              SecondsF(1.7) * laid_out * config.vms_per_host * ran.fleet_rollouts)
+        << hosts << " hosts";
+
+    config.failure_probability = 1.5;
+    const OperationalReport rejected = RunOperationalSimulation(config);
+    EXPECT_EQ(rejected.stranded_hosts(),
+              laid_out * (rejected.transplants_away + rejected.transplants_back))
+        << hosts << " hosts";
+  }
+}
+
 TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {
   // Find a seed with at least one transplant, then crank the failure rate:
   // retries + stranded hosts must push exposure above the fault-free run.
@@ -183,8 +228,8 @@ TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {
       continue;
     }
     OperationalConfig faulty = clean;
-    faulty.fleet_failure_probability = 0.3;
-    faulty.fleet_max_retries = 1;  // Many hosts exhaust the budget.
+    faulty.failure_probability = 0.3;
+    faulty.max_retries = 1;  // Many hosts exhaust the budget.
     const OperationalReport hit = RunOperationalSimulation(faulty);
     ASSERT_EQ(hit.transplants_away, base.transplants_away);
     EXPECT_GT(hit.fleet.retries, 0);
@@ -202,8 +247,8 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
   // residual windows are billed as extra exposure.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     OperationalConfig config = BaseConfig(seed);
-    config.fleet_failure_probability = 0.3;
-    config.fleet_post_pause_fraction = 0.8;
+    config.failure_probability = 0.3;
+    config.post_pause_fraction = 0.8;
     const OperationalReport recovered = RunOperationalSimulation(config);
     if (recovered.transplants_away == 0 || recovered.fleet.post_pause_faults == 0) {
       continue;
@@ -214,7 +259,7 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
     EXPECT_EQ(recovered.fleet.rollback_failures, 0);
 
     OperationalConfig lossy = config;
-    lossy.fleet_rollback_failure_probability = 1.0;
+    lossy.rollback_failure_probability = 1.0;
     const OperationalReport lost = RunOperationalSimulation(lossy);
     EXPECT_GT(lost.fleet.rollback_failures, 0);
     EXPECT_GT(lost.stranded_hosts(), recovered.stranded_hosts());
@@ -227,12 +272,12 @@ TEST(OperationalTest, PostPauseRecoveryCountersSurfaceInTheReport) {
 // A storm dense enough to strike a 60-host, 5-wide rollout.
 OperationalConfig StormConfig(uint64_t seed) {
   OperationalConfig config = BaseConfig(seed);
-  config.fleet.hosts = 60;
-  config.fleet.parallel_hosts = 5;  // Long rollouts: room for strikes.
-  config.fleet_storm.rate_per_hour = 600.0;
-  config.fleet_storm.recovery_time = Seconds(4);
-  config.fleet_storm.pre_pause_fraction = 0.2;
-  config.fleet_storm.scrubbed_fraction = 0.1;
+  config.hosts = 60;
+  config.parallel_hosts = 5;  // Long rollouts: room for strikes.
+  config.crash_storm.rate_per_hour = 600.0;
+  config.crash_storm.recovery_time = Seconds(4);
+  config.crash_storm.pre_pause_fraction = 0.2;
+  config.crash_storm.scrubbed_fraction = 0.1;
   return config;
 }
 
@@ -296,14 +341,14 @@ TEST(OperationalTest, RejectedRolloutsAreChargedAlikeInBothModes) {
     for (int i = 0; i < 2; ++i) {
       OperationalConfig config = BaseConfig(seed);
       config.fleet_mode = modes[i];
-      config.fleet_failure_probability = 1.5;
+      config.failure_probability = 1.5;
       rejected[i] = RunOperationalSimulation(config);
       const OperationalReport& r = rejected[i];
       EXPECT_EQ(r.transplants_away, clean.transplants_away);
       EXPECT_EQ(r.fleet_rollouts, 0);
       EXPECT_EQ(r.vm_downtime_paid, 0);
       EXPECT_EQ(r.stranded_hosts(),
-                config.fleet.hosts * (r.transplants_away + r.transplants_back));
+                config.hosts * (r.transplants_away + r.transplants_back));
       EXPECT_GT(r.exposure_days_hypertp, clean.exposure_days_hypertp);
       int logged = 0;
       for (const std::string& line : r.event_log) {
@@ -336,7 +381,7 @@ TEST(OperationalPolicyTest, AdaptivePolicyReplacesTheFlatDowntimeCharge) {
   OperationalConfig config = BaseConfig(3);
   const OperationalReport fixed = RunOperationalSimulation(config);
 
-  config.fleet_policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
   const OperationalReport adaptive = RunOperationalSimulation(config);
 
   EXPECT_FALSE(fixed.policy_adaptive);
