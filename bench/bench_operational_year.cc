@@ -58,11 +58,10 @@ void RunFor(HypervisorKind home, const std::vector<HypervisorKind>& pool, const 
 }
 
 // Fixed vs adaptive mechanism policy, replayed over the same seeded years.
-// Both arms run the event-driven FleetController so the adaptive policy has
-// per-host execution to price; everything except PolicyConfig::mode is
-// identical, so any delta is the policy's.
+// Everything except PolicyConfig::mode is identical, so any delta is the
+// policy's.
 void FixedVsAdaptive(int seeds, bench::BenchReport& bench_report) {
-  bench::Section("Fixed vs adaptive mechanism policy — same years, FleetController mode");
+  bench::Section("Fixed vs adaptive mechanism policy — same years");
   SampleSet fixed_downtime, adaptive_downtime, fixed_exposure, adaptive_exposure;
   OperationalReport sample_fixed, sample_adaptive;
   for (uint64_t seed = 1; seed <= static_cast<uint64_t>(seeds); ++seed) {
@@ -71,7 +70,6 @@ void FixedVsAdaptive(int seeds, bench::BenchReport& bench_report) {
     config.pool = {HypervisorKind::kXen, HypervisorKind::kKvm};
     config.seed = seed;
     config.years = 1;
-    config.fleet_mode = FleetExecutionMode::kFleetController;
 
     OperationalReport fixed = RunOperationalSimulation(config);
 

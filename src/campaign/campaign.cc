@@ -285,8 +285,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
   if (!planned.ok()) {
     return planned.error();
   }
-  plan_ = std::move(planned).value();
-  const CampaignPlan& plan = *plan_;
+  const CampaignPlan plan = std::move(planned).value();
   Tracer* const tracer = config_.tracer;
 
   // Per-shard runtime. Controllers borrow their executor and the pacer reads

@@ -26,7 +26,6 @@
 #define HYPERTP_SRC_CAMPAIGN_CAMPAIGN_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -254,17 +253,12 @@ class CampaignPlanner {
  public:
   explicit CampaignPlanner(CampaignConfig config);
 
-  // Plans (if not yet planned) and executes the campaign to completion or
-  // SLO abort. Single-shot: a second call returns kFailedPrecondition.
+  // Plans and executes the campaign to completion or SLO abort.
+  // Single-shot: a second call returns kFailedPrecondition.
   Result<CampaignReport> Run();
-
-  // The sharding plan; set after Run() succeeds.
-  const std::optional<CampaignPlan>& plan() const { return plan_; }
-  const CampaignConfig& config() const { return config_; }
 
  private:
   CampaignConfig config_;
-  std::optional<CampaignPlan> plan_;
   bool ran_ = false;
   // Barrier-committed wave hold read by every shard's wave pacer; nonzero
   // while the governor throttles. Written only between epochs.

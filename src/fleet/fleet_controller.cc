@@ -553,9 +553,7 @@ void FleetController::StartNextWave() {
 }
 
 void FleetController::StartDrain(int host) {
-  FleetHost& h = hosts_[static_cast<size_t>(host)];
   SetState(host, FleetHostState::kDraining);
-  h.drain_started = executor_.now();
   Emit(FleetEventType::kDrainStart, host);
   Schedule(Jittered(HostPlan(host).drain_time, host_rngs_[static_cast<size_t>(host)]),
            EventCall::Op::kStartTransplant, host);
@@ -564,7 +562,6 @@ void FleetController::StartDrain(int host) {
 void FleetController::StartTransplant(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
   SetState(host, FleetHostState::kTransplanting);
-  h.transplant_started = executor_.now();
   ++h.attempts;
   Emit(FleetEventType::kTransplantStart, host, h.attempts);
   Schedule(Jittered(HostPlan(host).transplant_time, host_rngs_[static_cast<size_t>(host)]),
@@ -576,7 +573,6 @@ void FleetController::FinishAttempt(int host) {
   if (!host_rngs_[static_cast<size_t>(host)].NextBool(config_.failure_probability)) {
     h.upgraded = true;
     SetState(host, FleetHostState::kServing);
-    h.finished = executor_.now();
     ++report_.upgraded;
     ++report_.transplant_successes;
     report_.policy_vm_downtime += HostPlan(host).vm_downtime;
@@ -608,7 +604,6 @@ void FleetController::FinishRollback(int host) {
     ++report_.rollback_failures;
     Emit(FleetEventType::kRollbackFailed, host, h.attempts);
     SetState(host, FleetHostState::kFailed);
-    h.finished = executor_.now();
     ++report_.failed;
     Emit(FleetEventType::kHostFailed, host, h.attempts);
     HostDone();
@@ -634,7 +629,6 @@ void FleetController::ScheduleRetryOrFail(int host) {
     return;
   }
   SetState(host, FleetHostState::kFailed);
-  h.finished = executor_.now();
   ++report_.failed;
   Emit(FleetEventType::kHostFailed, host, h.attempts);
   HostDone();  // Failed hosts stay exposed; no exposure change.
@@ -862,7 +856,6 @@ void FleetController::FinishRecovery(int host) {
       // The host comes back already upgraded: the crash did the campaign's
       // work for it.
       h.upgraded = true;
-      h.finished = executor_.now();
       ++report_.upgraded;
       ++report_.crash_upgrades;
       ChangeExposure(-1);
@@ -871,7 +864,6 @@ void FleetController::FinishRecovery(int host) {
       // a same-kind salvage reverts the host to the vulnerable source kind.
       // It re-exposes and re-queues for the campaign to upgrade again.
       h.upgraded = false;
-      h.finished = -1;
       --report_.upgraded;
       ++report_.crash_rollbacks;
       Emit(FleetEventType::kCrashRollback, host);
@@ -908,7 +900,6 @@ void FleetController::LoseHost(int host, bool ledger_data_loss) {
     ChangeExposure(-1);
   }
   SetState(host, FleetHostState::kFailed);
-  h.finished = executor_.now();
   Emit(FleetEventType::kHostLost, host, h.recovery_attempts);
   MaybeFinishRollout();
 }

@@ -57,10 +57,7 @@ struct FleetHost {
   int fault_domain = 0;
   FleetHostState state = FleetHostState::kServing;
   bool upgraded = false;
-  int attempts = 0;             // Transplant attempts so far.
-  SimTime drain_started = -1;
-  SimTime transplant_started = -1;
-  SimTime finished = -1;        // Upgraded or permanently failed.
+  int attempts = 0;  // Transplant attempts so far.
   // Crash-recovery bookkeeping (only meaningful once a storm struck this
   // host): when the crash hit, what the crash left of the ledger, and how
   // many unplanned-recovery attempts have run.

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "src/base/json.h"
-#include "src/campaign/campaign.h"
+#include "src/base/logging.h"
 #include "src/fleet/fleet_controller.h"
 #include "src/obs/trace.h"
 #include "src/sim/executor.h"
@@ -32,14 +32,10 @@ std::string Stamp(SimTime t) {
 // Every rollout of the year shares one config, so it is checked once and
 // its errors name the OperationalConfig field the caller set.
 Result<void> ValidateOperationalConfig(const OperationalConfig& config) {
-  // campaign_shards lays out the fleet only in campaign mode.
-  const bool campaign = config.fleet_mode == FleetExecutionMode::kCampaign;
-  HYPERTP_RETURN_IF_ERROR(
-      CheckPositive("OperationalConfig::",
-                    {{"hosts", config.hosts},
-                     {"parallel_hosts", config.parallel_hosts},
-                     {"vms_per_host", config.vms_per_host},
-                     {"campaign_shards", campaign ? config.campaign_shards : 1}}));
+  HYPERTP_RETURN_IF_ERROR(CheckPositive("OperationalConfig::",
+                                        {{"hosts", config.hosts},
+                                         {"parallel_hosts", config.parallel_hosts},
+                                         {"vms_per_host", config.vms_per_host}}));
   HYPERTP_RETURN_IF_ERROR(ValidateRolloutKnobs(config, "OperationalConfig"));
   return ValidateCrashStorm(config.crash_storm, "OperationalConfig");
 }
@@ -53,58 +49,34 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
   Tracer* const tracer = config.tracer;
 
   // Dedicated stream for fleet rollouts, forked unconditionally so the
-  // disclosure sequence is identical across fleet modes for one seed.
+  // disclosure sequence is the same for one seed whatever the rollouts draw.
   Rng fleet_stream = rng.Fork();
   const bool adaptive = config.policy.adaptive();
   report.policy_adaptive = adaptive;
-  const bool campaign = config.fleet_mode == FleetExecutionMode::kCampaign;
   const Result<void> valid = ValidateOperationalConfig(config);
-  // The hosts a rollout lays out: campaign mode packs the fleet into equal
-  // racks, one per shard and never more racks than hosts, so hosts round
-  // down to a whole number of racks. Downtime and strands charge these.
-  const int racks = std::max(std::min(config.campaign_shards, config.hosts), 1);
-  const int hosts = std::max(campaign ? racks * (config.hosts / racks) : config.hosts, 0);
-  const int64_t total_vms = static_cast<int64_t>(hosts) * config.vms_per_host;
   // One nested executor reused across every rollout of the year (an aborted
   // rollout's Stop() must not poison the next one).
   SimExecutor fleet_executor;
 
-  // A rejected config (degenerate knobs) runs nothing: no rollout is counted,
-  // the field-naming error lands in the event log, and every host stays
-  // stranded on the vulnerable hypervisor for the residual window.
-  auto reject_rollout = [&](const Error& error, double residual_exposure_days) -> SimDuration {
-    report.event_log.push_back("rollout rejected: " + error.ToString());
-    report.fleet.untouched += hosts;
-    report.exposure_days_hypertp += residual_exposure_days;
-    return 0;
-  };
-
-  // Charges a rollout that ran to the year, whichever mode ran it (a
-  // FleetRolloutReport or a CampaignReport: both are a RolloutTally with an
-  // `aborted` flag and a makespan).
-  // Downtime is the plans' modeled per-VM downtime under the adaptive policy,
-  // else the flat Fig. 6 charge. Hosts neither upgraded nor lost (failed,
-  // never reached because the rollout aborted, or refused by the policy)
-  // stay exposed for `residual_exposure_days` — the rest of the patch wait.
-  // Lost hosts are dead, not exposed.
-  auto tally = [&](const auto& rollout, double residual_exposure_days) {
-    ++report.fleet_rollouts;
-    report.fleet += rollout;
-    report.fleet_aborts += rollout.aborted;
-    report.vm_downtime_paid += adaptive ? rollout.policy_vm_downtime : kPerVmDowntime * total_vms;
-    if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
-      report.exposure_days_hypertp += static_cast<double>(rollout.hosts - rollout.upgraded -
-                                                          rollout.lost) /
-                                      rollout.hosts * residual_exposure_days;
+  // Runs one fleet-wide transplant through the event-driven control plane,
+  // charges it to the year and returns its makespan. Downtime is the plans'
+  // modeled per-VM downtime under the adaptive policy, else the flat Fig. 6
+  // charge for every VM of every host transplanted. Hosts neither upgraded
+  // nor lost (failed, never reached because the rollout aborted, or refused
+  // by the policy) stay exposed for `residual_exposure_days` — the rest of
+  // the patch wait. Lost hosts are dead, not exposed. A rejected config
+  // runs nothing: no rollout is counted, the field-naming error lands in the
+  // event log, and every host stays stranded for the residual window.
+  auto run_rollout = [&](double residual_exposure_days) -> SimDuration {
+    if (!valid.ok()) {
+      report.event_log.push_back("rollout rejected: " + valid.error().ToString());
+      report.fleet.untouched += std::max(config.hosts, 0);
+      report.exposure_days_hypertp += residual_exposure_days;
+      return 0;
     }
-  };
-
-  // Runs one fleet-wide transplant through the event-driven control plane
-  // and returns its makespan.
-  auto fleet_rollout = [&](double residual_exposure_days) -> SimDuration {
     FleetConfig fleet_config;
     static_cast<RolloutKnobs&>(fleet_config) = config;
-    fleet_config.hosts = hosts;
+    fleet_config.hosts = config.hosts;
     fleet_config.parallel_hosts = config.parallel_hosts;
     fleet_config.crash_storm = config.crash_storm;
     if (adaptive) {
@@ -112,52 +84,22 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     }
     fleet_config.seed = fleet_stream.NextU64();
     FleetController controller(fleet_executor, fleet_config);
-    if (controller.config_error().has_value()) {
-      return reject_rollout(*controller.config_error(), residual_exposure_days);
-    }
+    // ValidateOperationalConfig checked every field this config sets.
+    HYPERTP_CHECK(!controller.config_error().has_value());
     const FleetRolloutReport& rollout = controller.Run();
-    tally(rollout, residual_exposure_days);
+    ++report.fleet_rollouts;
+    report.fleet += rollout;
+    report.fleet_aborts += rollout.aborted;
+    report.vm_downtime_paid +=
+        adaptive ? rollout.policy_vm_downtime
+                 : kPerVmDowntime * (static_cast<int64_t>(config.vms_per_host) *
+                                     rollout.transplant_successes);
+    if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
+      report.exposure_days_hypertp += static_cast<double>(rollout.hosts - rollout.upgraded -
+                                                          rollout.lost) /
+                                      rollout.hosts * residual_exposure_days;
+    }
     return rollout.makespan;
-  };
-
-  // Same contract as fleet_rollout, but through the sharded campaign control
-  // plane: one coordinated controller per rack under the SLO governor.
-  auto campaign_rollout = [&](double residual_exposure_days) -> SimDuration {
-    CampaignConfig cc;
-    static_cast<RolloutKnobs&>(cc) = config;
-    CampaignDatacenter dc;
-    dc.name = "dc0";
-    dc.racks = racks;
-    dc.hosts_per_rack = hosts / racks;
-    dc.vms_per_host = config.vms_per_host;
-    dc.crash_storm = config.crash_storm;
-    if (adaptive) {
-      // The single synthetic DC carries the policy's environment signals.
-      dc.link_gbps = config.policy.link_gbps;
-      dc.host_headroom = config.policy.host_headroom;
-    }
-    cc.datacenters.push_back(dc);
-    cc.shards = racks;
-    cc.parallel_hosts_per_shard = std::max(config.parallel_hosts / racks, 1);
-    cc.slo = config.campaign_slo;
-    cc.seed = fleet_stream.NextU64();
-    Result<CampaignReport> run = CampaignPlanner(std::move(cc)).Run();
-    if (!run.ok()) {
-      return reject_rollout(run.error(), residual_exposure_days);
-    }
-    tally(*run, residual_exposure_days);
-    report.fleet_throttled_epochs += run->throttled_epochs;
-    return run->makespan;
-  };
-
-  // One fleet-wide transplant under the configured execution mode; returns
-  // the charged makespan.
-  auto run_rollout = [&](double residual_exposure_days) -> SimDuration {
-    if (!valid.ok()) {
-      return reject_rollout(valid.error(), residual_exposure_days);
-    }
-    return campaign ? campaign_rollout(residual_exposure_days)
-                    : fleet_rollout(residual_exposure_days);
   };
 
   // Historical disclosure rate: critical flaws affecting the home hypervisor
@@ -291,7 +233,6 @@ std::string OperationalReportToJson(const OperationalReport& report) {
   j.Key("crash_live_recoveries").Number(static_cast<int64_t>(fleet.crash_live_recoveries));
   j.Key("crash_rollbacks").Number(static_cast<int64_t>(fleet.crash_rollbacks));
   j.Key("lost").Number(static_cast<int64_t>(fleet.lost));
-  j.Key("throttled_epochs").Number(static_cast<int64_t>(report.fleet_throttled_epochs));
   j.EndObject();
   j.Key("policy").BeginObject();
   j.Key("mode").String(report.policy_adaptive ? "adaptive" : "fixed");

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "src/campaign/campaign.h"
+#include "src/fleet/fleet_types.h"
 #include "src/sim/time.h"
 #include "src/vulndb/window_model.h"
 
@@ -24,31 +24,14 @@ namespace hypertp {
 
 class Tracer;
 
-// How each disclosure's fleet-wide transplant is executed. Both modes are
-// event-driven and inject the configured faults (and `crash_storm`, when
-// enabled); with neither, a rollout's makespan is the closed-form
-// FleetTransplantTime.
-enum class FleetExecutionMode : uint8_t {
-  // One rollout through src/fleet's FleetController: wave scheduling,
-  // injected failures, retries with backoff, abort threshold.
-  kFleetController,
-  // Sharded campaign through src/campaign's CampaignPlanner: the fleet is
-  // laid out as one datacenter of min(`campaign_shards`, hosts) racks and
-  // every disclosure's rollout runs one coordinated controller per rack
-  // under the `campaign_slo` budgets, with the campaign's SLO governor
-  // enforcing `abort_threshold`. Hosts round down to a whole number of
-  // racks; only the laid-out hosts are run and charged.
-  kCampaign,
-};
-
-// The inherited RolloutKnobs drive every rollout of the year, in either
-// mode. With `policy` kFixed (the default) every VM pays the flat Fig. 6
-// InPlaceTP downtime per rollout and the timings are the configured
-// constants; with kAdaptive each rollout prices every VM individually
-// (in-place guests pay their modeled pause, migrated guests the switchover
-// brownout) and hosts with refused guests stay exposed. Unlike a bare
-// FleetConfig, a year aborts a rollout once more than a quarter of its
-// hosts have failed for good.
+// The inherited RolloutKnobs drive every rollout of the year: one
+// FleetController over the whole fleet per transplant away and back. With
+// `policy` kFixed (the default) every transplanted VM pays the flat Fig. 6
+// InPlaceTP downtime and the timings are the configured constants; with
+// kAdaptive each rollout prices every VM individually (in-place guests pay
+// their modeled pause, migrated guests the switchover brownout) and hosts
+// with refused guests stay exposed. Unlike a bare FleetConfig, a year aborts
+// a rollout once more than a quarter of its hosts have failed for good.
 struct OperationalConfig : RolloutKnobs {
   OperationalConfig() { abort_threshold = 0.25; }
 
@@ -65,20 +48,11 @@ struct OperationalConfig : RolloutKnobs {
   // policy's per-host population.
   int vms_per_host = 10;
 
-  FleetExecutionMode fleet_mode = FleetExecutionMode::kFleetController;
   // Hypervisor-crash storm replayed against every rollout of the year when
   // enabled: seeded crashes mid-traffic, each answered by an unplanned
   // InPlaceTP recovery from the last PRAM image (ReHype-mode salvage) — or
-  // lost when the crash tore the ledger. In kCampaign mode it is the
-  // datacenter's storm, thinned across the shards by host count.
+  // lost when the crash tore the ledger.
   CrashStormConfig crash_storm;
-
-  // kCampaign mode: shard count and fleet-wide SLO budgets for the sharded
-  // campaign control plane. The per-shard wave width is
-  // parallel_hosts / shards (at least 1), so total in-flight capacity
-  // matches the single-controller mode.
-  int campaign_shards = 4;
-  CampaignSlo campaign_slo;
 
   // Observability: when non-null the year's timeline is recorded — one
   // instant per disclosure (track "disclosures") and one span per fleet-wide
@@ -101,14 +75,11 @@ struct OperationalReport {
   // The outcome tally of every rollout the year ran, summed (retries,
   // post-pause recovery, crash-storm outcomes, policy decisions...). A
   // rollout whose config was rejected runs nothing and is not counted as a
-  // rollout: its error lands in event_log and all its laid-out hosts join
+  // rollout: its error lands in event_log and all its hosts join
   // fleet.untouched, stranded for the residual window.
   RolloutTally fleet;
   int fleet_rollouts = 0;
   int fleet_aborts = 0;
-  // kCampaign mode: epoch barriers the SLO governor spent throttled, summed
-  // over every campaign of the year.
-  int fleet_throttled_epochs = 0;
   bool policy_adaptive = false;  // OperationalConfig::policy was kAdaptive.
   std::vector<std::string> event_log;
 

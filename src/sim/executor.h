@@ -97,8 +97,4 @@ class SimExecutor {
 
 }  // namespace hypertp
 
-// ParallelMakespan lives with the worker-pool primitive now (it is the
-// schedule's makespan); included here so existing callers keep compiling.
-#include "src/sim/worker_pool.h"  // IWYU pragma: export
-
 #endif  // HYPERTP_SRC_SIM_EXECUTOR_H_

@@ -39,6 +39,28 @@ double ExposedHostDays(FleetController& controller, SimTime end) {
   return stream.exposed_host_days();
 }
 
+// One host's legs read back from a controller's event trace: when it began
+// draining, began its transplant and finished it (-1 where it never did).
+struct HostLegs {
+  SimTime drain_start = -1;
+  SimTime transplant_start = -1;
+  SimTime transplant_done = -1;
+};
+
+std::map<int, HostLegs> LegsByHost(const FleetController& controller) {
+  std::map<int, HostLegs> legs;
+  for (const FleetEvent& event : controller.trace().Events()) {
+    if (event.type == FleetEventType::kDrainStart) {
+      legs[event.host].drain_start = event.time;
+    } else if (event.type == FleetEventType::kTransplantStart) {
+      legs[event.host].transplant_start = event.time;
+    } else if (event.type == FleetEventType::kTransplantDone) {
+      legs[event.host].transplant_done = event.time;
+    }
+  }
+  return legs;
+}
+
 TEST(FleetControllerTest, FaultFreeRolloutMatchesClosedForm) {
   SimExecutor executor;
   FleetController controller(executor, BaseConfig());
@@ -566,16 +588,19 @@ TEST(FleetControllerTest, StolenRackCarriesItsPlansAndTallies) {
   thief_executor.Run();
   // Without jitter or failures each adopted host's legs last exactly the
   // donor's plan; refused hosts never queue, so they never drain or start.
+  const std::map<int, HostLegs> legs = LegsByHost(thief);
   for (size_t k = 0; k < members.size(); ++k) {
-    const FleetHost& host = thief.hosts()[static_cast<size_t>(first) + k];
+    const int id = first + static_cast<int>(k);
+    const FleetHost& host = thief.hosts()[static_cast<size_t>(id)];
     const policy::HostPolicyPlan& plan = donor.HostPlan(members[k]);
     EXPECT_EQ(host.upgraded, !plan.refused()) << k;
     if (plan.refused()) {
       EXPECT_EQ(host.attempts, 0) << k;
-      EXPECT_EQ(host.drain_started, -1) << k;
+      EXPECT_FALSE(legs.contains(id)) << k;
     } else {
-      EXPECT_EQ(host.transplant_started - host.drain_started, plan.drain_time) << k;
-      EXPECT_EQ(host.finished - host.transplant_started, plan.transplant_time) << k;
+      const HostLegs& leg = legs.at(id);
+      EXPECT_EQ(leg.transplant_start - leg.drain_start, plan.drain_time) << k;
+      EXPECT_EQ(leg.transplant_done - leg.transplant_start, plan.transplant_time) << k;
     }
   }
   for (const FleetEvent& event : thief.trace().Events()) {
@@ -1148,12 +1173,14 @@ TEST(FleetPolicyTest, PhaseIndexedPlansMatchDirectPerHostPlans) {
   EXPECT_EQ(report.policy_vm_downtime, downtime);
   // Without jitter or failures each upgraded host's legs last exactly its
   // plan's drain and transplant times.
+  const std::map<int, HostLegs> legs = LegsByHost(controller);
   for (const FleetHost& host : controller.hosts()) {
     const policy::HostPolicyPlan& plan = plans[static_cast<size_t>(host.id)];
     EXPECT_EQ(host.upgraded, !plan.refused()) << host.id;
     if (host.upgraded) {
-      EXPECT_EQ(host.transplant_started - host.drain_started, plan.drain_time) << host.id;
-      EXPECT_EQ(host.finished - host.transplant_started, plan.transplant_time) << host.id;
+      const HostLegs& leg = legs.at(host.id);
+      EXPECT_EQ(leg.transplant_start - leg.drain_start, plan.drain_time) << host.id;
+      EXPECT_EQ(leg.transplant_done - leg.transplant_start, plan.transplant_time) << host.id;
     }
   }
 }

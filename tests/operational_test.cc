@@ -114,108 +114,31 @@ TEST(OperationalTest, FleetControllerModeIsDeterministic) {
   EXPECT_EQ(a.event_log, b.event_log);
 }
 
-TEST(OperationalTest, CampaignModeAgreesWithClosedFormWhenFaultFree) {
-  // The sharded campaign splits the same fleet over 4 racks/shards; the
-  // reaction time dominates per-disclosure exposure, so fault-free campaign
-  // exposure lands within 5% of the single controller's, which is the closed
-  // form exactly (see above).
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    OperationalConfig closed = BaseConfig(seed);
-    const OperationalReport a = RunOperationalSimulation(closed);
-    if (a.transplants_away == 0) {
-      continue;
-    }
-    OperationalConfig campaign = BaseConfig(seed);
-    campaign.fleet_mode = FleetExecutionMode::kCampaign;
-    const OperationalReport b = RunOperationalSimulation(campaign);
-    ASSERT_EQ(a.disclosures, b.disclosures);
-    ASSERT_EQ(a.transplants_away, b.transplants_away);
-    EXPECT_EQ(b.fleet_rollouts, b.transplants_away + b.transplants_back);
-    EXPECT_EQ(b.fleet.retries, 0);
-    EXPECT_EQ(b.stranded_hosts(), 0);
-    EXPECT_EQ(b.fleet_throttled_epochs, 0);
-    EXPECT_NEAR(b.exposure_days_hypertp / a.exposure_days_hypertp, 1.0, 0.05);
-    return;  // One meaningful seed is enough.
-  }
-  FAIL() << "no seed produced a transplant";
-}
-
-TEST(OperationalTest, CampaignModeIsDeterministic) {
-  OperationalConfig config = BaseConfig(7);
-  config.fleet_mode = FleetExecutionMode::kCampaign;
-  config.failure_probability = 0.1;
-  config.latency_jitter = 0.2;
-  config.post_pause_fraction = 0.5;
-  const OperationalReport a = RunOperationalSimulation(config);
-  const OperationalReport b = RunOperationalSimulation(config);
-  EXPECT_EQ(a.disclosures, b.disclosures);
-  EXPECT_DOUBLE_EQ(a.exposure_days_hypertp, b.exposure_days_hypertp);
-  EXPECT_EQ(a.fleet.retries, b.fleet.retries);
-  EXPECT_EQ(a.fleet_throttled_epochs, b.fleet_throttled_epochs);
-  EXPECT_EQ(a.event_log, b.event_log);
-}
-
-TEST(OperationalTest, CampaignSloThrottlingSurfacesInTheReport) {
-  // A rollback storm under a tight throttle budget: some campaign of the
-  // year must spend barriers throttled, and the counter reaches the report.
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    OperationalConfig config = BaseConfig(seed);
-    config.fleet_mode = FleetExecutionMode::kCampaign;
-    config.failure_probability = 0.5;
-    config.post_pause_fraction = 1.0;
-    config.campaign_slo.throttle_rollback_rate = 0.05;
-    const OperationalReport report = RunOperationalSimulation(config);
-    if (report.transplants_away == 0) {
-      continue;
-    }
-    EXPECT_GT(report.fleet.post_pause_faults, 0);
-    EXPECT_GT(report.fleet_throttled_epochs, 0);
-    return;
-  }
-  FAIL() << "no seed produced a transplant";
-}
-
 TEST(OperationalTest, AbortThresholdIsHonouredInBothModes) {
   // Nine attempts in ten fail and none retries, so a quarter of the hosts
   // fail for good within a few waves: the default 0.25 abort_threshold must
-  // stop rollouts in campaign mode (the SLO governor's failed-fraction abort)
-  // exactly as it does under one FleetController.
-  for (const FleetExecutionMode mode :
-       {FleetExecutionMode::kFleetController, FleetExecutionMode::kCampaign}) {
-    OperationalConfig config = BaseConfig(3);
-    config.fleet_mode = mode;
-    config.failure_probability = 0.9;
-    config.max_retries = 0;
-    const OperationalReport report = RunOperationalSimulation(config);
-    ASSERT_GT(report.fleet_rollouts, 0);
-    EXPECT_GT(report.fleet_aborts, 0) << "mode " << static_cast<int>(mode);
-    EXPECT_GT(report.fleet.untouched, 0) << "mode " << static_cast<int>(mode);
-  }
+  // stop rollouts and leave the unreached hosts untouched.
+  OperationalConfig config = BaseConfig(3);
+  config.failure_probability = 0.9;
+  config.max_retries = 0;
+  const OperationalReport report = RunOperationalSimulation(config);
+  ASSERT_GT(report.fleet_rollouts, 0);
+  EXPECT_GT(report.fleet_aborts, 0);
+  EXPECT_GT(report.fleet.untouched, 0);
 }
 
-TEST(OperationalTest, CampaignModeChargesTheHostsItLaysOut) {
-  // Four shards lay the fleet out as min(4, hosts) equal racks: 10 hosts run
-  // as 4 racks of 2 (8 hosts), 2 hosts as 2 racks of 1. The tally, the flat
-  // Fig. 6 downtime charge and a rejected rollout's strand all count the
-  // hosts laid out, never hosts the layout dropped or invented.
-  for (const auto& [hosts, laid_out] : {std::pair{10, 8}, std::pair{2, 2}}) {
-    OperationalConfig config = BaseConfig(3);
-    config.fleet_mode = FleetExecutionMode::kCampaign;
-    config.campaign_shards = 4;
-    config.hosts = hosts;
-    const OperationalReport ran = RunOperationalSimulation(config);
-    ASSERT_GT(ran.fleet_rollouts, 0);
-    EXPECT_EQ(ran.fleet.hosts, laid_out * ran.fleet_rollouts) << hosts << " hosts";
-    EXPECT_EQ(ran.vm_downtime_paid,
-              SecondsF(1.7) * laid_out * config.vms_per_host * ran.fleet_rollouts)
-        << hosts << " hosts";
-
-    config.failure_probability = 1.5;
-    const OperationalReport rejected = RunOperationalSimulation(config);
-    EXPECT_EQ(rejected.stranded_hosts(),
-              laid_out * (rejected.transplants_away + rejected.transplants_back))
-        << hosts << " hosts";
-  }
+TEST(OperationalTest, FixedPolicyChargesOnlyTransplantedHosts) {
+  // The flat Fig. 6 charge is paid per VM of every host a rollout actually
+  // transplanted: hosts an abort never reached and hosts whose attempts all
+  // failed pay nothing, exactly as under the adaptive policy.
+  OperationalConfig config = BaseConfig(3);
+  config.failure_probability = 0.9;
+  config.max_retries = 0;
+  const OperationalReport report = RunOperationalSimulation(config);
+  ASSERT_GT(report.fleet_aborts, 0);
+  ASSERT_GT(report.fleet.transplant_successes, 0);
+  EXPECT_EQ(report.vm_downtime_paid,
+            SecondsF(1.7) * config.vms_per_host * report.fleet.transplant_successes);
 }
 
 TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {
@@ -303,62 +226,29 @@ TEST(OperationalTest, FaultStormModeSurfacesCrashRecoveryCounters) {
   FAIL() << "no seed produced a rollout with crash strikes";
 }
 
-TEST(OperationalTest, CampaignModeComposesWithFaultStorms) {
-  // The same storm in campaign mode is the datacenter's storm, thinned across
-  // the shards: strikes land and resolve through the salvage taxonomy, and
-  // the crash counters reach the year's report.
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    OperationalConfig config = StormConfig(seed);
-    config.fleet_mode = FleetExecutionMode::kCampaign;
-    const OperationalReport report = RunOperationalSimulation(config);
-    if (report.transplants_away == 0 || report.fleet.crashes == 0) {
-      continue;
-    }
-    EXPECT_EQ(report.fleet.crashes,
-              report.fleet.crash_salvages + report.fleet.crash_live_recoveries +
-                  report.fleet.lost);
-    EXPECT_EQ(report.fleet_rollouts, report.transplants_away + report.transplants_back);
-    const OperationalReport again = RunOperationalSimulation(config);
-    EXPECT_EQ(report.fleet.crashes, again.fleet.crashes);
-    EXPECT_DOUBLE_EQ(report.exposure_days_hypertp, again.exposure_days_hypertp);
-    return;  // One meaningful seed is enough.
-  }
-  FAIL() << "no seed produced a campaign with crash strikes";
-}
-
 TEST(OperationalTest, RejectedRolloutsAreChargedAlikeInBothModes) {
-  // An invalid fault knob rejects every rollout. Neither mode counts a
-  // rollout or charges downtime; both log the field-naming error and leave
-  // every host stranded for the residual patch wait.
+  // An invalid fault knob rejects every rollout: none is counted or charged
+  // downtime, each logs the field-naming error, and every host stays
+  // stranded for the residual patch wait.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const OperationalReport clean = RunOperationalSimulation(BaseConfig(seed));
     if (clean.transplants_away == 0) {
       continue;
     }
-    OperationalReport rejected[2];
-    const FleetExecutionMode modes[2] = {FleetExecutionMode::kFleetController,
-                                         FleetExecutionMode::kCampaign};
-    for (int i = 0; i < 2; ++i) {
-      OperationalConfig config = BaseConfig(seed);
-      config.fleet_mode = modes[i];
-      config.failure_probability = 1.5;
-      rejected[i] = RunOperationalSimulation(config);
-      const OperationalReport& r = rejected[i];
-      EXPECT_EQ(r.transplants_away, clean.transplants_away);
-      EXPECT_EQ(r.fleet_rollouts, 0);
-      EXPECT_EQ(r.vm_downtime_paid, 0);
-      EXPECT_EQ(r.stranded_hosts(),
-                config.hosts * (r.transplants_away + r.transplants_back));
-      EXPECT_GT(r.exposure_days_hypertp, clean.exposure_days_hypertp);
-      int logged = 0;
-      for (const std::string& line : r.event_log) {
-        logged += line.find("rollout rejected") != std::string::npos &&
-                  line.find("failure_probability") != std::string::npos;
-      }
-      EXPECT_EQ(logged, r.transplants_away + r.transplants_back);
+    OperationalConfig config = BaseConfig(seed);
+    config.failure_probability = 1.5;
+    const OperationalReport r = RunOperationalSimulation(config);
+    EXPECT_EQ(r.transplants_away, clean.transplants_away);
+    EXPECT_EQ(r.fleet_rollouts, 0);
+    EXPECT_EQ(r.vm_downtime_paid, 0);
+    EXPECT_EQ(r.stranded_hosts(), config.hosts * (r.transplants_away + r.transplants_back));
+    EXPECT_GT(r.exposure_days_hypertp, clean.exposure_days_hypertp);
+    int logged = 0;
+    for (const std::string& line : r.event_log) {
+      logged += line.find("rollout rejected") != std::string::npos &&
+                line.find("failure_probability") != std::string::npos;
     }
-    EXPECT_DOUBLE_EQ(rejected[0].exposure_days_hypertp, rejected[1].exposure_days_hypertp);
-    EXPECT_EQ(rejected[0].event_log.size(), rejected[1].event_log.size());
+    EXPECT_EQ(logged, r.transplants_away + r.transplants_back);
     return;  // One meaningful seed is enough.
   }
   FAIL() << "no seed produced a transplant";

@@ -87,14 +87,11 @@ TEST(RolloutKnobsTest, EveryOwnerNamesItsOwnKnobField) {
     c.bend(campaign);
     OperationalConfig year = RejectingYear();
     c.bend(year);
-    OperationalConfig campaign_year = year;
-    campaign_year.fleet_mode = FleetExecutionMode::kCampaign;
 
     const std::pair<std::string, std::string> owners[] = {
         {"FleetConfig::", ErrorOf(ValidateFleetConfig(fleet))},
         {"CampaignConfig::", CampaignError(campaign)},
         {"OperationalConfig::", OperationalError(year)},
-        {"OperationalConfig::", OperationalError(campaign_year)},
     };
     for (const auto& [owner, error] : owners) {
       EXPECT_EQ(error.rfind(owner + c.field + " must", 0), 0u)
@@ -155,10 +152,6 @@ TEST(RolloutKnobsTest, CampaignAndOperationalFieldsAreNamedAsSet) {
   year = RejectingYear();
   year.vms_per_host = 0;
   EXPECT_EQ(OperationalError(year), "OperationalConfig::vms_per_host must be > 0, got 0");
-  year = RejectingYear();
-  year.fleet_mode = FleetExecutionMode::kCampaign;
-  year.campaign_shards = 0;
-  EXPECT_EQ(OperationalError(year), "OperationalConfig::campaign_shards must be > 0, got 0");
 }
 
 TEST(RolloutKnobsTest, SliceAssignmentHandsEveryKnobDown) {

@@ -84,8 +84,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
   -DHYPERTP_SANITIZE=thread
 cmake --build "${tsan_dir}" -j "$(nproc)" \
   --target worker_pool_test pipeline_test pretranslate_test campaign_test \
-  fault_storm_test policy_test emission_golden_test operational_test \
-  bench_pipeline_scaling
+  fault_storm_test policy_test emission_golden_test bench_pipeline_scaling
 
 export TSAN_OPTIONS="halt_on_error=1"
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/worker_pool_test"
@@ -113,9 +112,6 @@ HYPERTP_PARALLEL=4 "${tsan_dir}/tests/policy_test"
 # The emission pins run every campaign case at 1 and 4 real threads, so the
 # counters, spans and exposure writes are raced while their bytes are checked.
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/emission_golden_test"
-# A year in campaign mode runs every disclosure's rollout as a sharded
-# campaign on the worker pool, nested inside the operational executor.
-HYPERTP_PARALLEL=4 "${tsan_dir}/tests/operational_test"
 HYPERTP_PARALLEL=4 HYPERTP_TRACE=1 HYPERTP_BENCH_DIR="${bench_out}" \
   "${tsan_dir}/bench/bench_pipeline_scaling" > /dev/null
 test -s "${bench_out}/BENCH_pipeline_scaling.json" \

@@ -14,6 +14,7 @@
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/sim/time_series.h"
+#include "src/sim/worker_pool.h"
 
 namespace hypertp {
 namespace {

@@ -151,7 +151,7 @@ TEST(TelemetryTest, OperationalReportExport) {
   EXPECT_NE(json.find(R"("fleet":{"rollouts":11,"retries":4,"stranded_hosts":2,"aborts":0,)"
                       R"("post_pause_faults":3,"rollbacks":2,"rollback_failures":1,)"
                       R"("crashes":5,"crash_salvages":3,"crash_live_recoveries":1,)"
-                      R"("crash_rollbacks":2,"lost":1,"throttled_epochs":0})"),
+                      R"("crash_rollbacks":2,"lost":1})"),
             std::string::npos);
   EXPECT_NE(json.find("CVE-2015-3456"), std::string::npos);
 }
