@@ -12,6 +12,7 @@
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
+#include "src/campaign/delta_merge.h"
 #include "src/fleet/fleet_controller.h"
 #include "src/sim/executor.h"
 #include "src/sim/rng.h"
@@ -298,6 +299,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
     bool done = false;
     SimTime admitted_at = -1;
     SpanId span = 0;
+    std::vector<ExposureDelta> deltas;  // Taken at each barrier; recycled.
   };
   std::vector<std::unique_ptr<ShardRuntime>> shards;
   shards.reserve(plan.shards.size());
@@ -455,6 +457,14 @@ Result<CampaignReport> CampaignPlanner::Run() {
     }
   };
 
+  // Barrier scratch, reused from one barrier to the next.
+  std::vector<ShardRuntime*> running;
+  std::vector<std::function<void()>> tasks;
+  ShardDeltaMerger merger;
+  std::vector<ShardRuntime*> live;
+  std::vector<SimDuration> rem;
+  std::vector<int> donors;
+
   admit();
   std::string abort_reason;
   while (finished < shards.size()) {
@@ -468,14 +478,13 @@ Result<CampaignReport> CampaignPlanner::Run() {
     // Advance every in-flight shard to the barrier. Shards share no mutable
     // state, so this is the (optionally real-threaded) parallel section;
     // everything below the RunOnWorkerPool call is coordinator-only again.
-    std::vector<ShardRuntime*> running;
+    running.clear();
     for (auto& rt : shards) {
       if (rt->admitted && !rt->done) {
         running.push_back(rt.get());
       }
     }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(running.size());
+    tasks.clear();
     for (ShardRuntime* rt : running) {
       if (rt->executor->pending_events() == 0) {
         // Nothing queued (a drained hold-open shard, or a shard idling toward
@@ -497,26 +506,16 @@ Result<CampaignReport> CampaignPlanner::Run() {
     // Barrier: take every running shard's exposure deltas, merge them by
     // (time, shard) and feed the stream, so the curve is identical for any
     // thread count. Deltas are signed — a crash-induced rollback re-exposes
-    // hosts mid-campaign.
-    struct ShardDelta {
-      ExposureDelta delta;
-      const ShardRuntime* shard;
-    };
-    std::vector<ShardDelta> deltas;
+    // hosts mid-campaign. `running` is in shard-id order, as the merge needs.
     for (ShardRuntime* rt : running) {
-      for (const ExposureDelta& delta : rt->controller->TakeExposureDeltas()) {
-        if (delta.hosts != 0) {
-          deltas.push_back(ShardDelta{delta, rt});
-        }
-      }
+      rt->controller->TakeExposureDeltas(rt->deltas);
+      merger.AddRun(rt->plan->id, rt->deltas);
     }
-    std::stable_sort(deltas.begin(), deltas.end(), [](const ShardDelta& a, const ShardDelta& b) {
-      return a.delta.time != b.delta.time ? a.delta.time < b.delta.time
-                                          : a.shard->plan->id < b.shard->plan->id;
-    });
-    for (const auto& [delta, shard] : deltas) {
+    for (const ShardDelta& delta : merger.Merge()) {
+      // Shard ids are dense in plan order.
+      const CampaignShardPlan& shard_plan = plan.shards[static_cast<size_t>(delta.shard)];
       stream.OnHostsDelta(delta.time, delta.hosts,
-                          static_cast<int64_t>(delta.hosts) * shard->plan->vms_per_host);
+                          static_cast<int64_t>(delta.hosts) * shard_plan.vms_per_host);
     }
     stream.AdvanceTo(now);
 
@@ -534,13 +533,13 @@ Result<CampaignReport> CampaignPlanner::Run() {
     // doubles as the progress guarantee: no barrier leaves a drained shard
     // both unfed and unfinalized.
     if (config_.steal.enabled) {
-      std::vector<ShardRuntime*> live;
+      live.clear();
       for (auto& rt : shards) {
         if (rt->admitted && !rt->done) {
           live.push_back(rt.get());
         }
       }
-      std::vector<SimDuration> rem(live.size(), 0);
+      rem.assign(live.size(), 0);
       for (size_t i = 0; i < live.size(); ++i) {
         rem[i] = policy::TransplantCostModel::RemainingEstimate(
             live[i]->controller->PendingWork(), live[i]->controller->config().parallel_hosts);
@@ -569,7 +568,7 @@ Result<CampaignReport> CampaignPlanner::Run() {
         // first one owning a stealable rack whose move helps — the thief must
         // stay at or below the donor's pre-move load, or the move would just
         // relocate the straggler.
-        std::vector<int> donors;
+        donors.clear();
         for (int i = 0; i < static_cast<int>(live.size()); ++i) {
           if (i != thief && rem[static_cast<size_t>(i)] > rem[static_cast<size_t>(thief)]) {
             donors.push_back(i);
@@ -668,15 +667,8 @@ Result<CampaignReport> CampaignPlanner::Run() {
     if (config_.slo.max_unavailable_fraction < 1.0) {
       int unavailable = 0;
       for (auto& rt : shards) {
-        if (!rt->admitted || rt->done) {
-          continue;
-        }
-        for (const FleetHost& host : rt->controller->hosts()) {
-          unavailable += host.state == FleetHostState::kDraining ||
-                         host.state == FleetHostState::kTransplanting ||
-                         host.state == FleetHostState::kRollingBack ||
-                         host.state == FleetHostState::kCrashed ||
-                         host.state == FleetHostState::kRecovering;
+        if (rt->admitted && !rt->done) {
+          unavailable += rt->controller->unavailable_hosts();
         }
       }
       unavailable_fraction =

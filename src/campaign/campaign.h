@@ -18,7 +18,7 @@
 // shard-id order; shards share no mutable state while an epoch advances (so
 // epochs may run on real threads — wall-clock only); governor decisions read
 // only barrier-committed state; barrier merges iterate shards in id order and
-// sort events by (time, shard). Two runs with the same config produce
+// merge events in (time, shard) order. Two runs with the same config produce
 // byte-identical reports, curves and trace JSON for any thread count —
 // campaign_test pins this.
 

@@ -278,6 +278,7 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   const auto period = static_cast<int64_t>(plans_.size());
 
   fault_domain_count_ = config_.fault_domains;
+  domain_tallies_.resize(static_cast<size_t>(config_.fault_domains));
   hosts_.reserve(static_cast<size_t>(config_.hosts));
   host_rngs_.reserve(static_cast<size_t>(config_.hosts));
   if (config_.tracer != nullptr) {
@@ -460,15 +461,46 @@ void FleetController::Emit(FleetEventType type, int host, int attempt) {
   }
 }
 
+namespace {
+
+// A live host that left the untouched state: out of kServing, upgraded, or
+// past a transplant attempt. Detached hosts belong to no domain's tally.
+bool Started(const FleetHost& h) {
+  return h.state != FleetHostState::kDetached &&
+         (h.state != FleetHostState::kServing || h.upgraded || h.attempts != 0);
+}
+
+// Out of service: the hosts the campaign's unavailability budget counts.
+bool Unavailable(FleetHostState state) {
+  return state == FleetHostState::kDraining || state == FleetHostState::kTransplanting ||
+         state == FleetHostState::kRollingBack || state == FleetHostState::kCrashed ||
+         state == FleetHostState::kRecovering;
+}
+
+}  // namespace
+
 void FleetController::SetState(int host, FleetHostState state) {
-  hosts_[static_cast<size_t>(host)].state = state;
+  FleetHost& h = hosts_[static_cast<size_t>(host)];
+  // `upgraded` and `attempts` only change while a host is out of kServing,
+  // where it counts as started either way, so Started() before the write
+  // is what the tally holds for it.
+  const bool was_started = Started(h);
+  unavailable_ -= Unavailable(h.state);
+  h.state = state;
+  domain_tallies_[static_cast<size_t>(h.fault_domain)].started += Started(h) - was_started;
+  unavailable_ += Unavailable(state);
   Reindex(host);
 }
 
 void FleetController::Enqueue(int host) {
   pending_.PushBack(host);
   const policy::HostPolicyPlan& plan = HostPlan(host);
-  pending_work_ += plan.drain_time + plan.transplant_time;
+  const SimDuration work = plan.drain_time + plan.transplant_time;
+  pending_work_ += work;
+  const int domain = hosts_[static_cast<size_t>(host)].fault_domain;
+  DomainTally& tally = domain_tallies_[static_cast<size_t>(domain)];
+  ++tally.queued;
+  tally.work += work;
   Reindex(host);
 }
 
@@ -478,7 +510,12 @@ void FleetController::Unqueue(int host) {
   }
   pending_.Erase(host);
   const policy::HostPolicyPlan& plan = HostPlan(host);
-  pending_work_ -= plan.drain_time + plan.transplant_time;
+  const SimDuration work = plan.drain_time + plan.transplant_time;
+  pending_work_ -= work;
+  const int domain = hosts_[static_cast<size_t>(host)].fault_domain;
+  DomainTally& tally = domain_tallies_[static_cast<size_t>(domain)];
+  --tally.queued;
+  tally.work -= work;
   Reindex(host);
 }
 
@@ -661,7 +698,14 @@ void FleetController::ChangeExposure(int hosts) {
 }
 
 std::vector<ExposureDelta> FleetController::TakeExposureDeltas() {
-  return std::exchange(exposure_deltas_, {});
+  std::vector<ExposureDelta> taken;
+  TakeExposureDeltas(taken);
+  return taken;
+}
+
+void FleetController::TakeExposureDeltas(std::vector<ExposureDelta>& into) {
+  into.clear();
+  into.swap(exposure_deltas_);
 }
 
 void FleetController::SettleUntouched() {
@@ -939,32 +983,13 @@ uint16_t FleetController::PlanIndex(const policy::HostPolicyPlan& plan) {
 }
 
 std::vector<StealableDomain> FleetController::StealableDomains() const {
-  // Precondition (enforced by PlanCampaign): no crash storm, so "kServing
-  // with zero attempts" is exactly "still queued" or "refused".
-  struct Rack {
-    bool started = false;
-    int queued = 0;
-    SimDuration work = 0;
-  };
-  std::vector<Rack> racks(static_cast<size_t>(fault_domain_count_));
-  for (const FleetHost& h : hosts_) {
-    if (h.state == FleetHostState::kDetached) {
-      continue;
-    }
-    Rack& rack = racks[static_cast<size_t>(h.fault_domain)];
-    const policy::HostPolicyPlan& plan = HostPlan(h.id);
-    if (h.state != FleetHostState::kServing || h.upgraded || h.attempts != 0) {
-      rack.started = true;
-    } else if (!plan.refused()) {
-      ++rack.queued;
-      rack.work += plan.drain_time + plan.transplant_time;
-    }
-  }
+  // Precondition (enforced by PlanCampaign): no crash storm, so at a barrier
+  // an unstarted live host is queued exactly when it is not refused.
   std::vector<StealableDomain> out;
   for (int d = 0; d < fault_domain_count_; ++d) {
-    const Rack& rack = racks[static_cast<size_t>(d)];
-    if (!rack.started && rack.queued > 0) {
-      out.push_back(StealableDomain{d, rack.work});
+    const DomainTally& tally = domain_tallies_[static_cast<size_t>(d)];
+    if (tally.started == 0 && tally.queued > 0) {
+      out.push_back(StealableDomain{d, tally.work});
     }
   }
   return out;
@@ -972,19 +997,35 @@ std::vector<StealableDomain> FleetController::StealableDomains() const {
 
 DetachedRack FleetController::DetachDomain(int domain) {
   HYPERTP_CHECK(config_.hold_open && started_ && !finished_);
+  HYPERTP_CHECK(domain >= 0 && domain < fault_domain_count_);
   DetachedRack rack;
   // Ownership moves; exposure does not, so no exposure delta is recorded and
   // the campaign's stream never sees a phantom safe/re-expose event.
-  for (const FleetHost& h : hosts_) {
-    if (h.fault_domain != domain || h.state == FleetHostState::kDetached) {
-      continue;
+  const auto detach = [&](int id) {
+    const FleetHost& h = hosts_[static_cast<size_t>(id)];
+    if (h.state == FleetHostState::kDetached) {
+      return;
     }
     HYPERTP_CHECK(h.state == FleetHostState::kServing && !h.upgraded && h.attempts == 0);
-    Unqueue(h.id);
-    SetState(h.id, FleetHostState::kDetached);
-    rack.hosts.push_back({HostPlan(h.id), host_rngs_[static_cast<size_t>(h.id)]});
+    Unqueue(id);
+    SetState(id, FleetHostState::kDetached);
+    rack.hosts.push_back({HostPlan(id), host_rngs_[static_cast<size_t>(id)]});
     TallyPlan(rack.hosts.back().plan, -1);
-    Emit(FleetEventType::kHostDetached, h.id);
+    Emit(FleetEventType::kHostDetached, id);
+  };
+  // Members in ascending id order: a configured domain is every
+  // fault_domains-th id, an adopted one the range AdoptHosts() appended.
+  if (domain < config_.fault_domains) {
+    for (int id = domain; id < config_.hosts; id += config_.fault_domains) {
+      detach(id);
+    }
+  } else {
+    const size_t k = static_cast<size_t>(domain - config_.fault_domains);
+    const int end = k + 1 < adopted_first_ids_.size() ? adopted_first_ids_[k + 1]
+                                                      : static_cast<int>(hosts_.size());
+    for (int id = adopted_first_ids_[k]; id < end; ++id) {
+      detach(id);
+    }
   }
   HYPERTP_CHECK(!rack.hosts.empty());
   const int moved = static_cast<int>(rack.hosts.size());
@@ -998,6 +1039,8 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
   HYPERTP_CHECK(!rack.hosts.empty());
   const int domain = fault_domain_count_++;
   const int first_id = static_cast<int>(hosts_.size());
+  domain_tallies_.emplace_back();
+  adopted_first_ids_.push_back(first_id);
   for (const DetachedRack::Host& adopted : rack.hosts) {
     FleetHost host;
     host.id = static_cast<int>(hosts_.size());

@@ -139,6 +139,10 @@ class FleetController {
   // no integral: a standalone caller feeds these into an ExposureStream that
   // opens at Start() with every host exposed and seals at the rollout's end.
   std::vector<ExposureDelta> TakeExposureDeltas();
+  // The same into `into`, whose old contents are dropped and whose storage
+  // the controller keeps for the next changes: a caller taking deltas at
+  // every barrier recycles two buffers instead of allocating one per call.
+  void TakeExposureDeltas(std::vector<ExposureDelta>& into);
   const FleetTrace& trace() const { return trace_; }
   const std::vector<FleetHost>& hosts() const { return hosts_; }
   // The plan host `host` runs under: its drain and transplant durations, its
@@ -147,6 +151,9 @@ class FleetController {
     return plans_[plan_index_[static_cast<size_t>(host)]];
   }
   const FleetConfig& config() const { return config_; }
+  // Hosts out of service right now: draining, transplanting, rolling back,
+  // crashed or recovering. A running count, O(1).
+  int unavailable_hosts() const { return unavailable_; }
 
   // The closure of every event the controller schedules: which event method
   // to run, for which host (-1: none). Trivially copyable and two words, so
@@ -179,11 +186,13 @@ class FleetController {
   // Fault domains whose every live member is unstarted and that hold queued
   // work, in ascending domain order — the racks a barrier steal may re-home
   // without ever splitting one across shards. Requires no crash storm.
+  // O(domains): read from running per-domain tallies.
   std::vector<StealableDomain> StealableDomains() const;
 
   // Re-homes the whole (fully-unstarted) domain out of this controller: hosts
   // become kDetached and leave the pending queue and the report totals. No
   // exposure delta is recorded: ownership moves, exposure does not change.
+  // Visits only the domain's members.
   DetachedRack DetachDomain(int domain);
 
   // Adopts a stolen rack as a fresh fault domain: its hosts are appended with
@@ -200,10 +209,12 @@ class FleetController {
   // Records a transition in the FleetTrace and, with a tracer, applies its
   // span rule (kSpanRules): the one writer of both.
   void Emit(FleetEventType type, int host, int attempt = 0);
-  // The one writer of a host's state; keeps the victim index current.
+  // The one writer of a host's state; keeps the victim index, the domain
+  // tallies' `started` and the unavailable count current.
   void SetState(int host, FleetHostState state);
   // Queues `host` for a wave / takes it out of the queue (a no-op when it is
-  // not queued), keeping PendingWork() and the victim index current.
+  // not queued), keeping PendingWork(), the domain tallies' `queued` and
+  // `work`, and the victim index current.
   void Enqueue(int host);
   void Unqueue(int host);
   // Re-derives whether `host` is a crash candidate — serving, and upgraded or
@@ -260,9 +271,7 @@ class FleetController {
   // controller starts with one entry (the configured timings, zero VM
   // tallies); an adaptive one with one period of MechanismPolicy::PlanHost
   // (at most kSyntheticVmPeriod entries, indexed by global id mod the
-  // period). Adopted hosts bring their own plans, deduplicated. The index is
-  // a dense vector, not a FleetHost field: StealableDomains() scans it per
-  // barrier.
+  // period). Adopted hosts bring their own plans, deduplicated.
   std::vector<policy::HostPolicyPlan> plans_;
   std::vector<uint16_t> plan_index_;
   std::vector<FleetHost> hosts_;
@@ -282,6 +291,20 @@ class FleetController {
   // Work-stealing state (hold_open mode): live fault-domain count (grows as
   // racks are adopted) and the drained-but-not-finalized flag/instant.
   int fault_domain_count_ = 1;
+  // Per fault domain: how many live members have started (left kServing,
+  // upgraded or attempted), how many are queued and their queued work. A
+  // domain is stealable when none started and some are queued.
+  struct DomainTally {
+    int started = 0;
+    int queued = 0;
+    SimDuration work = 0;
+  };
+  std::vector<DomainTally> domain_tallies_;
+  // First host id of each adopted domain, in domain order: AdoptHosts()
+  // appends a rack as one contiguous id range. (Configured domain d holds
+  // ids d, d + fault_domains, ...)
+  std::vector<int> adopted_first_ids_;
+  int unavailable_ = 0;
   bool drained_ = false;
   SimTime drained_at_ = -1;
   // Crash-storm state: a dedicated RNG stream (forked after every host stream

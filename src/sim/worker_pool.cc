@@ -1,7 +1,13 @@
 #include "src/sim/worker_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -47,26 +53,155 @@ SimDuration ParallelMakespan(std::vector<SimDuration> costs, int workers) {
   return ScheduleWork(costs, workers).makespan;
 }
 
+namespace {
+
+// Real threads per call, the caller included: HYPERTP_PARALLEL's cap.
+constexpr int kMaxThreads = 256;
+
+// How many times a worker polls for the next release, or the caller for the
+// workers' check-out, before parking on the condition variable. At ~20 ns a
+// pause (a 4-core Xeon VM) that is ~20 µs: long enough to bridge the
+// coordinator's work between two campaign barriers without a futex round
+// trip, short enough that an idle pool burns next to nothing.
+constexpr int kSpinIterations = 1024;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// True on pool workers, and on a caller while it runs tasks: a call made
+// from there runs inline.
+thread_local bool t_in_pool = false;
+
+// Set in the child of a fork(): the parent's workers do not exist there, so
+// the child runs every call inline.
+bool g_forked_child = false;
+
+class ParkedPool {
+ public:
+  // Runs `tasks` on the caller and `threads` - 1 workers. Returns false,
+  // having run nothing, when another thread holds the pool.
+  bool TryRun(std::vector<std::function<void()>>& tasks, int threads) {
+    if (held_.exchange(true, std::memory_order_acquire)) {
+      return false;
+    }
+    const int participants = threads - 1;
+    Grow(participants);
+    tasks_ = &tasks;
+    next_.store(0, std::memory_order_relaxed);
+    outstanding_.store(participants, std::memory_order_relaxed);
+    {
+      // Published under the mutex so a worker between its predicate check
+      // and its wait cannot miss the notification.
+      std::lock_guard<std::mutex> lock(mu_);
+      const uint64_t generation = (release_.load(std::memory_order_relaxed) >> 16) + 1;
+      release_.store(generation << 16 | static_cast<uint64_t>(participants),
+                     std::memory_order_release);
+    }
+    wake_.notify_all();
+    t_in_pool = true;
+    RunClaimed();
+    t_in_pool = false;
+    // Every participant checks out before the call returns: none of them may
+    // still read tasks_ or next_ when the next call reuses them.
+    for (int spin = 0;
+         spin < kSpinIterations && outstanding_.load(std::memory_order_acquire) != 0; ++spin) {
+      CpuRelax();
+    }
+    if (outstanding_.load(std::memory_order_acquire) != 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_.wait(lock, [this] { return outstanding_.load(std::memory_order_acquire) == 0; });
+    }
+    tasks_ = nullptr;
+    held_.store(false, std::memory_order_release);
+    return true;
+  }
+
+ private:
+  // Runs tasks until none is left to claim.
+  void RunClaimed() {
+    std::vector<std::function<void()>>& tasks = *tasks_;
+    for (size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < tasks.size();
+         i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      tasks[i]();
+    }
+  }
+
+  // Starts workers until `wanted` exist. Only the pool's holder calls it.
+  // The workers are detached: the pool they use is never destroyed.
+  void Grow(int wanted) {
+    const uint64_t generation = release_.load(std::memory_order_relaxed) >> 16;
+    while (workers_ < wanted) {
+      std::thread(&ParkedPool::WorkerMain, this, workers_, generation).detach();
+      ++workers_;
+    }
+  }
+
+  // A worker's life: wait for a generation newer than `seen`, take part in
+  // it if its index is below that call's participant count, check out.
+  void WorkerMain(int index, uint64_t seen) {
+    t_in_pool = true;
+    for (;;) {
+      uint64_t word = release_.load(std::memory_order_acquire);
+      for (int spin = 0; spin < kSpinIterations && word >> 16 == seen; ++spin) {
+        CpuRelax();
+        word = release_.load(std::memory_order_acquire);
+      }
+      if (word >> 16 == seen) {
+        std::unique_lock<std::mutex> lock(mu_);
+        wake_.wait(lock, [&] {
+          word = release_.load(std::memory_order_acquire);
+          return word >> 16 != seen;
+        });
+      }
+      seen = word >> 16;
+      if (index >= static_cast<int>(word & 0xFFFF)) {
+        continue;  // Not needed this time.
+      }
+      RunClaimed();
+      if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Taking the mutex orders this notification after the caller's
+        // predicate check, so the caller cannot sleep through it.
+        { std::lock_guard<std::mutex> lock(mu_); }
+        done_.notify_one();
+      }
+    }
+  }
+
+  std::atomic<bool> held_{false};
+  std::mutex mu_;
+  std::condition_variable wake_;  // Parked workers wait here.
+  std::condition_variable done_;  // A caller waiting for check-outs waits here.
+  // The release word: generation << 16 | participant count. One atomic, so a
+  // worker reads a call's generation and its participant count together.
+  std::atomic<uint64_t> release_{0};
+  std::vector<std::function<void()>>* tasks_ = nullptr;
+  std::atomic<size_t> next_{0};       // The next unclaimed task index.
+  std::atomic<int> outstanding_{0};   // Participants not yet checked out.
+  int workers_ = 0;                   // Written only by the pool's holder.
+};
+
+ParkedPool& Pool() {
+  // Never destroyed: process exit must not wait for parked workers.
+  static ParkedPool* const pool = [] {
+    pthread_atfork(nullptr, nullptr, [] { g_forked_child = true; });
+    return new ParkedPool;
+  }();
+  return *pool;
+}
+
+}  // namespace
+
 void RunOnWorkerPool(std::vector<std::function<void()>>& tasks, int threads) {
-  const int n = static_cast<int>(tasks.size());
-  threads = std::min(threads, n);
-  if (threads <= 1) {
+  threads = std::min({threads, static_cast<int>(tasks.size()), kMaxThreads});
+  if (threads <= 1 || t_in_pool || g_forked_child || !Pool().TryRun(tasks, threads)) {
     for (auto& task : tasks) {
       task();
     }
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&tasks, t, threads, n] {
-      for (int i = t; i < n; i += threads) {
-        tasks[static_cast<size_t>(i)]();
-      }
-    });
-  }
-  for (std::thread& th : pool) {
-    th.join();
   }
 }
 

@@ -54,12 +54,23 @@ WorkSchedule ScheduleWork(const std::vector<SimDuration>& costs, int workers);
 // (one worker thread per free core).
 SimDuration ParallelMakespan(std::vector<SimDuration> costs, int workers);
 
-// Executes every task in `tasks` using `threads` real OS threads
-// (threads <= 1: inline on the calling thread, in index order). Thread t runs
-// tasks t, t + threads, t + 2*threads, ... — a fixed assignment with no work
-// stealing or shared mutable state, so each task must only write its own
-// pre-sized output slot; under that contract the results are byte-identical
-// for any thread count.
+// Executes every task in `tasks` on the calling thread plus up to
+// `threads` - 1 workers of one process-wide pool (threads <= 1: inline on
+// the calling thread, in index order). The pool is created on first use,
+// grows on demand to the largest worker count asked for (at most 255
+// workers), and is never torn down.
+//
+// Tasks are claimed one at a time through a shared index, by the caller and
+// the workers alike, so which thread runs a task is unspecified; each task
+// must therefore only write its own pre-sized output slot. Under that
+// contract the results are byte-identical for any thread count. The call
+// returns once every task has run.
+//
+// Between calls a worker polls for the next one for a few tens of
+// microseconds, then parks on a condition variable until it is released.
+// A call made from inside a pool task, or while another thread is running
+// tasks on the pool, runs its tasks inline in index order instead of waiting,
+// so nesting and concurrent callers can never deadlock.
 void RunOnWorkerPool(std::vector<std::function<void()>>& tasks, int threads);
 
 // Real-thread count requested via the HYPERTP_PARALLEL env var.

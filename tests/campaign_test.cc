@@ -8,8 +8,12 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "src/campaign/campaign.h"
+#include "src/campaign/delta_merge.h"
+#include "src/sim/rng.h"
 #include "src/vulndb/exposure_stream.h"
 
 namespace hypertp {
@@ -1185,6 +1189,64 @@ TEST(CampaignStealTest, RehomedCountersFollowStolenHostsAndLeaveTheCurve) {
   }
   EXPECT_EQ(run->exposure_curve.back().exposed_vms,
             static_cast<int64_t>(run->hosts - run->upgraded) * vms_per_host);
+}
+
+// The barrier's run merge against the order it replaced: a stable sort of
+// every shard's non-zero deltas, concatenated in shard order, by
+// (time, shard). Few instants per case make timestamps collide across
+// shards; some runs are empty and some deltas carry zero hosts.
+TEST(ShardDeltaMergerTest, MatchesAStableSortOracle) {
+  ShardDeltaMerger merger;  // Reused across cases, as the barrier reuses it.
+  Rng rng(2023);
+  const auto key = [](const ShardDelta& d) { return std::tuple(d.time, d.shard, d.hosts); };
+  int collisions = 0;
+  int zero_hosts = 0;
+  int empty_runs = 0;
+  for (int c = 0; c < 200; ++c) {
+    const int shards = 1 + static_cast<int>(rng.NextBelow(16));
+    const int instants = 1 + static_cast<int>(rng.NextBelow(10));
+    std::vector<std::vector<ExposureDelta>> runs(static_cast<size_t>(shards));
+    std::vector<ShardDelta> oracle;
+    int next_id = static_cast<int>(rng.NextBelow(3));
+    std::vector<int> ids;
+    for (std::vector<ExposureDelta>& run : runs) {
+      // Ascending shard ids with gaps, like the running subset of a campaign.
+      ids.push_back(next_id);
+      next_id += 1 + static_cast<int>(rng.NextBelow(2));
+      if (rng.NextBool(0.2)) {
+        ++empty_runs;
+        continue;
+      }
+      for (int i = 0; i < instants; ++i) {
+        if (rng.NextBool(0.6)) {
+          const int hosts = static_cast<int>(rng.NextInRange(-3, 3));
+          run.push_back(ExposureDelta{Seconds(5 * i), hosts});
+          zero_hosts += hosts == 0;
+          if (hosts != 0) {
+            oracle.push_back(ShardDelta{Seconds(5 * i), ids.back(), hosts});
+          }
+        }
+      }
+    }
+    for (size_t s = 0; s < runs.size(); ++s) {
+      merger.AddRun(ids[s], runs[s]);
+    }
+    std::stable_sort(oracle.begin(), oracle.end(), [](const ShardDelta& a, const ShardDelta& b) {
+      return a.time != b.time ? a.time < b.time : a.shard < b.shard;
+    });
+    const std::vector<ShardDelta>& merged = merger.Merge();
+    ASSERT_EQ(merged.size(), oracle.size()) << "case " << c;
+    for (size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(key(merged[i]), key(oracle[i])) << "case " << c << ", entry " << i;
+      collisions += i > 0 && merged[i].time == merged[i - 1].time;
+    }
+  }
+  // The generator really produced what the merge must get right.
+  EXPECT_GT(collisions, 200);
+  EXPECT_GT(zero_hosts, 50);
+  EXPECT_GT(empty_runs, 50);
+  // A merge with no runs added is empty.
+  EXPECT_TRUE(merger.Merge().empty());
 }
 
 }  // namespace

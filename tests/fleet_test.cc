@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -685,6 +686,206 @@ TEST(FleetControllerTest, PendingWorkMatchesARecomputationAcrossSteals) {
   right.FinalizeDrained();
   EXPECT_GT(left.report().retries + right.report().retries, 0);
   EXPECT_GT(left.report().refused + right.report().refused, 0);
+}
+
+// StealableDomains() reads per-domain tallies kept at every state write and
+// queue change. The oracle is the host scan it replaced: a domain is
+// stealable when no live member left the untouched state (kServing, not
+// upgraded, no attempt) and some unrefused member is untouched.
+std::vector<StealableDomain> ScanStealableDomains(const FleetController& controller) {
+  struct Rack {
+    bool started = false;
+    int queued = 0;
+    SimDuration work = 0;
+  };
+  std::map<int, Rack> racks;
+  for (const FleetHost& host : controller.hosts()) {
+    Rack& rack = racks[host.fault_domain];
+    if (host.state == FleetHostState::kDetached) {
+      continue;
+    }
+    const policy::HostPolicyPlan& plan = controller.HostPlan(host.id);
+    if (host.state != FleetHostState::kServing || host.upgraded || host.attempts != 0) {
+      rack.started = true;
+    } else if (!plan.refused()) {
+      ++rack.queued;
+      rack.work += plan.drain_time + plan.transplant_time;
+    }
+  }
+  std::vector<StealableDomain> out;
+  for (const auto& [domain, rack] : racks) {
+    if (!rack.started && rack.queued > 0) {
+      out.push_back(StealableDomain{domain, rack.work});
+    }
+  }
+  return out;
+}
+
+void ExpectStealableDomainsMatchTheScan(const FleetController& controller,
+                                        const std::string& where) {
+  const std::vector<StealableDomain> indexed = controller.StealableDomains();
+  const std::vector<StealableDomain> scanned = ScanStealableDomains(controller);
+  ASSERT_EQ(indexed.size(), scanned.size()) << where;
+  for (size_t i = 0; i < indexed.size(); ++i) {
+    EXPECT_EQ(indexed[i].domain, scanned[i].domain) << where;
+    EXPECT_EQ(indexed[i].work, scanned[i].work) << where;
+  }
+}
+
+// At every barrier of a three-shard steal campaign — adaptive plans with
+// refusals, failed attempts and rollbacks, configured and adopted racks
+// stolen from both ends — the indexed StealableDomains() equals the scan.
+TEST(FleetControllerTest, StealableDomainsMatchAHostScanAcrossSteals) {
+  FleetConfig config = BaseConfig();
+  config.hold_open = true;
+  config.parallel_hosts = 3;
+  // One host per rack per wave: racks start a member at a time, so a rack
+  // often holds a host backing off after a rollback (serving, attempted)
+  // beside untouched ones.
+  config.max_per_domain_in_flight = 1;
+  config.failure_probability = 0.3;
+  config.post_pause_fraction = 0.7;
+  config.max_retries = 3;
+  config.latency_jitter = 0.2;
+  config.policy.mode = policy::PolicyMode::kAdaptive;
+  config.policy.vms_per_host = 7;
+  config.policy.max_vm_pause = Millis(200);
+  config.policy.max_migration_duration = Seconds(20);
+  const int sizes[3][2] = {{48, 12}, {6, 2}, {20, 5}};  // {hosts, fault_domains}
+  std::vector<std::unique_ptr<SimExecutor>> executors;
+  std::vector<std::unique_ptr<FleetController>> shards;
+  for (int i = 0; i < 3; ++i) {
+    config.hosts = sizes[i][0];
+    config.fault_domains = sizes[i][1];
+    config.seed = 50 + static_cast<uint64_t>(i);
+    executors.push_back(std::make_unique<SimExecutor>());
+    shards.push_back(std::make_unique<FleetController>(*executors.back(), config));
+    shards.back()->Start();
+  }
+  const auto all_drained = [&shards] {
+    return std::all_of(shards.begin(), shards.end(),
+                       [](const auto& shard) { return shard->drained(); });
+  };
+  int steals = 0;
+  int adopted_racks_stolen = 0;
+  for (SimTime barrier = Seconds(3); !all_drained(); barrier += Seconds(3)) {
+    ASSERT_LT(barrier, Seconds(3600));
+    for (auto& executor : executors) {
+      executor->RunUntil(barrier);
+    }
+    for (size_t i = 0; i < shards.size(); ++i) {
+      ExpectStealableDomainsMatchTheScan(*shards[i], "shard " + std::to_string(i) + " at " +
+                                                         std::to_string(ToSeconds(barrier)));
+    }
+    // Each drained shard takes one rack from the next shard that has one,
+    // alternating between its lowest and its highest stealable rack. Every
+    // other time the third shard then takes the adopted rack onwards, so
+    // adopted domains are detached too.
+    for (size_t t = 0; t < shards.size(); ++t) {
+      FleetController& thief = *shards[t];
+      if (!thief.drained()) {
+        continue;
+      }
+      for (size_t k = 1; k < shards.size(); ++k) {
+        FleetController& donor = *shards[(t + k) % shards.size()];
+        const std::vector<StealableDomain> domains = donor.StealableDomains();
+        if (domains.empty()) {
+          continue;
+        }
+        const int domain = steals % 2 == 0 ? domains.front().domain : domains.back().domain;
+        thief.AdoptHosts(donor.DetachDomain(domain));
+        ++steals;
+        ExpectStealableDomainsMatchTheScan(thief, "thief after steal " + std::to_string(steals));
+        ExpectStealableDomainsMatchTheScan(donor, "donor after steal " + std::to_string(steals));
+        if (steals % 2 == 0) {
+          FleetController& relay = *shards[(t + 2 * k) % shards.size()];
+          const std::vector<StealableDomain> adopted = thief.StealableDomains();
+          ASSERT_FALSE(adopted.empty());
+          ASSERT_GE(adopted.back().domain, thief.config().fault_domains);
+          relay.AdoptHosts(thief.DetachDomain(adopted.back().domain));
+          ++adopted_racks_stolen;
+          ExpectStealableDomainsMatchTheScan(thief, "after relay " + std::to_string(steals));
+          ExpectStealableDomainsMatchTheScan(relay, "relay after " + std::to_string(steals));
+        }
+        break;
+      }
+    }
+  }
+  EXPECT_GE(steals, 4);
+  EXPECT_GT(adopted_racks_stolen, 0);
+  int retries = 0;
+  int refused = 0;
+  for (auto& shard : shards) {
+    EXPECT_TRUE(shard->StealableDomains().empty());
+    shard->FinalizeDrained();
+    retries += shard->report().retries;
+    refused += shard->report().refused;
+  }
+  EXPECT_GT(retries, 0);
+  EXPECT_GT(refused, 0);
+}
+
+// unavailable_hosts() is a running count kept by every state write. In a
+// storm with failures and rollbacks, whose waves a barrier governor holds
+// while too many hosts are down, it equals a recount at every barrier.
+TEST(FleetControllerTest, UnavailableCountMatchesARecountInAThrottledStorm) {
+  FleetConfig config = BaseConfig();
+  config.hosts = 60;
+  config.parallel_hosts = 12;
+  config.drain_time = Seconds(4);
+  config.failure_probability = 0.2;
+  config.post_pause_fraction = 0.5;
+  config.rollback_failure_probability = 0.2;
+  config.crash_storm.rate_per_hour = 1800.0;
+  config.crash_storm.burst = 2;
+  config.crash_storm.duration = Seconds(120);
+  config.crash_storm.recovery_time = Seconds(6);
+  config.crash_storm.pre_pause_fraction = 0.2;
+  config.crash_storm.stale_commit_fraction = 0.1;
+  config.crash_storm.recovery_failure_probability = 0.2;
+  // The governor: holds every wave while the last barrier saw more than 10%
+  // of the fleet out of service.
+  bool throttled = false;
+  config.wave_pacer = [&throttled](int, SimTime) { return throttled ? Seconds(5) : 0; };
+  std::vector<std::unique_ptr<SimExecutor>> executors;
+  std::vector<std::unique_ptr<FleetController>> shards;
+  for (int i = 0; i < 2; ++i) {
+    config.seed = 70 + static_cast<uint64_t>(i);
+    executors.push_back(std::make_unique<SimExecutor>());
+    shards.push_back(std::make_unique<FleetController>(*executors.back(), config));
+    shards.back()->Start();
+  }
+  const auto recount = [](const FleetController& controller) {
+    int down = 0;
+    for (const FleetHost& host : controller.hosts()) {
+      down += host.state == FleetHostState::kDraining ||
+              host.state == FleetHostState::kTransplanting ||
+              host.state == FleetHostState::kRollingBack ||
+              host.state == FleetHostState::kCrashed ||
+              host.state == FleetHostState::kRecovering;
+    }
+    return down;
+  };
+  int throttled_barriers = 0;
+  int busy_barriers = 0;
+  // A fixed horizon well past the storm window: the check is the count, at
+  // every barrier, whether or not a shard has finished by then.
+  for (SimTime barrier = Seconds(2); barrier <= Seconds(400); barrier += Seconds(2)) {
+    int down = 0;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      executors[i]->RunUntil(barrier);
+      EXPECT_EQ(shards[i]->unavailable_hosts(), recount(*shards[i]))
+          << "shard " << i << " at " << ToSeconds(barrier);
+      down += shards[i]->unavailable_hosts();
+    }
+    busy_barriers += down > 0;
+    throttled = down > 12;
+    throttled_barriers += throttled;
+  }
+  EXPECT_GT(throttled_barriers, 0);
+  EXPECT_GT(busy_barriers, throttled_barriers);
+  EXPECT_GT(shards[0]->report().crashes + shards[1]->report().crashes, 0);
+  EXPECT_GT(shards[0]->report().rollbacks + shards[1]->report().rollbacks, 0);
 }
 
 TEST(FleetControllerTest, LatencyJitterSpreadsWaveLatencies) {

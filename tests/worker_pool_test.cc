@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <functional>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -183,6 +184,83 @@ TEST(RunOnWorkerPoolTest, ReallyRunsConcurrently) {
   }
   RunOnWorkerPool(tasks, 4);
   EXPECT_EQ(started.load(), 4);
+}
+
+TEST(RunOnWorkerPoolTest, NestedCallRunsEveryInnerAndOuterTask) {
+  // A task that calls RunOnWorkerPool itself runs its inner tasks inline
+  // instead of waiting for a pool it already occupies.
+  const int outer = 6;
+  const int inner = 5;
+  std::vector<int> outer_out(outer, 0);
+  std::vector<std::vector<int>> inner_out(outer, std::vector<int>(inner, 0));
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < outer; ++i) {
+    tasks.push_back([&outer_out, &inner_out, i, inner] {
+      std::vector<std::function<void()>> nested;
+      for (int j = 0; j < inner; ++j) {
+        nested.push_back([&inner_out, i, j] {
+          inner_out[static_cast<size_t>(i)][static_cast<size_t>(j)] = 100 * i + j + 1;
+        });
+      }
+      RunOnWorkerPool(nested, 4);
+      outer_out[static_cast<size_t>(i)] = i + 1;
+    });
+  }
+  RunOnWorkerPool(tasks, 4);
+  for (int i = 0; i < outer; ++i) {
+    EXPECT_EQ(outer_out[static_cast<size_t>(i)], i + 1);
+    for (int j = 0; j < inner; ++j) {
+      EXPECT_EQ(inner_out[static_cast<size_t>(i)][static_cast<size_t>(j)], 100 * i + j + 1)
+          << i << "," << j;
+    }
+  }
+}
+
+TEST(RunOnWorkerPoolTest, ConcurrentCallersEachSeeAllTheirResults) {
+  // Two threads share the one pool: whichever finds it held runs inline, and
+  // neither ever sees a slot of the other's or misses one of its own.
+  const auto caller = [](int salt, int* mismatches) {
+    const int n = 23;
+    for (int call = 0; call < 200; ++call) {
+      std::vector<int> out(n, -1);
+      std::vector<std::function<void()>> tasks;
+      for (int i = 0; i < n; ++i) {
+        tasks.push_back([&out, i, salt, call] { out[static_cast<size_t>(i)] = salt + call * n + i; });
+      }
+      RunOnWorkerPool(tasks, 4);
+      for (int i = 0; i < n; ++i) {
+        *mismatches += out[static_cast<size_t>(i)] != salt + call * n + i;
+      }
+    }
+  };
+  int mismatches_a = 0;
+  int mismatches_b = 0;
+  std::thread a(caller, 0, &mismatches_a);
+  std::thread b(caller, 1 << 20, &mismatches_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches_a, 0);
+  EXPECT_EQ(mismatches_b, 0);
+}
+
+TEST(RunOnWorkerPoolTest, BackToBackCallsReuseAndGrowThePool) {
+  // Cycling the thread count re-releases parked workers, leaves some of them
+  // out of a call, and grows the pool when a call asks for more.
+  const int thread_cycle[] = {2, 4, 3, 1, 8};
+  const int n = 9;
+  int incomplete = 0;
+  for (int call = 0; call < 1000; ++call) {
+    std::vector<int> out(n, 0);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < n; ++i) {
+      tasks.push_back([&out, i, call] { out[static_cast<size_t>(i)] = call + i + 1; });
+    }
+    RunOnWorkerPool(tasks, thread_cycle[call % 5]);
+    for (int i = 0; i < n; ++i) {
+      incomplete += out[static_cast<size_t>(i)] != call + i + 1;
+    }
+  }
+  EXPECT_EQ(incomplete, 0);
 }
 
 TEST(ParallelThreadsFromEnvTest, ParsesAndClampsHypertpParallel) {
