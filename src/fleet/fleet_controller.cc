@@ -289,7 +289,6 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   Rng root(config_.seed);
   for (int i = 0; i < config_.hosts; ++i) {
     FleetHost host;
-    host.id = i;
     host.fault_domain = i % config_.fault_domains;
     const int64_t global_id = config_.policy_host_global_ids.empty()
                                   ? i
@@ -305,6 +304,8 @@ FleetController::FleetController(SimExecutor& executor, FleetConfig config)
   // nothing more, so no host draw depends on whether a storm is configured.
   storm_rng_ = root.Fork();
   report_.hosts = config_.hosts;
+  // The global ids live on only as plan_index_; free their 8 bytes a host.
+  std::vector<int64_t>().swap(config_.policy_host_global_ids);
 }
 
 FleetController::~FleetController() { executor_.Disown(owner_); }
@@ -378,6 +379,7 @@ void FleetController::Start() {
   }
   if (config_.crash_storm.enabled()) {
     victims_.Resize(config_.hosts);
+    crash_records_.resize(static_cast<size_t>(config_.hosts));
     burst_moves_.reserve(static_cast<size_t>(config_.crash_storm.burst));
     struck_.reserve(static_cast<size_t>(config_.crash_storm.burst));
   }
@@ -528,6 +530,13 @@ void FleetController::Reindex(int host) {
 }
 
 void FleetController::StartNextWave() {
+  // One wave chain: a wave is composed only once the last one is done. A
+  // recovery that completes while a pacer hold is queued composes the wave
+  // itself (its freed slot goes to upgrade work); the held event then finds
+  // that wave in flight and is stale, and the wave's end composes the next.
+  if (wave_in_flight_ > 0) {
+    return;
+  }
   if (pending_.empty()) {
     MaybeFinishRollout();
     return;
@@ -819,15 +828,15 @@ CrashLedgerState FleetController::SampleCrashLedgerState() {
 }
 
 void FleetController::CrashHost(int host) {
-  FleetHost& h = hosts_[static_cast<size_t>(host)];
+  CrashRecord& crash = crash_records_[static_cast<size_t>(host)];
   ++report_.crashes;
   SetState(host, FleetHostState::kCrashed);
-  h.crash_started = executor_.now();
-  h.recovery_attempts = 0;
+  crash.started = executor_.now();
+  crash.recovery_attempts = 0;
   // What the crash left of the transplant ledger decides everything
   // downstream, via the same DecideSalvage() table Assess() applies to real
   // ledger bytes.
-  h.crash_ledger = SampleCrashLedgerState();
+  crash.ledger = SampleCrashLedgerState();
   Unqueue(host);
   Emit(FleetEventType::kHostCrashed, host);
   if (!config_.crash_storm.recover) {
@@ -835,7 +844,7 @@ void FleetController::CrashHost(int host) {
     LoseHost(host, false);
     return;
   }
-  if (DecideSalvage(h.crash_ledger) == SalvageDecision::kDataLoss) {
+  if (DecideSalvage(crash.ledger) == SalvageDecision::kDataLoss) {
     // Honest data loss: neither the PRAM image's currency nor the in-RAM
     // structures can be proven. No recovery attempt can change that verdict.
     LoseHost(host, true);
@@ -855,26 +864,27 @@ void FleetController::TryStartRecoveries() {
 }
 
 void FleetController::StartRecovery(int host) {
-  FleetHost& h = hosts_[static_cast<size_t>(host)];
+  CrashRecord& crash = crash_records_[static_cast<size_t>(host)];
   SetState(host, FleetHostState::kRecovering);
-  ++h.recovery_attempts;
-  Emit(FleetEventType::kRecoveryStart, host, h.recovery_attempts);
+  ++crash.recovery_attempts;
+  Emit(FleetEventType::kRecoveryStart, host, crash.recovery_attempts);
   Schedule(Jittered(config_.crash_storm.recovery_time, host_rngs_[static_cast<size_t>(host)]),
            EventCall::Op::kFinishRecovery, host);
 }
 
 void FleetController::FinishRecovery(int host) {
   FleetHost& h = hosts_[static_cast<size_t>(host)];
+  const CrashRecord& crash = crash_records_[static_cast<size_t>(host)];
   const CrashStormConfig& storm = config_.crash_storm;
   Rng& rng = host_rngs_[static_cast<size_t>(host)];
   if (rng.NextBool(storm.recovery_failure_probability)) {
-    if (h.recovery_attempts <= storm.recovery_max_retries) {
+    if (crash.recovery_attempts <= storm.recovery_max_retries) {
       ++report_.crash_recovery_retries;
-      Emit(FleetEventType::kRecoveryRetry, host, h.recovery_attempts);
+      Emit(FleetEventType::kRecoveryRetry, host, crash.recovery_attempts);
       // The recovery retry policy is distinct from the upgrade one: its own
       // base, its own budget, saturating backoff. The slot stays held —
       // a host mid-recovery is not schedulable capacity.
-      Schedule(SaturatingBackoff(storm.recovery_backoff, h.recovery_attempts - 1),
+      Schedule(SaturatingBackoff(storm.recovery_backoff, crash.recovery_attempts - 1),
                EventCall::Op::kStartRecovery, host);
       return;
     }
@@ -890,8 +900,8 @@ void FleetController::FinishRecovery(int host) {
     return;
   }
   --recovering_;
-  report_.recovery_latency_seconds.Add(ToSeconds(executor_.now() - h.crash_started));
-  if (DecideSalvage(h.crash_ledger) == SalvageDecision::kSalvageFromImage) {
+  report_.recovery_latency_seconds.Add(ToSeconds(executor_.now() - crash.started));
+  if (DecideSalvage(crash.ledger) == SalvageDecision::kSalvageFromImage) {
     ++report_.crash_salvages;
     // Cross-kind salvage re-instantiates the campaign's *target* kind from
     // the kind-neutral UISR image; same-kind restores the ledger's source.
@@ -922,7 +932,7 @@ void FleetController::FinishRecovery(int host) {
     Enqueue(host);  // Unqueued at crash time, so never a duplicate.
   }
   SetState(host, FleetHostState::kServing);
-  Emit(FleetEventType::kRecoveryDone, host, h.recovery_attempts);
+  Emit(FleetEventType::kRecoveryDone, host, crash.recovery_attempts);
   TryStartRecoveries();
   if (wave_in_flight_ == 0) {
     StartNextWave();
@@ -944,7 +954,8 @@ void FleetController::LoseHost(int host, bool ledger_data_loss) {
     ChangeExposure(-1);
   }
   SetState(host, FleetHostState::kFailed);
-  Emit(FleetEventType::kHostLost, host, h.recovery_attempts);
+  Emit(FleetEventType::kHostLost, host,
+       crash_records_[static_cast<size_t>(host)].recovery_attempts);
   MaybeFinishRollout();
 }
 
@@ -1043,7 +1054,6 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
   adopted_first_ids_.push_back(first_id);
   for (const DetachedRack::Host& adopted : rack.hosts) {
     FleetHost host;
-    host.id = static_cast<int>(hosts_.size());
     host.fault_domain = domain;
     plan_index_.push_back(PlanIndex(adopted.plan));
     hosts_.push_back(host);
@@ -1057,6 +1067,7 @@ void FleetController::AdoptHosts(const DetachedRack& rack) {
   pending_.Resize(size);
   if (config_.crash_storm.enabled()) {
     victims_.Resize(size);
+    crash_records_.resize(static_cast<size_t>(size));
   }
   for (int id = first_id; id < size; ++id) {
     if (!HostPlan(id).refused()) {

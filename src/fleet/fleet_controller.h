@@ -30,6 +30,7 @@
 #include "src/fleet/fleet_trace.h"
 #include "src/fleet/fleet_types.h"
 #include "src/obs/trace.h"
+#include "src/pram/ledger.h"
 #include "src/sim/executor.h"
 #include "src/sim/id_fifo.h"
 #include "src/sim/rank_index.h"
@@ -276,6 +277,15 @@ class FleetController {
   std::vector<uint16_t> plan_index_;
   std::vector<FleetHost> hosts_;
   std::vector<Rng> host_rngs_;  // Forked in id order: interleaving-independent.
+  // Crash-recovery bookkeeping, one entry per host, sized only under a crash
+  // storm (Start(), AdoptHosts()): when the crash hit, what it left of the
+  // ledger, and how many unplanned-recovery attempts have run.
+  struct CrashRecord {
+    SimTime started = -1;
+    CrashLedgerState ledger = CrashLedgerState::kCleanCommit;
+    int recovery_attempts = 0;
+  };
+  std::vector<CrashRecord> crash_records_;
   FleetTrace trace_;
   FleetRolloutReport report_;
   SimExecutor::Owner owner_;  // Tags our events; the destructor disowns them.

@@ -37,7 +37,9 @@ void FleetTrace::Record(FleetEvent event) {
   }
   // Full: overwrite the oldest slot.
   ring_[head_] = event;
-  head_ = (head_ + 1) % capacity_;
+  if (++head_ == capacity_) {
+    head_ = 0;
+  }
 }
 
 std::vector<FleetEvent> FleetTrace::Events() const {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/policy/policy.h"
-#include "src/pram/ledger.h"
 #include "src/sim/time.h"
 
 namespace hypertp {
@@ -51,19 +50,15 @@ enum class FleetHostState : uint8_t {
   kDetached,
 };
 
+// One host's state machine, 12 bytes: a campaign holds a million of them.
+// A host's id is its index in FleetController::hosts(); its crash-recovery
+// bookkeeping lives in a side table that exists only under a crash storm.
 struct FleetHost {
-  int id = 0;
   // Anti-affinity bucket (rack / power feed); assigned round-robin.
   int fault_domain = 0;
   FleetHostState state = FleetHostState::kServing;
   bool upgraded = false;
   int attempts = 0;  // Transplant attempts so far.
-  // Crash-recovery bookkeeping (only meaningful once a storm struck this
-  // host): when the crash hit, what the crash left of the ledger, and how
-  // many unplanned-recovery attempts have run.
-  SimTime crash_started = -1;
-  CrashLedgerState crash_ledger = CrashLedgerState::kCleanCommit;
-  int recovery_attempts = 0;
 };
 
 enum class FleetEventType : uint8_t {
@@ -302,7 +297,9 @@ struct FleetConfig : RolloutKnobs {
   // local host i's guests (SyntheticVmSignals) under entry i, its fleet-wide
   // id. Empty = identity (local id == global id). The campaign planner fills
   // this from the datacenter rack layout so a fleet split into any number of
-  // shards prices the same VM population identically.
+  // shards prices the same VM population identically. Consumed by the
+  // FleetController constructor, which turns it into per-host plan indices
+  // and then releases it: the controller's config() holds it empty.
   std::vector<int64_t> policy_host_global_ids;
   uint64_t seed = 1;
   size_t trace_capacity = 65536;  // Ring buffer: oldest events drop first.

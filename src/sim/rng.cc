@@ -62,9 +62,10 @@ double Rng::NextDouble() {
 }
 
 double Rng::NextGaussian() {
-  if (have_cached_gaussian_) {
-    have_cached_gaussian_ = false;
-    return cached_gaussian_;
+  if (!std::isnan(cached_gaussian_)) {
+    const double cached = cached_gaussian_;
+    cached_gaussian_ = std::numeric_limits<double>::quiet_NaN();
+    return cached;
   }
   double u1 = NextDouble();
   double u2 = NextDouble();
@@ -75,7 +76,6 @@ double Rng::NextGaussian() {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * M_PI * u2;
   cached_gaussian_ = r * std::sin(theta);
-  have_cached_gaussian_ = true;
   return r * std::cos(theta);
 }
 

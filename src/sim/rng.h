@@ -8,6 +8,7 @@
 #define HYPERTP_SRC_SIM_RNG_H_
 
 #include <cstdint>
+#include <limits>
 
 namespace hypertp {
 
@@ -40,8 +41,12 @@ class Rng {
 
  private:
   uint64_t s_[4];
-  bool have_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
+  // The second half of the last Box-Muller pair, or NaN when there is none.
+  // Box-Muller never yields NaN (NextGaussian keeps u1 >= 2^-53, so its
+  // radius is finite), so NaN can mark the empty cache without a flag and
+  // its padding: 40 bytes a stream, and a copy taken between the two halves
+  // of a pair still carries the cached half.
+  double cached_gaussian_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace hypertp

@@ -533,12 +533,12 @@ TEST(FleetControllerTest, StolenRackCarriesItsPlansAndTallies) {
   std::vector<int> members;
   int rack_refused = 0;
   SimDuration queued_work = 0;
-  for (const FleetHost& host : donor.hosts()) {
-    if (host.fault_domain != 1) {
+  for (int id = 0; id < static_cast<int>(donor.hosts().size()); ++id) {
+    if (donor.hosts()[static_cast<size_t>(id)].fault_domain != 1) {
       continue;
     }
-    members.push_back(host.id);
-    const policy::HostPolicyPlan& plan = donor.HostPlan(host.id);
+    members.push_back(id);
+    const policy::HostPolicyPlan& plan = donor.HostPlan(id);
     rack_refused += plan.refused();
     if (!plan.refused()) {
       queued_work += plan.drain_time + plan.transplant_time;
@@ -652,8 +652,9 @@ TEST(FleetControllerTest, PendingWorkMatchesARecomputationAcrossSteals) {
   // never started an attempt and is not refused.
   const auto recomputed = [](const FleetController& controller) {
     SimDuration work = 0;
-    for (const FleetHost& host : controller.hosts()) {
-      const policy::HostPolicyPlan& plan = controller.HostPlan(host.id);
+    for (int id = 0; id < static_cast<int>(controller.hosts().size()); ++id) {
+      const FleetHost& host = controller.hosts()[static_cast<size_t>(id)];
+      const policy::HostPolicyPlan& plan = controller.HostPlan(id);
       if (host.state == FleetHostState::kServing && !host.upgraded && host.attempts == 0 &&
           !plan.refused()) {
         work += plan.drain_time + plan.transplant_time;
@@ -699,12 +700,13 @@ std::vector<StealableDomain> ScanStealableDomains(const FleetController& control
     SimDuration work = 0;
   };
   std::map<int, Rack> racks;
-  for (const FleetHost& host : controller.hosts()) {
+  for (int id = 0; id < static_cast<int>(controller.hosts().size()); ++id) {
+    const FleetHost& host = controller.hosts()[static_cast<size_t>(id)];
     Rack& rack = racks[host.fault_domain];
     if (host.state == FleetHostState::kDetached) {
       continue;
     }
-    const policy::HostPolicyPlan& plan = controller.HostPlan(host.id);
+    const policy::HostPolicyPlan& plan = controller.HostPlan(id);
     if (host.state != FleetHostState::kServing || host.upgraded || host.attempts != 0) {
       rack.started = true;
     } else if (!plan.refused()) {
@@ -825,10 +827,14 @@ TEST(FleetControllerTest, StealableDomainsMatchAHostScanAcrossSteals) {
   EXPECT_GT(refused, 0);
 }
 
-// unavailable_hosts() is a running count kept by every state write. In a
-// storm with failures and rollbacks, whose waves a barrier governor holds
-// while too many hosts are down, it equals a recount at every barrier.
-TEST(FleetControllerTest, UnavailableCountMatchesARecountInAThrottledStorm) {
+// Two started 60-host storm controllers, with failures and rollbacks, whose
+// waves a barrier governor holds while `throttled` (the caller sets it when
+// the last barrier saw more than 10% of the fleet out of service).
+struct ThrottledStorm {
+  std::vector<std::unique_ptr<SimExecutor>> executors;
+  std::vector<std::unique_ptr<FleetController>> shards;
+};
+ThrottledStorm StartThrottledStorm(const bool& throttled) {
   FleetConfig config = BaseConfig();
   config.hosts = 60;
   config.parallel_hosts = 12;
@@ -843,18 +849,25 @@ TEST(FleetControllerTest, UnavailableCountMatchesARecountInAThrottledStorm) {
   config.crash_storm.pre_pause_fraction = 0.2;
   config.crash_storm.stale_commit_fraction = 0.1;
   config.crash_storm.recovery_failure_probability = 0.2;
-  // The governor: holds every wave while the last barrier saw more than 10%
-  // of the fleet out of service.
-  bool throttled = false;
   config.wave_pacer = [&throttled](int, SimTime) { return throttled ? Seconds(5) : 0; };
-  std::vector<std::unique_ptr<SimExecutor>> executors;
-  std::vector<std::unique_ptr<FleetController>> shards;
+  ThrottledStorm storm;
   for (int i = 0; i < 2; ++i) {
     config.seed = 70 + static_cast<uint64_t>(i);
-    executors.push_back(std::make_unique<SimExecutor>());
-    shards.push_back(std::make_unique<FleetController>(*executors.back(), config));
-    shards.back()->Start();
+    storm.executors.push_back(std::make_unique<SimExecutor>());
+    storm.shards.push_back(std::make_unique<FleetController>(*storm.executors.back(), config));
+    storm.shards.back()->Start();
   }
+  return storm;
+}
+
+// unavailable_hosts() is a running count kept by every state write. In a
+// storm with failures and rollbacks, whose waves a barrier governor holds
+// while too many hosts are down, it equals a recount at every barrier.
+TEST(FleetControllerTest, UnavailableCountMatchesARecountInAThrottledStorm) {
+  bool throttled = false;
+  ThrottledStorm storm = StartThrottledStorm(throttled);
+  std::vector<std::unique_ptr<SimExecutor>>& executors = storm.executors;
+  std::vector<std::unique_ptr<FleetController>>& shards = storm.shards;
   const auto recount = [](const FleetController& controller) {
     int down = 0;
     for (const FleetHost& host : controller.hosts()) {
@@ -886,6 +899,56 @@ TEST(FleetControllerTest, UnavailableCountMatchesARecountInAThrottledStorm) {
   EXPECT_GT(busy_barriers, throttled_barriers);
   EXPECT_GT(shards[0]->report().crashes + shards[1]->report().crashes, 0);
   EXPECT_GT(shards[0]->report().rollbacks + shards[1]->report().rollbacks, 0);
+}
+
+// A recovery that finishes while the pacer holds the next wave composes
+// that wave itself; the held event, when it fires, must not compose a second
+// one beside it. One wave chain means every wave start is followed by its
+// wave's end before the next start, and every rollout finishes with no host
+// left mid-transplant.
+TEST(FleetControllerTest, PacerHoldsAndRecoveriesKeepOneWaveChain) {
+  bool throttled = false;
+  ThrottledStorm storm = StartThrottledStorm(throttled);
+  std::vector<std::unique_ptr<SimExecutor>>& executors = storm.executors;
+  std::vector<std::unique_ptr<FleetController>>& shards = storm.shards;
+  int throttled_barriers = 0;
+  for (SimTime barrier = Seconds(2); barrier <= Seconds(7200); barrier += Seconds(2)) {
+    int down = 0;
+    bool all_finished = true;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      executors[i]->RunUntil(barrier);
+      down += shards[i]->unavailable_hosts();
+      all_finished = all_finished && shards[i]->finished();
+    }
+    if (all_finished) {
+      break;
+    }
+    throttled = down > 12;
+    throttled_barriers += throttled;
+  }
+  EXPECT_GT(throttled_barriers, 0);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const FleetController& shard = *shards[i];
+    ASSERT_TRUE(shard.finished()) << "shard " << i;
+    EXPECT_GT(shard.report().crashes, 0) << "shard " << i;
+    ASSERT_EQ(shard.trace().dropped(), 0u);
+    int open_wave = -1;
+    for (const FleetEvent& event : shard.trace().Events()) {
+      if (event.type == FleetEventType::kWaveStart) {
+        EXPECT_EQ(open_wave, -1) << "shard " << i << ": wave " << event.wave
+                                 << " starts while wave " << open_wave << " is in flight";
+        open_wave = event.wave;
+      } else if (event.type == FleetEventType::kWaveDone) {
+        EXPECT_EQ(event.wave, open_wave) << "shard " << i;
+        open_wave = -1;
+      }
+    }
+    EXPECT_EQ(open_wave, -1) << "shard " << i;
+    for (const FleetHost& host : shard.hosts()) {
+      EXPECT_NE(host.state, FleetHostState::kDraining) << "shard " << i;
+      EXPECT_NE(host.state, FleetHostState::kTransplanting) << "shard " << i;
+    }
+  }
 }
 
 TEST(FleetControllerTest, LatencyJitterSpreadsWaveLatencies) {
@@ -1375,13 +1438,14 @@ TEST(FleetPolicyTest, PhaseIndexedPlansMatchDirectPerHostPlans) {
   // Without jitter or failures each upgraded host's legs last exactly its
   // plan's drain and transplant times.
   const std::map<int, HostLegs> legs = LegsByHost(controller);
-  for (const FleetHost& host : controller.hosts()) {
-    const policy::HostPolicyPlan& plan = plans[static_cast<size_t>(host.id)];
-    EXPECT_EQ(host.upgraded, !plan.refused()) << host.id;
+  for (int id = 0; id < static_cast<int>(controller.hosts().size()); ++id) {
+    const FleetHost& host = controller.hosts()[static_cast<size_t>(id)];
+    const policy::HostPolicyPlan& plan = plans[static_cast<size_t>(id)];
+    EXPECT_EQ(host.upgraded, !plan.refused()) << id;
     if (host.upgraded) {
-      const HostLegs& leg = legs.at(host.id);
-      EXPECT_EQ(leg.transplant_start - leg.drain_start, plan.drain_time) << host.id;
-      EXPECT_EQ(leg.transplant_done - leg.transplant_start, plan.transplant_time) << host.id;
+      const HostLegs& leg = legs.at(id);
+      EXPECT_EQ(leg.transplant_start - leg.drain_start, plan.drain_time) << id;
+      EXPECT_EQ(leg.transplant_done - leg.transplant_start, plan.transplant_time) << id;
     }
   }
 }

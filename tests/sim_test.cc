@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -123,6 +124,77 @@ TEST(RngTest, ForkIsIndependent) {
   parent2.Fork();
   EXPECT_EQ(parent.NextU64(), parent2.NextU64());  // Fork is deterministic.
   EXPECT_NE(child.NextU64(), parent.NextU64());
+}
+
+// The exact streams of two seeds, as bit patterns: any change to the
+// generator's state layout or draw paths that moves a single bit of a draw
+// fails here before it can move a simulation output.
+struct RngGolden {
+  uint64_t seed;
+  uint64_t u64[16];
+  uint64_t gaussian_bits[16];  // NextGaussian() results, bit_cast.
+  uint16_t bool_mask;          // Bit i: the i-th NextBool(0.3).
+};
+
+constexpr RngGolden kRngGoldens[] = {
+    {1,
+     {0xb3f2af6d0fc710c5ull, 0x853b559647364ceaull, 0x92f89756082a4514ull, 0x642e1c7bc266a3a7ull,
+      0xb27a48e29a233673ull, 0x24c123126ffda722ull, 0x123004ef8df510e6ull, 0x61954dcc47b1e89dull,
+      0xddfdb48ab9ed4a21ull, 0x8d3cdb8c3aa5b1d0ull, 0xeebd114bd87226d1ull, 0xf50c3ff1e7d7e8a6ull,
+      0xeeca3115e23bc8f1ull, 0xab49ed3db4c66435ull, 0x99953c6c57808dd7ull, 0xe3fa941b05219325ull},
+     {0xbfeaa5d15d61bbdeull, 0xbfbb868742fbcb43ull, 0xbfea277e54872b51ull, 0x3fe5457e1365c05cull,
+      0x3fe0d9c8553273e0ull, 0x3fe5537099254695ull, 0xbffb02898a315caaull, 0x3ff8fd041ec81360ull,
+      0xbfe0311d513a4fb3ull, 0xbfc5d0f36f403c9full, 0x3fd70e173aebb381ull, 0xbfb9677948bd4775ull,
+      0xbfc73e27b903647bull, 0xbfd4dba401e8bfb3ull, 0x3fe8fea6d0727143ull, 0xbfe488ce5198eb9bull},
+     0x0060},
+    {0x5EEDF00D,
+     {0x7c873a5e096e5982ull, 0xafa8a941fb322560ull, 0x901e1d55271b5116ull, 0xc0402398799c6825ull,
+      0xae42244e1a25c727ull, 0x109dfd0c003a3d84ull, 0x224de210c22928d5ull, 0x9392d843dbecd34full,
+      0x084fc5cfa301a700ull, 0x19159920ce40e3c2ull, 0x0419d09da5f9c9b9ull, 0xb9a4c991d877da7cull,
+      0x91126e530e231f0aull, 0x50514ab0c4e931faull, 0x2271e1942cee23f4ull, 0xc318fb7642477b7cull},
+     {0xbfddff21d58e4960ull, 0xbff1af2b739ffeb4ull, 0x3f7affe705648b3bull, 0xbff126a8c2309454ull,
+      0x3fe9c3bc1c3cc75aull, 0x3fd643aca5c06dd9ull, 0xbffc72b0809afff2ull, 0xbfeda6766f846c3full,
+      0x4001199256afa07eull, 0x3ff8313a9066c65bull, 0xbfdc97d2ac7d03dcull, 0xc006b951afb8f765ull,
+      0xbfda97deb5e24ae1ull, 0x3fef68038d480fc1ull, 0x3fc378e414e726eeull, 0xbffff435736889adull},
+     0x4760},
+};
+
+TEST(RngTest, GoldenStreamsAreBitExact) {
+  for (const RngGolden& golden : kRngGoldens) {
+    Rng u64(golden.seed);
+    Rng gaussian(golden.seed);
+    Rng coin(golden.seed);
+    uint16_t mask = 0;
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(u64.NextU64(), golden.u64[i]) << "seed " << golden.seed << " draw " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(gaussian.NextGaussian()), golden.gaussian_bits[i])
+          << "seed " << golden.seed << " draw " << i;
+      mask |= static_cast<uint16_t>(coin.NextBool(0.3) << i);
+    }
+    EXPECT_EQ(mask, golden.bool_mask) << "seed " << golden.seed;
+  }
+}
+
+// A copy taken between the two halves of a Box-Muller pair (a stolen host's
+// stream travels that way) carries the cached half and continues exactly
+// like the original, through every kind of draw.
+TEST(RngTest, CopyMidGaussianPairContinuesTheStream) {
+  for (const RngGolden& golden : kRngGoldens) {
+    for (int odd : {1, 3, 7}) {
+      Rng original(golden.seed);
+      for (int i = 0; i < odd; ++i) {
+        original.NextGaussian();
+      }
+      Rng copy = original;
+      for (int i = 0; i < 16; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(copy.NextGaussian()),
+                  std::bit_cast<uint64_t>(original.NextGaussian()))
+            << "seed " << golden.seed << " after " << odd << " draw " << i;
+        ASSERT_EQ(copy.NextU64(), original.NextU64());
+        ASSERT_EQ(copy.NextBool(0.3), original.NextBool(0.3));
+      }
+    }
+  }
 }
 
 TEST(RngTest, BoolProbabilityEdges) {
