@@ -2,6 +2,8 @@
 // InPlaceTP-compatible VMs — (a) number of migrations, (b) total-time gain.
 // Paper: 154 migrations at 0%; 109 (-17% time) at 20%; 73% fewer migrations
 // and -68% time at 60%; 25 migrations and ~-80% time at 80%.
+// Writes BENCH_fig13_cluster.json: per compat share, the migrations, the
+// migration/in-place/total ms and the time gain against the 0% plan.
 
 #include "bench/bench_util.h"
 #include "src/cluster/cluster.h"
@@ -24,6 +26,7 @@ void Run() {
       {60, "~42", "68%"}, {80, "25", "~80%"},
   };
 
+  bench::BenchReport report("fig13_cluster");
   SimDuration baseline_time = 0;
   bench::Row("%-10s %12s %14s %12s %14s %12s", "compat%", "migrations", "paper-migr",
              "total time", "time gain", "paper-gain");
@@ -47,11 +50,18 @@ void Run() {
             ? (1.0 - static_cast<double>(stats->total_time) / static_cast<double>(baseline_time)) *
                   100.0
             : 0.0;
+    const std::string key = "compat=" + std::to_string(ref.percent) + "/";
+    report.SetScalar(key + "migrations", stats->migrations);
+    report.SetScalar(key + "migration_ms", bench::Ms(stats->migration_time));
+    report.SetScalar(key + "inplace_ms", bench::Ms(stats->inplace_time));
+    report.SetScalar(key + "total_ms", bench::Ms(stats->total_time));
+    report.SetScalar(key + "time_gain_pct", gain);
     bench::Row("%-10d %12d %14s %11.1fs %13.1f%% %12s", ref.percent, stats->migrations,
                ref.migrations, bench::Sec(stats->total_time), gain, ref.gain);
   }
   bench::Row("(paper end-to-end anchors: 80%% compatible = 3 min 54 s vs up to 19 min "
              "for the all-migration plan)");
+  report.WriteJsonArtifact();
 }
 
 }  // namespace
