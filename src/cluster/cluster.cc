@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
@@ -65,68 +66,20 @@ ClusterModel ClusterModel::PaperCluster(double inplace_fraction, uint64_t seed) 
   for (int h = 0; h < kHosts; ++h) {
     cluster.AddHost(ClusterHost{});
   }
-  // Role mix: 30% streaming, 30% CPU+mem, 40% idle (paper §5.4).
+  // Activity mix: 30% streaming, 30% CPU+mem, 40% idle (paper §5.4).
   int serial = 0;
   for (int h = 0; h < kHosts; ++h) {
     for (int v = 0; v < kVmsPerHost; ++v) {
       ClusterVm vm;
       vm.uid = static_cast<uint64_t>(1000 + serial);
       vm.name = "cvm-" + std::to_string(serial);
-      const int mod = serial % 10;
-      vm.role = mod < 3 ? ClusterVmRole::kStreaming
-                        : (mod < 6 ? ClusterVmRole::kCpuMem : ClusterVmRole::kIdle);
+      vm.activity = policy::SyntheticVmSignals(serial).activity;
       vm.inplace_compatible = rng.NextBool(inplace_fraction);
       (void)cluster.AddVm(std::move(vm), static_cast<size_t>(h));
       ++serial;
     }
   }
   return cluster;
-}
-
-policy::VmActivity ToVmActivity(ClusterVmRole role) {
-  switch (role) {
-    case ClusterVmRole::kStreaming:
-      return policy::VmActivity::kStreaming;
-    case ClusterVmRole::kCpuMem:
-      return policy::VmActivity::kCpuMem;
-    case ClusterVmRole::kIdle:
-      return policy::VmActivity::kIdle;
-  }
-  return policy::VmActivity::kIdle;
-}
-
-policy::VmSignals ClusterVmSignals(const ClusterVm& vm) {
-  policy::VmSignals signals;
-  signals.memory_bytes = vm.memory_bytes;
-  signals.vcpus = vm.vcpus;
-  signals.activity = ToVmActivity(vm.role);
-  signals.dirty_fraction = policy::ActivityDirtyFraction(signals.activity);
-  signals.dirty_factor = policy::ActivityDirtyFactor(signals.activity);
-  return signals;
-}
-
-ClusterPolicyOutcome ApplyMechanismPolicy(ClusterModel& cluster,
-                                          const policy::MechanismPolicy& policy,
-                                          const policy::EnvSignals& env,
-                                          HypervisorKind target) {
-  ClusterPolicyOutcome outcome;
-  for (size_t v = 0; v < cluster.vms().size(); ++v) {
-    const policy::MechanismDecision decision =
-        policy.Decide(ClusterVmSignals(cluster.vms()[v]), env, target);
-    cluster.SetInplaceCompatible(v, decision.mechanism == policy::Mechanism::kInPlaceTP);
-    switch (decision.mechanism) {
-      case policy::Mechanism::kInPlaceTP:
-        ++outcome.inplace_vms;
-        break;
-      case policy::Mechanism::kMigrationTP:
-        ++outcome.migrate_vms;
-        break;
-      case policy::Mechanism::kRefuse:
-        ++outcome.refused_vms;
-        break;
-    }
-  }
-  return outcome;
 }
 
 int UpgradePlan::total_migrations() const {
@@ -229,31 +182,36 @@ Result<UpgradePlan> PlanClusterUpgrade(const ClusterModel& cluster, int group_si
   return plan;
 }
 
+namespace {
+
+Result<void> ValidateExecutionParams(const ClusterExecutionParams& params) {
+  constexpr std::string_view kPrefix = "ClusterExecutionParams::";
+  if (!(params.network_gbps > 0.0) || !std::isfinite(params.network_gbps)) {
+    return InvalidFieldError(kPrefix, "network_gbps", "finite and > 0",
+                             std::to_string(params.network_gbps));
+  }
+  return CheckDurations(kPrefix, {{"per_migration_overhead", params.per_migration_overhead},
+                                  {"inplace_upgrade_time", params.inplace_upgrade_time}});
+}
+
+}  // namespace
+
 Result<PlanExecutionStats> ExecuteClusterUpgrade(ClusterModel& cluster, const UpgradePlan& plan,
                                                  const ClusterExecutionParams& params) {
+  HYPERTP_RETURN_IF_ERROR(ValidateExecutionParams(params));
   PlanExecutionStats stats;
 
   for (const UpgradeStep& step : plan.steps) {
-    // Migrations first: `parallel_streams` run concurrently over the shared
-    // fabric. migration_time sums the individual migration durations (the
-    // network work, invariant under stream count); the step's wall-clock is
-    // the makespan of greedily packing them onto the streams.
-    SimDuration step_makespan = 0;
-    std::vector<SimDuration> streams(static_cast<size_t>(std::max(params.parallel_streams, 1)),
-                                     0);
+    // Migrations first, one at a time (BtrPlace's sequential actuation).
+    SimDuration step_migration = 0;
     for (const MigrationOp& op : step.migrations) {
       HYPERTP_RETURN_IF_ERROR(cluster.MoveVm(op.vm, op.to_host));
       const auto& vm = cluster.vms()[op.vm];
-      // Dirty-rate inflation by workload role and the link arithmetic both
-      // live in the shared cost model now (same values, same expression).
-      const SimDuration migration = policy::TransplantCostModel::MigrationDuration(
-          vm.memory_bytes, policy::ActivityDirtyFactor(ToVmActivity(vm.role)),
-          params.network_gbps, params.per_migration_overhead);
-      stats.migration_time += migration;
-      auto slot = std::min_element(streams.begin(), streams.end());
-      *slot += migration;
-      step_makespan = std::max(step_makespan, *slot);
+      step_migration += policy::TransplantCostModel::MigrationDuration(
+          vm.memory_bytes, policy::ActivityDirtyFactor(vm.activity), params.network_gbps,
+          params.per_migration_overhead);
     }
+    stats.migration_time += step_migration;
     stats.migrations += static_cast<int>(step.migrations.size());
 
     // Then the group's hosts micro-reboot in parallel (InPlaceTP). The final
@@ -266,7 +224,7 @@ Result<PlanExecutionStats> ExecuteClusterUpgrade(ClusterModel& cluster, const Up
       step_inplace = params.inplace_upgrade_time;
     }
     stats.inplace_time += step_inplace;
-    stats.total_time += step_makespan + step_inplace;
+    stats.total_time += step_migration + step_inplace;
   }
   return stats;
 }

@@ -8,13 +8,9 @@
 // resulting wall-clock, which reproduces Fig. 13: migrations (and total
 // time) fall steeply as the InPlaceTP-compatible share grows.
 //
-// Two tagging modes feed the planner:
-//  - Legacy/static (the paper's): PaperCluster tags a fixed random fraction
-//    of VMs InPlaceTP-compatible. This stays the default, and replays are
-//    byte-identical to earlier builds.
-//  - Policy-driven: ApplyMechanismPolicy retags every VM from a per-VM
-//    MechanismPolicy decision (src/policy/) priced from the VM's memory
-//    size, dirty behavior, link bandwidth, headroom and rollback risk.
+// Tagging is the paper's: PaperCluster tags a fixed random fraction of VMs
+// InPlaceTP-compatible, and the executor actuates migrations one at a time,
+// as BtrPlace does.
 // The executor's migration pricing itself delegates to the shared
 // TransplantCostModel, so a costing change lands here and in the fleet and
 // window-model layers at once.
@@ -33,16 +29,13 @@
 
 namespace hypertp {
 
-// What the VM is doing, per the paper's cluster mix: 30% video streaming,
-// 30% CPU+memory intensive, 40% idle.
-enum class ClusterVmRole : uint8_t { kIdle, kStreaming, kCpuMem };
-
 struct ClusterVm {
   uint64_t uid = 0;
   std::string name;
   uint32_t vcpus = 1;
   uint64_t memory_bytes = 4ull << 30;  // Paper: 1 vCPU / 4 GB per cluster VM.
-  ClusterVmRole role = ClusterVmRole::kIdle;
+  // What the VM is doing; sets its pre-copy dirty-rate inflation.
+  policy::VmActivity activity = policy::VmActivity::kIdle;
   bool inplace_compatible = false;
   size_t host = 0;  // Index into ClusterModel::hosts.
 };
@@ -71,48 +64,17 @@ class ClusterModel {
   // Moves a VM between hosts (capacity-checked).
   Result<void> MoveVm(size_t vm, size_t to_host);
   void MarkUpgraded(size_t host) { hosts_[host].upgraded = true; }
-  void SetInplaceCompatible(size_t vm, bool compatible) {
-    vms_[vm].inplace_compatible = compatible;
-  }
 
   // The paper's evaluation cluster: 10 hosts, 10 VMs each (1 vCPU / 4 GB),
-  // 30% streaming / 30% CPU+mem / 40% idle, with `inplace_fraction` of the
-  // VMs tagged InPlaceTP-compatible (deterministic given `seed`).
+  // 30% streaming / 30% CPU+mem / 40% idle (policy::SyntheticVmSignals'
+  // activity), with `inplace_fraction` of the VMs tagged InPlaceTP-compatible
+  // (deterministic given `seed`).
   static ClusterModel PaperCluster(double inplace_fraction, uint64_t seed = 42);
 
  private:
   std::vector<ClusterHost> hosts_;
   std::vector<ClusterVm> vms_;
 };
-
-// Cluster role → policy activity class (same three-way mix, different enum
-// order; the policy layer sits below cluster and cannot share the type).
-policy::VmActivity ToVmActivity(ClusterVmRole role);
-
-// Policy-layer view of one cluster VM: memory/vCPUs plus the dirty behavior
-// implied by its role.
-policy::VmSignals ClusterVmSignals(const ClusterVm& vm);
-
-// Tally of one ApplyMechanismPolicy pass.
-struct ClusterPolicyOutcome {
-  int inplace_vms = 0;
-  int migrate_vms = 0;
-  // VMs the policy refused (neither mechanism met its budget). The cluster
-  // planner has no refuse path — a refused VM is left untagged and will be
-  // evacuated like a MigrationTP one — but the count surfaces so callers can
-  // see the policy disagreed with executing at all.
-  int refused_vms = 0;
-};
-
-// Replaces the static tagging with per-VM policy decisions: every VM's
-// inplace_compatible flag is recomputed from MechanismPolicy::Decide on its
-// ClusterVmSignals. Deterministic (no RNG); with policy mode == kFixed the
-// caller should simply not call this, which preserves the legacy tagging
-// byte for byte.
-ClusterPolicyOutcome ApplyMechanismPolicy(ClusterModel& cluster,
-                                          const policy::MechanismPolicy& policy,
-                                          const policy::EnvSignals& env,
-                                          HypervisorKind target = HypervisorKind::kKvm);
 
 // One live migration in the plan.
 struct MigrationOp {
@@ -146,13 +108,13 @@ Result<UpgradePlan> PlanClusterUpgrade(const ClusterModel& cluster, int group_si
 
 struct PlanExecutionStats {
   int migrations = 0;
-  // Sum of individual migration durations (network work done); invariant
-  // under `parallel_streams` — only total_time shrinks with more streams.
-  SimDuration migration_time = 0;
+  SimDuration migration_time = 0;  // Sum of individual migration durations.
   SimDuration inplace_time = 0;    // Sum of in-place host upgrades.
   SimDuration total_time = 0;      // End-to-end plan wall-clock.
 };
 
+// ExecuteClusterUpgrade rejects a non-finite or non-positive link and
+// negative durations.
 struct ClusterExecutionParams {
   double network_gbps = 10.0;
   // BtrPlace actuation overhead per migration (setup, suspend, bookkeeping).
@@ -160,13 +122,11 @@ struct ClusterExecutionParams {
   // In-place upgrade of one host (micro-reboot based); hosts in a group
   // upgrade in parallel.
   SimDuration inplace_upgrade_time = SecondsF(8.0);
-  // Concurrent migration streams per step. 1 matches BtrPlace's sequential
-  // actuation; higher values overlap migrations and shrink each step's
-  // wall-clock (but never the network work itself).
-  int parallel_streams = 1;
 };
 
 // Executes (and mutates) the cluster per the plan, returning timing stats.
+// A step's migrations run back to back, then its group micro-reboots, so
+// total_time == migration_time + inplace_time.
 Result<PlanExecutionStats> ExecuteClusterUpgrade(ClusterModel& cluster, const UpgradePlan& plan,
                                                  const ClusterExecutionParams& params);
 

@@ -136,7 +136,7 @@ double LedgerRollbackRisk(double failure_probability, double post_pause_fraction
 VmSignals SyntheticVmSignals(int64_t global_vm_index) {
   const int64_t index = global_vm_index < 0 ? 0 : global_vm_index;
   VmSignals vm;
-  // Paper §5.4 mix, same modulus layout as ClusterModel::PaperCluster: per
+  // Paper §5.4 mix, which ClusterModel::PaperCluster reads from here too: per
   // block of 10 VMs, 3 streaming / 3 CPU+mem / 4 idle.
   const int mod = static_cast<int>(index % 10);
   vm.activity = mod < 3 ? VmActivity::kStreaming

@@ -36,8 +36,8 @@ namespace hypertp {
 namespace policy {
 
 // What the VM is doing, per the paper's cluster mix (30% streaming, 30%
-// CPU+memory intensive, 40% idle). Mirrors ClusterVmRole; kept separate so
-// the policy layer stays below the cluster layer.
+// CPU+memory intensive, 40% idle). The cluster model tags its VMs with it
+// too; SyntheticVmSignals defines the mix for both.
 enum class VmActivity : uint8_t { kIdle, kCpuMem, kStreaming };
 
 // Pre-copy dirty-rate inflation for a live migration of this VM: streaming

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "src/cluster/cluster.h"
 
 namespace hypertp {
@@ -43,9 +46,9 @@ TEST(ClusterModelTest, PaperClusterShape) {
   EXPECT_EQ(cluster.vms().size(), 100u);
   int streaming = 0, cpumem = 0, idle = 0, compatible = 0;
   for (const ClusterVm& vm : cluster.vms()) {
-    streaming += vm.role == ClusterVmRole::kStreaming;
-    cpumem += vm.role == ClusterVmRole::kCpuMem;
-    idle += vm.role == ClusterVmRole::kIdle;
+    streaming += vm.activity == policy::VmActivity::kStreaming;
+    cpumem += vm.activity == policy::VmActivity::kCpuMem;
+    idle += vm.activity == policy::VmActivity::kIdle;
     compatible += vm.inplace_compatible;
   }
   EXPECT_EQ(streaming, 30);
@@ -119,6 +122,10 @@ TEST(ExecutorTest2, PlanExecutionRespectsCapacityAndMarksUpgrades) {
   auto stats = ExecuteClusterUpgrade(cluster, *plan, ClusterExecutionParams{});
   ASSERT_TRUE(stats.ok()) << stats.error().ToString();
   EXPECT_EQ(stats->migrations, plan->total_migrations());
+  // Migrations run back to back, so the plan's wall-clock is the migration
+  // work plus the micro-reboots: 5 offline groups of 8 s each.
+  EXPECT_EQ(stats->total_time, stats->migration_time + stats->inplace_time);
+  EXPECT_EQ(stats->inplace_time, 5 * Seconds(8));
   for (const ClusterHost& host : cluster.hosts()) {
     EXPECT_TRUE(host.upgraded);
   }
@@ -184,43 +191,17 @@ TEST(PlannerTest, HeterogeneousCapacitiesRespected) {
   EXPECT_EQ(plan2->total_migrations(), 8);
 }
 
-TEST(ExecutorTest2, ParallelStreamsShrinkWallClockNotNetworkWork) {
-  // Regression for parallel_streams: more streams overlap migrations, so
-  // total_time falls while migration_time (network work) is unchanged.
-  auto run = [](int streams) {
-    ClusterModel cluster = ClusterModel::PaperCluster(0.0);
-    auto plan = PlanClusterUpgrade(cluster, 2);
-    EXPECT_TRUE(plan.ok());
-    ClusterExecutionParams params;
-    params.parallel_streams = streams;
-    auto stats = ExecuteClusterUpgrade(cluster, *plan, params);
-    EXPECT_TRUE(stats.ok());
-    return *stats;
-  };
-  const PlanExecutionStats sequential = run(1);
-  const PlanExecutionStats overlapped = run(4);
-  EXPECT_EQ(sequential.migrations, overlapped.migrations);
-  EXPECT_EQ(sequential.migration_time, overlapped.migration_time);
-  EXPECT_LT(overlapped.total_time, sequential.total_time);
-  // With one stream the step wall-clock is the serial sum, so the plan's
-  // total is migration work plus the micro-reboots.
-  EXPECT_EQ(sequential.total_time, sequential.migration_time + sequential.inplace_time);
-  // 4 streams cannot beat 4x; leave generous slack for imbalance.
-  EXPECT_GT(overlapped.total_time - overlapped.inplace_time,
-            (sequential.migration_time / 4) - Seconds(1));
-}
-
 TEST(ExecutorTest2, StreamingVmsMigrateSlower) {
-  // Role-aware dirty rates: a plan moving only streaming VMs takes longer
+  // Activity-aware dirty rates: a plan moving only streaming VMs takes longer
   // than the same plan moving only idle VMs.
-  auto run = [](ClusterVmRole role) {
+  auto run = [](policy::VmActivity activity) {
     ClusterModel cluster;
     cluster.AddHost(ClusterHost{});
     cluster.AddHost(ClusterHost{});
     for (int i = 0; i < 5; ++i) {
       ClusterVm vm;
       vm.uid = static_cast<uint64_t>(i);
-      vm.role = role;
+      vm.activity = activity;
       vm.inplace_compatible = false;
       EXPECT_TRUE(cluster.AddVm(vm, 0).ok());
     }
@@ -230,54 +211,70 @@ TEST(ExecutorTest2, StreamingVmsMigrateSlower) {
     EXPECT_TRUE(stats.ok());
     return stats->total_time;
   };
-  EXPECT_GT(run(ClusterVmRole::kStreaming), run(ClusterVmRole::kIdle));
+  EXPECT_GT(run(policy::VmActivity::kStreaming), run(policy::VmActivity::kIdle));
 }
 
-TEST(ClusterPolicyTest, ApplyMechanismPolicyRetagsFromPerVmDecisions) {
-  ClusterModel cluster = ClusterModel::PaperCluster(0.3);
-  policy::PolicyConfig config;
-  config.mode = policy::PolicyMode::kAdaptive;
-  policy::MechanismPolicy policy{config};
-
-  const ClusterPolicyOutcome outcome =
-      ApplyMechanismPolicy(cluster, policy, policy.DefaultEnv());
-  EXPECT_EQ(outcome.inplace_vms + outcome.migrate_vms + outcome.refused_vms,
-            static_cast<int>(cluster.vms().size()));
-  // Paper-cluster guests are 1 vCPU / 4 GiB: idle and cpumem pauses fit the
-  // default 200 ms budget, streaming ones (235.55 ms) migrate; nothing is
-  // refused on a healthy 10 Gbps link.
-  EXPECT_EQ(outcome.inplace_vms, 70);
-  EXPECT_EQ(outcome.migrate_vms, 30);
-  EXPECT_EQ(outcome.refused_vms, 0);
-  // The tags replaced the Bernoulli coin flips: every streaming VM untagged,
-  // everyone else in place.
-  for (const ClusterVm& vm : cluster.vms()) {
-    EXPECT_EQ(vm.inplace_compatible, vm.role != ClusterVmRole::kStreaming);
+// Runs the paper plan at 50% compatibility under `params`; the executor
+// must refuse them before moving any VM.
+Error RejectedParams(const ClusterExecutionParams& params) {
+  ClusterModel cluster = ClusterModel::PaperCluster(0.5);
+  auto plan = PlanClusterUpgrade(cluster, 2);
+  EXPECT_TRUE(plan.ok());
+  const std::vector<ClusterVm> before = cluster.vms();
+  auto stats = ExecuteClusterUpgrade(cluster, *plan, params);
+  EXPECT_FALSE(stats.ok());
+  for (size_t v = 0; v < before.size(); ++v) {
+    EXPECT_EQ(cluster.vms()[v].host, before[v].host) << "vm " << v << " moved";
   }
-
-  // Re-applying is idempotent — pure function of the signals.
-  const ClusterPolicyOutcome again =
-      ApplyMechanismPolicy(cluster, policy, policy.DefaultEnv());
-  EXPECT_EQ(again.inplace_vms, outcome.inplace_vms);
-  EXPECT_EQ(again.migrate_vms, outcome.migrate_vms);
+  return stats.ok() ? InternalError("params accepted") : stats.error();
 }
 
-TEST(ClusterPolicyTest, RefusedVmsAreLeftUntaggedForEvacuation) {
-  ClusterModel cluster = ClusterModel::PaperCluster(1.0);  // All tagged.
-  policy::PolicyConfig config;
-  config.mode = policy::PolicyMode::kAdaptive;
-  config.max_vm_pause = 0;  // Nothing fits in place.
-  policy::MechanismPolicy policy{config};
-  policy::EnvSignals env = policy.DefaultEnv();
-  env.host_headroom = 0.0;  // And nothing can migrate: refuse everything.
+TEST(ExecutorTest2, ZeroNetworkGbpsIsRejected) {
+  ClusterExecutionParams params;
+  params.network_gbps = 0.0;  // Would divide by zero and cast +inf to int64.
+  const Error error = RejectedParams(params);
+  EXPECT_EQ(error.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error.message(),
+            "ClusterExecutionParams::network_gbps must be finite and > 0, got 0.000000");
+}
 
-  const ClusterPolicyOutcome outcome = ApplyMechanismPolicy(cluster, policy, env);
-  EXPECT_EQ(outcome.refused_vms, static_cast<int>(cluster.vms().size()));
-  // The cluster planner has no refuse path: refused VMs read as untagged and
-  // will be evacuated like MigrationTP ones; only the count says otherwise.
-  for (const ClusterVm& vm : cluster.vms()) {
-    EXPECT_FALSE(vm.inplace_compatible);
+TEST(ExecutorTest2, NegativeNetworkGbpsIsRejected) {
+  ClusterExecutionParams params;
+  params.network_gbps = -10.0;  // Would price every migration negative.
+  const Error error = RejectedParams(params);
+  EXPECT_EQ(error.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error.message(),
+            "ClusterExecutionParams::network_gbps must be finite and > 0, got -10.000000");
+}
+
+TEST(ExecutorTest2, NonFiniteNetworkGbpsIsRejected) {
+  for (double gbps : {std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    ClusterExecutionParams params;
+    params.network_gbps = gbps;
+    const Error error = RejectedParams(params);
+    EXPECT_EQ(error.code(), ErrorCode::kInvalidArgument) << gbps;
+    EXPECT_EQ(error.message().rfind("ClusterExecutionParams::network_gbps must be finite", 0), 0u)
+        << error.message();
   }
+}
+
+TEST(ExecutorTest2, NegativePerMigrationOverheadIsRejected) {
+  ClusterExecutionParams params;
+  params.per_migration_overhead = -1;
+  const Error error = RejectedParams(params);
+  EXPECT_EQ(error.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error.message(),
+            "ClusterExecutionParams::per_migration_overhead must be >= 0, got -1 ns");
+}
+
+TEST(ExecutorTest2, NegativeInplaceUpgradeTimeIsRejected) {
+  ClusterExecutionParams params;
+  params.inplace_upgrade_time = -Seconds(8);
+  const Error error = RejectedParams(params);
+  EXPECT_EQ(error.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error.message(),
+            "ClusterExecutionParams::inplace_upgrade_time must be >= 0, got -8000000000 ns");
 }
 
 }  // namespace
