@@ -95,9 +95,6 @@ Result<CampaignPlan> PlanCampaign(const CampaignConfig& config) {
   if (!(config.steal.threshold_epochs > 0.0) || !std::isfinite(config.steal.threshold_epochs)) {
     return InvalidArgumentError("CampaignStealConfig::threshold_epochs must be finite and > 0");
   }
-  if (config.steal.max_racks_per_epoch < 0) {
-    return InvalidArgumentError("CampaignStealConfig::max_racks_per_epoch must be >= 0");
-  }
   if (config.steal.enabled) {
     // Work-stealing re-homes whole racks between shards, each host carrying
     // its plan and RNG stream. Exposure deltas count hosts, so the per-VM
@@ -374,7 +371,6 @@ Result<CampaignReport> CampaignPlanner::Run() {
 
   const int threads = config_.real_threads > 0 ? config_.real_threads : ParallelThreadsFromEnv();
   ExposureStreamOptions stream_options;
-  stream_options.min_fraction_delta = config_.exposure_min_fraction_delta;
   stream_options.tracer = tracer;
   stream_options.metrics = config_.metrics;
   ExposureStream stream(plan.total_hosts, plan.total_vms, 0, stream_options);
@@ -546,13 +542,10 @@ Result<CampaignReport> CampaignPlanner::Run() {
       }
       const auto threshold = static_cast<SimDuration>(
           config_.steal.threshold_epochs * static_cast<double>(config_.epoch));
-      // Unlimited mode still caps one barrier at total_racks moves — a
-      // deterministic backstop far above any sane rebalance.
-      const int barrier_cap = config_.steal.max_racks_per_epoch > 0
-                                  ? config_.steal.max_racks_per_epoch
-                                  : plan.total_racks;
+      // One barrier moves at most total_racks racks — a deterministic
+      // backstop far above any sane rebalance.
       int moved = 0;
-      while (moved < barrier_cap) {
+      while (moved < plan.total_racks) {
         // Thief: the least-loaded shard under the threshold (tie: lowest id).
         int thief = -1;
         for (int i = 0; i < static_cast<int>(live.size()); ++i) {
@@ -715,14 +708,14 @@ Result<CampaignReport> CampaignPlanner::Run() {
 
     admit();
 
-    // Adaptive epoch stride: when every queued event sits beyond the next
+    // Epoch stride: when every queued event sits beyond the next
     // barrier and the governor is provably quiescent (not throttled, no hold,
     // zero faults/rollbacks in the trailing window — so the empty barriers
     // could neither throttle nor abort), jump straight to the last empty
     // barrier. Skipped epochs count as executed — same epoch totals, same
     // rate-window contents, same `now` — so every output byte matches the
     // unstrided run; only idle_epochs_skipped records the shortcut.
-    if (config_.adaptive_stride && !throttled && governor_hold_ == 0 &&
+    if (stride_ && !throttled && governor_hold_ == 0 &&
         window_post_pause == 0 && window_crash_rollbacks == 0 && finished < shards.size()) {
       SimTime next_event = -1;
       for (auto& rt : shards) {

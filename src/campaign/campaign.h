@@ -114,8 +114,6 @@ struct CampaignStealConfig {
   // A shard becomes a thief when its remaining-work estimate drops under
   // threshold_epochs * epoch.
   double threshold_epochs = 2.0;
-  // Cap on racks re-homed per barrier (0 = unlimited).
-  int max_racks_per_epoch = 0;
 };
 
 // The inherited RolloutKnobs are every shard's FleetController knobs, two of
@@ -142,16 +140,8 @@ struct CampaignConfig : RolloutKnobs {
   int parallel_hosts_per_shard = 100;
   int max_per_rack_in_flight = 0;
 
-  // Straggler-tail mitigation (stealing off by default; the stride never
-  // changes output).
+  // Straggler-tail mitigation (off by default).
   CampaignStealConfig steal;
-  // Adaptive epoch stride: when no admitted shard has an event before the
-  // next k epoch boundaries and the governor is quiescent, the coordinator
-  // strides straight to the next interesting boundary instead of running k
-  // empty barriers. Skipped epochs count as executed (identical reports);
-  // the campaign_idle_epochs_skipped counter and the report's
-  // idle_epochs_skipped field tally them.
-  bool adaptive_stride = true;
 
   CampaignSlo slo;
   uint64_t seed = 1;
@@ -160,8 +150,6 @@ struct CampaignConfig : RolloutKnobs {
   int real_threads = 0;
   // Safety horizon: the campaign aborts after this many epochs (0 = never).
   int max_epochs = 1 << 20;
-  // ExposureStream downsampling epsilon (see ExposureStreamOptions).
-  double exposure_min_fraction_delta = 0.001;
 
   // Observability (campaign scope only; shard-internal tracing stays off so
   // output is thread-count independent): campaign/shard spans, SLO instants,
@@ -221,7 +209,7 @@ struct CampaignReport : RolloutTally {
   // Work-stealing totals (zero without CampaignConfig::steal).
   int steals = 0;        // Rack moves across all barriers.
   int stolen_hosts = 0;  // Hosts those racks carried.
-  // Epoch barriers the adaptive stride skipped.
+  // Epoch barriers the coordinator strode over (CampaignPlanner::Run()).
   int idle_epochs_skipped = 0;
   // Wall-clock of CampaignPlanner::Run() in milliseconds; -1 = not measured.
   // Host time, so never serialized: the report JSON stays deterministic.
@@ -255,11 +243,23 @@ class CampaignPlanner {
 
   // Plans and executes the campaign to completion or SLO abort.
   // Single-shot: a second call returns kFailedPrecondition.
+  //
+  // Epoch stride: when no admitted shard has an event before the next k
+  // epoch boundaries and the governor is quiescent, the coordinator strides
+  // straight to the next interesting boundary instead of running k empty
+  // barriers. Skipped epochs count as executed, so the output is the
+  // barrier-by-barrier run's; the campaign_idle_epochs_skipped counter and
+  // the report's idle_epochs_skipped field tally them.
   Result<CampaignReport> Run();
 
  private:
+  // Turns the stride off to replay every barrier: the reference campaign
+  // tests hold the stride to.
+  friend class CampaignPlannerTestPeer;
+
   CampaignConfig config_;
   bool ran_ = false;
+  bool stride_ = true;
   // Barrier-committed wave hold read by every shard's wave pacer; nonzero
   // while the governor throttles. Written only between epochs.
   SimDuration governor_hold_ = 0;

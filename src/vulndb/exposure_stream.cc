@@ -19,16 +19,14 @@ ExposureStream::ExposureStream(int64_t total_hosts, int64_t total_vms, SimTime s
       exposed_hosts_(total_hosts_),
       exposed_vms_(total_vms_),
       last_update_(start),
-      options_(std::move(options)) {
+      options_(options) {
   if (options_.metrics != nullptr) {
-    hosts_upgraded_ = &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_upgraded");
-    vms_upgraded_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_upgraded");
-    fraction_gauge_ =
-        &options_.metrics->GetGauge(options_.metric_prefix + "_fraction_vulnerable");
+    hosts_upgraded_ = &options_.metrics->GetCounter("campaign_hosts_upgraded");
+    vms_upgraded_ = &options_.metrics->GetCounter("campaign_vms_upgraded");
+    fraction_gauge_ = &options_.metrics->GetGauge("campaign_fraction_vulnerable");
     fraction_gauge_->Set(fraction_vulnerable());
-    hosts_reexposed_ =
-        &options_.metrics->GetCounter(options_.metric_prefix + "_hosts_reexposed");
-    vms_reexposed_ = &options_.metrics->GetCounter(options_.metric_prefix + "_vms_reexposed");
+    hosts_reexposed_ = &options_.metrics->GetCounter("campaign_hosts_reexposed");
+    vms_reexposed_ = &options_.metrics->GetCounter("campaign_vms_reexposed");
   }
   MaybeRecordPoint(start, /*force=*/true);  // The curve always opens at 1.0.
 }
@@ -96,7 +94,7 @@ void ExposureStream::MaybeRecordPoint(SimTime t, bool force) {
   // Absolute delta: re-exposure (fraction rising under a fault storm) must
   // trigger points too, not just the monotone decay.
   if (!force && !curve_.empty() &&
-      std::abs(last_recorded_fraction_ - fraction) < options_.min_fraction_delta) {
+      std::abs(last_recorded_fraction_ - fraction) < kMinFractionDelta) {
     return;
   }
   if (!curve_.empty() && curve_.back().time == t && curve_.back().fraction == fraction) {

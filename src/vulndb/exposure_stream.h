@@ -40,25 +40,25 @@ struct ExposureCurvePoint {
 };
 
 struct ExposureStreamOptions {
-  // Record a curve point only when the fraction moved at least this much in
-  // either direction since the last recorded point (the first and last points
-  // always record). Keeps a million-VM campaign's curve at ~1/epsilon points.
-  double min_fraction_delta = 0.001;
   // When non-null, every recorded curve point lands as an instant on track
   // "exposure" (attribute "fraction"), and the gauge/counters below update on
   // every ingested event:
-  //   <prefix>_fraction_vulnerable  (gauge)
-  //   <prefix>_hosts_upgraded       (counter)
-  //   <prefix>_vms_upgraded         (counter)
-  //   <prefix>_hosts_reexposed      (counter, OnHostsExposed)
-  //   <prefix>_vms_reexposed        (counter)
+  //   campaign_fraction_vulnerable  (gauge)
+  //   campaign_hosts_upgraded       (counter)
+  //   campaign_vms_upgraded         (counter)
+  //   campaign_hosts_reexposed      (counter, OnHostsExposed)
+  //   campaign_vms_reexposed        (counter)
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
-  std::string metric_prefix = "campaign";
 };
 
 class ExposureStream {
  public:
+  // A curve point records only when the fraction moved at least this much in
+  // either direction since the last recorded point (the first and last points
+  // always record). Keeps a million-VM campaign's curve at ~1/epsilon points.
+  static constexpr double kMinFractionDelta = 0.001;
+
   // The stream opens at `start` with the whole fleet exposed.
   ExposureStream(int64_t total_hosts, int64_t total_vms, SimTime start = 0,
                  ExposureStreamOptions options = {});
@@ -70,7 +70,7 @@ class ExposureStream {
 
   // The reverse flow: `hosts`/`vms` returned to the vulnerable hypervisor at
   // `t` (crash-induced rollback during a fault storm). Clamped to the fleet
-  // totals. Mirrors into <prefix>_hosts_reexposed / <prefix>_vms_reexposed.
+  // totals. Mirrors into campaign_hosts_reexposed / campaign_vms_reexposed.
   void OnHostsExposed(SimTime t, int64_t hosts, int64_t vms);
 
   // One signed net change, as a FleetController's ExposureDelta carries it:

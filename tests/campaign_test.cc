@@ -17,6 +17,17 @@
 #include "src/vulndb/exposure_stream.h"
 
 namespace hypertp {
+
+// The barrier-by-barrier reference the epoch stride must reproduce.
+class CampaignPlannerTestPeer {
+ public:
+  static Result<CampaignReport> RunWithoutStride(CampaignConfig config) {
+    CampaignPlanner planner(std::move(config));
+    planner.stride_ = false;
+    return planner.Run();
+  }
+};
+
 namespace {
 
 // Two datacenters, six racks, 60 hosts / 600 VMs: small enough for tests,
@@ -329,7 +340,6 @@ TEST(CampaignTest, UnavailableFractionBudgetThrottles) {
 
 TEST(CampaignTest, ExposureCurveIsMonotoneAndClosesAtZero) {
   CampaignConfig config = StormConfig();
-  config.exposure_min_fraction_delta = 0.0;  // Record every drop.
   Result<CampaignReport> run = CampaignPlanner(config).Run();
   ASSERT_TRUE(run.ok()) << run.error().ToString();
   const std::vector<ExposureCurvePoint>& curve = run->exposure_curve;
@@ -513,15 +523,17 @@ TEST(ExposureStreamTest, OutOfOrderFeedsClampForward) {
 }
 
 TEST(ExposureStreamTest, DownsamplingBoundsTheCurve) {
-  ExposureStreamOptions options;
-  options.min_fraction_delta = 0.1;
-  ExposureStream stream(1000, 1000, 0, options);
-  for (int i = 0; i < 1000; ++i) {
-    stream.OnHostsSafe(Seconds(i + 1), 1, 1);  // 0.1% per event.
+  // 10 000 one-VM hosts, one per event: each drop is 0.0001, so only every
+  // tenth event moves the fraction past the 0.001 epsilon.
+  constexpr int kHosts = 10000;
+  ExposureStream stream(kHosts, kHosts);
+  for (int i = 0; i < kHosts; ++i) {
+    stream.OnHostsSafe(Seconds(i + 1), 1, 1);
   }
-  stream.Seal(Seconds(1001));
-  // 0.1 epsilon admits ~10 interior points plus the forced first/last.
-  EXPECT_LE(stream.curve().size(), 13u);
+  stream.Seal(Seconds(kHosts + 1));
+  // ~1/epsilon interior points plus the forced first and last.
+  EXPECT_LE(stream.curve().size(), 1002u);
+  EXPECT_GT(stream.curve().size(), 900u);
   EXPECT_EQ(stream.curve().front().fraction, 1.0);
   EXPECT_EQ(stream.curve().back().fraction, 0.0);
 }
@@ -1030,7 +1042,6 @@ TEST(CampaignStealTest, StealDisabledKeepsLegacyBytes) {
   ASSERT_TRUE(run.ok());
   CampaignConfig knobs = SkewedConfig();
   knobs.steal.threshold_epochs = 100.0;
-  knobs.steal.max_racks_per_epoch = 3;
   Result<CampaignReport> same = CampaignPlanner(knobs).Run();
   ASSERT_TRUE(same.ok());
   const std::string json = CampaignReportToJson(*run);
@@ -1067,9 +1078,6 @@ TEST(CampaignStealTest, PlanRejectsStealWithIncompatibleModes) {
   // Steal knobs validate even when disabled.
   config = BaseConfig();
   config.steal.threshold_epochs = 0.0;
-  EXPECT_FALSE(PlanCampaign(config).ok());
-  config = BaseConfig();
-  config.steal.max_racks_per_epoch = -1;
   EXPECT_FALSE(PlanCampaign(config).ok());
 }
 
@@ -1143,26 +1151,48 @@ TEST(CampaignStealTest, AdaptiveStealingComposes) {
   EXPECT_EQ(metrics_json[0], metrics_json[1]);
 }
 
+// Runs `config` with and without the stride and returns the strided report
+// after checking it against the barrier-by-barrier reference byte for byte.
+CampaignReport ExpectStrideMatchesReference(const CampaignConfig& config) {
+  Result<CampaignReport> reference = CampaignPlannerTestPeer::RunWithoutStride(config);
+  Result<CampaignReport> strided = CampaignPlanner(config).Run();
+  EXPECT_TRUE(reference.ok()) << reference.error().ToString();
+  EXPECT_TRUE(strided.ok()) << strided.error().ToString();
+  if (!reference.ok() || !strided.ok()) {
+    return {};
+  }
+  EXPECT_EQ(reference->idle_epochs_skipped, 0);
+  EXPECT_EQ(reference->epochs, strided->epochs);
+  EXPECT_EQ(reference->makespan, strided->makespan);
+  // Full byte-identity once the stride tally (the one intentional delta) is
+  // cleared.
+  CampaignReport cleared = *strided;
+  cleared.idle_epochs_skipped = 0;
+  EXPECT_EQ(CampaignReportToJson(*reference), CampaignReportToJson(cleared));
+  return *strided;
+}
+
 TEST(CampaignStrideTest, StrideSkipsIdleEpochsWithoutChangingOutput) {
   // StormConfig's retry backoffs leave multi-epoch gaps with no events; the
   // stride must jump them while producing byte-identical output (epoch totals
   // included — skipped epochs count as executed).
-  CampaignReport reports[2];
-  for (int i = 0; i < 2; ++i) {
-    CampaignConfig config = StormConfig();
-    config.adaptive_stride = i == 1;
-    Result<CampaignReport> run = CampaignPlanner(config).Run();
-    ASSERT_TRUE(run.ok()) << run.error().ToString();
-    reports[i] = *run;
-  }
-  EXPECT_EQ(reports[0].idle_epochs_skipped, 0);
-  EXPECT_GT(reports[1].idle_epochs_skipped, 0);
-  EXPECT_EQ(reports[0].epochs, reports[1].epochs);
-  EXPECT_EQ(reports[0].makespan, reports[1].makespan);
-  // Full byte-identity once the stride tally (the one intentional delta) is
-  // cleared.
-  reports[1].idle_epochs_skipped = 0;
-  EXPECT_EQ(CampaignReportToJson(reports[0]), CampaignReportToJson(reports[1]));
+  EXPECT_GT(ExpectStrideMatchesReference(StormConfig()).idle_epochs_skipped, 0);
+}
+
+TEST(CampaignStrideTest, SkippedBarriersSlideTheRateWindowBeforeAThrottle) {
+  // Under a throttle budget, the barriers the stride skips must still push
+  // their all-zero rollback samples through the trailing window: they evict
+  // older fault-free attempts, so a later barrier's rate, and so whether it
+  // throttles, depends on them. At a 10% fault rate against a 10% budget,
+  // keeping those stale attempts in the window throttles 5 barriers of 12.
+  CampaignConfig config = StormConfig();
+  config.failure_probability = 0.1;
+  config.per_host_transplant = Seconds(20);
+  config.slo.throttle_rollback_rate = 0.1;
+  config.slo.throttle_hold = Seconds(60);
+  const CampaignReport strided = ExpectStrideMatchesReference(config);
+  EXPECT_GT(strided.idle_epochs_skipped, 0);
+  EXPECT_GT(strided.throttled_epochs, 0);
 }
 
 TEST(CampaignStealTest, RehomedCountersFollowStolenHostsAndLeaveTheCurve) {
