@@ -32,10 +32,8 @@ std::string Stamp(SimTime t) {
 // Every rollout of the year shares one config, so it is checked once and
 // its errors name the OperationalConfig field the caller set.
 Result<void> ValidateOperationalConfig(const OperationalConfig& config) {
-  HYPERTP_RETURN_IF_ERROR(CheckPositive("OperationalConfig::",
-                                        {{"hosts", config.hosts},
-                                         {"parallel_hosts", config.parallel_hosts},
-                                         {"vms_per_host", config.vms_per_host}}));
+  HYPERTP_RETURN_IF_ERROR(CheckPositive(
+      "OperationalConfig::", {{"hosts", config.hosts}, {"parallel_hosts", config.parallel_hosts}}));
   HYPERTP_RETURN_IF_ERROR(ValidateRolloutKnobs(config, "OperationalConfig"));
   return ValidateCrashStorm(config.crash_storm, "OperationalConfig");
 }
@@ -79,9 +77,6 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     fleet_config.hosts = config.hosts;
     fleet_config.parallel_hosts = config.parallel_hosts;
     fleet_config.crash_storm = config.crash_storm;
-    if (adaptive) {
-      fleet_config.policy.vms_per_host = config.vms_per_host;
-    }
     fleet_config.seed = fleet_stream.NextU64();
     FleetController controller(fleet_executor, fleet_config);
     // ValidateOperationalConfig checked every field this config sets.
@@ -92,7 +87,7 @@ OperationalReport RunOperationalSimulation(const OperationalConfig& config) {
     report.fleet_aborts += rollout.aborted;
     report.vm_downtime_paid +=
         adaptive ? rollout.policy_vm_downtime
-                 : kPerVmDowntime * (static_cast<int64_t>(config.vms_per_host) *
+                 : kPerVmDowntime * (static_cast<int64_t>(config.policy.vms_per_host) *
                                      rollout.transplant_successes);
     if (rollout.hosts > 0 && rollout.upgraded < rollout.hosts) {
       report.exposure_days_hypertp += static_cast<double>(rollout.hosts - rollout.upgraded -

@@ -30,7 +30,9 @@ class Tracer;
 // InPlaceTP downtime and the timings are the configured constants; with
 // kAdaptive each rollout prices every VM individually (in-place guests pay
 // their modeled pause, migrated guests the switchover brownout) and hosts
-// with refused guests stay exposed. Unlike a bare FleetConfig, a year aborts
+// with refused guests stay exposed. Guests per host are the inherited
+// `policy.vms_per_host` under either policy: the flat charge's multiplier and
+// the adaptive per-host population. Unlike a bare FleetConfig, a year aborts
 // a rollout once more than a quarter of its hosts have failed for good.
 struct OperationalConfig : RolloutKnobs {
   OperationalConfig() { abort_threshold = 0.25; }
@@ -44,9 +46,6 @@ struct OperationalConfig : RolloutKnobs {
   int years = 1;
   uint64_t seed = 1;
   double fallback_window_days = 60.0;
-  // Guests per host: the flat downtime charge's multiplier and the adaptive
-  // policy's per-host population.
-  int vms_per_host = 10;
 
   // Hypervisor-crash storm replayed against every rollout of the year when
   // enabled: seeded crashes mid-traffic, each answered by an unplanned

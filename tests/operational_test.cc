@@ -138,7 +138,7 @@ TEST(OperationalTest, FixedPolicyChargesOnlyTransplantedHosts) {
   ASSERT_GT(report.fleet_aborts, 0);
   ASSERT_GT(report.fleet.transplant_successes, 0);
   EXPECT_EQ(report.vm_downtime_paid,
-            SecondsF(1.7) * config.vms_per_host * report.fleet.transplant_successes);
+            SecondsF(1.7) * config.policy.vms_per_host * report.fleet.transplant_successes);
 }
 
 TEST(OperationalTest, InjectedFleetFailuresRaiseExposure) {

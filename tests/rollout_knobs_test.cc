@@ -150,8 +150,8 @@ TEST(RolloutKnobsTest, CampaignAndOperationalFieldsAreNamedAsSet) {
   year.parallel_hosts = -2;
   EXPECT_EQ(OperationalError(year), "OperationalConfig::parallel_hosts must be > 0, got -2");
   year = RejectingYear();
-  year.vms_per_host = 0;
-  EXPECT_EQ(OperationalError(year), "OperationalConfig::vms_per_host must be > 0, got 0");
+  year.policy.vms_per_host = 0;
+  EXPECT_EQ(OperationalError(year), "OperationalConfig::policy.vms_per_host must be > 0, got 0");
 }
 
 TEST(RolloutKnobsTest, SliceAssignmentHandsEveryKnobDown) {
