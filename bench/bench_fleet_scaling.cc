@@ -38,7 +38,9 @@ void Run() {
       // The controller records exposure changes; the stream integrates them
       // from the rollout's start (every host exposed) to its end.
       ExposureStream exposure(hosts, hosts);
-      for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+      std::vector<ExposureDelta> deltas;
+      controller.TakeExposureDeltas(deltas);
+      for (const ExposureDelta& delta : deltas) {
         exposure.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
       }
       exposure.Seal(report.makespan);

@@ -1,9 +1,9 @@
 // Speculative pre-translation ablation: sweep the fraction of guests that
 // dirty their platform state between pre-translation and the pause, crossed
 // with the VM count. Clean guests adopt their cached UISR blob for the
-// generation-check cost; dirty guests re-extract and patch only the sections
-// that changed, so the pause-window translation share scales with the dirty
-// fraction instead of the fleet size.
+// generation-check cost; dirty guests re-extract and are charged by the
+// sections that changed, so the pause-window translation share scales with
+// the dirty fraction instead of the fleet size.
 
 #include <memory>
 #include <string>

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/core/inplace_internal.h"
 #include "src/pipeline/conversion.h"
 #include "src/uisr/codec.h"
@@ -101,8 +100,8 @@ Result<void> RecordVm(const InPlaceOptions& options, const VmSnapshot& snap,
 Result<SimDuration> TranslateAgainstCache(Hypervisor& source, Machine& machine,
                                           const InPlaceOptions& options,
                                           const pipeline::PreTranslationCache& cache,
-                                          PramBuilder& builder, Arena& scratch,
-                                          VmSnapshot& snap, TransplantReport& report) {
+                                          PramBuilder& builder, VmSnapshot& snap,
+                                          TransplantReport& report) {
   // InPlaceTransplant::Run pre-translates every VM it pauses and always
   // parks the blobs, so a missing or unparked entry is a bug, not a mode.
   const pipeline::PreTranslatedVm* entry = cache.Find(snap.info.uid);
@@ -136,7 +135,7 @@ Result<SimDuration> TranslateAgainstCache(Hypervisor& source, Machine& machine,
   HYPERTP_RETURN_IF_ERROR(RecordVm(options, snap, EncodedUisrSize(fresh), report));
   HYPERTP_ASSIGN_OR_RETURN(
       pipeline::ReconcileResult rec,
-      pipeline::ReconcilePreTranslated(machine.memory(), builder, *entry, fresh, &scratch));
+      pipeline::ReconcilePreTranslated(machine.memory(), builder, *entry, fresh));
   snap.uisr_frames.push_back(rec.stored.frames);
 
   // Charge the full translate scaled by the payload fraction actually
@@ -166,13 +165,10 @@ Result<WorkSchedule> TranslateVms(Hypervisor& source, Machine& machine,
   std::vector<SimDuration> translate_costs;
 
   if (cache != nullptr) {
-    // Section scratch is shared across the batch and recycled per VM.
-    Arena scratch;
     for (VmSnapshot& snap : vms) {
-      scratch.Reset();
       HYPERTP_ASSIGN_OR_RETURN(SimDuration cost,
                                TranslateAgainstCache(source, machine, options, *cache, builder,
-                                                     scratch, snap, report));
+                                                     snap, report));
       translate_costs.push_back(cost);
     }
     return ScheduleWork(translate_costs, workers);

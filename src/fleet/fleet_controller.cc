@@ -706,12 +706,6 @@ void FleetController::ChangeExposure(int hosts) {
   exposure_deltas_.push_back(ExposureDelta{now, hosts});
 }
 
-std::vector<ExposureDelta> FleetController::TakeExposureDeltas() {
-  std::vector<ExposureDelta> taken;
-  TakeExposureDeltas(taken);
-  return taken;
-}
-
 void FleetController::TakeExposureDeltas(std::vector<ExposureDelta>& into) {
   into.clear();
   into.swap(exposure_deltas_);

@@ -139,10 +139,9 @@ class FleetController {
   // none either — ownership moves, exposure does not. The controller keeps
   // no integral: a standalone caller feeds these into an ExposureStream that
   // opens at Start() with every host exposed and seals at the rollout's end.
-  std::vector<ExposureDelta> TakeExposureDeltas();
-  // The same into `into`, whose old contents are dropped and whose storage
-  // the controller keeps for the next changes: a caller taking deltas at
-  // every barrier recycles two buffers instead of allocating one per call.
+  // The changes land in `into`, whose old contents are dropped and whose
+  // storage the controller keeps for the next changes: a caller taking deltas
+  // at every barrier recycles two buffers instead of allocating one per call.
   void TakeExposureDeltas(std::vector<ExposureDelta>& into);
   const FleetTrace& trace() const { return trace_; }
   const std::vector<FleetHost>& hosts() const { return hosts_; }

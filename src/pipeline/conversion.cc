@@ -115,14 +115,6 @@ Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
   return StoredUisrBlob{parked, file_id, bytes};
 }
 
-Result<StoredUisrBlob> EncodeUisrVmIntoPram(PhysicalMemory& memory, PramBuilder& builder,
-                                            const UisrVm& vm) {
-  HYPERTP_ASSIGN_OR_RETURN(auto opened,
-                           OpenUisrFrames(memory, builder, vm.vm_uid, EncodedUisrSize(vm)));
-  EncodeUisrVm(vm, static_cast<SpanWriter&>(opened.first));
-  return opened.second;
-}
-
 Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memory,
                                                            PramBuilder& builder,
                                                            const std::vector<UisrVm>& vms,

@@ -66,27 +66,25 @@ struct StoredUisrBlob {
   uint64_t bytes = 0;  // Encoded blob size (file size_bytes).
 };
 
-// PramStore: registers "uisr:<vm.vm_uid>" and encodes the VM's wire bytes
-// straight into a pre-sized, contiguously backed kUisr extent via a
-// PramFrameWriter — no intermediate vector, no page-by-page copy. Frame
-// allocation and file registration are serial.
-Result<StoredUisrBlob> EncodeUisrVmIntoPram(PhysicalMemory& memory, PramBuilder& builder,
-                                            const UisrVm& vm);
-
-// Batched zero-copy PramStore: allocates and registers every VM's extent
-// serially (in `vms` order), then runs the encodes on up to `threads` real
-// OS threads — each task writes only its own pre-mapped extent, so the
-// fan-out is data-race-free and the bytes are independent of `threads`.
+// PramStore: registers "uisr:<vm.vm_uid>" for every VM and encodes its wire
+// bytes straight into a pre-sized, contiguously backed kUisr extent via a
+// PramFrameWriter — no intermediate vector, no page-by-page copy. Extents
+// are allocated and registered serially (in `vms` order), then the encodes
+// run on up to `threads` real OS threads — each task writes only its own
+// pre-mapped extent, so the fan-out is data-race-free and the bytes are
+// independent of `threads`.
 Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memory,
                                                            PramBuilder& builder,
                                                            const std::vector<UisrVm>& vms,
                                                            int threads);
 
-// Split PramStore for speculative pre-translation. ParkUisrBlob performs the
-// allocate-and-fill half outside the pause window (no PRAM registration — at
-// park time there may not even be a builder yet); RegisterParkedBlob performs
-// the registration half inside it, moving zero blob bytes. Together they lay
-// out frames and PRAM entries exactly as EncodeUisrVmIntoPram does.
+// Split PramStore for an already encoded blob. ParkUisrBlob performs the
+// allocate-and-fill half (no PRAM registration — pre-translation parks
+// outside the pause window, before there may even be a builder);
+// RegisterParkedBlob performs the registration half, moving zero blob bytes.
+// Together they lay out frames and PRAM entries exactly as
+// EncodeVmStatesIntoPram does, which is why a reconcile whose blob outgrew
+// or shrank out of its parked frames stores it through this pair.
 Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
                                  std::span<const uint8_t> blob);
 Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,

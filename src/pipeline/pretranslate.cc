@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "src/base/bytes.h"
 #include "src/pipeline/conversion.h"
 
 namespace hypertp {
@@ -87,101 +86,60 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
   return ScheduleWork(stage_costs, workers);
 }
 
-namespace {
-
-// The ordinal of each section of `layout` among the sections of its type
-// (vCPU #2, device #0, ...); header, IOAPIC and PIT sections are #0.
-std::vector<size_t> SectionOrdinals(const UisrSectionLayout& layout) {
-  std::vector<size_t> ordinals;
-  ordinals.reserve(layout.sections.size());
-  size_t vcpus = 0;
-  size_t devices = 0;
-  for (const UisrSectionSpan& span : layout.sections) {
-    ordinals.push_back(span.type == UisrSectionType::kVcpu     ? vcpus++
-                       : span.type == UisrSectionType::kDevice ? devices++
-                                                               : 0);
-  }
-  return ordinals;
-}
-
-}  // namespace
-
 Result<ReconcileResult> ReconcilePreTranslated(PhysicalMemory& memory, PramBuilder& builder,
                                                const PreTranslatedVm& cached,
-                                               const UisrVm& fresh, Arena* scratch) {
+                                               const UisrVm& fresh) {
   const FrameExtent& parked = cached.parked;
   if (parked.count == 0) {
     return FailedPreconditionError("pretranslate: uid " + std::to_string(cached.vm_uid) +
                                    " has no parked blob to reconcile");
   }
-  ReconcileResult out;
-  for (const UisrSectionSpan& span : cached.layout.sections) {
-    out.total_payload_bytes += span.payload_size;
-  }
-
-  // The cached layout only maps onto `fresh` if the section sequence and
-  // every section's payload size are unchanged (emit order is header, vcpus,
-  // ioapic, pit, devices). The size pass is pure counting: nothing is
-  // encoded, and nothing in the parked frames is touched, before the verdict.
-  const std::vector<size_t> ordinals = SectionOrdinals(cached.layout);
-  bool patchable = fresh.vcpus.size() == cached.state.vcpus.size() &&
-                   fresh.devices.size() == cached.state.devices.size();
-  for (size_t i = 0; patchable && i < ordinals.size(); ++i) {
-    const UisrSectionSpan& span = cached.layout.sections[i];
-    patchable = UisrSectionPayloadSize(fresh, span.type, ordinals[i]) == span.payload_size;
-  }
-  if (!patchable) {
-    // A section changed size (e.g. device opaque state grew) or the section
-    // count moved: the TLV lengths shift, so re-encode the whole VM.
-    out.kind = ReconcileKind::kReencoded;
-    out.patched_bytes = out.total_payload_bytes;
-    const size_t size = EncodedUisrSize(fresh);
-    if ((size + kPageSize - 1) / kPageSize != parked.count) {
-      HYPERTP_RETURN_IF_ERROR(memory.Free(parked.base, parked.count));
-      HYPERTP_ASSIGN_OR_RETURN(out.stored, EncodeUisrVmIntoPram(memory, builder, fresh));
-      return out;
-    }
-    HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> frames,
-                             memory.BackExtent(parked.base, parked.count, size));
-    SpanWriter writer(frames.first(size));
-    EncodeUisrVm(fresh, writer);
-    HYPERTP_ASSIGN_OR_RETURN(out.stored,
-                             RegisterParkedBlob(builder, cached.vm_uid, parked, size));
-    return out;
-  }
-
-  // Compare each section's freshly encoded payload against the parked bytes
-  // and rewrite only the ones that differ. Patching every differing section
-  // with the fresh payload makes the result byte-identical to a from-scratch
-  // EncodeUisrVm(fresh) — same sections, same order, same lengths — once the
-  // CRC trailer is resealed. Scratch payloads come out of the arena, so a
-  // whole batch of VMs reconciles without a heap allocation per section.
-  Arena local_scratch;
-  Arena& arena = scratch != nullptr ? *scratch : local_scratch;
   HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> frames,
                            memory.BackedExtent(parked.base, parked.count));
-  const std::span<uint8_t> blob = frames.first(cached.blob.size());
-  for (size_t i = 0; i < ordinals.size(); ++i) {
-    const UisrSectionSpan& span = cached.layout.sections[i];
-    std::span<uint8_t> payload = arena.Alloc(span.payload_size);
-    SpanWriter payload_writer(payload);
-    EncodeUisrSectionPayloadTo(fresh, span.type, ordinals[i], payload_writer);
-    if (std::ranges::equal(payload, blob.subspan(span.payload_offset, span.payload_size))) {
-      continue;
+  UisrSectionLayout layout;
+  const std::vector<uint8_t> blob = EncodeUisrVm(fresh, &layout);
+
+  // Charge by the sections whose payload bytes differ from the parked ones.
+  // That needs the same (type, payload size) sequence; otherwise the TLV
+  // lengths shift and every payload byte counts as rewritten.
+  ReconcileResult out;
+  const std::vector<UisrSectionSpan>& was = cached.layout.sections;
+  for (const UisrSectionSpan& span : was) {
+    out.total_payload_bytes += span.payload_size;
+  }
+  const bool same_structure = std::ranges::equal(
+      was, layout.sections, [](const UisrSectionSpan& a, const UisrSectionSpan& b) {
+        return a.type == b.type && a.payload_size == b.payload_size;
+      });
+  if (same_structure) {
+    for (const UisrSectionSpan& span : layout.sections) {
+      if (!std::ranges::equal(frames.subspan(span.payload_offset, span.payload_size),
+                              std::span(blob).subspan(span.payload_offset, span.payload_size))) {
+        ++out.patched_sections;
+        out.patched_bytes += span.payload_size;
+      }
     }
-    HYPERTP_RETURN_IF_ERROR(PatchUisrSectionPayload(blob, span, payload));
-    ++out.patched_sections;
-    out.patched_bytes += span.payload_size;
+    // No differing section means the generation moved but nothing
+    // vCPU-visible reached the UISR (e.g. PV event-channel activity).
+    out.kind = out.patched_sections == 0 ? ReconcileKind::kHit : ReconcileKind::kPatched;
+  } else {
+    out.kind = ReconcileKind::kReencoded;
+    out.patched_bytes = out.total_payload_bytes;
   }
-  // No differing section means the generation moved but nothing vCPU-visible
-  // reached the UISR (e.g. PV event-channel activity): the parked blob is
-  // already correct.
-  out.kind = out.patched_sections == 0 ? ReconcileKind::kHit : ReconcileKind::kPatched;
-  if (out.kind == ReconcileKind::kPatched) {
-    HYPERTP_RETURN_IF_ERROR(ResealUisrBlob(blob));
+
+  // Copy into the parked frames while the frame count holds (page padding
+  // stays zero); otherwise store the blob anew, as PreTranslateVms parked it.
+  if ((blob.size() + kPageSize - 1) / kPageSize == parked.count) {
+    std::ranges::copy(blob, frames.begin());
+    std::fill(frames.begin() + static_cast<ptrdiff_t>(blob.size()), frames.end(), 0);
+    HYPERTP_ASSIGN_OR_RETURN(out.stored,
+                             RegisterParkedBlob(builder, cached.vm_uid, parked, blob.size()));
+    return out;
   }
+  HYPERTP_RETURN_IF_ERROR(memory.Free(parked.base, parked.count));
+  HYPERTP_ASSIGN_OR_RETURN(FrameExtent stored, ParkUisrBlob(memory, cached.vm_uid, blob));
   HYPERTP_ASSIGN_OR_RETURN(out.stored,
-                           RegisterParkedBlob(builder, cached.vm_uid, parked, blob.size()));
+                           RegisterParkedBlob(builder, cached.vm_uid, stored, blob.size()));
   return out;
 }
 

@@ -7,10 +7,10 @@
 //
 //   - generation unchanged  -> adopt the cached blob for a small fixed check
 //     cost (HostCostProfile::pretranslate_check) instead of a full translate;
-//   - generation moved      -> re-extract, then patch only the UISR sections
-//     whose payloads actually differ (codec section-offset table), right in
-//     the parked PRAM frames, and charge the full translate cost scaled by
-//     the dirtied payload fraction.
+//   - generation moved      -> re-extract and encode once, write the blob
+//     into the parked PRAM frames, and charge the full translate cost scaled
+//     by the payload fraction of the sections that changed (found by diffing
+//     against the parked bytes through the section-offset table).
 //
 // The cache never changes output bytes: a reconciled blob is byte-identical
 // to a from-scratch encode of the fresh extraction (pretranslate_test pins
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/result.h"
 #include "src/hv/hypervisor.h"
 #include "src/hw/machine.h"
@@ -95,35 +94,31 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
 
 // How one VM's pause-time translation was satisfied.
 enum class ReconcileKind : uint8_t {
-  kHit = 0,        // No section payload differed; parked blob adopted as-is.
-  kPatched = 1,    // Some sections differed; patched in place + resealed.
-  kReencoded = 2,  // Structural change (section count/size); full re-encode.
+  kHit = 0,        // No section payload differed from the parked blob.
+  kPatched = 1,    // Some section payloads differed; same section structure.
+  kReencoded = 2,  // Structural change (section count/size).
 };
 
 struct ReconcileResult {
   ReconcileKind kind = ReconcileKind::kReencoded;
   StoredUisrBlob stored;  // The registered "uisr:<vm_uid>" PRAM file.
   size_t patched_sections = 0;
-  size_t patched_bytes = 0;      // Payload bytes rewritten (all of them on re-encode).
+  size_t patched_bytes = 0;      // Payload bytes charged (all of them on a structural change).
   size_t total_payload_bytes = 0;
 };
 
 // Brings the parked blob of an invalidated cache entry up to date with
-// `fresh` and registers it as the PRAM file "uisr:<vm_uid>". When the
-// section structure still matches, only the sections whose payloads differ
-// are rewritten, in the parked frames themselves, and the CRC is resealed.
-// Otherwise the VM is re-encoded: straight into the parked frames when the
-// frame count holds, else the parking is freed and the blob goes through
-// EncodeUisrVmIntoPram. Either way the PRAM bytes equal EncodeUisrVm(fresh).
-// `cached` must have a parked extent in `memory`.
-//
-// Per-section scratch payloads are bump-allocated from `scratch` when given
-// (Reset() between VMs is the caller's job) so a batch reconcile reuses one
-// arena instead of allocating a vector per section; with nullptr an internal
-// arena is used.
+// `fresh` and registers it as the PRAM file "uisr:<vm_uid>". `fresh` is
+// encoded once; when its (type, payload size) section sequence matches
+// `cached.layout`, the sections whose payloads differ from the parked bytes
+// set the charge, otherwise every payload byte does. The blob is copied into
+// the parked frames while the frame count holds; else the parking is freed
+// and the blob stored anew (ParkUisrBlob + RegisterParkedBlob). Either way
+// the PRAM bytes equal EncodeUisrVm(fresh). `cached` must have a parked
+// extent in `memory`.
 Result<ReconcileResult> ReconcilePreTranslated(PhysicalMemory& memory, PramBuilder& builder,
                                                const PreTranslatedVm& cached,
-                                               const UisrVm& fresh, Arena* scratch = nullptr);
+                                               const UisrVm& fresh);
 
 }  // namespace pipeline
 }  // namespace hypertp

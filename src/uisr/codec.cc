@@ -277,20 +277,6 @@ constexpr size_t kEndTrailerBytes = 10;
 
 }  // namespace
 
-const UisrSectionSpan* UisrSectionLayout::Find(UisrSectionType type, size_t ordinal) const {
-  size_t seen = 0;
-  for (const UisrSectionSpan& s : sections) {
-    if (s.type != type) {
-      continue;
-    }
-    if (seen == ordinal) {
-      return &s;
-    }
-    ++seen;
-  }
-  return nullptr;
-}
-
 size_t EncodedUisrSize(const UisrVm& vm) {
   ByteCounter counter;
   EncodeUisrBody(counter, vm, nullptr);
@@ -330,122 +316,6 @@ std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout) {
   w.PutU32(crc);
   layout->total_size = w.size();
   return w.TakeBytes();
-}
-
-Result<UisrSectionLayout> IndexUisrSections(std::span<const uint8_t> blob) {
-  ByteReader r(blob);
-  HYPERTP_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kUisrMagic) {
-    return DataLossError("uisr: bad magic");
-  }
-  HYPERTP_ASSIGN_OR_RETURN(uint16_t version, r.ReadU16());
-  if (version > kUisrVersion) {
-    return UnimplementedError("uisr: version " + std::to_string(version) + " not supported");
-  }
-  HYPERTP_RETURN_IF_ERROR(r.Skip(2));  // Flags.
-
-  UisrSectionLayout layout;
-  while (!r.AtEnd()) {
-    const size_t header_at = r.position();
-    HYPERTP_ASSIGN_OR_RETURN(uint16_t raw_type, r.ReadU16());
-    HYPERTP_ASSIGN_OR_RETURN(uint32_t length, r.ReadU32());
-    const auto type = static_cast<UisrSectionType>(raw_type);
-    if (type == UisrSectionType::kEnd) {
-      if (length != 4) {
-        return DataLossError("uisr: end section declares length " + std::to_string(length) +
-                             ", expected 4 (CRC trailer)");
-      }
-      HYPERTP_RETURN_IF_ERROR(r.Skip(4));  // CRC value; not validated here.
-      if (!r.AtEnd()) {
-        return DataLossError("uisr: trailing bytes after CRC trailer");
-      }
-      layout.total_size = blob.size();
-      return layout;
-    }
-    const size_t payload_at = r.position();
-    HYPERTP_RETURN_IF_ERROR(r.Skip(length));
-    layout.sections.push_back({type, header_at, payload_at, length});
-  }
-  return DataLossError("uisr: missing end/CRC section");
-}
-
-template <typename Writer>
-void EncodeUisrSectionPayloadTo(const UisrVm& vm, UisrSectionType type, size_t ordinal,
-                                Writer& w) {
-  switch (type) {
-    case UisrSectionType::kVmHeader:
-      EncodeVmHeader(w, vm);
-      break;
-    case UisrSectionType::kVcpu:
-      if (ordinal < vm.vcpus.size()) {
-        EncodeVcpu(w, vm.vcpus[ordinal]);
-      }
-      break;
-    case UisrSectionType::kIoapic:
-      EncodeIoapic(w, vm.ioapic);
-      break;
-    case UisrSectionType::kPit:
-      EncodePit(w, vm.pit);
-      break;
-    case UisrSectionType::kDevice:
-      if (ordinal < vm.devices.size()) {
-        EncodeDevice(w, vm.devices[ordinal]);
-      }
-      break;
-    case UisrSectionType::kEnd:
-      break;
-  }
-}
-
-template void EncodeUisrSectionPayloadTo<ByteWriter>(const UisrVm&, UisrSectionType, size_t,
-                                                     ByteWriter&);
-template void EncodeUisrSectionPayloadTo<SpanWriter>(const UisrVm&, UisrSectionType, size_t,
-                                                     SpanWriter&);
-
-size_t UisrSectionPayloadSize(const UisrVm& vm, UisrSectionType type, size_t ordinal) {
-  ByteCounter counter;
-  EncodeUisrSectionPayloadTo(vm, type, ordinal, counter);
-  return counter.size();
-}
-
-std::vector<uint8_t> EncodeUisrSectionPayload(const UisrVm& vm, UisrSectionType type,
-                                              size_t ordinal) {
-  ByteWriter w;
-  EncodeUisrSectionPayloadTo(vm, type, ordinal, w);
-  return w.TakeBytes();
-}
-
-Result<void> PatchUisrSectionPayload(std::span<uint8_t> blob, const UisrSectionSpan& span,
-                                     std::span<const uint8_t> payload) {
-  if (payload.size() != span.payload_size) {
-    return InvalidArgumentError("uisr: patch payload is " + std::to_string(payload.size()) +
-                                " bytes, section holds " + std::to_string(span.payload_size));
-  }
-  if (span.payload_offset + span.payload_size > blob.size()) {
-    return InvalidArgumentError("uisr: section span exceeds blob");
-  }
-  std::copy(payload.begin(), payload.end(), blob.begin() + span.payload_offset);
-  return OkResult();
-}
-
-Result<void> ResealUisrBlob(std::span<uint8_t> blob) {
-  if (blob.size() < kEndTrailerBytes) {
-    return DataLossError("uisr: blob too small to hold a CRC trailer");
-  }
-  ByteReader trailer(std::span<const uint8_t>(blob).subspan(blob.size() - kEndTrailerBytes));
-  HYPERTP_ASSIGN_OR_RETURN(uint16_t raw_type, trailer.ReadU16());
-  HYPERTP_ASSIGN_OR_RETURN(uint32_t length, trailer.ReadU32());
-  if (raw_type != static_cast<uint16_t>(UisrSectionType::kEnd) || length != 4) {
-    return DataLossError("uisr: blob does not end in a kEnd/CRC trailer");
-  }
-  const uint32_t crc =
-      Crc32(std::span<const uint8_t>(blob).subspan(0, blob.size() - kEndTrailerBytes));
-  const size_t at = blob.size() - 4;
-  blob[at] = static_cast<uint8_t>(crc & 0xFF);
-  blob[at + 1] = static_cast<uint8_t>((crc >> 8) & 0xFF);
-  blob[at + 2] = static_cast<uint8_t>((crc >> 16) & 0xFF);
-  blob[at + 3] = static_cast<uint8_t>((crc >> 24) & 0xFF);
-  return OkResult();
 }
 
 Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
@@ -573,29 +443,6 @@ Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
                          " vcpus, found " + std::to_string(vm.vcpus.size()));
   }
   return vm;
-}
-
-UisrSizeBreakdown MeasureUisrVm(const UisrVm& vm) {
-  UisrSizeBreakdown sizes;
-  // ByteCounter walks the same encoders without materializing any bytes.
-  auto measure = [](auto&& fill) {
-    ByteCounter counter;
-    fill(counter);
-    return counter.size();
-  };
-  sizes.header = measure([&vm](ByteCounter& w) { EncodeVmHeader(w, vm); });
-  for (const UisrVcpu& v : vm.vcpus) {
-    sizes.vcpus += measure([&v](ByteCounter& w) { EncodeVcpu(w, v); });
-  }
-  sizes.ioapic = measure([&vm](ByteCounter& w) { EncodeIoapic(w, vm.ioapic); });
-  sizes.pit = measure([&vm](ByteCounter& w) { EncodePit(w, vm.pit); });
-  for (const UisrDeviceState& dev : vm.devices) {
-    sizes.devices += measure([&dev](ByteCounter& w) { EncodeDevice(w, dev); });
-  }
-  // 8-byte file header, 6 bytes per section header, 10-byte end trailer.
-  const size_t sections = 3 + vm.vcpus.size() + vm.devices.size();
-  sizes.framing = 8 + 6 * sections + 10;
-  return sizes;
 }
 
 }  // namespace hypertp

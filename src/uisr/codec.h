@@ -29,18 +29,6 @@ enum class UisrSectionType : uint16_t {
   kEnd = 0xFFFF,
 };
 
-// Per-section byte counts of an encoded UISR blob (drives Fig. 14).
-struct UisrSizeBreakdown {
-  size_t header = 0;
-  size_t vcpus = 0;
-  size_t ioapic = 0;
-  size_t pit = 0;
-  size_t devices = 0;
-  size_t framing = 0;  // Magic/version + section headers + CRC trailer.
-
-  size_t total() const { return header + vcpus + ioapic + pit + devices + framing; }
-};
-
 class ByteWriter;
 class SpanWriter;
 
@@ -52,16 +40,12 @@ struct UisrSectionSpan {
   size_t payload_size = 0;
 };
 
-// Section-offset table for a UISR blob, in emit order. Lets callers patch an
-// individual section's payload in place (same size) and reseal the CRC
-// instead of re-encoding the whole VM.
+// Section-offset table for a UISR blob, in emit order, recorded at encode
+// time. Two blobs with the same (type, payload_size) sequence can be
+// compared section by section (pre-translation reconcile charges by it).
 struct UisrSectionLayout {
   std::vector<UisrSectionSpan> sections;
   size_t total_size = 0;  // Blob size including the kEnd/CRC trailer.
-
-  // The `ordinal`-th section of `type` in emit order (vCPU #2, device #0...),
-  // or nullptr when absent.
-  const UisrSectionSpan* Find(UisrSectionType type, size_t ordinal) const;
 };
 
 // Serializes a UisrVm into its wire form. The output vector is allocated
@@ -95,48 +79,6 @@ size_t EncodedUisrSize(const UisrVm& vm);
 // Parses and validates a UISR blob. Fails with kDataLoss on bad magic,
 // truncation or CRC mismatch, and kUnimplemented on a newer version.
 Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data);
-
-// Computes the per-section size breakdown of `vm` without retaining the blob.
-UisrSizeBreakdown MeasureUisrVm(const UisrVm& vm);
-
-// Rebuilds the section-offset table of an existing blob by walking the TLV
-// headers (no payload decode). Fails with kDataLoss on framing damage.
-Result<UisrSectionLayout> IndexUisrSections(std::span<const uint8_t> blob);
-
-// Encodes just the payload bytes of the `ordinal`-th section of `type`
-// (vCPU #2, device #0, ...) — the bytes that sit between that section's TLV
-// header and the next header in a full encode.
-std::vector<uint8_t> EncodeUisrSectionPayload(const UisrVm& vm, UisrSectionType type,
-                                              size_t ordinal);
-
-// Exact byte count EncodeUisrSectionPayload would produce, without encoding.
-// Lets reconcile pre-size arena scratch (and reject a size drift) before
-// paying for the encode.
-size_t UisrSectionPayloadSize(const UisrVm& vm, UisrSectionType type, size_t ordinal);
-
-// Writer-targeted form of EncodeUisrSectionPayload: appends the payload bytes
-// to `w` instead of materializing a vector. Instantiated for ByteWriter and
-// SpanWriter (arena scratch) in codec.cc.
-template <typename Writer>
-void EncodeUisrSectionPayloadTo(const UisrVm& vm, UisrSectionType type, size_t ordinal,
-                                Writer& w);
-
-extern template void EncodeUisrSectionPayloadTo<ByteWriter>(const UisrVm&, UisrSectionType,
-                                                            size_t, ByteWriter&);
-extern template void EncodeUisrSectionPayloadTo<SpanWriter>(const UisrVm&, UisrSectionType,
-                                                            size_t, SpanWriter&);
-
-// Overwrites one section's payload in place. The replacement must be exactly
-// `span.payload_size` bytes (section lengths are fixed by the TLV header);
-// callers re-encode the whole VM when a section changes size. The blob's CRC
-// trailer is stale afterwards until ResealUisrBlob runs.
-Result<void> PatchUisrSectionPayload(std::span<uint8_t> blob, const UisrSectionSpan& span,
-                                     std::span<const uint8_t> payload);
-
-// Recomputes the CRC trailer over everything before the kEnd section, after
-// one or more PatchUisrSectionPayload calls. Fails if the blob does not end
-// in a well-formed kEnd trailer.
-Result<void> ResealUisrBlob(std::span<uint8_t> blob);
 
 }  // namespace hypertp
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/bytes.h"
 #include "src/base/crc32.h"
 #include "src/base/json.h"
@@ -354,51 +353,6 @@ TEST(BytesDeathTest, SpanWriterReserveRejectsUndersizedStorage) {
         w.Reserve(9);
       },
       "check failed");
-}
-
-TEST(ArenaTest, AllocationsAreZeroedAndDisjoint) {
-  Arena arena(64);
-  std::span<uint8_t> a = arena.Alloc(16);
-  std::span<uint8_t> b = arena.Alloc(16);
-  ASSERT_EQ(a.size(), 16u);
-  ASSERT_EQ(b.size(), 16u);
-  for (uint8_t byte : a) {
-    EXPECT_EQ(byte, 0);
-  }
-  std::fill(a.begin(), a.end(), 0xAA);
-  for (uint8_t byte : b) {
-    EXPECT_EQ(byte, 0) << "neighbouring allocation clobbered";
-  }
-  EXPECT_EQ(arena.allocated(), 32u);
-}
-
-TEST(ArenaTest, GrowsPastTheInitialBlock) {
-  Arena arena(32);
-  (void)arena.Alloc(24);
-  std::span<uint8_t> big = arena.Alloc(1000);  // Larger than any block so far.
-  ASSERT_EQ(big.size(), 1000u);
-  big[999] = 0x5A;
-  EXPECT_GE(arena.capacity(), 1024u);
-}
-
-TEST(ArenaTest, ResetRecyclesAndRezeroes) {
-  Arena arena(64);
-  std::span<uint8_t> first = arena.Alloc(48);
-  std::fill(first.begin(), first.end(), 0xFF);
-  arena.Reset();
-  EXPECT_EQ(arena.allocated(), 0u);
-  std::span<uint8_t> again = arena.Alloc(48);
-  ASSERT_EQ(again.size(), 48u);
-  // Same storage may be handed back, but never the previous contents.
-  for (uint8_t byte : again) {
-    EXPECT_EQ(byte, 0);
-  }
-}
-
-TEST(ArenaTest, ZeroByteAllocIsEmpty) {
-  Arena arena;
-  EXPECT_TRUE(arena.Alloc(0).empty());
-  EXPECT_EQ(arena.allocated(), 0u);
 }
 
 std::string JsonString(std::string_view s) {

@@ -185,7 +185,9 @@ TEST(FaultStormTest, CrashRollbackReExposesAndRequeues) {
   // Exposure must have gone *up* at a crash rollback...
   int increases = 0;
   int net = 0;
-  for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+  std::vector<ExposureDelta> deltas;
+  controller.TakeExposureDeltas(deltas);
+  for (const ExposureDelta& delta : deltas) {
     increases += delta.hosts > 0;
     net += delta.hosts;
   }

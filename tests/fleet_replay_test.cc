@@ -25,7 +25,9 @@ RunOutput RunOnce(const FleetConfig& config) {
   out.trace_json = FleetTraceToJson(controller.trace());
   out.report_json = FleetRolloutReportToJson(controller.report());
   ExposureStream exposure(config.hosts, config.hosts);
-  for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+  std::vector<ExposureDelta> deltas;
+  controller.TakeExposureDeltas(deltas);
+  for (const ExposureDelta& delta : deltas) {
     exposure.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
   }
   exposure.Seal(out.report.makespan);

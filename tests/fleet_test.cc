@@ -29,11 +29,18 @@ FleetConfig BaseConfig() {
   return config;
 }
 
+// The exposure changes `controller` recorded since the last take.
+std::vector<ExposureDelta> TakeDeltas(FleetController& controller) {
+  std::vector<ExposureDelta> deltas;
+  controller.TakeExposureDeltas(deltas);
+  return deltas;
+}
+
 // Integrates a standalone rollout's exposure deltas from its start at t=0
 // (every host exposed) to `end`, in host-days.
 double ExposedHostDays(FleetController& controller, SimTime end) {
   ExposureStream stream(controller.config().hosts, controller.config().hosts);
-  for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+  for (const ExposureDelta& delta : TakeDeltas(controller)) {
     stream.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
   }
   stream.Seal(end);
@@ -455,19 +462,19 @@ TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {
   FleetController thief(thief_executor, config);
   donor.Start();
   thief.Start();
-  EXPECT_TRUE(donor.TakeExposureDeltas().empty());  // Start records nothing.
+  EXPECT_TRUE(TakeDeltas(donor).empty());  // Start records nothing.
   donor_executor.RunUntil(Seconds(15));
   thief_executor.RunUntil(Seconds(15));
   ASSERT_TRUE(thief.drained());
 
   // Both hosts of the first wave finished at 10 s: one coalesced entry.
-  const std::vector<ExposureDelta> first = donor.TakeExposureDeltas();
+  const std::vector<ExposureDelta> first = TakeDeltas(donor);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].time, Seconds(10));
   EXPECT_EQ(first[0].hosts, -2);
-  EXPECT_TRUE(donor.TakeExposureDeltas().empty());  // Taking clears.
+  EXPECT_TRUE(TakeDeltas(donor).empty());  // Taking clears.
   int thief_net = 0;
-  for (const ExposureDelta& delta : thief.TakeExposureDeltas()) {
+  for (const ExposureDelta& delta : TakeDeltas(thief)) {
     thief_net += delta.hosts;
   }
   EXPECT_EQ(thief_net, -2);
@@ -476,8 +483,8 @@ TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {
   const std::vector<StealableDomain> domains = donor.StealableDomains();
   ASSERT_EQ(domains.size(), 1u);
   thief.AdoptHosts(donor.DetachDomain(domains[0].domain));
-  EXPECT_TRUE(donor.TakeExposureDeltas().empty());
-  EXPECT_TRUE(thief.TakeExposureDeltas().empty());
+  EXPECT_TRUE(TakeDeltas(donor).empty());
+  EXPECT_TRUE(TakeDeltas(thief).empty());
 
   donor_executor.Run();
   thief_executor.Run();
@@ -495,8 +502,8 @@ TEST(FleetControllerTest, ExposureDeltasDrainInTimeOrderAndSkipRehoming) {
     }
     return net;
   };
-  EXPECT_EQ(net_in_time_order(donor.TakeExposureDeltas()), -2);
-  EXPECT_EQ(net_in_time_order(thief.TakeExposureDeltas()), -4);
+  EXPECT_EQ(net_in_time_order(TakeDeltas(donor)), -2);
+  EXPECT_EQ(net_in_time_order(TakeDeltas(thief)), -4);
   donor.FinalizeDrained();
   thief.FinalizeDrained();
   EXPECT_EQ(donor.report().upgraded, 4);

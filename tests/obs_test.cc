@@ -565,7 +565,9 @@ TEST(FleetTraceSpanTest, TracingDoesNotPerturbTheRollout) {
   EXPECT_EQ(plain_report.rollbacks, traced_report.rollbacks);
   const auto exposed_host_days = [&config](FleetController& controller, SimTime end) {
     ExposureStream exposure(config.hosts, config.hosts);
-    for (const ExposureDelta& delta : controller.TakeExposureDeltas()) {
+    std::vector<ExposureDelta> deltas;
+    controller.TakeExposureDeltas(deltas);
+    for (const ExposureDelta& delta : deltas) {
       exposure.OnHostsDelta(delta.time, delta.hosts, delta.hosts);
     }
     exposure.Seal(end);

@@ -334,13 +334,14 @@ TEST(ConversionParityTest, GoldenBlobBytesArePinned) {
   // And the zero-copy path parks the same golden bytes.
   Machine machine(MachineProfile::M1(), 77);
   PramBuilder builder(machine.memory());
-  auto stored = pipeline::EncodeUisrVmIntoPram(machine.memory(), builder, vm);
+  auto stored = pipeline::EncodeVmStatesIntoPram(machine.memory(), builder, {vm}, 1);
   ASSERT_TRUE(stored.ok()) << stored.error().ToString();
+  ASSERT_EQ(stored->size(), 1u);
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
   auto image = ParsePram(machine.memory(), handle->root_mfn);
   ASSERT_TRUE(image.ok());
-  const PramFile* file = image->FindFile(stored->file_id);
+  const PramFile* file = image->FindFile((*stored)[0].file_id);
   ASSERT_NE(file, nullptr);
   auto view = pipeline::ViewUisrBlob(machine.memory(), *file);
   ASSERT_TRUE(view.ok());
