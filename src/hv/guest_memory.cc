@@ -56,14 +56,10 @@ Result<void> GuestAddressSpace::Write(PhysicalMemory& ram, Gfn gfn, uint64_t con
 std::vector<std::pair<Gfn, uint64_t>> GuestAddressSpace::DumpNonZero(
     const PhysicalMemory& ram) const {
   std::vector<std::pair<Gfn, uint64_t>> out;
-  for (const auto& [mfn, word] : ram.content_words()) {
-    // Reverse-translate: find the mapping extent containing this frame.
-    for (const GuestMapping& m : mappings_) {
-      if (mfn >= m.mfn && mfn < m.mfn + m.frames) {
-        out.emplace_back(m.gfn + (mfn - m.mfn), word);
-        break;
-      }
-    }
+  for (const GuestMapping& m : mappings_) {
+    ram.ForEachWordIn(m.mfn, m.frames, [&out, &m](Mfn mfn, uint64_t word) {
+      out.emplace_back(m.gfn + (mfn - m.mfn), word);
+    });
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -458,13 +459,12 @@ class HostCore : public Hypervisor {
     for (const PramPageEntry& e : entries) {
       // The frames must have survived the reboot (still allocated, still
       // owned by this VM's uid) — anything else means the PRAM reservation
-      // failed.
-      for (Mfn m = e.mfn; m < e.mfn + e.frame_count(); ++m) {
-        HYPERTP_ASSIGN_OR_RETURN(FrameOwner actual, machine_->memory().OwnerOf(m));
-        if (!(actual == owner)) {
-          return DataLossError(Prefix() + "in-place frame " + std::to_string(m) +
-                               " not owned by guest uid " + std::to_string(vm.uid));
-        }
+      // failed. A free frame reports kNotFound, a foreign one kDataLoss.
+      if (const std::optional<Mfn> bad =
+              machine_->memory().FirstFrameNotOwnedBy(e.mfn, e.frame_count(), owner)) {
+        HYPERTP_RETURN_IF_ERROR(machine_->memory().OwnerOf(*bad));
+        return DataLossError(Prefix() + "in-place frame " + std::to_string(*bad) +
+                             " not owned by guest uid " + std::to_string(vm.uid));
       }
       HYPERTP_RETURN_IF_ERROR(vm.memory.MapExtent(e.gfn, e.mfn, e.frame_count()));
     }

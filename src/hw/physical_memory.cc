@@ -87,11 +87,7 @@ Result<void> PhysicalMemory::Free(Mfn base, uint64_t count) {
     return InvalidArgumentError("free: no allocated extent [" + std::to_string(base) + ", +" +
                                 std::to_string(count) + ")");
   }
-  DropBackingsIn(base, count);
-  for (Mfn m = base; m < base + count; ++m) {
-    content_.erase(m);
-    pages_.erase(m);
-  }
+  DropFrameData(base, count);
   allocated_.erase(it);
   free_frames_ += count;
   InsertFree(base, count);
@@ -104,11 +100,7 @@ uint64_t PhysicalMemory::FreeAllOwnedBy(FrameOwner owner) {
     if (it->second.owner == owner) {
       const FrameExtent ext = it->second;
       it = allocated_.erase(it);
-      DropBackingsIn(ext.base, ext.count);
-      for (Mfn m = ext.base; m < ext.end(); ++m) {
-        content_.erase(m);
-        pages_.erase(m);
-      }
+      DropFrameData(ext.base, ext.count);
       free_frames_ += ext.count;
       InsertFree(ext.base, ext.count);
       freed += ext.count;
@@ -158,6 +150,25 @@ Result<FrameOwner> PhysicalMemory::OwnerOf(Mfn mfn) const {
   return NotFoundError("frame " + std::to_string(mfn) + " is not allocated");
 }
 
+std::optional<Mfn> PhysicalMemory::FirstFrameNotOwnedBy(Mfn base, uint64_t count,
+                                                       FrameOwner owner) const {
+  const Mfn end = base + count;
+  auto it = allocated_.upper_bound(base);
+  if (it != allocated_.begin()) {
+    --it;  // The extent that may contain `base`.
+  }
+  // Step over the owner's extents while they cover the run without a gap.
+  Mfn next = base;
+  for (; next < end && it != allocated_.end(); ++it) {
+    const FrameExtent& ext = it->second;
+    if (!ext.Contains(next) || !(ext.owner == owner)) {
+      return next;
+    }
+    next = ext.end();
+  }
+  return next < end ? std::optional<Mfn>(next) : std::nullopt;
+}
+
 std::vector<FrameExtent> PhysicalMemory::AllocatedExtents() const {
   std::vector<FrameExtent> out;
   out.reserve(allocated_.size());
@@ -200,11 +211,7 @@ uint64_t PhysicalMemory::ScrubExcept(const std::vector<FrameExtent>& preserved) 
     if (!covered(it->second)) {
       const FrameExtent ext = it->second;
       it = allocated_.erase(it);
-      DropBackingsIn(ext.base, ext.count);
-      for (Mfn m = ext.base; m < ext.end(); ++m) {
-        content_.erase(m);  // The scrub really destroys the contents.
-        pages_.erase(m);
-      }
+      DropFrameData(ext.base, ext.count);  // The scrub really destroys the contents.
       free_frames_ += ext.count;
       InsertFree(ext.base, ext.count);
       scrubbed += ext.count;
@@ -272,10 +279,7 @@ Result<std::span<uint8_t>> PhysicalMemory::BackExtent(Mfn base, uint64_t frames,
   }
   // One backing per frame: replace any overlapping backings or stale per-page
   // payloads rather than shadowing them.
-  DropBackingsIn(base, frames);
-  for (Mfn m = base; m < base + frames; ++m) {
-    pages_.erase(m);
-  }
+  DropFrameData(base, frames);
   const size_t bytes = frames * kPageSize;
   BackingBytes backing;
   backing.data = std::unique_ptr<uint8_t[]>(new uint8_t[bytes]);  // Uninitialized.
@@ -303,22 +307,19 @@ Result<std::span<uint8_t>> PhysicalMemory::BackedExtent(Mfn base, uint64_t frame
   return std::span<uint8_t>(const_cast<uint8_t*>(view.data()), view.size());
 }
 
-void PhysicalMemory::DropBackingsIn(Mfn base, uint64_t count) {
-  if (backed_.empty()) {
-    return;
-  }
+void PhysicalMemory::DropFrameData(Mfn base, uint64_t count) {
   const Mfn end = base + count;
-  auto it = backed_.upper_bound(base);
+  content_.erase(content_.lower_bound(base), content_.lower_bound(end));
+  pages_.erase(pages_.lower_bound(base), pages_.lower_bound(end));
+  auto first = backed_.lower_bound(base);
   // A backing starting before `base` can still reach into the range.
-  if (it != backed_.begin()) {
-    auto prev = std::prev(it);
+  if (first != backed_.begin()) {
+    auto prev = std::prev(first);
     if (prev->first + prev->second.size / kPageSize > base) {
-      it = prev;
+      first = prev;
     }
   }
-  while (it != backed_.end() && it->first < end) {
-    it = backed_.erase(it);
-  }
+  backed_.erase(first, backed_.lower_bound(end));
 }
 
 const PhysicalMemory::BackingBytes* PhysicalMemory::BackingFor(Mfn mfn, Mfn* backing_base) const {

@@ -8,6 +8,12 @@
 // the micro-reboot scrubber zeroes words of frames it reclaims, so corruption
 // of guest memory by a buggy PRAM reservation is observable, exactly as it
 // would be on real hardware.
+//
+// Every table (free holes, allocated extents, content words, page payloads,
+// contiguous backings) is an ordered map keyed by frame number. Work scales
+// with extents, not frames: freeing or scrubbing an extent drops its words,
+// payloads and backings with one range erase per table, and an ownership
+// check over a frame run walks the extents that cover it.
 
 #ifndef HYPERTP_SRC_HW_PHYSICAL_MEMORY_H_
 #define HYPERTP_SRC_HW_PHYSICAL_MEMORY_H_
@@ -16,9 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -123,6 +129,8 @@ class PhysicalMemory {
   // on a backed frame operate on the corresponding page-sized slice, so
   // page-level corruption (and its detection) behaves exactly as with
   // per-page payloads. Backings die with their frames on Free/Scrub.
+  // Backing a run drops whatever its frames held before: content words,
+  // page payloads and any overlapping backing.
   //
   // `skip_zero_prefix` is the caller's promise that it will overwrite the
   // first that many bytes before anything reads them: those bytes come back
@@ -141,6 +149,11 @@ class PhysicalMemory {
   bool IsAllocated(Mfn mfn) const;
   // Owner of the extent containing `mfn`, or error when free/out of range.
   Result<FrameOwner> OwnerOf(Mfn mfn) const;
+  // The lowest frame of [base, base+count) that is free or owned by someone
+  // other than `owner`; nullopt when `owner` holds the whole run. Walks the
+  // allocated extents covering the run, so the cost is one lookup plus one
+  // step per extent, whatever the run's length.
+  std::optional<Mfn> FirstFrameNotOwnedBy(Mfn base, uint64_t count, FrameOwner owner) const;
 
   // All allocated extents in address order.
   std::vector<FrameExtent> AllocatedExtents() const;
@@ -153,9 +166,16 @@ class PhysicalMemory {
   // allocated; their ownership and contents are left untouched.
   uint64_t ScrubExcept(const std::vector<FrameExtent>& preserved);
 
-  // Read-only view of all non-zero content words (sparse). Used by guest
-  // address spaces to enumerate a VM's written pages cheaply.
-  const std::unordered_map<Mfn, uint64_t>& content_words() const { return content_; }
+  // Calls visit(mfn, word) for each non-zero content word in
+  // [base, base+count), in frame order. Used by guest address spaces to
+  // enumerate a VM's written pages without touching unwritten frames.
+  template <typename Visit>
+  void ForEachWordIn(Mfn base, uint64_t count, Visit&& visit) const {
+    const auto end = content_.lower_bound(base + count);
+    for (auto it = content_.lower_bound(base); it != end; ++it) {
+      visit(it->first, it->second);
+    }
+  }
 
   // Adjusts the recorded owner of an existing allocated extent (used when the
   // new hypervisor adopts preserved frames after the micro-reboot).
@@ -191,8 +211,9 @@ class PhysicalMemory {
     }
   };
 
-  // Drops extent backings overlapping [base, base+count) (frames going away).
-  void DropBackingsIn(Mfn base, uint64_t count);
+  // Drops the content words, page payloads and backings of
+  // [base, base+count): one range erase per table.
+  void DropFrameData(Mfn base, uint64_t count);
   // The backing containing `mfn`, or nullptr. Non-const twin for writes.
   const BackingBytes* BackingFor(Mfn mfn, Mfn* backing_base) const;
   BackingBytes* BackingFor(Mfn mfn, Mfn* backing_base);
@@ -204,9 +225,9 @@ class PhysicalMemory {
   // base -> extent for allocated runs, disjoint.
   std::map<Mfn, FrameExtent> allocated_;
   // Sparse content words: only frames that were written appear here.
-  std::unordered_map<Mfn, uint64_t> content_;
+  std::map<Mfn, uint64_t> content_;
   // Sparse full-page payloads for metadata frames.
-  std::unordered_map<Mfn, std::vector<uint8_t>> pages_;
+  std::map<Mfn, std::vector<uint8_t>> pages_;
   // Contiguous multi-frame backings (base -> frames * kPageSize bytes),
   // disjoint from each other; frames here never also appear in pages_.
   std::map<Mfn, BackingBytes> backed_;

@@ -5,6 +5,7 @@
 #include <span>
 #include <utility>
 
+#include "src/base/bytes.h"
 #include "src/pipeline/conversion.h"
 
 namespace hypertp {
@@ -61,14 +62,17 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
   }
 
   // Wire-encode the snapshots (and record their section-offset tables) on
-  // real pool threads. Each task writes only its own cache slot; bytes are
-  // independent of the thread count.
+  // real pool threads. The blobs live for the whole transplant, so they are
+  // sized here, on the calling thread, and each task fills only its own
+  // slot; bytes are independent of the thread count.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(cache->vms.size());
   for (size_t i = 0; i < cache->vms.size(); ++i) {
-    tasks.push_back([cache, i] {
-      PreTranslatedVm& entry = cache->vms[i];
-      entry.blob = EncodeUisrVm(entry.state, &entry.layout);
+    PreTranslatedVm& entry = cache->vms[i];
+    entry.blob.resize(EncodedUisrSize(entry.state));
+    tasks.push_back([&entry] {
+      SpanWriter w(entry.blob);
+      EncodeUisrVm(entry.state, w, &entry.layout);
     });
   }
   RunOnWorkerPool(tasks, real_threads);

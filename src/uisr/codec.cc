@@ -284,38 +284,38 @@ size_t EncodedUisrSize(const UisrVm& vm) {
 }
 
 template <typename Writer>
-void EncodeUisrVm(const UisrVm& vm, Writer& w) {
+void EncodeUisrVm(const UisrVm& vm, Writer& w, UisrSectionLayout* layout) {
   const size_t start = w.size();
   w.Reserve(start + EncodedUisrSize(vm));
-  EncodeUisrBody(w, vm, nullptr);
+  if (layout != nullptr) {
+    layout->sections.clear();
+  }
+  EncodeUisrBody(w, vm, layout);
   // CRC trailer over this VM's bytes only, so the blob decodes identically
   // whether it stands alone or sits embedded in a larger stream.
   const uint32_t crc = Crc32(w.Written(start));
   w.PutU16(static_cast<uint16_t>(UisrSectionType::kEnd));
   w.PutU32(4);
   w.PutU32(crc);
+  if (layout != nullptr) {
+    for (UisrSectionSpan& span : layout->sections) {
+      span.header_offset -= start;
+      span.payload_offset -= start;
+    }
+    layout->total_size = w.size() - start;
+  }
 }
 
-template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w);
-template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w);
-
-std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm) {
-  ByteWriter w;
-  EncodeUisrVm(vm, w);
-  return w.TakeBytes();
-}
+template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w,
+                                       UisrSectionLayout* layout);
+template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w,
+                                       UisrSectionLayout* layout);
 
 std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout) {
-  layout->sections.clear();
-  ByteWriter w;
-  w.Reserve(EncodedUisrSize(vm));
-  EncodeUisrBody(w, vm, layout);
-  const uint32_t crc = Crc32(std::span<const uint8_t>(w.bytes()));
-  w.PutU16(static_cast<uint16_t>(UisrSectionType::kEnd));
-  w.PutU32(4);
-  w.PutU32(crc);
-  layout->total_size = w.size();
-  return w.TakeBytes();
+  std::vector<uint8_t> blob(EncodedUisrSize(vm));
+  SpanWriter w(blob);
+  EncodeUisrVm(vm, w, layout);
+  return blob;
 }
 
 Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {

@@ -49,29 +49,31 @@ struct UisrSectionLayout {
 };
 
 // Serializes a UisrVm into its wire form. The output vector is allocated
-// once at its exact final size (the encoder pre-computes the byte count).
-std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm);
-
-// Same bytes, and additionally fills `layout` with the section-offset table
-// of the returned blob. `layout` must be non-null.
-std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout);
+// once at its exact final size (EncodedUisrSize) and filled through a
+// SpanWriter. When `layout` is non-null it receives the section-offset table
+// of the returned blob.
+std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout = nullptr);
 
 // Appends exactly the bytes the vector overload would return to `w` — the
 // CRC trailer covers only this VM's bytes, starting at the writer's current
 // position, so blobs can be embedded mid-stream (checkpoint files, PRAM
-// framing) without a temporary copy. Reserves the exact size up front.
+// framing) without a temporary copy. Reserves the exact size up front. A
+// non-null `layout` receives the section-offset table, with offsets counted
+// from this blob's first byte.
 //
 // Templated over the writer type: ByteWriter appends to a growing buffer
 // (checkpoint embedding, migration's wire copy); SpanWriter writes into
 // caller-owned storage, which is how the zero-copy save path encodes straight
-// into PRAM-resident frames (PramFrameWriter). Any writer with the
-// Put*/PatchU32/size/Reserve/Written interface works; these two are
-// instantiated in codec.cc.
+// into PRAM-resident frames (PramFrameWriter) and how pool workers fill blobs
+// their caller sized. Any writer with the Put*/PatchU32/size/Reserve/Written
+// interface works; these two are instantiated in codec.cc.
 template <typename Writer>
-void EncodeUisrVm(const UisrVm& vm, Writer& w);
+void EncodeUisrVm(const UisrVm& vm, Writer& w, UisrSectionLayout* layout = nullptr);
 
-extern template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w);
-extern template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w);
+extern template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w,
+                                              UisrSectionLayout* layout);
+extern template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w,
+                                              UisrSectionLayout* layout);
 
 // Exact byte count EncodeUisrVm produces for `vm`, without encoding.
 size_t EncodedUisrSize(const UisrVm& vm);

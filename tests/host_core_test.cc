@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,80 @@ TEST_P(HostCoreTest, FailedInPlaceRestoreKeepsTheAdoptedFrames) {
   auto salvaged = target->RestoreVmFromUisr(uisr, binding, &log);
   ASSERT_TRUE(salvaged.ok()) << salvaged.error().ToString();
   EXPECT_EQ(target->ReadGuestPage(*salvaged, 42).value(), 0xCAFEu);
+}
+
+// The in-place ownership check runs per PRAM entry, yet still names the
+// first bad frame: a frame another guest owns fails with kDataLoss, a frame
+// freed during the reboot with kNotFound.
+TEST_P(HostCoreTest, InPlaceAdoptNamesTheFirstFrameTheGuestLost) {
+  for (const bool foreign : {true, false}) {
+    SCOPED_TRACE(foreign ? "foreign-owned extent" : "freed extent");
+    Machine machine(MachineProfile::M1(), 1);
+    std::unique_ptr<Hypervisor> source = MakeHypervisor(GetParam(), machine);
+    auto id = source->CreateVm(VmConfig::Small("adopt"));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(source->PrepareVmForTransplant(*id).ok());
+    ASSERT_TRUE(source->PauseVm(*id).ok());
+    FixupLog log;
+    auto uisr = source->SaveVmToUisr(*id, &log);
+    ASSERT_TRUE(uisr.ok());
+    GuestMemoryBinding binding;
+    binding.mode = GuestMemoryBinding::Mode::kAdoptInPlace;
+    auto map = source->GuestMemoryMap(*id);
+    ASSERT_TRUE(map.ok());
+    for (const GuestMapping& m : *map) {
+      BuildEntriesForRange(m.gfn, m.mfn, m.frames, uisr->memory.uses_huge_pages,
+                           binding.entries);
+    }
+    source->DetachForMicroReboot();
+    // Boot the target first, so its own frames cannot fill a freed hole.
+    std::unique_ptr<Hypervisor> target = MakeHypervisor(GetParam(), machine);
+
+    // Take away a guest extent from the middle of the VM's memory.
+    const FrameOwner guest{FrameOwnerKind::kGuest, uisr->vm_uid};
+    std::vector<FrameExtent> owned;
+    for (const FrameExtent& e : machine.memory().ExtentsOfKind(FrameOwnerKind::kGuest)) {
+      if (e.owner == guest) {
+        owned.push_back(e);
+      }
+    }
+    ASSERT_GE(owned.size(), 2u);
+    const FrameExtent lost = owned[owned.size() / 2];
+    if (foreign) {
+      ASSERT_TRUE(machine.memory()
+                      .Reassign(lost.base, lost.count,
+                                FrameOwner{FrameOwnerKind::kGuest, uisr->vm_uid + 1})
+                      .ok());
+    } else {
+      ASSERT_TRUE(machine.memory().Free(lost.base, lost.count).ok());
+    }
+    // The first frame in PRAM order that the guest no longer holds.
+    std::optional<Mfn> first_lost;
+    for (const PramPageEntry& e : binding.entries) {
+      if (e.mfn < lost.end() && lost.base < e.mfn + e.frame_count()) {
+        first_lost = std::max(e.mfn, lost.base);
+        break;
+      }
+    }
+    ASSERT_TRUE(first_lost.has_value());
+
+    auto failed = target->RestoreVmFromUisr(*uisr, binding, &log);
+    ASSERT_FALSE(failed.ok());
+    const std::string frame = std::to_string(*first_lost);
+    if (foreign) {
+      EXPECT_EQ(failed.error().code(), ErrorCode::kDataLoss);
+      const std::string want =
+          "in-place frame " + frame + " not owned by guest uid " + std::to_string(uisr->vm_uid);
+      EXPECT_NE(failed.error().message().find(want), std::string::npos)
+          << failed.error().ToString();
+    } else {
+      EXPECT_EQ(failed.error().code(), ErrorCode::kNotFound);
+      EXPECT_NE(failed.error().message().find("frame " + frame + " is not allocated"),
+                std::string::npos)
+          << failed.error().ToString();
+    }
+    EXPECT_TRUE(target->ListVms().empty());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, HostCoreTest,

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/physical_memory.h"
+#include "src/sim/rng.h"
 
 namespace hypertp {
 namespace {
@@ -246,6 +250,209 @@ TEST(PhysicalMemoryTest, ReBackingResetsContents) {
   for (uint8_t b : *second) {
     ASSERT_EQ(b, 0);
   }
+}
+
+// A seeded layout over a 96-frame RAM: 1..16-frame extents filling it, owned
+// mostly by kGuest1 (so same-owner extents sit side by side) and sometimes by
+// kGuest2 (a foreign owner mid-range), then about a quarter freed (gaps).
+std::vector<FrameExtent> RandomLayout(PhysicalMemory& ram, Rng& rng) {
+  std::vector<FrameExtent> extents;
+  while (true) {
+    const uint64_t count = static_cast<uint64_t>(rng.NextInRange(1, 16));
+    const FrameOwner owner = rng.NextBool(0.25) ? kGuest2 : kGuest1;
+    auto base = ram.Alloc(count, 1, owner);
+    if (!base.ok()) {
+      break;
+    }
+    extents.push_back(FrameExtent{*base, count, owner});
+  }
+  std::vector<FrameExtent> kept;
+  for (const FrameExtent& e : extents) {
+    if (rng.NextBool(0.25)) {
+      EXPECT_TRUE(ram.Free(e.base, e.count).ok());
+    } else {
+      kept.push_back(e);
+    }
+  }
+  return kept;
+}
+
+// The per-frame reference FirstFrameNotOwnedBy replaces.
+std::optional<Mfn> FirstFrameNotOwnedByScan(const PhysicalMemory& ram, Mfn base, uint64_t count,
+                                            FrameOwner owner) {
+  for (Mfn m = base; m < base + count; ++m) {
+    auto actual = ram.OwnerOf(m);
+    if (!actual.ok() || !(*actual == owner)) {
+      return m;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(PhysicalMemoryTest, FirstFrameNotOwnedByMatchesPerFrameScan) {
+  int owned_across_extents = 0;  // Runs held whole over >1 adjacent extent.
+  int foreign_mid_range = 0;     // Runs failing on an allocated, foreign frame past their base.
+  int free_mid_range = 0;        // Runs failing on a free frame past their base.
+  for (uint64_t seed = 1; seed <= 250; ++seed) {
+    PhysicalMemory ram(96 * kPageSize);
+    Rng rng(seed);
+    const std::vector<FrameExtent> extents = RandomLayout(ram, rng);
+    std::vector<std::pair<Mfn, uint64_t>> queries;
+    // Runs that start or end on an extent boundary and reach into neighbours.
+    for (const FrameExtent& e : extents) {
+      const uint64_t reach = static_cast<uint64_t>(rng.NextInRange(0, 24));
+      queries.emplace_back(e.base, e.count);
+      queries.emplace_back(e.base, e.count + reach);
+      queries.emplace_back(e.end() - std::min(reach, e.end()), std::min(reach, e.end()));
+      queries.emplace_back(e.base - std::min(reach, e.base), std::min(reach, e.base) + 1);
+    }
+    // Arbitrary runs, some empty and some past the end of RAM.
+    for (int i = 0; i < 40; ++i) {
+      queries.emplace_back(rng.NextBelow(ram.total_frames() + 8), rng.NextBelow(40));
+    }
+    for (const auto& [base, count] : queries) {
+      for (const FrameOwner owner : {kGuest1, kGuest2}) {
+        const std::optional<Mfn> want = FirstFrameNotOwnedByScan(ram, base, count, owner);
+        ASSERT_EQ(ram.FirstFrameNotOwnedBy(base, count, owner), want)
+            << "seed " << seed << " run [" << base << ", +" << count << ") owner "
+            << owner.id;
+        if (!want.has_value() && count > 0) {
+          const bool spans = std::any_of(extents.begin(), extents.end(), [&](const FrameExtent& e) {
+            return e.Contains(base) && e.end() < base + count;
+          });
+          owned_across_extents += spans ? 1 : 0;
+        } else if (want.has_value() && *want > base) {
+          (ram.IsAllocated(*want) ? foreign_mid_range : free_mid_range) += 1;
+        }
+      }
+    }
+  }
+  // The generator reaches every shape the walk has to get right.
+  EXPECT_GT(owned_across_extents, 1000);
+  EXPECT_GT(foreign_mid_range, 1000);
+  EXPECT_GT(free_mid_range, 1000);
+}
+
+// What one frame reads back through the public interface.
+struct FrameView {
+  bool allocated = false;
+  uint64_t word = 0;
+  std::vector<uint8_t> page;
+
+  bool operator==(const FrameView&) const = default;
+};
+
+std::vector<FrameView> ViewAll(const PhysicalMemory& ram) {
+  std::vector<FrameView> out(ram.total_frames());
+  for (Mfn m = 0; m < ram.total_frames(); ++m) {
+    out[m] = FrameView{ram.IsAllocated(m), ram.ReadWord(m).value(), ram.ReadPage(m).value()};
+  }
+  return out;
+}
+
+bool HoldsData(const FrameView& v) { return v.word != 0 || !v.page.empty(); }
+
+// Generated extents holding content words, page payloads and backings go
+// through each of the four range drops. Against a per-frame model: exactly
+// the dropped frames read 0 / empty (a re-backed run reads a zeroed page),
+// and every other frame, the neighbours at base-1 and end included, reads
+// what it read before.
+TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
+  int neighbours_holding_data = 0;
+  for (uint64_t seed = 1; seed <= 240; ++seed) {
+    PhysicalMemory ram(96 * kPageSize);
+    Rng rng(seed * 7919);
+    const std::vector<FrameExtent> extents = RandomLayout(ram, rng);
+    ASSERT_FALSE(extents.empty());
+    std::vector<FrameExtent> backings;
+    for (const FrameExtent& e : extents) {
+      if (rng.NextBool(0.4)) {
+        const uint64_t skip = rng.NextBelow(e.count);
+        const uint64_t frames = 1 + rng.NextBelow(e.count - skip);
+        auto span = ram.BackExtent(e.base + skip, frames);
+        ASSERT_TRUE(span.ok());
+        for (size_t i = 0; i < span->size(); i += 509) {
+          (*span)[i] = static_cast<uint8_t>(1 + rng.NextBelow(255));
+        }
+        backings.push_back(FrameExtent{e.base + skip, frames, e.owner});
+      }
+      for (Mfn m = e.base; m < e.end(); ++m) {
+        if (rng.NextBool(0.6)) {
+          ASSERT_TRUE(ram.WriteWord(m, 1 + rng.NextBelow(1000)).ok());
+        }
+        if (rng.NextBool(0.3)) {
+          ASSERT_TRUE(ram.WritePage(m, {static_cast<uint8_t>(m), 0x5A}).ok());
+        }
+      }
+    }
+    const std::vector<FrameView> before = ViewAll(ram);
+    std::vector<FrameView> want = before;
+    auto drop = [&want](const FrameExtent& e) {
+      for (Mfn m = e.base; m < e.end(); ++m) {
+        want[m] = FrameView{};
+      }
+    };
+    std::vector<FrameExtent> dropped;
+    const int op = static_cast<int>(seed % 4);
+    if (op == 0) {
+      const FrameExtent& e = extents[rng.NextBelow(extents.size())];
+      ASSERT_TRUE(ram.Free(e.base, e.count).ok());
+      dropped.push_back(e);
+    } else if (op == 1) {
+      const FrameOwner owner = rng.NextBool(0.5) ? kGuest1 : kGuest2;
+      uint64_t frames = 0;
+      for (const FrameExtent& e : extents) {
+        if (e.owner == owner) {
+          dropped.push_back(e);
+          frames += e.count;
+        }
+      }
+      EXPECT_EQ(ram.FreeAllOwnedBy(owner), frames);
+    } else if (op == 2) {
+      std::vector<FrameExtent> preserved;
+      uint64_t frames = 0;
+      for (const FrameExtent& e : extents) {
+        if (rng.NextBool(0.5)) {
+          preserved.push_back(e);
+        } else {
+          dropped.push_back(e);
+          frames += e.count;
+        }
+      }
+      EXPECT_EQ(ram.ScrubExcept(preserved), frames);
+    } else {
+      const FrameExtent& e = extents[rng.NextBelow(extents.size())];
+      const uint64_t skip = rng.NextBelow(e.count);
+      const FrameExtent run{e.base + skip, 1 + rng.NextBelow(e.count - skip), e.owner};
+      ASSERT_TRUE(ram.BackExtent(run.base, run.count).ok());
+      // An old backing the run overlaps goes whole; its frames outside the
+      // run keep their words and lose their bytes.
+      for (const FrameExtent& b : backings) {
+        if (b.base < run.end() && run.base < b.end()) {
+          for (Mfn m = b.base; m < b.end(); ++m) {
+            want[m].page.clear();
+          }
+        }
+      }
+      for (Mfn m = run.base; m < run.end(); ++m) {
+        want[m] = FrameView{true, 0, std::vector<uint8_t>(kPageSize, 0)};
+      }
+      dropped.push_back(run);
+    }
+    for (const FrameExtent& e : dropped) {
+      if (op != 3) {
+        drop(e);
+      }
+      neighbours_holding_data += (e.base > 0 && HoldsData(before[e.base - 1])) ? 1 : 0;
+      neighbours_holding_data += (e.end() < before.size() && HoldsData(before[e.end()])) ? 1 : 0;
+    }
+    const std::vector<FrameView> got = ViewAll(ram);
+    for (Mfn m = 0; m < got.size(); ++m) {
+      ASSERT_EQ(got[m], want[m]) << "seed " << seed << " op " << op << " frame " << m;
+    }
+  }
+  // The neighbour check is only as strong as the data next to each drop.
+  EXPECT_GT(neighbours_holding_data, 400);
 }
 
 TEST(MachineTest, ProfilesMatchTable3) {

@@ -83,7 +83,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHYPERTP_SANITIZE=thread
 cmake --build "${tsan_dir}" -j "$(nproc)" \
-  --target worker_pool_test pipeline_test pretranslate_test campaign_test \
+  --target worker_pool_test pipeline_test pretranslate_test core_test campaign_test \
   fault_storm_test policy_test emission_golden_test bench_pipeline_scaling
 
 export TSAN_OPTIONS="halt_on_error=1"
@@ -95,6 +95,10 @@ HYPERTP_PARALLEL=4 "${tsan_dir}/tests/pipeline_test"
 # Pre-translation runs Extract+UisrEncode on the real worker pool while the
 # transplant bookkeeping continues on the caller thread — race it too.
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/pretranslate_test"
+# Whole InPlaceTP runs: the pool-side pre-translation encode fills blobs the
+# caller thread allocated, and the restore-side decode fans out after the
+# reboot — race both inside real transplants, not just the pipeline units.
+HYPERTP_PARALLEL=4 "${tsan_dir}/tests/core_test"
 # Campaigns run one shard per worker-pool task between barriers; TSan with
 # real threads proves the byte-identical-across-thread-counts contract holds
 # because the shards genuinely share no mutable state mid-epoch. The steal
