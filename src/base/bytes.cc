@@ -2,23 +2,6 @@
 
 namespace hypertp {
 
-void ByteWriter::PutU16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
 void ByteWriter::PutBytes(std::span<const uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
@@ -41,26 +24,6 @@ void ByteWriter::PutString(std::string_view s) {
 void ByteWriter::PatchU32(size_t offset, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_.at(offset + static_cast<size_t>(i)) = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void SpanWriter::PutU16(uint16_t v) {
-  HYPERTP_CHECK(pos_ + 2 <= dest_.size());
-  dest_[pos_++] = static_cast<uint8_t>(v);
-  dest_[pos_++] = static_cast<uint8_t>(v >> 8);
-}
-
-void SpanWriter::PutU32(uint32_t v) {
-  HYPERTP_CHECK(pos_ + 4 <= dest_.size());
-  for (int i = 0; i < 4; ++i) {
-    dest_[pos_++] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void SpanWriter::PutU64(uint64_t v) {
-  HYPERTP_CHECK(pos_ + 8 <= dest_.size());
-  for (int i = 0; i < 8; ++i) {
-    dest_[pos_++] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
@@ -91,45 +54,10 @@ void SpanWriter::PatchU32(size_t offset, uint32_t v) {
   }
 }
 
-Result<void> ByteReader::Require(size_t n) {
-  if (remaining() < n) {
-    return DataLossError("byte reader: truncated input, need " + std::to_string(n) +
-                         " bytes at offset " + std::to_string(pos_) + ", have " +
-                         std::to_string(remaining()));
-  }
-  return OkResult();
-}
-
-Result<uint8_t> ByteReader::ReadU8() {
-  HYPERTP_RETURN_IF_ERROR(Require(1));
-  return data_[pos_++];
-}
-
-Result<uint16_t> ByteReader::ReadU16() {
-  HYPERTP_RETURN_IF_ERROR(Require(2));
-  uint16_t v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return v;
-}
-
-Result<uint32_t> ByteReader::ReadU32() {
-  HYPERTP_RETURN_IF_ERROR(Require(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::ReadU64() {
-  HYPERTP_RETURN_IF_ERROR(Require(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
+Error ByteReader::Truncated(size_t n) const {
+  return DataLossError("byte reader: truncated input, need " + std::to_string(n) +
+                       " bytes at offset " + std::to_string(pos_) + ", have " +
+                       std::to_string(remaining()));
 }
 
 Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t n) {

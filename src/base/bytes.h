@@ -21,14 +21,36 @@ namespace hypertp {
 // any bytes, so an oversized payload can never produce a malformed blob.
 inline constexpr size_t kMaxLengthPrefixedBytes = UINT32_MAX;
 
+namespace bytes_internal {
+
+// Fixed-width little-endian store and load; the compiler folds each into a
+// single move on little-endian hosts.
+template <typename T>
+inline void StoreLe(T v, uint8_t* out) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+template <typename T>
+inline T LoadLe(const uint8_t* in) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | static_cast<T>(static_cast<T>(in[i]) << (8 * i)));
+  }
+  return v;
+}
+
+}  // namespace bytes_internal
+
 // Appends fixed-width little-endian integers and length-prefixed blobs to a
 // growing byte buffer.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU16(uint16_t v) { PutLe(v); }
+  void PutU32(uint32_t v) { PutLe(v); }
+  void PutU64(uint64_t v) { PutLe(v); }
   void PutBytes(std::span<const uint8_t> bytes);
   // Writes a u32 length prefix followed by the raw bytes. Aborts via
   // HYPERTP_CHECK when bytes.size() exceeds kMaxLengthPrefixedBytes.
@@ -56,6 +78,13 @@ class ByteWriter {
   void PatchU32(size_t offset, uint32_t v);
 
  private:
+  template <typename T>
+  void PutLe(T v) {
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    bytes_internal::StoreLe(v, buf_.data() + at);
+  }
+
   std::vector<uint8_t> buf_;
 };
 
@@ -69,13 +98,10 @@ class SpanWriter {
  public:
   explicit SpanWriter(std::span<uint8_t> dest) : dest_(dest) {}
 
-  void PutU8(uint8_t v) {
-    HYPERTP_CHECK(pos_ + 1 <= dest_.size());
-    dest_[pos_++] = v;
-  }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU8(uint8_t v) { PutLe(v); }
+  void PutU16(uint16_t v) { PutLe(v); }
+  void PutU32(uint32_t v) { PutLe(v); }
+  void PutU64(uint64_t v) { PutLe(v); }
   void PutBytes(std::span<const uint8_t> bytes);
   // Same framing and size guard as ByteWriter::PutLengthPrefixed.
   void PutLengthPrefixed(std::span<const uint8_t> bytes);
@@ -93,6 +119,13 @@ class SpanWriter {
   void Reserve(size_t total) { HYPERTP_CHECK(total <= dest_.size()); }
 
  private:
+  template <typename T>
+  void PutLe(T v) {
+    HYPERTP_CHECK(pos_ + sizeof(T) <= dest_.size());
+    bytes_internal::StoreLe(v, dest_.data() + pos_);
+    pos_ += sizeof(T);
+  }
+
   std::span<uint8_t> dest_;
   size_t pos_ = 0;
 };
@@ -131,10 +164,10 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
 
-  Result<uint8_t> ReadU8();
-  Result<uint16_t> ReadU16();
-  Result<uint32_t> ReadU32();
-  Result<uint64_t> ReadU64();
+  Result<uint8_t> ReadU8() { return ReadLe<uint8_t>(); }
+  Result<uint16_t> ReadU16() { return ReadLe<uint16_t>(); }
+  Result<uint32_t> ReadU32() { return ReadLe<uint32_t>(); }
+  Result<uint64_t> ReadU64() { return ReadLe<uint64_t>(); }
   // Reads exactly `n` raw bytes.
   Result<std::vector<uint8_t>> ReadBytes(size_t n);
   // Reads a u32 length prefix then that many bytes.
@@ -148,7 +181,24 @@ class ByteReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
-  Result<void> Require(size_t n);
+  template <typename T>
+  Result<T> ReadLe() {
+    if (remaining() < sizeof(T)) {
+      return Truncated(sizeof(T));
+    }
+    const T v = bytes_internal::LoadLe<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+  Result<void> Require(size_t n) {
+    if (remaining() < n) {
+      return Truncated(n);
+    }
+    return OkResult();
+  }
+  // The kDataLoss error for a read of `n` bytes at the current position.
+  // Out of line, so the inline reads carry no string building.
+  Error Truncated(size_t n) const;
 
   std::span<const uint8_t> data_;
   size_t pos_ = 0;

@@ -453,20 +453,29 @@ class HostCore : public Hypervisor {
     return OkResult();
   }
 
-  // Maps the in-place frames named by PRAM entries (InPlaceTP restore).
+  // Maps the in-place frames named by PRAM entries (InPlaceTP restore), one
+  // run of entries contiguous in both GFN and MFN at a time.
   Result<void> AdoptGuestMemory(Vm& vm, const std::vector<PramPageEntry>& entries) {
     const FrameOwner owner{FrameOwnerKind::kGuest, vm.uid};
-    for (const PramPageEntry& e : entries) {
+    for (size_t i = 0; i < entries.size();) {
+      const Gfn gfn = entries[i].gfn;
+      const Mfn mfn = entries[i].mfn;
+      uint64_t frames = 0;
+      for (; i < entries.size() && entries[i].gfn == gfn + frames &&
+             entries[i].mfn == mfn + frames;
+           ++i) {
+        frames += entries[i].frame_count();
+      }
       // The frames must have survived the reboot (still allocated, still
       // owned by this VM's uid) — anything else means the PRAM reservation
       // failed. A free frame reports kNotFound, a foreign one kDataLoss.
       if (const std::optional<Mfn> bad =
-              machine_->memory().FirstFrameNotOwnedBy(e.mfn, e.frame_count(), owner)) {
+              machine_->memory().FirstFrameNotOwnedBy(mfn, frames, owner)) {
         HYPERTP_RETURN_IF_ERROR(machine_->memory().OwnerOf(*bad));
         return DataLossError(Prefix() + "in-place frame " + std::to_string(*bad) +
                              " not owned by guest uid " + std::to_string(vm.uid));
       }
-      HYPERTP_RETURN_IF_ERROR(vm.memory.MapExtent(e.gfn, e.mfn, e.frame_count()));
+      HYPERTP_RETURN_IF_ERROR(vm.memory.MapExtent(gfn, mfn, frames));
     }
     if (vm.memory.mapped_frames() != vm.memory_bytes / kPageSize) {
       return DataLossError(Prefix() + "PRAM file covers " +

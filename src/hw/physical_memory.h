@@ -81,6 +81,7 @@ struct FrameExtent {
 
   uint64_t end() const { return base + count; }  // One past the last frame.
   bool Contains(Mfn mfn) const { return mfn >= base && mfn < end(); }
+  bool operator==(const FrameExtent&) const = default;
 };
 
 class PhysicalMemory {

@@ -109,28 +109,20 @@ Result<KexecBootResult> KexecController::Reboot(const std::string& cmdline) {
   // its staging frames go back to the pool before the scrub.
   HYPERTP_RETURN_IF_ERROR(machine_->memory().Free(staged_base_, staged_frames_));
 
-  // --- Early boot: parse PRAM and compute the preservation list. ----------
+  // --- Early boot: one PRAM walk yields the image and the preservation list.
   std::vector<FrameExtent> preserve;
   uint64_t preserved_guest_bytes = 0;
   bool pram_ok = true;
   std::string pram_error;
   if (result.pram_root != 0) {
-    auto image_or = ParsePram(machine_->memory(), result.pram_root);
+    auto image_or = ParsePram(machine_->memory(), result.pram_root, &preserve);
     if (!image_or.ok()) {
       pram_ok = false;
       pram_error = image_or.error().ToString();
     } else {
       result.pram = std::move(*image_or);
-      auto preserve_or =
-          PramPreservationList(machine_->memory(), result.pram_root, result.pram);
-      if (!preserve_or.ok()) {
-        pram_ok = false;
-        pram_error = preserve_or.error().ToString();
-      } else {
-        preserve = std::move(*preserve_or);
-        for (const PramFile& file : result.pram.files) {
-          preserved_guest_bytes += file.size_bytes;
-        }
+      for (const PramFile& file : result.pram.files) {
+        preserved_guest_bytes += file.size_bytes;
       }
     }
   }

@@ -27,6 +27,9 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
                                      PhysicalMemory* park_memory) {
   cache->vms.clear();
   cache->vms.reserve(requests.size());
+  // The snapshots live only until they are encoded; the cache keeps bytes.
+  std::vector<UisrVm> states;
+  states.reserve(requests.size());
   std::vector<SimDuration> stage_costs;
   stage_costs.reserve(requests.size());
 
@@ -51,11 +54,11 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
     HYPERTP_RETURN_IF_ERROR(generation);
     HYPERTP_RETURN_IF_ERROR(state);
 
+    states.push_back(std::move(*state));
+    states.back().memory.pram_file_id = req.pram_file_id;
     PreTranslatedVm entry;
     entry.vm_uid = req.vm_uid;
     entry.generation = *generation;
-    entry.state = std::move(*state);
-    entry.state.memory.pram_file_id = req.pram_file_id;
     entry.fixups = std::move(fixups);
     cache->vms.push_back(std::move(entry));
     stage_costs.push_back(TranslateStageCost(costs, req.vcpus, req.memory_bytes));
@@ -69,10 +72,11 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
   tasks.reserve(cache->vms.size());
   for (size_t i = 0; i < cache->vms.size(); ++i) {
     PreTranslatedVm& entry = cache->vms[i];
-    entry.blob.resize(EncodedUisrSize(entry.state));
-    tasks.push_back([&entry] {
+    const UisrVm& state = states[i];
+    entry.blob.resize(EncodedUisrSize(state));
+    tasks.push_back([&entry, &state] {
       SpanWriter w(entry.blob);
-      EncodeUisrVm(entry.state, w, &entry.layout);
+      EncodeUisrVm(state, w, &entry.layout);
     });
   }
   RunOnWorkerPool(tasks, real_threads);

@@ -38,8 +38,7 @@ namespace pipeline {
 struct PreTranslatedVm {
   uint64_t vm_uid = 0;
   uint64_t generation = 0;
-  UisrVm state;                  // As extracted (pram_file_id already set).
-  std::vector<uint8_t> blob;     // EncodeUisrVm(state).
+  std::vector<uint8_t> blob;     // EncodeUisrVm of the extracted state.
   UisrSectionLayout layout;      // Section-offset table of `blob`.
   FixupLog fixups;               // Fixups the speculative extract recorded.
 

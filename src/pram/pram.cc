@@ -1,6 +1,7 @@
 #include "src/pram/pram.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/base/bytes.h"
 #include "src/base/crc32.h"
@@ -68,14 +69,32 @@ Result<std::vector<uint8_t>> LoadPage(const PhysicalMemory& ram, Mfn mfn,
     return DataLossError("pram: bad magic at mfn " + std::to_string(mfn));
   }
   HYPERTP_ASSIGN_OR_RETURN(uint32_t stored_crc, r.ReadU32());
-  std::vector<uint8_t> zeroed = bytes;
-  for (size_t i = 4; i < 8; ++i) {
-    zeroed[i] = 0;
-  }
-  if (Crc32(zeroed) != stored_crc) {
+  // The CRC was computed with its own field zeroed: stream the magic, four
+  // zero bytes, then the rest of the page.
+  constexpr uint8_t kZeroCrcField[4] = {};
+  const std::span<const uint8_t> page(bytes);
+  uint32_t crc = Crc32Update(Crc32(page.first(4)), kZeroCrcField);
+  crc = Crc32Update(crc, page.subspan(kPageHeaderSize));
+  if (crc != stored_crc) {
     return DataLossError("pram: CRC mismatch at mfn " + std::to_string(mfn));
   }
   return bytes;
+}
+
+// Sorts `named` by base and merges extents that touch or overlap; a merged
+// extent keeps the owner of its lowest member.
+std::vector<FrameExtent> CoalesceExtents(std::vector<FrameExtent> named) {
+  std::sort(named.begin(), named.end(),
+            [](const FrameExtent& a, const FrameExtent& b) { return a.base < b.base; });
+  std::vector<FrameExtent> merged;
+  for (const FrameExtent& e : named) {
+    if (!merged.empty() && e.base <= merged.back().end()) {
+      merged.back().count = std::max(merged.back().end(), e.end()) - merged.back().base;
+    } else {
+      merged.push_back(e);
+    }
+  }
+  return merged;
 }
 
 uint64_t NodePagesFor(const PramFile& file) {
@@ -168,6 +187,7 @@ Result<PramHandle> PramBuilder::Finalize() {
   for (const PramFile& file : image_.files) {
     // Pack entries into words.
     std::vector<uint64_t> words;
+    words.reserve(file.entries.size());
     Gfn cursor = 0;
     for (const PramPageEntry& e : file.entries) {
       if (e.gfn != cursor) {
@@ -185,6 +205,7 @@ Result<PramHandle> PramBuilder::Finalize() {
       const size_t end = std::min(begin + kNodeCapacity, words.size());
       HYPERTP_ASSIGN_OR_RETURN(Mfn node_mfn, alloc_page());
       ByteWriter w;
+      w.Reserve(kNodeHeaderSize + 8 * (end - begin));
       w.PutU32(kNodeMagic);
       w.PutU32(0);  // CRC placeholder.
       w.PutU64(next_node);
@@ -198,6 +219,8 @@ Result<PramHandle> PramBuilder::Finalize() {
 
     HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, alloc_page());
     ByteWriter w;
+    // Header, id, name, size, huge flag, first node, entry count.
+    w.Reserve(kPageHeaderSize + 8 + 4 + file.name.size() + 8 + 1 + 8 + 8);
     w.PutU32(kFileMagic);
     w.PutU32(0);
     w.PutU64(file.file_id);
@@ -219,6 +242,7 @@ Result<PramHandle> PramBuilder::Finalize() {
     const size_t end = std::min(begin + kRootCapacity, file_info_mfns.size());
     HYPERTP_ASSIGN_OR_RETURN(Mfn root_mfn, alloc_page());
     ByteWriter w;
+    w.Reserve(kRootHeaderSize + 8 * (end - begin));
     w.PutU32(kRootMagic);
     w.PutU32(0);
     w.PutU64(next_root);
@@ -237,11 +261,20 @@ Result<PramHandle> PramBuilder::Finalize() {
   return handle;
 }
 
-Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
+Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn,
+                            std::vector<FrameExtent>* preserve) {
   PramImage image;
+  // Every frame the structure names, as the walk meets it: each metadata
+  // page it loads, and each file's entries merged into runs contiguous in
+  // MFN as they are decoded.
+  std::vector<FrameExtent> named;
+  auto load = [&](Mfn mfn, uint32_t magic) {
+    named.push_back(FrameExtent{mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
+    return LoadPage(ram, mfn, magic);
+  };
   Mfn root = root_mfn;
   while (root != 0) {
-    HYPERTP_ASSIGN_OR_RETURN(auto root_bytes, LoadPage(ram, root, kRootMagic));
+    HYPERTP_ASSIGN_OR_RETURN(auto root_bytes, load(root, kRootMagic));
     ByteReader r(root_bytes);
     HYPERTP_RETURN_IF_ERROR(r.Skip(kPageHeaderSize));
     HYPERTP_ASSIGN_OR_RETURN(Mfn next_root, r.ReadU64());
@@ -251,7 +284,7 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
     }
     for (uint32_t i = 0; i < count; ++i) {
       HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, r.ReadU64());
-      HYPERTP_ASSIGN_OR_RETURN(auto info_bytes, LoadPage(ram, info_mfn, kFileMagic));
+      HYPERTP_ASSIGN_OR_RETURN(auto info_bytes, load(info_mfn, kFileMagic));
       ByteReader fr(info_bytes);
       HYPERTP_RETURN_IF_ERROR(fr.Skip(kPageHeaderSize));
       PramFile file;
@@ -263,9 +296,10 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
       HYPERTP_ASSIGN_OR_RETURN(Mfn node_mfn, fr.ReadU64());
       HYPERTP_ASSIGN_OR_RETURN(uint64_t entry_count, fr.ReadU64());
 
+      FrameExtent run{0, 0, FrameOwner{FrameOwnerKind::kGuest, file.file_id}};
       Gfn cursor = 0;
       while (node_mfn != 0) {
-        HYPERTP_ASSIGN_OR_RETURN(auto node_bytes, LoadPage(ram, node_mfn, kNodeMagic));
+        HYPERTP_ASSIGN_OR_RETURN(auto node_bytes, load(node_mfn, kNodeMagic));
         ByteReader nr(node_bytes);
         HYPERTP_RETURN_IF_ERROR(nr.Skip(kPageHeaderSize));
         HYPERTP_ASSIGN_OR_RETURN(Mfn next_node, nr.ReadU64());
@@ -285,11 +319,23 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
             e.gfn = cursor;
             cursor += e.frame_count();
             file.entries.push_back(e);
+            if (run.count > 0 && run.end() == e.mfn) {
+              run.count += e.frame_count();
+            } else {
+              if (run.count > 0) {
+                named.push_back(run);
+              }
+              run.base = e.mfn;
+              run.count = e.frame_count();
+            }
           } else {
             return DataLossError("pram: unknown entry type " + std::to_string(type));
           }
         }
         node_mfn = next_node;
+      }
+      if (run.count > 0) {
+        named.push_back(run);
       }
       if (file.entries.size() != entry_count) {
         return DataLossError("pram: file '" + file.name + "' declares " +
@@ -300,65 +346,10 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn) {
     }
     root = next_root;
   }
+  if (preserve != nullptr) {
+    *preserve = CoalesceExtents(std::move(named));
+  }
   return image;
-}
-
-Result<std::vector<FrameExtent>> PramPreservationList(const PhysicalMemory& ram, Mfn root_mfn,
-                                                      const PramImage& image) {
-  std::vector<FrameExtent> raw;
-
-  // Metadata pages: re-walk the chains.
-  Mfn root = root_mfn;
-  while (root != 0) {
-    raw.push_back(FrameExtent{root, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-    HYPERTP_ASSIGN_OR_RETURN(auto root_bytes, LoadPage(ram, root, kRootMagic));
-    ByteReader r(root_bytes);
-    HYPERTP_RETURN_IF_ERROR(r.Skip(kPageHeaderSize));
-    HYPERTP_ASSIGN_OR_RETURN(Mfn next_root, r.ReadU64());
-    HYPERTP_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-    for (uint32_t i = 0; i < count; ++i) {
-      HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, r.ReadU64());
-      raw.push_back(FrameExtent{info_mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-      HYPERTP_ASSIGN_OR_RETURN(auto info_bytes, LoadPage(ram, info_mfn, kFileMagic));
-      ByteReader fr(info_bytes);
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(kPageHeaderSize));
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(8));  // file_id
-      HYPERTP_ASSIGN_OR_RETURN(std::string name, fr.ReadString());
-      (void)name;
-      HYPERTP_RETURN_IF_ERROR(fr.Skip(8 + 1));  // size + huge flag
-      HYPERTP_ASSIGN_OR_RETURN(Mfn node_mfn, fr.ReadU64());
-      while (node_mfn != 0) {
-        raw.push_back(FrameExtent{node_mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
-        HYPERTP_ASSIGN_OR_RETURN(auto node_bytes, LoadPage(ram, node_mfn, kNodeMagic));
-        ByteReader nr(node_bytes);
-        HYPERTP_RETURN_IF_ERROR(nr.Skip(kPageHeaderSize));
-        HYPERTP_ASSIGN_OR_RETURN(node_mfn, nr.ReadU64());
-      }
-    }
-    root = next_root;
-  }
-
-  // Guest frames named by page entries.
-  for (const PramFile& file : image.files) {
-    for (const PramPageEntry& e : file.entries) {
-      raw.push_back(
-          FrameExtent{e.mfn, e.frame_count(), FrameOwner{FrameOwnerKind::kGuest, file.file_id}});
-    }
-  }
-
-  // Sort and coalesce adjacent/overlapping extents so a guest allocation that
-  // spans many PRAM entries is covered by one preserved extent.
-  std::sort(raw.begin(), raw.end(),
-            [](const FrameExtent& a, const FrameExtent& b) { return a.base < b.base; });
-  std::vector<FrameExtent> merged;
-  for (const FrameExtent& e : raw) {
-    if (!merged.empty() && e.base <= merged.back().end()) {
-      merged.back().count = std::max(merged.back().end(), e.end()) - merged.back().base;
-    } else {
-      merged.push_back(e);
-    }
-  }
-  return merged;
 }
 
 void BuildEntriesForRange(Gfn gfn, Mfn mfn, uint64_t frames, bool huge_pages,

@@ -101,14 +101,13 @@ class PramBuilder {
 
 // Parses a PRAM structure from RAM starting at the PRAM pointer. Verifies
 // per-page magic and CRC. This is what the freshly booted target hypervisor
-// runs at early boot, before touching the allocator.
-Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn);
-
-// Computes the frame extents the scrubber must preserve for `image` rooted at
-// `root_mfn`: every metadata page plus every guest extent named by a page
-// entry. Extents are sorted and coalesced.
-Result<std::vector<FrameExtent>> PramPreservationList(const PhysicalMemory& ram, Mfn root_mfn,
-                                                      const PramImage& image);
+// runs at early boot, before touching the allocator. With a non-null
+// `preserve`, the same walk also yields the frame extents the scrubber must
+// keep: every metadata page plus every guest extent named by a page entry,
+// sorted by base and coalesced (a merged extent keeps its lowest member's
+// owner). `preserve` is left untouched when the parse fails.
+Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn,
+                            std::vector<FrameExtent>* preserve = nullptr);
 
 // Appends entries covering `frames` contiguous pages starting at (gfn, mfn):
 // order-0 singles up to the first huge boundary, one order-9 entry per

@@ -238,6 +238,29 @@ TEST(BytesTest, TruncationIsDataLoss) {
   EXPECT_EQ(res.error().code(), ErrorCode::kDataLoss);
 }
 
+// Every fixed-width read past the end names the width it needed, where it
+// stood and what was left, in the same words.
+TEST(BytesTest, TruncationMessageNamesWidthOffsetAndRemainder) {
+  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7};
+  const auto message_at = [&bytes](size_t offset, auto read) {
+    ByteReader r(bytes);
+    EXPECT_TRUE(r.Skip(offset).ok());
+    auto res = read(r);
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.error().code(), ErrorCode::kDataLoss);
+    EXPECT_EQ(r.position(), offset);  // A failed read consumes nothing.
+    return res.error().message();
+  };
+  EXPECT_EQ(message_at(7, [](ByteReader& r) { return r.ReadU8(); }),
+            "byte reader: truncated input, need 1 bytes at offset 7, have 0");
+  EXPECT_EQ(message_at(6, [](ByteReader& r) { return r.ReadU16(); }),
+            "byte reader: truncated input, need 2 bytes at offset 6, have 1");
+  EXPECT_EQ(message_at(4, [](ByteReader& r) { return r.ReadU32(); }),
+            "byte reader: truncated input, need 4 bytes at offset 4, have 3");
+  EXPECT_EQ(message_at(0, [](ByteReader& r) { return r.ReadU64(); }),
+            "byte reader: truncated input, need 8 bytes at offset 0, have 7");
+}
+
 TEST(BytesTest, PatchU32BackfillsSectionSize) {
   ByteWriter w;
   w.PutU32(0);  // Placeholder.

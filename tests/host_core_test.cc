@@ -320,6 +320,101 @@ TEST_P(HostCoreTest, InPlaceAdoptNamesTheFirstFrameTheGuestLost) {
   }
 }
 
+// The adopt checks and maps one run of entries contiguous in GFN and MFN at
+// a time. Four huge entries form one run over three allocations; losing the
+// middle allocation (it starts halfway into the second entry) must report
+// what a frame-by-frame check in entry order finds first, with its code.
+TEST_P(HostCoreTest, InPlaceAdoptOfARunNamesTheFirstFrameTheGuestLost) {
+  for (const bool foreign : {true, false}) {
+    SCOPED_TRACE(foreign ? "foreign-owned frame" : "freed frame");
+    FixupLog log;
+    auto uisr = SavedVm();
+    // A freshly booted host, so the hand-laid extents below sit back to back.
+    Machine machine(MachineProfile::M1(), 2);
+    std::unique_ptr<Hypervisor> hv = MakeHypervisor(GetParam(), machine);
+
+    PhysicalMemory& ram = machine.memory();
+    const FrameOwner guest{FrameOwnerKind::kGuest, uisr.vm_uid};
+    const Mfn base = ram.Alloc(768, kFramesPerHugePage, guest).value();
+    ASSERT_EQ(ram.Alloc(512, 1, guest).value(), base + 768);
+    ASSERT_EQ(ram.Alloc(768, 1, guest).value(), base + 1280);
+    GuestMemoryBinding binding;
+    binding.mode = GuestMemoryBinding::Mode::kAdoptInPlace;
+    BuildEntriesForRange(0, base, 4 * kFramesPerHugePage, true, binding.entries);
+    ASSERT_EQ(binding.entries.size(), 4u);
+    uisr.memory.memory_bytes = 4 * kHugePageSize;
+    uisr.memory.uses_huge_pages = true;
+
+    if (foreign) {
+      ASSERT_TRUE(ram.Reassign(base + 768, 512, FrameOwner{FrameOwnerKind::kGuest, 999}).ok());
+    } else {
+      ASSERT_TRUE(ram.Free(base + 768, 512).ok());
+    }
+    // The reference: every frame of every entry, in entry order.
+    std::optional<Mfn> first_bad;
+    ErrorCode want_code = ErrorCode::kOk;
+    for (const PramPageEntry& e : binding.entries) {
+      for (Mfn mfn = e.mfn; mfn < e.mfn + e.frame_count() && !first_bad; ++mfn) {
+        auto owner = ram.OwnerOf(mfn);
+        if (!owner.ok() || !(*owner == guest)) {
+          first_bad = mfn;
+          want_code = owner.ok() ? ErrorCode::kDataLoss : ErrorCode::kNotFound;
+        }
+      }
+    }
+    ASSERT_EQ(first_bad, std::optional<Mfn>(base + 768));
+
+    auto failed = hv->RestoreVmFromUisr(uisr, binding, &log);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code(), want_code);
+    const std::string frame = "frame " + std::to_string(*first_bad) + " ";
+    EXPECT_NE(failed.error().message().find(frame), std::string::npos)
+        << failed.error().ToString();
+    EXPECT_TRUE(hv->ListVms().empty());
+  }
+}
+
+// Entries contiguous in GFN but not in MFN (and the reverse, across a GFN
+// hole) stay separate mappings; a run contiguous in both becomes one.
+TEST_P(HostCoreTest, InPlaceAdoptKeepsDiscontiguousEntriesApart) {
+  VmId id = 0;
+  UisrVm uisr = SavedVm(&id);
+  ASSERT_TRUE(hv_->DestroyVm(id).ok());
+
+  PhysicalMemory& ram = machine_.memory();
+  const FrameOwner guest{FrameOwnerKind::kGuest, uisr.vm_uid};
+  auto huge = [&ram](FrameOwner owner) {
+    return ram.Alloc(kFramesPerHugePage, kFramesPerHugePage, owner).value();
+  };
+  const Mfn p0 = huge(guest);
+  huge(FrameOwner{FrameOwnerKind::kHypervisor, 0});  // A gap in MFN.
+  const Mfn p1 = huge(guest);
+  const Mfn p2 = huge(guest);
+  const Mfn p3 = huge(guest);
+  ASSERT_EQ(p2, p1 + kFramesPerHugePage);
+  ASSERT_EQ(p3, p2 + kFramesPerHugePage);
+
+  GuestMemoryBinding binding;
+  binding.mode = GuestMemoryBinding::Mode::kAdoptInPlace;
+  binding.entries = {
+      {0, p0, kHugePageOrder},     // GFN-contiguous with the next, MFN not.
+      {512, p1, kHugePageOrder},   // MFN-contiguous with the next, GFN not.
+      {1536, p2, kHugePageOrder},  // Contiguous in both with the next.
+      {2048, p3, kHugePageOrder},
+  };
+  uisr.memory.memory_bytes = 4 * kHugePageSize;
+  uisr.memory.uses_huge_pages = true;
+  FixupLog log;
+  auto restored = hv_->RestoreVmFromUisr(uisr, binding, &log);
+  ASSERT_TRUE(restored.ok()) << restored.error().ToString();
+  const std::vector<GuestMapping> want = {
+      {0, p0, 512},
+      {512, p1, 512},
+      {1536, p2, 1024},
+  };
+  EXPECT_EQ(hv_->GuestMemoryMap(*restored).value(), want);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, HostCoreTest,
                          ::testing::Values(HypervisorKind::kXen, HypervisorKind::kKvm,
                                            HypervisorKind::kBhyve),

@@ -1,10 +1,18 @@
 // Property/fuzz tests for PRAM: randomized guest layouts round-trip through
-// build -> finalize -> parse -> preserve -> scrub, seeded and parameterized.
+// build -> finalize -> parse (with its preservation list) -> scrub, seeded
+// and parameterized.
+//
+// The layout fuzz runs ten fixed seeds. HYPERTP_PRAM_FUZZ_SEEDS=<n> (n > 0)
+// runs n seeds instead (the ten, then 100, 101, ...), for long runs such as
+// the sanitized one in tests/run_sanitized.sh.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -13,7 +21,50 @@
 #include "src/sim/rng.h"
 
 namespace hypertp {
+
+void PrintTo(const FrameExtent& e, std::ostream* os) {
+  *os << "{" << e.base << ", +" << e.count << ", " << FrameOwnerKindName(e.owner.kind) << ":"
+      << e.owner.id << "}";
+}
+
 namespace {
+
+std::vector<uint64_t> LayoutSeeds() {
+  std::vector<uint64_t> seeds = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+  const char* raw = std::getenv("HYPERTP_PRAM_FUZZ_SEEDS");
+  if (const uint64_t n = raw != nullptr ? std::strtoull(raw, nullptr, 10) : 0; n > 0) {
+    seeds.resize(std::min<uint64_t>(n, seeds.size()));
+    for (uint64_t i = seeds.size(); i < n; ++i) {
+      seeds.push_back(100 + i - 10);
+    }
+  }
+  return seeds;
+}
+
+// The preservation list by its definition: every metadata frame the builder
+// allocated plus every guest extent a page entry names, sorted by base, with
+// touching or overlapping extents merged under the lowest one's owner.
+std::vector<FrameExtent> ReferencePreservation(const PramHandle& handle,
+                                               const PramImage& image) {
+  std::vector<FrameExtent> raw = handle.extents;
+  for (const PramFile& file : image.files) {
+    for (const PramPageEntry& e : file.entries) {
+      raw.push_back(
+          FrameExtent{e.mfn, e.frame_count(), FrameOwner{FrameOwnerKind::kGuest, file.file_id}});
+    }
+  }
+  std::stable_sort(raw.begin(), raw.end(),
+                   [](const FrameExtent& a, const FrameExtent& b) { return a.base < b.base; });
+  std::vector<FrameExtent> merged;
+  for (const FrameExtent& e : raw) {
+    if (!merged.empty() && e.base <= merged.back().end()) {
+      merged.back().count = std::max(merged.back().end(), e.end()) - merged.back().base;
+    } else {
+      merged.push_back(e);
+    }
+  }
+  return merged;
+}
 
 class PramFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -79,16 +130,17 @@ TEST_P(PramFuzzTest, RandomLayoutsSurviveTheFullCycle) {
 
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok()) << handle.error().ToString();
-  auto image = ParsePram(ram, handle->root_mfn);
+  std::vector<FrameExtent> preserve;
+  auto image = ParsePram(ram, handle->root_mfn, &preserve);
   ASSERT_TRUE(image.ok()) << image.error().ToString();
   ASSERT_EQ(image->files.size(), layouts.size());
   for (size_t v = 0; v < layouts.size(); ++v) {
     EXPECT_EQ(image->files[v].entries, layouts[v].entries) << "vm " << v;
   }
+  // The one-walk list equals the list built from its definition.
+  EXPECT_EQ(preserve, ReferencePreservation(*handle, *image));
 
-  auto preserve = PramPreservationList(ram, handle->root_mfn, *image);
-  ASSERT_TRUE(preserve.ok());
-  ram.ScrubExcept(*preserve);
+  ram.ScrubExcept(preserve);
 
   // Every probed guest word survived; every hostile frame did not.
   for (const VmLayout& layout : layouts) {
@@ -103,9 +155,65 @@ TEST_P(PramFuzzTest, RandomLayoutsSurviveTheFullCycle) {
   EXPECT_TRUE(ParsePram(ram, handle->root_mfn).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PramFuzzTest,
-                         ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull, 13ull, 21ull, 34ull,
-                                           55ull, 89ull));
+INSTANTIATE_TEST_SUITE_P(Seeds, PramFuzzTest, ::testing::ValuesIn(LayoutSeeds()));
+
+// Two files and the metadata pages laid out back to back in MFN: the list
+// merges across owners into one extent under the lowest file's owner.
+TEST(PramPreservationListTest, MergesAcrossFilesAndMetadata) {
+  PhysicalMemory ram(64 << 20);
+  PramBuilder builder(ram);
+  std::vector<uint64_t> ids;
+  std::vector<Mfn> bases;
+  for (int v = 0; v < 2; ++v) {
+    const uint64_t frames = 600;
+    const Mfn base = ram.Alloc(frames, 1, FrameOwner{FrameOwnerKind::kGuest, 7}).value();
+    bases.push_back(base);
+    std::vector<std::pair<Gfn, Mfn>> map;
+    for (uint64_t i = 0; i < frames; ++i) {
+      map.emplace_back(i, base + i);
+    }
+    auto id = builder.AddFile("adjacent-" + std::to_string(v), frames * kPageSize, false,
+                              BuildPageEntries(map, false));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  auto handle = builder.Finalize();
+  ASSERT_TRUE(handle.ok()) << handle.error().ToString();
+  ASSERT_EQ(bases[1], bases[0] + 600);
+  ASSERT_EQ(handle->extents.front().base, bases[0] + 1200);  // Right after the second file.
+
+  std::vector<FrameExtent> preserve;
+  auto image = ParsePram(ram, handle->root_mfn, &preserve);
+  ASSERT_TRUE(image.ok()) << image.error().ToString();
+  const std::vector<FrameExtent> want = {
+      FrameExtent{bases[0], 1200 + handle->metadata_pages,
+                  FrameOwner{FrameOwnerKind::kGuest, ids[0]}}};
+  EXPECT_EQ(preserve, want);
+  EXPECT_EQ(preserve, ReferencePreservation(*handle, *image));
+
+  // The merged extent covers every allocation, so the scrub keeps them all.
+  const uint64_t before = ram.allocated_frames();
+  EXPECT_EQ(ram.ScrubExcept(preserve), 0u);
+  EXPECT_EQ(ram.allocated_frames(), before);
+}
+
+// A parse that fails leaves the caller's list as it was.
+TEST(PramPreservationListTest, FailedParseLeavesTheListUntouched) {
+  PhysicalMemory ram(64 << 20);
+  PramBuilder builder(ram);
+  const Mfn base = ram.Alloc(8, 1, FrameOwner{FrameOwnerKind::kGuest, 7}).value();
+  ASSERT_TRUE(builder.AddFile("vm", 8 * kPageSize, false, {PramPageEntry{0, base, 0}}).ok());
+  auto handle = builder.Finalize();
+  ASSERT_TRUE(handle.ok());
+  ram.ScrubExcept({});  // The metadata is gone.
+
+  const std::vector<FrameExtent> sentinel = {FrameExtent{3, 1, FrameOwner{}}};
+  std::vector<FrameExtent> preserve = sentinel;
+  auto image = ParsePram(ram, handle->root_mfn, &preserve);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
+  EXPECT_EQ(preserve, sentinel);
+}
 
 // Differential fuzz of the CRC32 implementations against the bitwise
 // reference: the dispatched hot path (carry-less multiply on hardware that

@@ -207,6 +207,40 @@ TEST(PramParseTest, CorruptedNodePageIsDataLoss) {
   EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
 }
 
+// The page CRC is computed with its own field zeroed, so the check streams
+// over the bytes around it: a flip in the stored CRC itself (bytes 4-7) or in
+// the last payload byte must still be caught.
+TEST(PramParseTest, FlippedCrcFieldOrLastPayloadByteIsDataLoss) {
+  PhysicalMemory ram(64 << 20);
+  auto map = AllocGuest(ram, 64);
+  PramBuilder builder(ram);
+  ASSERT_TRUE(builder.AddFile("vm", 64 * kPageSize, false, BuildPageEntries(map, false)).ok());
+  auto handle = builder.Finalize();
+  ASSERT_TRUE(handle.ok());
+
+  const Mfn node = handle->extents.front().base;  // Node chains are laid out first.
+  const std::vector<uint8_t> clean = ram.ReadPage(node).value();
+  // Node page: magic u32, crc u32, next u64, count u32, then count u64 words.
+  const uint32_t words = clean[16] | clean[17] << 8 | clean[18] << 16 |
+                         static_cast<uint32_t>(clean[19]) << 24;
+  ASSERT_GT(words, 0u);
+  const size_t last_payload = 20 + 8 * static_cast<size_t>(words) - 1;
+  ASSERT_LT(last_payload, clean.size());
+  for (const size_t at : {size_t{4}, size_t{5}, size_t{6}, size_t{7}, last_payload}) {
+    SCOPED_TRACE("byte " + std::to_string(at));
+    std::vector<uint8_t> bytes = clean;
+    bytes[at] ^= 0x01;
+    ASSERT_TRUE(ram.WritePage(node, bytes).ok());
+    auto image = ParsePram(ram, handle->root_mfn);
+    ASSERT_FALSE(image.ok());
+    EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
+    EXPECT_NE(image.error().message().find("CRC mismatch"), std::string::npos)
+        << image.error().ToString();
+  }
+  ASSERT_TRUE(ram.WritePage(node, clean).ok());
+  EXPECT_TRUE(ParsePram(ram, handle->root_mfn).ok());
+}
+
 TEST(PramPreservationTest, CoversMetadataAndGuestFrames) {
   PhysicalMemory ram(64 << 20);
   auto map = AllocGuest(ram, 256, 64);
@@ -214,16 +248,15 @@ TEST(PramPreservationTest, CoversMetadataAndGuestFrames) {
   ASSERT_TRUE(builder.AddFile("vm", 256 * kPageSize, false, BuildPageEntries(map, false)).ok());
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
-  auto image = ParsePram(ram, handle->root_mfn);
+  std::vector<FrameExtent> preserve;
+  auto image = ParsePram(ram, handle->root_mfn, &preserve);
   ASSERT_TRUE(image.ok());
-
-  auto preserve = PramPreservationList(ram, handle->root_mfn, *image);
-  ASSERT_TRUE(preserve.ok());
+  ASSERT_FALSE(preserve.empty());
 
   // The scrub keeps guest + PRAM frames and reclaims nothing else here
   // (nothing else was allocated).
   ASSERT_TRUE(ram.WriteWord(map[0].second, 0xCAFE).ok());
-  ram.ScrubExcept(*preserve);
+  ram.ScrubExcept(preserve);
   EXPECT_EQ(ram.ReadWord(map[0].second).value(), 0xCAFEu);
   // PRAM still parses after the scrub.
   EXPECT_TRUE(ParsePram(ram, handle->root_mfn).ok());
@@ -246,14 +279,14 @@ TEST(PramPreservationTest, SurvivesScrubWithHostileNeighbors) {
       builder.AddFile("vm", map.size() * kPageSize, false, BuildPageEntries(map, false)).ok());
   auto handle = builder.Finalize();
   ASSERT_TRUE(handle.ok());
-  auto image = ParsePram(ram, handle->root_mfn);
+  std::vector<FrameExtent> preserve;
+  auto image = ParsePram(ram, handle->root_mfn, &preserve);
   ASSERT_TRUE(image.ok());
-  auto preserve = PramPreservationList(ram, handle->root_mfn, *image);
-  ASSERT_TRUE(preserve.ok());
+  ASSERT_FALSE(preserve.empty());
 
   const uint64_t guest_frames = 16 * 16;
   const uint64_t before = ram.allocated_frames();
-  const uint64_t scrubbed = ram.ScrubExcept(*preserve);
+  const uint64_t scrubbed = ram.ScrubExcept(preserve);
   EXPECT_EQ(scrubbed, 16u * 8u);  // All hypervisor frames, nothing else.
   EXPECT_EQ(ram.allocated_frames(), before - scrubbed);
   // Every guest frame is still allocated.

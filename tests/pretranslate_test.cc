@@ -131,9 +131,8 @@ pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, PhysicalMemory& memory, 
   EXPECT_TRUE(hv.ResumeVm(id).ok());
   entry.vm_uid = state->vm_uid;
   entry.generation = hv.StateGeneration(id).value();
-  entry.state = std::move(*state);
-  entry.state.memory.pram_file_id = pram_file_id;
-  entry.blob = EncodeUisrVm(entry.state, &entry.layout);
+  state->memory.pram_file_id = pram_file_id;
+  entry.blob = EncodeUisrVm(*state, &entry.layout);
   entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, entry.blob).value();
   return entry;
 }
@@ -430,16 +429,16 @@ TEST(ReconcileTest, GeneratedEditsMatchAFreshEncode) {
         // so the blob ends `used` bytes (2..page-1) into its last frame and a
         // shrink can cross a page boundary.
         pipeline::PreTranslatedVm entry;
-        entry.state = bases[rng.NextBelow(bases.size())];
-        entry.vm_uid = entry.state.vm_uid;
-        const size_t padded = rng.NextBelow(entry.state.devices.size());
+        UisrVm snapshot = bases[rng.NextBelow(bases.size())];
+        entry.vm_uid = snapshot.vm_uid;
+        const size_t padded = rng.NextBelow(snapshot.devices.size());
         const size_t used = static_cast<size_t>(rng.NextInRange(2, kPageSize - 1));
-        const size_t base_tail = EncodedUisrSize(entry.state) % kPageSize;
+        const size_t base_tail = EncodedUisrSize(snapshot) % kPageSize;
         const size_t pad = (used + kPageSize - base_tail) % kPageSize +
                            kPageSize * static_cast<size_t>(rng.NextInRange(1, 2));
-        std::vector<uint8_t>& pad_opaque = entry.state.devices[padded].opaque;
+        std::vector<uint8_t>& pad_opaque = snapshot.devices[padded].opaque;
         pad_opaque.resize(pad_opaque.size() + pad, 0xC3);
-        entry.blob = EncodeUisrVm(entry.state, &entry.layout);
+        entry.blob = EncodeUisrVm(snapshot, &entry.layout);
         ASSERT_EQ(entry.blob.size() % kPageSize, used);
         const size_t slack = kPageSize - used;
 
@@ -451,7 +450,7 @@ TEST(ReconcileTest, GeneratedEditsMatchAFreshEncode) {
         entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, entry.blob).value();
         ASSERT_TRUE(memory.Free(*hole, frames + 8).ok());
 
-        UisrVm fresh = entry.state;
+        UisrVm fresh = snapshot;
         std::vector<uint8_t>& opaque = fresh.devices[padded].opaque;
         const auto resize_by = [&opaque](int64_t delta) {
           opaque.resize(static_cast<size_t>(static_cast<int64_t>(opaque.size()) + delta), 0x3C);
@@ -595,9 +594,11 @@ TEST(PreTranslateVmsTest, SnapshotsEveryVmAndLeavesThemRunning) {
     const pipeline::PreTranslatedVm* entry = cache.Find(cache.vms[i].vm_uid);
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->generation, xen->StateGeneration(ids[i]).value());
-    EXPECT_EQ(entry->state.memory.pram_file_id, requests[i].pram_file_id);
+    auto state = DecodeUisrVm(entry->blob);
+    ASSERT_TRUE(state.ok()) << state.error().ToString();
+    EXPECT_EQ(state->memory.pram_file_id, requests[i].pram_file_id);
     // The blob is exactly what a pause-time encode of this state yields.
-    EXPECT_EQ(entry->blob, EncodeUisrVm(entry->state));
+    EXPECT_EQ(entry->blob, EncodeUisrVm(FreshExtract(*xen, ids[i], requests[i].pram_file_id)));
     EXPECT_EQ(entry->layout.total_size, entry->blob.size());
   }
   EXPECT_EQ(cache.Find(424242), nullptr);

@@ -31,6 +31,11 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 
+# ParsePram is the decoder every in-place boot runs, and it builds the
+# scrubber's preservation list in the same walk: run its layout fuzz (round
+# trip plus the differential check of that list) at 1 000 seeds, not ten.
+HYPERTP_PRAM_FUZZ_SEEDS=1000 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1
+
 # Smoke-run one bench with tracing enabled under the sanitizers: the Chrome
 # trace / BENCH JSON export paths only execute in the bench binaries, so the
 # test suite alone never covers them.
