@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -749,6 +750,56 @@ TEST(PreTranslateTransplantTest, TotalTimeChargesPreTranslationOutsideDowntime) 
             p.translation + p.reboot + p.restoration + p.rollback + p.resume);
   EXPECT_EQ(run.report.total_time, p.pram + p.pre_translation + p.translation + p.reboot +
                                        p.restoration + p.rollback + p.resume);
+}
+
+// A fixed 16-VM M1 host: 2 vCPUs and 512 MiB per guest, the benchmark's
+// host_transplant shape.
+std::vector<VmId> PopulateLayoutHost(Hypervisor& hv) {
+  std::vector<VmId> ids;
+  for (int i = 0; i < 16; ++i) {
+    VmConfig config = VmConfig::Small("layout-" + std::to_string(i));
+    config.uid = 9400 + static_cast<uint64_t>(i);
+    config.vcpus = 2;
+    config.memory_bytes = 512ull << 20;
+    auto id = hv.CreateVm(config);
+    EXPECT_TRUE(id.ok()) << id.error().ToString();
+    EXPECT_TRUE(hv.WriteGuestPage(*id, 77 * static_cast<Gfn>(i), 0xCAFE0000 + i).ok());
+    ids.push_back(*id);
+  }
+  return ids;
+}
+
+TEST(PreTranslateTransplantTest, ParkedLayoutIsPinned) {
+  // Where pre-translation parks each UISR blob decides the PRAM file
+  // entries, the metadata size and what the scrubber keeps. Pin them, so a
+  // change to how the blobs reach their frames cannot move a frame.
+  Machine machine(MachineProfile::M1(), 50);
+  std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, machine);
+  PopulateLayoutHost(*xen);
+
+  // The parkings, read between pre-translation and the pause.
+  std::vector<std::array<uint64_t, 3>> parked;  // (uid, base, count)
+  InPlaceOptions options;
+  options.pre_translate = true;
+  options.concurrent_activity = [&parked](Hypervisor& hv) {
+    for (const FrameExtent& e : hv.machine().memory().ExtentsOfKind(FrameOwnerKind::kUisr)) {
+      parked.push_back({e.owner.id, e.base, e.count});
+    }
+  };
+  auto result = InPlaceTransplant::Run(std::move(xen), HypervisorKind::kKvm, options);
+  ASSERT_TRUE(result.ok()) << result.error().ToString();
+  EXPECT_EQ(result->report.pretranslate_hits, 16);
+
+  // Serial, in request order: consecutive 3-frame extents.
+  const std::vector<std::array<uint64_t, 3>> want = {
+      {9400, 672720, 3}, {9401, 672723, 3}, {9402, 672726, 3}, {9403, 672729, 3},
+      {9404, 672732, 3}, {9405, 672735, 3}, {9406, 672738, 3}, {9407, 672741, 3},
+      {9408, 672744, 3}, {9409, 672747, 3}, {9410, 672750, 3}, {9411, 672753, 3},
+      {9412, 672756, 3}, {9413, 672759, 3}, {9414, 672762, 3}, {9415, 672765, 3},
+  };
+  EXPECT_EQ(parked, want);
+  EXPECT_EQ(result->report.frames_scrubbed, 446592u);
+  EXPECT_EQ(result->report.pram_metadata_bytes, 266240u);
 }
 
 }  // namespace
