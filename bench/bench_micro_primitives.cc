@@ -100,8 +100,7 @@ void BenchUisrCodec(const BenchConfig& cfg, bench::BenchReport& report) {
 
   const double enc_s = BestSeconds(cfg.reps, [&] {
     for (int i = 0; i < cfg.encode_iters; ++i) {
-      ByteWriter w;
-      EncodeUisrVm(vm, w);
+      const std::vector<uint8_t> encoded = EncodeUisrVm(vm);
     }
   });
   const std::vector<uint8_t> blob = EncodeUisrVm(vm);
@@ -249,9 +248,7 @@ void BenchEncodeToPram(const BenchConfig& cfg, bench::BenchReport& report) {
     for (int it = 0; it < iters; ++it) {
       for (const UisrVm& vm : vms) {
         // Materialize the full blob...
-        ByteWriter w;
-        EncodeUisrVm(vm, w);
-        const std::span<const uint8_t> blob = w.bytes();
+        const std::vector<uint8_t> blob = EncodeUisrVm(vm);
         // ...then copy it page-by-page, a vector per page (the old store).
         const uint64_t frames = (blob.size() + kPageSize - 1) / kPageSize;
         Mfn base = ram.Alloc(frames, 1, FrameOwner{FrameOwnerKind::kUisr, vm.vm_uid}).value();
@@ -275,7 +272,7 @@ void BenchEncodeToPram(const BenchConfig& cfg, bench::BenchReport& report) {
           std::fprintf(stderr, "frame writer: %s\n", writer.error().ToString().c_str());
           return;
         }
-        EncodeUisrVm(vm, static_cast<SpanWriter&>(*writer));
+        EncodeUisrVm(vm, *writer);
         (void)ram.Free(writer->frames().base, writer->frames().count);
       }
     }

@@ -63,13 +63,6 @@ class ByteWriter {
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
 
-  // Everything written at or after byte offset `start`. Writer-interface
-  // accessor (SpanWriter has it too) so templated encoders can CRC their own
-  // output without knowing the writer type.
-  std::span<const uint8_t> Written(size_t start) const {
-    return std::span<const uint8_t>(buf_).subspan(start);
-  }
-
   // Pre-allocates capacity for `total` bytes (current contents included), so
   // encoders that know their exact output size pay for one allocation.
   void Reserve(size_t total) { buf_.reserve(total); }
@@ -88,12 +81,12 @@ class ByteWriter {
   std::vector<uint8_t> buf_;
 };
 
-// ByteWriter-compatible writer over caller-owned storage of fixed capacity.
-// This is the zero-copy half of the save path: the conversion pipeline maps a
-// pre-sized kUisr frame extent (PramFrameWriter) and the encoder writes the
-// wire bytes straight into it — no intermediate std::vector per VM. Encoders
-// must pre-size with ByteCounter/EncodedUisrSize; writing past the span's end
-// is a programming error and aborts via HYPERTP_CHECK.
+// ByteWriter's interface over caller-owned storage of fixed capacity: the one
+// way UISR bytes are written. The caller sizes the storage once (ByteCounter /
+// EncodedUisrSize) and the encoder writes the wire bytes straight into the
+// span that keeps them — a vector, a checkpoint file or a kUisr frame extent
+// (PramFrameWriter). Writing past the span's end is a programming error and
+// aborts via HYPERTP_CHECK.
 class SpanWriter {
  public:
   explicit SpanWriter(std::span<uint8_t> dest) : dest_(dest) {}
@@ -110,13 +103,10 @@ class SpanWriter {
 
   size_t size() const { return pos_; }
   size_t capacity() const { return dest_.size(); }
-  // Bytes written so far, from offset `start` (see ByteWriter::Written).
+  // Bytes written so far, from offset `start`.
   std::span<const uint8_t> Written(size_t start) const {
     return std::span<const uint8_t>(dest_).first(pos_).subspan(start);
   }
-  // The storage is fixed; Reserve only asserts the encoder's pre-computed
-  // size actually fits, catching a stale size pass before any byte lands.
-  void Reserve(size_t total) { HYPERTP_CHECK(total <= dest_.size()); }
 
  private:
   template <typename T>
@@ -130,9 +120,10 @@ class SpanWriter {
   size_t pos_ = 0;
 };
 
-// Drop-in stand-in for ByteWriter that counts bytes instead of storing them.
-// Encoders templated on the writer type can run once against a ByteCounter to
-// learn their exact output size, then Reserve() and encode for real.
+// Drop-in stand-in for a writer that counts bytes instead of storing them.
+// Encoders templated on the writer type run once against a ByteCounter to
+// learn their exact output size, then encode for real into a SpanWriter over
+// storage of that size.
 class ByteCounter {
  public:
   void PutU8(uint8_t) { ++size_; }

@@ -22,26 +22,23 @@ Result<std::vector<uint8_t>> SaveVmCheckpoint(Hypervisor& hv, VmId id) {
   HYPERTP_ASSIGN_OR_RETURN(UisrVm uisr, pipeline::ExtractVmState(hv, id, &log));
   HYPERTP_ASSIGN_OR_RETURN(auto pages, hv.DumpGuestContent(id));
 
-  ByteWriter w;
-  w.Reserve(12 + 4 + EncodedUisrSize(uisr) + 8 + pages.size() * 16 + 4);
+  // Sized once: header, length-prefixed UISR blob, page records, CRC. The
+  // blob is encoded straight into its place in the file.
+  const size_t uisr_size = EncodedUisrSize(uisr);
+  std::vector<uint8_t> file(8 + 4 + uisr_size + 8 + pages.size() * 16 + 4);
+  SpanWriter w(file);
   w.PutU32(kCheckpointMagic);
   w.PutU16(kCheckpointVersion);
   w.PutU16(0);  // Flags.
-  // Length-prefixed UISR blob, encoded in place (no intermediate copy): write
-  // a length placeholder, encode straight into the writer, back-patch.
-  const size_t len_at = w.size();
-  w.PutU32(0);
-  const size_t uisr_start = w.size();
+  w.PutU32(static_cast<uint32_t>(uisr_size));
   EncodeUisrVm(uisr, w);
-  w.PatchU32(len_at, static_cast<uint32_t>(w.size() - uisr_start));
   w.PutU64(pages.size());
   for (const auto& [gfn, word] : pages) {
     w.PutU64(gfn);
     w.PutU64(word);
   }
-  const uint32_t crc = Crc32(w.bytes());
-  w.PutU32(crc);
-  return w.TakeBytes();
+  w.PutU32(Crc32(w.Written(0)));
+  return file;
 }
 
 namespace {
@@ -78,6 +75,12 @@ Result<ParsedCheckpoint> ParseCheckpoint(std::span<const uint8_t> blob) {
   HYPERTP_ASSIGN_OR_RETURN(auto uisr_blob, r.ReadLengthPrefixed());
   HYPERTP_ASSIGN_OR_RETURN(parsed.uisr, DecodeUisrVm(uisr_blob));
   HYPERTP_ASSIGN_OR_RETURN(uint64_t page_count, r.ReadU64());
+  // Each page record is 16 bytes; a count the remaining bytes cannot hold
+  // is corrupt, and reserving it would exhaust memory before the reads fail.
+  if (page_count > r.remaining() / 16) {
+    return DataLossError("checkpoint: page count " + std::to_string(page_count) +
+                         " exceeds the remaining " + std::to_string(r.remaining()) + " bytes");
+  }
   parsed.pages.reserve(page_count);
   for (uint64_t i = 0; i < page_count; ++i) {
     HYPERTP_ASSIGN_OR_RETURN(uint64_t gfn, r.ReadU64());

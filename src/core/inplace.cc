@@ -152,12 +152,11 @@ Result<InPlaceResult> InPlaceTransplant::Run(std::unique_ptr<Hypervisor> source,
       requests.push_back(pipeline::PreTranslateRequest{snap.id, snap.info.uid, snap.vm_file_id,
                                                        snap.info.vcpus, snap.info.memory_bytes});
     }
-    // Parking into machine memory moves the blob copy out of the pause
-    // window: a generation hit later only registers the PRAM file. The
-    // extents are owned kUisr, so abort()/cleanup reclaim them like any
-    // pause-time store.
+    // The blobs are parked in machine memory, outside the pause window: a
+    // generation hit later only registers the PRAM file. The extents are
+    // owned kUisr, so abort()/cleanup reclaim them like any pause-time store.
     auto pre_schedule = pipeline::PreTranslateVms(*source, costs, requests, workers, real_threads,
-                                                  &pretranslate_cache, &machine.memory());
+                                                  &pretranslate_cache);
     if (!pre_schedule.ok()) {
       return abort(pre_schedule.error());
     }

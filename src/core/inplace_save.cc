@@ -102,10 +102,10 @@ Result<SimDuration> TranslateAgainstCache(Hypervisor& source, Machine& machine,
                                           const pipeline::PreTranslationCache& cache,
                                           PramBuilder& builder, VmSnapshot& snap,
                                           TransplantReport& report) {
-  // InPlaceTransplant::Run pre-translates every VM it pauses and always
-  // parks the blobs, so a missing or unparked entry is a bug, not a mode.
+  // InPlaceTransplant::Run pre-translates every VM it pauses, so a missing
+  // entry is a bug, not a mode.
   const pipeline::PreTranslatedVm* entry = cache.Find(snap.info.uid);
-  if (entry == nullptr || entry->parked.count == 0) {
+  if (entry == nullptr) {
     return InternalError("inplace: no parked pre-translation for uid " +
                          std::to_string(snap.info.uid));
   }
@@ -118,10 +118,10 @@ Result<SimDuration> TranslateAgainstCache(Hypervisor& source, Machine& machine,
     // recorded — a pause-time extract would have logged the same ones.
     report.fixups.insert(report.fixups.end(), entry->fixups.begin(), entry->fixups.end());
     ++report.pretranslate_hits;
-    HYPERTP_RETURN_IF_ERROR(RecordVm(options, snap, entry->blob.size(), report));
+    HYPERTP_RETURN_IF_ERROR(RecordVm(options, snap, entry->bytes, report));
     HYPERTP_ASSIGN_OR_RETURN(pipeline::StoredUisrBlob stored,
                              pipeline::RegisterParkedBlob(builder, snap.info.uid, entry->parked,
-                                                          entry->blob.size()));
+                                                          entry->bytes));
     snap.uisr_frames.push_back(stored.frames);
     return costs.pretranslate_check;
   }

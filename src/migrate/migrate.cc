@@ -9,6 +9,20 @@
 #include "src/pipeline/conversion.h"
 
 namespace hypertp {
+namespace {
+
+// Stop-and-copy once the remaining dirty set is at most this many bytes.
+constexpr uint64_t kStopCopyThresholdBytes = 128ull << 10;
+// Per-page protocol overhead on the wire (headers, gfn tags).
+constexpr uint64_t kPerPageOverheadBytes = 24;
+
+// Wire bytes of one guest page after compression.
+uint64_t PageWireBytes(const MigrationConfig& config) {
+  return static_cast<uint64_t>((kPageSize + kPerPageOverheadBytes) /
+                               std::max(config.compression_ratio, 1.0));
+}
+
+}  // namespace
 
 SimDuration NetworkLink::TransferTime(uint64_t bytes) const {
   return rtt + static_cast<SimDuration>(static_cast<double>(bytes) / bytes_per_second() * 1e9);
@@ -23,10 +37,8 @@ MigrationEngine::PrecopyPlan MigrationEngine::PlanPrecopy(uint64_t memory_bytes,
   const uint64_t wss = config.writable_working_set_pages != 0
                            ? config.writable_working_set_pages
                            : std::max<uint64_t>(total_pages / 20, 1);
-  const uint64_t page_wire_bytes = static_cast<uint64_t>(
-      (kPageSize + config.per_page_overhead_bytes) / std::max(config.compression_ratio, 1.0));
-  const uint64_t threshold_pages =
-      std::max<uint64_t>(config.stop_copy_threshold_bytes / kPageSize, 1);
+  const uint64_t page_wire_bytes = PageWireBytes(config);
+  const uint64_t threshold_pages = std::max<uint64_t>(kStopCopyThresholdBytes / kPageSize, 1);
 
   uint64_t to_send = total_pages;  // Round 0 sends everything.
   for (int round = 0; round < config.max_rounds; ++round) {
@@ -123,8 +135,7 @@ Result<MigrationBatchResult> MigrationEngine::MigrateMany(Hypervisor& src,
   const bool postcopy = config.mode == MigrationMode::kPostcopy;
   // Stop-and-copy runs after the shared pre-copy phase: it gets the full link.
   const double final_bw = link_.bytes_per_second();
-  const uint64_t page_wire_bytes = static_cast<uint64_t>(
-      (kPageSize + config.per_page_overhead_bytes) / std::max(config.compression_ratio, 1.0));
+  const uint64_t page_wire_bytes = PageWireBytes(config);
 
   // --- Phase 1: concurrent pre-copy streams (source VMs keep running). -----
   struct InFlight {

@@ -66,14 +66,10 @@ enum class MigrationFault : uint8_t {
 struct MigrationConfig {
   MigrationMode mode = MigrationMode::kPrecopy;
   int max_rounds = 30;
-  // Stop-and-copy once the remaining dirty set is at most this many bytes.
-  uint64_t stop_copy_threshold_bytes = 128ull << 10;
   // Guest behaviour while migrating: how fast it dirties pages and how large
   // its writable working set is (the dirty set saturates at the WSS).
   double dirty_pages_per_sec = 2000.0;
   uint64_t writable_working_set_pages = 0;  // 0 = 5% of guest memory.
-  // Per-page protocol overhead on the wire (headers, gfn tags).
-  uint64_t per_page_overhead_bytes = 24;
   // Renegotiate IOAPIC pins the destination cannot host (§4.2.1 extension).
   bool remap_high_ioapic_pins = false;
   // Effective wire compression (adaptive memory compression, paper's [22]);

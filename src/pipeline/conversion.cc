@@ -1,11 +1,8 @@
 #include "src/pipeline/conversion.h"
 
-#include <algorithm>
 #include <functional>
 #include <string>
-#include <utility>
 
-#include "src/base/bytes.h"
 #include "src/pram/frame_writer.h"
 #include "src/sim/worker_pool.h"
 #include "src/uisr/codec.h"
@@ -76,25 +73,6 @@ std::vector<PramPageEntry> UisrFileEntries(Mfn base, uint64_t frames) {
   return entries;
 }
 
-// Serial half of the store: allocate + back the extent and register the PRAM
-// file. The writer is ready for an encode that must produce exactly
-// `encoded_size` bytes.
-Result<std::pair<PramFrameWriter, StoredUisrBlob>> OpenUisrFrames(PhysicalMemory& memory,
-                                                                 PramBuilder& builder,
-                                                                 uint64_t vm_uid,
-                                                                 size_t encoded_size) {
-  HYPERTP_ASSIGN_OR_RETURN(PramFrameWriter writer,
-                           PramFrameWriter::Create(memory, vm_uid, encoded_size));
-  const FrameExtent& ext = writer.frames();
-  auto file_id = builder.AddFile("uisr:" + std::to_string(vm_uid), encoded_size, false,
-                                 UisrFileEntries(ext.base, ext.count));
-  if (!file_id.ok()) {
-    (void)memory.Free(ext.base, ext.count);
-    return file_id.error();
-  }
-  return std::make_pair(writer, StoredUisrBlob{ext, *file_id, encoded_size});
-}
-
 }  // namespace
 
 Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
@@ -115,32 +93,50 @@ Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
   return StoredUisrBlob{parked, file_id, bytes};
 }
 
+Result<std::vector<StoredUisrBlob>> ParkVmStates(PhysicalMemory& memory,
+                                                 const std::vector<UisrVm>& vms, int threads,
+                                                 std::vector<UisrSectionLayout>* layouts) {
+  // Serial: one size pass and one allocation per VM, in input order, so the
+  // frame layout does not depend on the thread count.
+  std::vector<PramFrameWriter> writers;
+  std::vector<StoredUisrBlob> parked;
+  writers.reserve(vms.size());
+  parked.reserve(vms.size());
+  for (const UisrVm& vm : vms) {
+    const size_t bytes = EncodedUisrSize(vm);
+    HYPERTP_ASSIGN_OR_RETURN(PramFrameWriter writer,
+                             PramFrameWriter::Create(memory, vm.vm_uid, bytes));
+    parked.push_back(StoredUisrBlob{writer.frames(), 0, bytes});
+    writers.push_back(writer);
+  }
+  if (layouts != nullptr) {
+    layouts->assign(vms.size(), UisrSectionLayout{});
+  }
+
+  // Parallel: pure encodes into disjoint pre-mapped extents. No task touches
+  // PhysicalMemory bookkeeping, only its own span (and layout slot).
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(vms.size());
+  for (size_t i = 0; i < vms.size(); ++i) {
+    UisrSectionLayout* layout = layouts != nullptr ? &(*layouts)[i] : nullptr;
+    tasks.push_back([&vms, &writers, i, layout] { EncodeUisrVm(vms[i], writers[i], layout); });
+  }
+  RunOnWorkerPool(tasks, threads);
+  return parked;
+}
+
 Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memory,
                                                            PramBuilder& builder,
                                                            const std::vector<UisrVm>& vms,
                                                            int threads) {
-  // Serial: allocation + registration in input order, so the frame layout and
-  // PRAM metadata do not depend on the thread count.
-  std::vector<PramFrameWriter> writers;
-  std::vector<StoredUisrBlob> stored;
-  writers.reserve(vms.size());
-  stored.reserve(vms.size());
-  for (const UisrVm& vm : vms) {
-    HYPERTP_ASSIGN_OR_RETURN(auto opened,
-                             OpenUisrFrames(memory, builder, vm.vm_uid, EncodedUisrSize(vm)));
-    writers.push_back(opened.first);
-    stored.push_back(opened.second);
-  }
-
-  // Parallel: pure encodes into disjoint pre-mapped extents. No task touches
-  // PhysicalMemory bookkeeping, only its own span.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(vms.size());
+  HYPERTP_ASSIGN_OR_RETURN(std::vector<StoredUisrBlob> stored,
+                           ParkVmStates(memory, vms, threads, nullptr));
+  // AddFile allocates no frames, so registering after the parkings leaves
+  // every frame base and file id where an interleaved store put them.
   for (size_t i = 0; i < vms.size(); ++i) {
-    tasks.push_back(
-        [&vms, &writers, i] { EncodeUisrVm(vms[i], static_cast<SpanWriter&>(writers[i])); });
+    HYPERTP_ASSIGN_OR_RETURN(stored[i], RegisterParkedBlob(builder, vms[i].vm_uid,
+                                                           stored[i].frames, stored[i].bytes));
   }
-  RunOnWorkerPool(tasks, threads);
   return stored;
 }
 
@@ -197,12 +193,11 @@ Result<VmId> RestoreVmState(Hypervisor& hv, const UisrVm& uisr,
 }
 
 Result<UisrVm> RoundTripVmState(const UisrVm& uisr, uint64_t* encoded_bytes) {
-  ByteWriter w;
-  EncodeUisrVm(uisr, w);
+  const std::vector<uint8_t> wire = EncodeUisrVm(uisr);
   if (encoded_bytes != nullptr) {
-    *encoded_bytes = w.size();
+    *encoded_bytes = wire.size();
   }
-  return DecodeUisrVm(w.bytes());
+  return DecodeUisrVm(wire);
 }
 
 }  // namespace pipeline

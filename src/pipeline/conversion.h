@@ -29,6 +29,7 @@
 #include "src/hw/machine.h"
 #include "src/pram/pram.h"
 #include "src/sim/time.h"
+#include "src/uisr/codec.h"
 #include "src/uisr/records.h"
 
 namespace hypertp {
@@ -66,29 +67,36 @@ struct StoredUisrBlob {
   uint64_t bytes = 0;  // Encoded blob size (file size_bytes).
 };
 
-// PramStore: registers "uisr:<vm.vm_uid>" for every VM and encodes its wire
-// bytes straight into a pre-sized, contiguously backed kUisr extent via a
-// PramFrameWriter — no intermediate vector, no page-by-page copy. Extents
-// are allocated and registered serially (in `vms` order), then the encodes
-// run on up to `threads` real OS threads — each task writes only its own
-// pre-mapped extent, so the fan-out is data-race-free and the bytes are
-// independent of `threads`.
+// Park: the one path that encodes UISR into PRAM-destined frames. Sizes
+// every VM once and allocates its kUisr extent (owned kUisr, vm_uid),
+// serially in `vms` order, so the frame layout does not depend on
+// `threads`; then encodes each VM straight into its own pre-mapped extent
+// through a PramFrameWriter on up to `threads` real OS threads — no
+// intermediate vector, no copy. Registers nothing in PRAM
+// (each result's file_id stays 0): pre-translation parks before the pause,
+// the pause-time store registers at once. A non-null `layouts` receives
+// each blob's section-offset table, in `vms` order.
+Result<std::vector<StoredUisrBlob>> ParkVmStates(PhysicalMemory& memory,
+                                                 const std::vector<UisrVm>& vms, int threads,
+                                                 std::vector<UisrSectionLayout>* layouts);
+
+// PramStore: ParkVmStates, then RegisterParkedBlob ("uisr:<vm.vm_uid>") per
+// VM in `vms` order.
 Result<std::vector<StoredUisrBlob>> EncodeVmStatesIntoPram(PhysicalMemory& memory,
                                                            PramBuilder& builder,
                                                            const std::vector<UisrVm>& vms,
                                                            int threads);
 
-// Split PramStore for an already encoded blob. ParkUisrBlob performs the
-// allocate-and-fill half (no PRAM registration — pre-translation parks
-// outside the pause window, before there may even be a builder);
-// RegisterParkedBlob performs the registration half, moving zero blob bytes.
-// Together they lay out frames and PRAM entries exactly as
-// EncodeVmStatesIntoPram does, which is why a reconcile whose blob outgrew
-// or shrank out of its parked frames stores it through this pair.
-Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
-                                 std::span<const uint8_t> blob);
+// Registers an already parked blob as the PRAM file "uisr:<vm_uid>",
+// moving zero blob bytes.
 Result<StoredUisrBlob> RegisterParkedBlob(PramBuilder& builder, uint64_t vm_uid,
                                           const FrameExtent& parked, uint64_t bytes);
+
+// Parks an already encoded blob: the same frames and owner as ParkVmStates,
+// filled by one copy. Only a reconcile whose blob outgrew or shrank out of
+// its parked frames stores this way.
+Result<FrameExtent> ParkUisrBlob(PhysicalMemory& memory, uint64_t vm_uid,
+                                 std::span<const uint8_t> blob);
 
 // --- Restore side. ---------------------------------------------------------
 

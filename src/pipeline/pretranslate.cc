@@ -1,11 +1,9 @@
 #include "src/pipeline/pretranslate.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <utility>
 
-#include "src/base/bytes.h"
 #include "src/pipeline/conversion.h"
 
 namespace hypertp {
@@ -23,11 +21,11 @@ const PreTranslatedVm* PreTranslationCache::Find(uint64_t vm_uid) const {
 Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& costs,
                                      const std::vector<PreTranslateRequest>& requests,
                                      int workers, int real_threads,
-                                     PreTranslationCache* cache,
-                                     PhysicalMemory* park_memory) {
+                                     PreTranslationCache* cache) {
   cache->vms.clear();
   cache->vms.reserve(requests.size());
-  // The snapshots live only until they are encoded; the cache keeps bytes.
+  // The snapshots live only until they are encoded; the cache keeps their
+  // parked frames.
   std::vector<UisrVm> states;
   states.reserve(requests.size());
   std::vector<SimDuration> stage_costs;
@@ -64,31 +62,19 @@ Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& 
     stage_costs.push_back(TranslateStageCost(costs, req.vcpus, req.memory_bytes));
   }
 
-  // Wire-encode the snapshots (and record their section-offset tables) on
-  // real pool threads. The blobs live for the whole transplant, so they are
-  // sized here, on the calling thread, and each task fills only its own
-  // slot; bytes are independent of the thread count.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(cache->vms.size());
-  for (size_t i = 0; i < cache->vms.size(); ++i) {
+  // Park the blobs now, while guests still run: allocated serially in
+  // request order (the frame layout, and thus PRAM metadata, does not
+  // depend on the thread count), then encoded straight into their frames on
+  // real pool threads, recording their section-offset tables.
+  std::vector<UisrSectionLayout> layouts;
+  HYPERTP_ASSIGN_OR_RETURN(
+      std::vector<StoredUisrBlob> parked,
+      ParkVmStates(source.machine().memory(), states, real_threads, &layouts));
+  for (size_t i = 0; i < parked.size(); ++i) {
     PreTranslatedVm& entry = cache->vms[i];
-    const UisrVm& state = states[i];
-    entry.blob.resize(EncodedUisrSize(state));
-    tasks.push_back([&entry, &state] {
-      SpanWriter w(entry.blob);
-      EncodeUisrVm(state, w, &entry.layout);
-    });
-  }
-  RunOnWorkerPool(tasks, real_threads);
-
-  // Park the blobs in kUisr frames now, while guests still run. Serial and
-  // in request order, so the frame layout (and thus PRAM metadata) does not
-  // depend on the thread count.
-  if (park_memory != nullptr) {
-    for (PreTranslatedVm& entry : cache->vms) {
-      HYPERTP_ASSIGN_OR_RETURN(entry.parked,
-                               ParkUisrBlob(*park_memory, entry.vm_uid, entry.blob));
-    }
+    entry.parked = parked[i].frames;
+    entry.bytes = parked[i].bytes;
+    entry.layout = std::move(layouts[i]);
   }
 
   return ScheduleWork(stage_costs, workers);

@@ -1,9 +1,10 @@
 // Speculative pre-translation (the platform-state analogue of pre-copy).
 //
-// While guests still run, PreTranslateVms performs each VM's Extract →
-// UisrEncode under a per-VM micro-pause and parks the result in a
-// PreTranslationCache keyed by Hypervisor::StateGeneration. At pause time the
-// translation phase consults the cache:
+// While guests still run, PreTranslateVms performs each VM's Extract under a
+// per-VM micro-pause, encodes the blob straight into kUisr frames it parks
+// for the transplant, and records it in a PreTranslationCache keyed by
+// Hypervisor::StateGeneration. At pause time the translation phase consults
+// the cache:
 //
 //   - generation unchanged  -> adopt the cached blob for a small fixed check
 //     cost (HostCostProfile::pretranslate_check) instead of a full translate;
@@ -38,17 +39,17 @@ namespace pipeline {
 struct PreTranslatedVm {
   uint64_t vm_uid = 0;
   uint64_t generation = 0;
-  std::vector<uint8_t> blob;     // EncodeUisrVm of the extracted state.
-  UisrSectionLayout layout;      // Section-offset table of `blob`.
+  uint64_t bytes = 0;            // Size of the encoded blob.
+  UisrSectionLayout layout;      // Section-offset table of the blob.
   FixupLog fixups;               // Fixups the speculative extract recorded.
 
-  // Where `blob`'s bytes already sit in PRAM-destined kUisr frames, parked
-  // outside the pause window (count == 0 when no park_memory was supplied).
-  // On a pause-time generation hit the translation phase only registers the
-  // PRAM file over this extent — zero blob bytes move inside the window; an
-  // invalidated blob is reconciled inside it (ReconcilePreTranslated). The
-  // extent is owned by the transplant (kUisr, vm_uid), so abort/cleanup
-  // reclaim it like any other UISR extent.
+  // The PRAM-destined kUisr frames the blob was encoded into, outside the
+  // pause window; its first `bytes` bytes are the blob, the page padding is
+  // zero. On a pause-time generation hit the translation phase only
+  // registers the PRAM file over this extent — zero blob bytes move inside
+  // the window; an invalidated blob is reconciled inside it
+  // (ReconcilePreTranslated). The extent is owned (kUisr, vm_uid), so
+  // abort/cleanup reclaim it like any other UISR extent.
   FrameExtent parked;
 };
 
@@ -72,24 +73,20 @@ struct PreTranslateRequest {
   uint64_t memory_bytes = 0;
 };
 
-// Extracts and encodes every requested VM while the fleet runs: each VM is
-// individually micro-paused for its extract (SaveVmToUisr requires kPaused)
-// and resumed immediately — generations do not move across pause/resume/save,
-// so the snapshot stays valid until the guest really runs again. Encodes run
-// on up to `real_threads` OS threads (wall-clock only). The returned schedule
-// lays one full TranslateStageCost per VM over `workers` modeled workers;
-// the caller charges its makespan outside the pause window.
-//
-// With a non-null `park_memory`, each encoded blob is additionally parked in
-// a freshly allocated kUisr extent there (serially, in request order). A
-// pause-time generation hit then registers the PRAM file over the parked
-// extent instead of copying the blob inside the window. InPlaceTransplant
-// always parks, and its translation phase refuses an entry that did not.
+// Extracts every requested VM while the fleet runs and parks its UISR blob
+// in the source machine's memory: each VM is individually micro-paused for
+// its extract (SaveVmToUisr requires kPaused) and resumed immediately —
+// generations do not move across pause/resume/save, so the snapshot stays
+// valid until the guest really runs again. The blobs are then stored by
+// ParkVmStates: kUisr extents allocated serially in request order, encodes
+// straight into them on up to `real_threads` OS threads (wall-clock only).
+// The returned schedule lays one full TranslateStageCost per VM over
+// `workers` modeled workers; the caller charges its makespan outside the
+// pause window.
 Result<WorkSchedule> PreTranslateVms(Hypervisor& source, const HostCostProfile& costs,
                                      const std::vector<PreTranslateRequest>& requests,
                                      int workers, int real_threads,
-                                     PreTranslationCache* cache,
-                                     PhysicalMemory* park_memory = nullptr);
+                                     PreTranslationCache* cache);
 
 // How one VM's pause-time translation was satisfied.
 enum class ReconcileKind : uint8_t {
@@ -113,8 +110,8 @@ struct ReconcileResult {
 // set the charge, otherwise every payload byte does. The blob is copied into
 // the parked frames while the frame count holds; else the parking is freed
 // and the blob stored anew (ParkUisrBlob + RegisterParkedBlob). Either way
-// the PRAM bytes equal EncodeUisrVm(fresh). `cached` must have a parked
-// extent in `memory`.
+// the PRAM bytes equal EncodeUisrVm(fresh). `cached.parked` must lie in
+// `memory`.
 Result<ReconcileResult> ReconcilePreTranslated(PhysicalMemory& memory, PramBuilder& builder,
                                                const PreTranslatedVm& cached,
                                                const UisrVm& fresh);

@@ -1,15 +1,14 @@
-// PramFrameWriter: the ByteWriter interface over freshly allocated kUisr
-// frames — the one way UISR bytes get into PRAM.
+// PramFrameWriter: a SpanWriter over freshly allocated kUisr frames — the
+// one way UISR bytes get into PRAM.
 //
 // A PramFrameWriter allocates the frame extent up front (pre-sized with
-// ByteCounter / EncodedUisrSize), maps it as one contiguous backing in
-// PhysicalMemory, and lets the encoder write the wire bytes straight into
-// place: no intermediate vector, no page-by-page copy. Every `uisr:` PRAM
-// file is therefore one contiguous run of order-0 frames, which is all the
-// restore side's ViewUisrBlob accepts. Because it is a
-// SpanWriter, the templated EncodeUisrVm(vm, Writer&) emits byte-identical
-// output through it — same framing, same CRC trailer — as through the
-// vector-backed ByteWriter (pipeline_test pins this).
+// EncodedUisrSize), maps it as one contiguous backing in PhysicalMemory, and
+// EncodeUisrVm writes the wire bytes straight into place: no intermediate
+// vector, no page-by-page copy. Every `uisr:` PRAM file is therefore one
+// contiguous run of order-0 frames, which is all the restore side's
+// ViewUisrBlob accepts. The bytes are the ones the vector overload of
+// EncodeUisrVm returns — same framing, same CRC trailer (pipeline_test pins
+// this).
 //
 // Thread contract: Create() allocates (serial, touches PhysicalMemory); the
 // Put* calls only touch the mapped span, so a batch of writers over disjoint

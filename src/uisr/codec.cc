@@ -7,7 +7,7 @@ namespace hypertp {
 namespace {
 
 // The encode helpers are templated on the writer type so the same code path
-// serves ByteWriter (real output) and ByteCounter (exact size pre-pass).
+// serves SpanWriter (real output) and ByteCounter (exact size pre-pass).
 template <typename W>
 void EncodeSegment(W& w, const UisrSegment& s) {
   w.PutU64(s.base);
@@ -283,10 +283,8 @@ size_t EncodedUisrSize(const UisrVm& vm) {
   return counter.size() + kEndTrailerBytes;
 }
 
-template <typename Writer>
-void EncodeUisrVm(const UisrVm& vm, Writer& w, UisrSectionLayout* layout) {
+void EncodeUisrVm(const UisrVm& vm, SpanWriter& w, UisrSectionLayout* layout) {
   const size_t start = w.size();
-  w.Reserve(start + EncodedUisrSize(vm));
   if (layout != nullptr) {
     layout->sections.clear();
   }
@@ -305,11 +303,6 @@ void EncodeUisrVm(const UisrVm& vm, Writer& w, UisrSectionLayout* layout) {
     layout->total_size = w.size() - start;
   }
 }
-
-template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w,
-                                       UisrSectionLayout* layout);
-template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w,
-                                       UisrSectionLayout* layout);
 
 std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout) {
   std::vector<uint8_t> blob(EncodedUisrSize(vm));

@@ -29,7 +29,6 @@ enum class UisrSectionType : uint16_t {
   kEnd = 0xFFFF,
 };
 
-class ByteWriter;
 class SpanWriter;
 
 // Byte offsets of one encoded TLV section inside a UISR blob.
@@ -48,32 +47,17 @@ struct UisrSectionLayout {
   size_t total_size = 0;  // Blob size including the kEnd/CRC trailer.
 };
 
-// Serializes a UisrVm into its wire form. The output vector is allocated
-// once at its exact final size (EncodedUisrSize) and filled through a
-// SpanWriter. When `layout` is non-null it receives the section-offset table
-// of the returned blob.
-std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout = nullptr);
-
-// Appends exactly the bytes the vector overload would return to `w` — the
-// CRC trailer covers only this VM's bytes, starting at the writer's current
-// position, so blobs can be embedded mid-stream (checkpoint files, PRAM
-// framing) without a temporary copy. Reserves the exact size up front. A
-// non-null `layout` receives the section-offset table, with offsets counted
-// from this blob's first byte.
+// Serializes a UisrVm into its wire form: one size pass (EncodedUisrSize),
+// then the bytes are written once, straight into the storage that keeps
+// them. When `layout` is non-null it receives the section-offset table, with
+// offsets counted from this blob's first byte.
 //
-// Templated over the writer type: ByteWriter appends to a growing buffer
-// (checkpoint embedding, migration's wire copy); SpanWriter writes into
-// caller-owned storage, which is how the zero-copy save path encodes straight
-// into PRAM-resident frames (PramFrameWriter) and how pool workers fill blobs
-// their caller sized. Any writer with the Put*/PatchU32/size/Reserve/Written
-// interface works; these two are instantiated in codec.cc.
-template <typename Writer>
-void EncodeUisrVm(const UisrVm& vm, Writer& w, UisrSectionLayout* layout = nullptr);
-
-extern template void EncodeUisrVm<ByteWriter>(const UisrVm& vm, ByteWriter& w,
-                                              UisrSectionLayout* layout);
-extern template void EncodeUisrVm<SpanWriter>(const UisrVm& vm, SpanWriter& w,
-                                              UisrSectionLayout* layout);
+// The span form writes at `w`'s current position, so a blob can sit inside
+// a larger buffer (checkpoint files) or in PRAM-destined kUisr frames
+// (PramFrameWriter); the CRC trailer covers only this VM's bytes. The caller
+// sized the span: writing past its end aborts via the SpanWriter guard.
+std::vector<uint8_t> EncodeUisrVm(const UisrVm& vm, UisrSectionLayout* layout = nullptr);
+void EncodeUisrVm(const UisrVm& vm, SpanWriter& w, UisrSectionLayout* layout = nullptr);
 
 // Exact byte count EncodeUisrVm produces for `vm`, without encoding.
 size_t EncodedUisrSize(const UisrVm& vm);

@@ -340,7 +340,6 @@ TEST(BytesTest, SpanWriterMatchesByteWriterByteForByte) {
 
   std::vector<uint8_t> storage(counter.size());
   SpanWriter sw{std::span<uint8_t>(storage)};
-  sw.Reserve(counter.size());
   encode(sw);
   EXPECT_EQ(sw.size(), storage.size());
   EXPECT_EQ(storage, reference.bytes());
@@ -364,16 +363,6 @@ TEST(BytesDeathTest, SpanWriterAbortsOnOverflow) {
       {
         SpanWriter w{std::span<uint8_t>(storage)};
         w.PutU32(1);  // 4 bytes into a 3-byte span.
-      },
-      "check failed");
-}
-
-TEST(BytesDeathTest, SpanWriterReserveRejectsUndersizedStorage) {
-  std::vector<uint8_t> storage(8);
-  EXPECT_DEATH(
-      {
-        SpanWriter w{std::span<uint8_t>(storage)};
-        w.Reserve(9);
       },
       "check failed");
 }

@@ -59,19 +59,19 @@ TEST(ConversionParityTest, EveryEncodePathIsByteIdentical) {
   auto uisr = pipeline::ExtractVmState(*xen, id, &log);
   ASSERT_TRUE(uisr.ok()) << uisr.error().ToString();
 
-  // Vector overload == writer overload == exact pre-computed size.
+  // Vector overload == exact pre-computed size.
   const std::vector<uint8_t> blob = EncodeUisrVm(*uisr);
-  ByteWriter w;
-  EncodeUisrVm(*uisr, w);
-  EXPECT_EQ(w.bytes(), blob);
   EXPECT_EQ(EncodedUisrSize(*uisr), blob.size());
 
-  // Writer overload mid-stream: the embedded bytes must equal the standalone
-  // blob even when other bytes precede them (the CRC covers only this VM).
-  ByteWriter prefixed;
-  prefixed.PutU64(0xFEEDFACE);
-  EncodeUisrVm(*uisr, prefixed);
-  const std::vector<uint8_t> embedded(prefixed.bytes().begin() + 8, prefixed.bytes().end());
+  // Span overload mid-stream: the embedded bytes must equal the standalone
+  // blob even when other bytes precede them (the CRC covers only this VM),
+  // and the encode fills exactly the pre-computed size.
+  std::vector<uint8_t> prefixed(8 + EncodedUisrSize(*uisr));
+  SpanWriter w(prefixed);
+  w.PutU64(0xFEEDFACE);
+  EncodeUisrVm(*uisr, w);
+  EXPECT_EQ(w.size(), prefixed.size());
+  const std::vector<uint8_t> embedded(prefixed.begin() + 8, prefixed.end());
   EXPECT_EQ(embedded, blob);
 
   // Batch encode stage, serial and threaded.
@@ -95,8 +95,8 @@ TEST(ConversionParityTest, EveryEncodePathIsByteIdentical) {
 }
 
 TEST(ConversionParityTest, CheckpointEmbedsTheIdenticalBlob) {
-  // The checkpoint writer encodes straight into its ByteWriter (no
-  // intermediate blob); the embedded section must still be byte-identical to
+  // The checkpoint writer encodes straight into its file (no intermediate
+  // blob); the embedded section must still be byte-identical to
   // the standalone encoding of the same extracted state.
   Machine machine(MachineProfile::M1(), 22);
   auto [xen, id] = PausedXenVm(machine, 4242);

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,9 +124,11 @@ INSTANTIATE_TEST_SUITE_P(AllHosts, StateGenerationTest,
 // --- Reconcile byte-identity ------------------------------------------------
 
 // Builds a cache entry the way InPlaceTransplant's PreTranslateVms call
-// would, from the VM's current state, with the blob parked in `memory`.
+// would, from the VM's current state, with the blob parked in `memory`. A
+// non-null `blob` receives a copy of the parked bytes.
 pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, PhysicalMemory& memory, VmId id,
-                                        uint64_t pram_file_id) {
+                                        uint64_t pram_file_id,
+                                        std::vector<uint8_t>* blob = nullptr) {
   pipeline::PreTranslatedVm entry;
   EXPECT_TRUE(hv.PauseVm(id).ok());
   auto state = pipeline::ExtractVmState(hv, id, &entry.fixups);
@@ -133,8 +137,12 @@ pipeline::PreTranslatedVm SnapshotEntry(Hypervisor& hv, PhysicalMemory& memory, 
   entry.vm_uid = state->vm_uid;
   entry.generation = hv.StateGeneration(id).value();
   state->memory.pram_file_id = pram_file_id;
-  entry.blob = EncodeUisrVm(*state, &entry.layout);
-  entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, entry.blob).value();
+  const std::vector<uint8_t> encoded = EncodeUisrVm(*state, &entry.layout);
+  entry.bytes = encoded.size();
+  entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, encoded).value();
+  if (blob != nullptr) {
+    *blob = encoded;
+  }
   return entry;
 }
 
@@ -235,7 +243,8 @@ TEST(ReconcileTest, NonUisrActivityIsAFalsePositiveHit) {
   std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
   auto id = xen->CreateVm(VmConfig::Small("false-positive"));
   ASSERT_TRUE(id.ok());
-  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 80);
+  std::vector<uint8_t> cached;
+  const pipeline::PreTranslatedVm entry = SnapshotEntry(*xen, machine->memory(), *id, 80, &cached);
 
   ASSERT_TRUE(xen->InjectGuestEvent(*id, Hypervisor::GuestEventKind::kEventChannel).ok());
   EXPECT_NE(xen->StateGeneration(*id).value(), entry.generation);
@@ -243,7 +252,7 @@ TEST(ReconcileTest, NonUisrActivityIsAFalsePositiveHit) {
   const UisrVm fresh = FreshExtract(*xen, *id, 80);
   const Reconciled rec = Reconcile(machine->memory(), entry, fresh);
   EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kHit);
-  EXPECT_EQ(rec.bytes, entry.blob);
+  EXPECT_EQ(rec.bytes, cached);
 }
 
 TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
@@ -259,9 +268,10 @@ TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
 
   for (const int dirty : {0, kVms / 2, kVms}) {
     std::vector<pipeline::PreTranslatedVm> entries;
+    std::vector<std::vector<uint8_t>> cached(kVms);
     for (int i = 0; i < kVms; ++i) {
-      entries.push_back(
-          SnapshotEntry(*xen, machine->memory(), ids[static_cast<size_t>(i)], 90 + i));
+      entries.push_back(SnapshotEntry(*xen, machine->memory(), ids[static_cast<size_t>(i)],
+                                      90 + i, &cached[static_cast<size_t>(i)]));
     }
     for (int i = 0; i < dirty; ++i) {
       ASSERT_TRUE(xen->InjectGuestEvent(ids[static_cast<size_t>(i)],
@@ -282,11 +292,11 @@ TEST(ReconcileTest, StaleGenerationBlobIsNeverSalvagedVerbatim) {
         // stale blob must have been patched, not adopted.
         EXPECT_NE(generation, entry.generation);
         EXPECT_NE(rec.result.kind, pipeline::ReconcileKind::kHit);
-        EXPECT_NE(rec.bytes, entry.blob);
+        EXPECT_NE(rec.bytes, cached[static_cast<size_t>(i)]);
       } else {
         EXPECT_EQ(generation, entry.generation);
         EXPECT_EQ(rec.result.kind, pipeline::ReconcileKind::kHit);
-        EXPECT_EQ(rec.bytes, entry.blob);
+        EXPECT_EQ(rec.bytes, cached[static_cast<size_t>(i)]);
       }
     }
   }
@@ -439,16 +449,17 @@ TEST(ReconcileTest, GeneratedEditsMatchAFreshEncode) {
                            kPageSize * static_cast<size_t>(rng.NextInRange(1, 2));
         std::vector<uint8_t>& pad_opaque = snapshot.devices[padded].opaque;
         pad_opaque.resize(pad_opaque.size() + pad, 0xC3);
-        entry.blob = EncodeUisrVm(snapshot, &entry.layout);
-        ASSERT_EQ(entry.blob.size() % kPageSize, used);
+        const std::vector<uint8_t> blob = EncodeUisrVm(snapshot, &entry.layout);
+        entry.bytes = blob.size();
+        ASSERT_EQ(blob.size() % kPageSize, used);
         const size_t slack = kPageSize - used;
 
         // A hole below the parking, large enough for any re-store, so a
         // re-store can never land on the parked base by first fit.
-        const uint64_t frames = (entry.blob.size() + kPageSize - 1) / kPageSize;
+        const uint64_t frames = (blob.size() + kPageSize - 1) / kPageSize;
         auto hole = memory.Alloc(frames + 8, 1, FrameOwner{FrameOwnerKind::kVmm, 0});
         ASSERT_TRUE(hole.ok()) << hole.error().ToString();
-        entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, entry.blob).value();
+        entry.parked = pipeline::ParkUisrBlob(memory, entry.vm_uid, blob).value();
         ASSERT_TRUE(memory.Free(*hole, frames + 8).ok());
 
         UisrVm fresh = snapshot;
@@ -514,7 +525,7 @@ TEST(ReconcileTest, GeneratedEditsMatchAFreshEncode) {
         }
 
         const std::vector<uint8_t> want = EncodeUisrVm(fresh);
-        const ReferenceDiff diff = DiffEncodes(entry.blob, entry.layout, fresh);
+        const ReferenceDiff diff = DiffEncodes(blob, entry.layout, fresh);
         PramBuilder builder(memory);
         auto rec = pipeline::ReconcilePreTranslated(memory, builder, entry, fresh);
         ASSERT_TRUE(rec.ok()) << rec.error().ToString();
@@ -595,12 +606,17 @@ TEST(PreTranslateVmsTest, SnapshotsEveryVmAndLeavesThemRunning) {
     const pipeline::PreTranslatedVm* entry = cache.Find(cache.vms[i].vm_uid);
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->generation, xen->StateGeneration(ids[i]).value());
-    auto state = DecodeUisrVm(entry->blob);
+    auto frames = std::as_const(machine->memory()).BackedExtent(entry->parked.base,
+                                                                entry->parked.count);
+    ASSERT_TRUE(frames.ok()) << frames.error().ToString();
+    const std::span<const uint8_t> blob = frames->first(entry->bytes);
+    auto state = DecodeUisrVm(blob);
     ASSERT_TRUE(state.ok()) << state.error().ToString();
     EXPECT_EQ(state->memory.pram_file_id, requests[i].pram_file_id);
     // The blob is exactly what a pause-time encode of this state yields.
-    EXPECT_EQ(entry->blob, EncodeUisrVm(FreshExtract(*xen, ids[i], requests[i].pram_file_id)));
-    EXPECT_EQ(entry->layout.total_size, entry->blob.size());
+    EXPECT_TRUE(std::ranges::equal(
+        blob, EncodeUisrVm(FreshExtract(*xen, ids[i], requests[i].pram_file_id))));
+    EXPECT_EQ(entry->layout.total_size, entry->bytes);
   }
   EXPECT_EQ(cache.Find(424242), nullptr);
 }
@@ -800,6 +816,56 @@ TEST(PreTranslateTransplantTest, ParkedLayoutIsPinned) {
   EXPECT_EQ(parked, want);
   EXPECT_EQ(result->report.frames_scrubbed, 446592u);
   EXPECT_EQ(result->report.pram_metadata_bytes, 266240u);
+}
+
+TEST(PreTranslateVmsTest, ParksEveryBlobInTheSourceMachine) {
+  // The six-argument call parks: every blob sits in its own kUisr extent of
+  // the source machine, owned by its VM, in the same frames whatever the
+  // encode thread count.
+  std::vector<FrameExtent> first_run;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("real_threads " + std::to_string(threads));
+    Machine machine(MachineProfile::M1(), 51);
+    std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, machine);
+    const std::vector<VmId> ids = PopulateLayoutHost(*xen);
+    std::vector<pipeline::PreTranslateRequest> requests;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const VmInfo info = xen->GetVmInfo(ids[i]).value();
+      requests.push_back({ids[i], info.uid, 100 + i, info.vcpus, info.memory_bytes});
+    }
+    pipeline::PreTranslationCache cache;
+    auto schedule = pipeline::PreTranslateVms(*xen, machine.profile().costs, requests,
+                                              machine.worker_threads(), threads, &cache);
+    ASSERT_TRUE(schedule.ok()) << schedule.error().ToString();
+    ASSERT_EQ(cache.vms.size(), ids.size());
+
+    std::vector<FrameExtent> parked;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const pipeline::PreTranslatedVm& entry = cache.vms[i];
+      const FrameOwner owner{FrameOwnerKind::kUisr, requests[i].vm_uid};
+      EXPECT_EQ(entry.parked.owner, owner);
+      EXPECT_EQ(machine.memory().FirstFrameNotOwnedBy(entry.parked.base, entry.parked.count,
+                                                      owner),
+                std::nullopt);
+      const std::vector<uint8_t> want =
+          EncodeUisrVm(FreshExtract(*xen, ids[i], requests[i].pram_file_id));
+      EXPECT_EQ(entry.bytes, want.size());
+      EXPECT_EQ(entry.parked.count, (want.size() + kPageSize - 1) / kPageSize);
+      auto frames =
+          std::as_const(machine.memory()).BackedExtent(entry.parked.base, entry.parked.count);
+      ASSERT_TRUE(frames.ok()) << frames.error().ToString();
+      EXPECT_TRUE(std::ranges::equal(frames->first(want.size()), want)) << "vm " << i;
+      EXPECT_TRUE(std::ranges::all_of(frames->subspan(want.size()),
+                                      [](uint8_t b) { return b == 0; }))
+          << "vm " << i;
+      parked.push_back(entry.parked);
+    }
+    if (first_run.empty()) {
+      first_run = parked;
+    } else {
+      EXPECT_EQ(parked, first_run);
+    }
+  }
 }
 
 }  // namespace

@@ -35,6 +35,10 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # scrubber's preservation list in the same walk: run its layout fuzz (round
 # trip plus the differential check of that list) at 1 000 seeds, not ten.
 HYPERTP_PRAM_FUZZ_SEEDS=1000 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1
+# Checkpoints arrive from outside the host: run the resealed-mutation fuzz
+# (page count, UISR length prefix, version, truncations) at 200 seeds, over
+# 10^4 cases, so every length the parser trusts is checked under ASan/UBSan.
+HYPERTP_CHECKPOINT_FUZZ_SEEDS=200 "${build_dir}/tests/checkpoint_test" --gtest_brief=1
 
 # Smoke-run one bench with tracing enabled under the sanitizers: the Chrome
 # trace / BENCH JSON export paths only execute in the bench binaries, so the
@@ -100,8 +104,8 @@ HYPERTP_PARALLEL=4 "${tsan_dir}/tests/pipeline_test"
 # Pre-translation runs Extract+UisrEncode on the real worker pool while the
 # transplant bookkeeping continues on the caller thread — race it too.
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/pretranslate_test"
-# Whole InPlaceTP runs: the pool-side pre-translation encode fills blobs the
-# caller thread allocated, and the restore-side decode fans out after the
+# Whole InPlaceTP runs: the pool-side pre-translation encode fills kUisr
+# extents the caller thread allocated, and the restore-side decode fans out after the
 # reboot — race both inside real transplants, not just the pipeline units.
 HYPERTP_PARALLEL=4 "${tsan_dir}/tests/core_test"
 # Campaigns run one shard per worker-pool task between barriers; TSan with
