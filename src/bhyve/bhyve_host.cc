@@ -1,7 +1,5 @@
 #include "src/bhyve/bhyve_host.h"
 
-#include <algorithm>
-
 #include "src/bhyve/bhyve_uisr.h"
 
 namespace hypertp {
@@ -27,30 +25,7 @@ constexpr HostConstants kBhyveConstants{
 
 }  // namespace
 
-UleRunQueue::UleRunQueue(int cpus) { queues_.resize(static_cast<size_t>(std::max(cpus, 1))); }
-
-void UleRunQueue::AddThread(uint64_t vm_uid, uint32_t vcpu) {
-  auto it = std::min_element(queues_.begin(), queues_.end(),
-                             [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  it->emplace_back(vm_uid, vcpu);
-}
-
-void UleRunQueue::RemoveVm(uint64_t vm_uid) {
-  for (auto& queue : queues_) {
-    std::erase_if(queue, [vm_uid](const auto& t) { return t.first == vm_uid; });
-  }
-}
-
-size_t UleRunQueue::total_threads() const {
-  size_t n = 0;
-  for (const auto& queue : queues_) {
-    n += queue.size();
-  }
-  return n;
-}
-
-BhyveVisor::BhyveVisor(Machine& machine)
-    : HostCore(machine, kBhyveConstants), scheduler_(machine.profile().threads) {}
+BhyveVisor::BhyveVisor(Machine& machine) : HostCore(machine, kBhyveConstants) {}
 
 Result<void> BhyveVisor::SeedPlatform(BhyveVm& vm, uint32_t vcpus) {
   FixupLog seed_log;
@@ -116,15 +91,5 @@ void BhyveVisor::AdvanceClocks(BhyveVm& vm, SimDuration delta) {
   }
   vm.platform.hpet_counter += static_cast<uint64_t>(delta / 100);  // 10 MHz HPET.
 }
-
-void BhyveVisor::ScheduleVcpus(const BhyveVm& vm) {
-  for (uint32_t i = 0; i < vm.vcpu_count(); ++i) {
-    scheduler_.AddThread(vm.uid, i);
-  }
-}
-
-void BhyveVisor::UnscheduleVm(const BhyveVm& vm) { scheduler_.RemoveVm(vm.uid); }
-
-void BhyveVisor::ResetScheduler() { scheduler_ = UleRunQueue(machine().profile().threads); }
 
 }  // namespace hypertp

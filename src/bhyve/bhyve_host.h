@@ -2,38 +2,17 @@
 //
 // A FreeBSD host kernel with the vmm.ko module; each VM is driven by a
 // user-space bhyve process. Guest memory comes from wired superpage chunks.
-// The scheduler model is ULE-flavoured: a simple per-CPU round-robin with
-// interactivity scoring omitted (VM Management State — rebuilt, never
-// translated, like the other two). Everything the three simulated hosts
-// share lives in HostCore (src/hv/host_core.h).
+// Everything the three simulated hosts share lives in HostCore
+// (src/hv/host_core.h), including the vCPU runqueues: VM Management State
+// that each kind rebuilds from its VM records and never translates.
 
 #ifndef HYPERTP_SRC_BHYVE_BHYVE_HOST_H_
 #define HYPERTP_SRC_BHYVE_BHYVE_HOST_H_
-
-#include <utility>
-#include <vector>
 
 #include "src/bhyve/bhyve_formats.h"
 #include "src/hv/host_core.h"
 
 namespace hypertp {
-
-// Minimal ULE-ish run queue: vCPU threads round-robin per CPU.
-class UleRunQueue {
- public:
-  explicit UleRunQueue(int cpus);
-
-  void AddThread(uint64_t vm_uid, uint32_t vcpu);
-  void RemoveVm(uint64_t vm_uid);
-  size_t total_threads() const;
-  int cpus() const { return static_cast<int>(queues_.size()); }
-  const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& queues() const {
-    return queues_;
-  }
-
- private:
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> queues_;
-};
 
 // The common header carries the /dev/vmm handle as `id`, the
 // vm_mmap_memseg-style mapping as `memory`, and the bhyve process's pid and
@@ -48,8 +27,6 @@ class BhyveVisor : public HostCore<BhyveVm> {
  public:
   explicit BhyveVisor(Machine& machine);
 
-  const UleRunQueue& scheduler() const { return scheduler_; }
-
  private:
   Result<void> SeedPlatform(BhyveVm& vm, uint32_t vcpus) override;
   void WireVirtioPin(BhyveVm& vm, uint32_t instance) override;
@@ -58,11 +35,6 @@ class BhyveVisor : public HostCore<BhyveVm> {
   Result<void> PlatformToUisr(const BhyveVm& vm, UisrVm& out, FixupLog* log) const override;
   void ApplyGuestEvent(BhyveVm& vm, GuestEventKind kind) override;
   void AdvanceClocks(BhyveVm& vm, SimDuration delta) override;
-  void ScheduleVcpus(const BhyveVm& vm) override;
-  void UnscheduleVm(const BhyveVm& vm) override;
-  void ResetScheduler() override;
-
-  UleRunQueue scheduler_;
 };
 
 }  // namespace hypertp

@@ -87,6 +87,12 @@ Result<ParsedCheckpoint> ParseCheckpoint(std::span<const uint8_t> blob) {
     HYPERTP_ASSIGN_OR_RETURN(uint64_t word, r.ReadU64());
     parsed.pages.emplace_back(gfn, word);
   }
+  // Bytes past the last record mean the count was lowered: pages would be
+  // dropped silently.
+  if (!r.AtEnd()) {
+    return DataLossError("checkpoint: " + std::to_string(r.remaining()) +
+                         " bytes after the last page record");
+  }
   return parsed;
 }
 
@@ -99,7 +105,11 @@ Result<VmId> RestoreVmCheckpoint(Hypervisor& hv, std::span<const uint8_t> blob) 
   binding.mode = GuestMemoryBinding::Mode::kAllocate;
   HYPERTP_ASSIGN_OR_RETURN(VmId id, pipeline::RestoreVmState(hv, parsed.uisr, binding, &log));
   for (const auto& [gfn, word] : parsed.pages) {
-    HYPERTP_RETURN_IF_ERROR(hv.WriteGuestPage(id, gfn, word));
+    if (auto written = hv.WriteGuestPage(id, gfn, word); !written.ok()) {
+      // Leave no half-restored VM behind to block a later restore of its uid.
+      (void)hv.DestroyVm(id);
+      return written.error();
+    }
   }
   return id;
 }

@@ -23,7 +23,8 @@ Result<std::vector<uint8_t>> SaveVmCheckpoint(Hypervisor& hv, VmId id);
 
 // Recreates a VM from `blob` on `hv` (fresh memory allocation, pages applied,
 // VM left paused). Fails with kDataLoss on a corrupt or truncated blob and
-// kAlreadyExists when a VM with the same uid already runs on `hv`.
+// kAlreadyExists when a VM with the same uid already runs on `hv`. A failed
+// restore leaves no VM behind.
 Result<VmId> RestoreVmCheckpoint(Hypervisor& hv, std::span<const uint8_t> blob);
 
 // Peeks at a checkpoint's header without restoring.

@@ -13,6 +13,10 @@
 namespace hypertp {
 namespace inplace_internal {
 
+// Guest pages sampled per VM, evenly spread over its GFN space, when
+// verify_guest_memory is on.
+constexpr uint64_t kVerifySamplePages = 32;
+
 std::vector<PramPageEntry> EntriesFromMappings(const std::vector<GuestMapping>& mappings,
                                                bool huge_pages) {
   // Each mapping is already one contiguous (gfn, mfn) run, so entry
@@ -60,9 +64,8 @@ Result<WorkSchedule> PrepareVms(Hypervisor& source, Machine& machine,
     // Verification samples: spread gfns across the address space.
     if (options.verify_guest_memory) {
       const uint64_t pages = snap.info.memory_bytes / kPageSize;
-      const int n = std::max(options.verify_sample_pages, 1);
-      for (int i = 0; i < n; ++i) {
-        const Gfn gfn = (pages * static_cast<uint64_t>(i)) / static_cast<uint64_t>(n);
+      for (uint64_t i = 0; i < kVerifySamplePages; ++i) {
+        const Gfn gfn = pages * i / kVerifySamplePages;
         HYPERTP_ASSIGN_OR_RETURN(uint64_t word, source.ReadGuestPage(id, gfn));
         HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, TranslateInMap(snap.map, gfn));
         snap.sample_gfns.push_back(gfn);

@@ -58,7 +58,6 @@ struct InPlaceOptions {
   // Extra safety: sample guest pages before/after and compare (content and
   // machine frame numbers must both be identical for InPlaceTP).
   bool verify_guest_memory = true;
-  int verify_sample_pages = 32;
   // §4.2.1 future-work extension: renegotiate IOAPIC pins the target cannot
   // host instead of disconnecting them.
   bool remap_high_ioapic_pins = false;

@@ -7,7 +7,9 @@
 // the paper's split where each hypervisor's expert writes to_uisr/from_uisr
 // (§3.1): its native platform records and their UISR translation, its IOAPIC
 // wiring, what guest events and clock advances do to those records, its
-// allocation policy, its scheduler (VM Management State) and its constants.
+// allocation policy and its constants. VM Management State is one vCPU
+// runqueue membership table that HostCore rebuilds from the VM records for
+// every kind; no kind translates it (§3.1).
 
 #ifndef HYPERTP_SRC_HV_HOST_CORE_H_
 #define HYPERTP_SRC_HV_HOST_CORE_H_
@@ -25,6 +27,7 @@
 #include "src/hv/devices.h"
 #include "src/hv/guest_memory.h"
 #include "src/hv/hypervisor.h"
+#include "src/hv/vcpu_runqueues.h"
 
 namespace hypertp {
 
@@ -123,7 +126,7 @@ class HostCore : public Hypervisor {
   Result<void> DestroyVm(VmId id) final {
     HYPERTP_ASSIGN_OR_RETURN(Vm * vm, MutableVm(id));
     FreeVmFrames(*vm);
-    UnscheduleVm(*vm);
+    runqueues_.RemoveVm(vm->uid);
     vms_.erase(id);
     return OkResult();
   }
@@ -283,7 +286,7 @@ class HostCore : public Hypervisor {
     // freeing a single frame — the early-boot scrubber decides what survives
     // based on the PRAM reservation, not on us.
     vms_.clear();
-    ResetScheduler();
+    runqueues_.Clear();
     hv_frames_ = 0;
   }
 
@@ -305,12 +308,14 @@ class HostCore : public Hypervisor {
     return NotFoundError(Prefix() + "no vm with uid " + std::to_string(uid));
   }
 
-  // Drops and rebuilds the scheduler from the VM records: VM Management State
+  const VcpuRunqueues& scheduler() const { return runqueues_; }
+
+  // Drops and rebuilds the runqueues from the VM records: VM Management State
   // is reconstructable, never translated (§3.1).
   void RebuildScheduler() {
-    ResetScheduler();
+    runqueues_.Clear();
     for (const auto& [id, vm] : vms_) {
-      ScheduleVcpus(vm);
+      runqueues_.AddVm(vm.uid, vm.vcpu_count());
     }
   }
 
@@ -319,6 +324,7 @@ class HostCore : public Hypervisor {
   HostCore(Machine& machine, const HostConstants& constants)
       : machine_(&machine),
         k_(constants),
+        runqueues_(machine.profile().threads),
         next_id_(constants.first_id),
         next_pid_(constants.first_pid) {
     // Allocation is chunked because after a micro-reboot free RAM is
@@ -355,10 +361,6 @@ class HostCore : public Hypervisor {
   // What a guest event or an AdvanceGuestClocks does to the native records.
   virtual void ApplyGuestEvent(Vm& vm, GuestEventKind kind) = 0;
   virtual void AdvanceClocks(Vm& vm, SimDuration delta) = 0;
-  // Scheduler membership (VM Management State).
-  virtual void ScheduleVcpus(const Vm& vm) = 0;
-  virtual void UnscheduleVm(const Vm& vm) = 0;
-  virtual void ResetScheduler() = 0;
   // Rebuilds PV infrastructure that is never translated (Xen's event
   // channels, grants and xenstore). Runs on every create and restore.
   virtual void SetupPvInfrastructure(Vm& /*vm*/) {}
@@ -412,7 +414,7 @@ class HostCore : public Hypervisor {
       return backed.error();
     }
     SetupPvInfrastructure(vm);
-    ScheduleVcpus(vm);
+    runqueues_.AddVm(vm.uid, vm.vcpu_count());
     const VmId id = vm.id;
     vms_.emplace(id, std::move(vm));
     return id;
@@ -496,6 +498,7 @@ class HostCore : public Hypervisor {
   Machine* machine_;
   HostConstants k_;
   std::map<VmId, Vm> vms_;  // Keyed by host-local id.
+  VcpuRunqueues runqueues_;
   VmId next_id_;
   uint32_t next_pid_;
   uint64_t hv_frames_ = 0;

@@ -25,8 +25,7 @@ constexpr HostConstants kKvmConstants{
 
 }  // namespace
 
-KvmHost::KvmHost(Machine& machine)
-    : HostCore(machine, kKvmConstants), scheduler_(machine.profile().threads) {}
+KvmHost::KvmHost(Machine& machine) : HostCore(machine, kKvmConstants) {}
 
 Result<void> KvmHost::SeedPlatform(KvmVm& vm, uint32_t vcpus) {
   for (uint32_t i = 0; i < vcpus; ++i) {
@@ -109,15 +108,5 @@ void KvmHost::AdvanceClocks(KvmVm& vm, SimDuration delta) {
     }
   }
 }
-
-void KvmHost::ScheduleVcpus(const KvmVm& vm) {
-  for (uint32_t i = 0; i < vm.vcpu_count(); ++i) {
-    scheduler_.AddTask(vm.uid, i);
-  }
-}
-
-void KvmHost::UnscheduleVm(const KvmVm& vm) { scheduler_.RemoveVm(vm.uid); }
-
-void KvmHost::ResetScheduler() { scheduler_ = CfsScheduler(machine().profile().threads); }
 
 }  // namespace hypertp

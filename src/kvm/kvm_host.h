@@ -12,7 +12,6 @@
 #define HYPERTP_SRC_KVM_KVM_HOST_H_
 
 #include "src/hv/host_core.h"
-#include "src/kvm/cfs_scheduler.h"
 #include "src/kvm/kvm_uisr.h"
 
 namespace hypertp {
@@ -29,8 +28,6 @@ class KvmHost : public HostCore<KvmVm> {
  public:
   explicit KvmHost(Machine& machine);
 
-  const CfsScheduler& scheduler() const { return scheduler_; }
-
  private:
   Result<void> SeedPlatform(KvmVm& vm, uint32_t vcpus) override;
   void WireVirtioPin(KvmVm& vm, uint32_t instance) override;
@@ -39,11 +36,6 @@ class KvmHost : public HostCore<KvmVm> {
   Result<void> PlatformToUisr(const KvmVm& vm, UisrVm& out, FixupLog* log) const override;
   void ApplyGuestEvent(KvmVm& vm, GuestEventKind kind) override;
   void AdvanceClocks(KvmVm& vm, SimDuration delta) override;
-  void ScheduleVcpus(const KvmVm& vm) override;
-  void UnscheduleVm(const KvmVm& vm) override;
-  void ResetScheduler() override;
-
-  CfsScheduler scheduler_;
 };
 
 }  // namespace hypertp

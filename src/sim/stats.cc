@@ -7,33 +7,6 @@
 
 namespace hypertp {
 
-void StatAccumulator::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double StatAccumulator::mean() const { return count_ == 0 ? 0.0 : mean_; }
-double StatAccumulator::min() const { return min_; }
-double StatAccumulator::max() const { return max_; }
-
-double StatAccumulator::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double StatAccumulator::stddev() const { return std::sqrt(variance()); }
-
 std::string BoxplotSummary::ToString() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f (n=%zu)", min, q1,

@@ -1,5 +1,5 @@
-// Statistical accumulators used by the benchmark harness to report results
-// the way the paper does: averages when deviation is low, box plots otherwise.
+// Sample statistics used by the benchmark harness to report results the way
+// the paper does: averages when deviation is low, box plots otherwise.
 
 #ifndef HYPERTP_SRC_SIM_STATS_H_
 #define HYPERTP_SRC_SIM_STATS_H_
@@ -9,29 +9,6 @@
 #include <vector>
 
 namespace hypertp {
-
-// Streaming mean/variance/min/max (Welford).
-class StatAccumulator {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const;
-  double min() const;
-  double max() const;
-  // Sample variance (n-1); 0 when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Five-number summary for box plots (Fig. 8/9 style reporting).
 struct BoxplotSummary {

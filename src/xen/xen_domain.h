@@ -46,10 +46,6 @@ struct XenDomain : HostedVm {
   std::vector<XenGrantEntry> grant_table;
   std::map<std::string, std::string> xenstore;
 
-  // Scheduler parameters (credit scheduler).
-  uint32_t sched_weight = 256;
-  uint32_t sched_cap = 0;
-
   uint32_t vcpu_count() const { return static_cast<uint32_t>(hvm.vcpus.size()); }
 };
 

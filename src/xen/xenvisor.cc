@@ -29,8 +29,7 @@ constexpr HostConstants kXenConstants{
 
 }  // namespace
 
-XenVisor::XenVisor(Machine& machine)
-    : HostCore(machine, kXenConstants), scheduler_(machine.profile().threads) {}
+XenVisor::XenVisor(Machine& machine) : HostCore(machine, kXenConstants) {}
 
 Result<void> XenVisor::SeedPlatform(XenDomain& domain, uint32_t vcpus) {
   FixupLog seed_log;
@@ -102,18 +101,6 @@ void XenVisor::AdvanceClocks(XenDomain& domain, SimDuration delta) {
     }
   }
 }
-
-void XenVisor::ScheduleVcpus(const XenDomain& domain) {
-  for (uint32_t i = 0; i < domain.vcpu_count(); ++i) {
-    scheduler_.AddVcpu(static_cast<uint32_t>(domain.id), i, domain.sched_weight);
-  }
-}
-
-void XenVisor::UnscheduleVm(const XenDomain& domain) {
-  scheduler_.RemoveDomain(static_cast<uint32_t>(domain.id));
-}
-
-void XenVisor::ResetScheduler() { scheduler_ = CreditScheduler(machine().profile().threads); }
 
 void XenVisor::SetupPvInfrastructure(XenDomain& domain) {
   domain.event_channels.clear();

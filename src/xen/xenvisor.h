@@ -12,7 +12,6 @@
 #define HYPERTP_SRC_XEN_XENVISOR_H_
 
 #include "src/hv/host_core.h"
-#include "src/xen/credit_scheduler.h"
 #include "src/xen/xen_domain.h"
 
 namespace hypertp {
@@ -24,7 +23,6 @@ class XenVisor : public HostCore<XenDomain> {
 
   // --- Xen-specific introspection (tests, libxl-equivalent tooling) --------
   Result<const XenDomain*> FindDomain(VmId id) const { return FindVm(id); }
-  const CreditScheduler& scheduler() const { return scheduler_; }
 
  private:
   Result<void> SeedPlatform(XenDomain& domain, uint32_t vcpus) override;
@@ -34,14 +32,9 @@ class XenVisor : public HostCore<XenDomain> {
   Result<void> PlatformToUisr(const XenDomain& domain, UisrVm& out, FixupLog* log) const override;
   void ApplyGuestEvent(XenDomain& domain, GuestEventKind kind) override;
   void AdvanceClocks(XenDomain& domain, SimDuration delta) override;
-  void ScheduleVcpus(const XenDomain& domain) override;
-  void UnscheduleVm(const XenDomain& domain) override;
-  void ResetScheduler() override;
   void SetupPvInfrastructure(XenDomain& domain) override;
   uint64_t InterleavedNptFrames(uint64_t chunk) const override;
   uint64_t StateFrames(const XenDomain& domain) const override;
-
-  CreditScheduler scheduler_;
 };
 
 }  // namespace hypertp

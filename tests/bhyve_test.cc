@@ -152,11 +152,11 @@ TEST_F(BhyveHostTest, SchedulerTracksThreads) {
   config.vcpus = 5;
   auto id = bhyve_.CreateVm(config);
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(bhyve_.scheduler().total_threads(), 5u);
+  EXPECT_EQ(bhyve_.scheduler().vcpu_count(), 5u);
   bhyve_.RebuildScheduler();
-  EXPECT_EQ(bhyve_.scheduler().total_threads(), 5u);
+  EXPECT_EQ(bhyve_.scheduler().vcpu_count(), 5u);
   ASSERT_TRUE(bhyve_.DestroyVm(*id).ok());
-  EXPECT_EQ(bhyve_.scheduler().total_threads(), 0u);
+  EXPECT_EQ(bhyve_.scheduler().vcpu_count(), 0u);
 }
 
 TEST_F(BhyveHostTest, SuperpageAllocationIsContiguous) {

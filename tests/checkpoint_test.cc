@@ -199,6 +199,59 @@ TEST_F(CheckpointTest, ResealedHugePageCountIsDataLoss) {
   EXPECT_TRUE(xen_.ListVms().empty());
 }
 
+TEST_F(CheckpointTest, ResealedLoweredPageCountIsDataLoss) {
+  auto id = xen_.CreateVm(VmConfig::Small("lowered"));
+  ASSERT_TRUE(id.ok());
+  for (Gfn gfn : {Gfn{1}, Gfn{2}, Gfn{3}}) {
+    ASSERT_TRUE(xen_.WriteGuestPage(*id, gfn, 0x10 + gfn).ok());
+  }
+  ASSERT_TRUE(xen_.PrepareVmForTransplant(*id).ok());
+  ASSERT_TRUE(xen_.PauseVm(*id).ok());
+  auto blob = SaveVmCheckpoint(xen_, *id);
+  ASSERT_TRUE(blob.ok()) << blob.error().ToString();
+  ASSERT_TRUE(xen_.DestroyVm(*id).ok());
+  ASSERT_EQ(LoadLe(*blob, PageCountAt(*blob), 8), 3u);
+
+  // A CRC-valid checkpoint whose count covers two of its three records
+  // would drop the third page silently: the leftover record is refused.
+  std::vector<uint8_t> lowered = *blob;
+  StoreLe(lowered, PageCountAt(lowered), 8, 2);
+  Reseal(lowered);
+  auto info = InspectCheckpoint(lowered);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.error().code(), ErrorCode::kDataLoss);
+  auto restored = RestoreVmCheckpoint(xen_, lowered);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kDataLoss);
+  EXPECT_TRUE(xen_.ListVms().empty());
+}
+
+TEST_F(CheckpointTest, ResealedOutOfRangeGfnLeavesNoVm) {
+  auto id = xen_.CreateVm(VmConfig::Small("gfn"));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(xen_.WriteGuestPage(*id, 5, 0x55).ok());
+  ASSERT_TRUE(xen_.PrepareVmForTransplant(*id).ok());
+  ASSERT_TRUE(xen_.PauseVm(*id).ok());
+  auto blob = SaveVmCheckpoint(xen_, *id);
+  ASSERT_TRUE(blob.ok()) << blob.error().ToString();
+  ASSERT_TRUE(xen_.DestroyVm(*id).ok());
+
+  // The first page record names a gfn far past the VM's memory: the page
+  // write fails after the VM exists, and the restore must remove it again.
+  std::vector<uint8_t> far = *blob;
+  StoreLe(far, PageCountAt(far) + 8, 8, uint64_t{1} << 40);
+  Reseal(far);
+  auto restored = RestoreVmCheckpoint(xen_, far);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(xen_.ListVms().empty());
+
+  // The uid is free again: the intact checkpoint still restores.
+  auto clean = RestoreVmCheckpoint(xen_, *blob);
+  ASSERT_TRUE(clean.ok()) << clean.error().ToString();
+  EXPECT_EQ(xen_.ReadGuestPage(*clean, 5).value(), 0x55u);
+}
+
 std::vector<uint64_t> FuzzSeeds() {
   std::vector<uint64_t> seeds = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
   const char* raw = std::getenv("HYPERTP_CHECKPOINT_FUZZ_SEEDS");
@@ -318,8 +371,8 @@ TEST_F(CheckpointTest, ResealedMutationsDecodeOrFail) {
       ++cases;
     }
   }
-  // Both outcomes occur: a smaller page count or an older version still
-  // restores, and most edits are refused.
+  // Both outcomes occur: an older version still restores, and most edits
+  // are refused.
   EXPECT_GT(restored, 0);
   EXPECT_LT(restored, cases);
   RecordProperty("cases", cases);

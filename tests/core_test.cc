@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
@@ -114,6 +116,65 @@ TEST(InPlaceTest, MultiVmTransplantRestoresAll) {
   // Ephemeral PRAM/UISR frames were cleaned up.
   EXPECT_TRUE(machine->memory().ExtentsOfKind(FrameOwnerKind::kPramMeta).empty());
   EXPECT_TRUE(machine->memory().ExtentsOfKind(FrameOwnerKind::kUisr).empty());
+}
+
+// The (uid, vCPU) pairs on a host's runqueues, sorted.
+template <typename Host>
+std::vector<QueuedVcpu> QueuedVcpus(const Host& host) {
+  std::vector<QueuedVcpu> queued;
+  for (const auto& queue : host.scheduler().queues()) {
+    queued.insert(queued.end(), queue.begin(), queue.end());
+  }
+  std::ranges::sort(queued, {}, [](const QueuedVcpu& q) { return std::tie(q.vm_uid, q.vcpu); });
+  return queued;
+}
+
+// The (uid, vCPU) pairs the runqueues must hold for VMs `ids` on `hv`, sorted.
+std::vector<QueuedVcpu> ExpectedVcpus(const Hypervisor& hv, const std::vector<VmId>& ids) {
+  std::vector<QueuedVcpu> expected;
+  for (VmId id : ids) {
+    auto info = hv.GetVmInfo(id);
+    EXPECT_TRUE(info.ok());
+    for (uint32_t v = 0; info.ok() && v < info->vcpus; ++v) {
+      expected.push_back({info->uid, v});
+    }
+  }
+  std::ranges::sort(expected, {}, [](const QueuedVcpu& q) { return std::tie(q.vm_uid, q.vcpu); });
+  return expected;
+}
+
+TEST(InPlaceTest, RunqueuesRebuiltOnTargetAndOnRollback) {
+  // VM Management State is never translated: the target rebuilds its
+  // runqueues from the restored VMs, and so does a salvaged source.
+  for (const InPlaceOptions::Fault fault :
+       {InPlaceOptions::Fault::kNone, InPlaceOptions::Fault::kDecodeFailure}) {
+    auto machine = MakeM1(40);
+    std::unique_ptr<Hypervisor> xen = MakeHypervisor(HypervisorKind::kXen, *machine);
+    PopulateVms(*xen, 3, 1ull << 30, 2);
+    VmConfig wide = VmConfig::Small("wide");
+    wide.vcpus = 3;
+    ASSERT_TRUE(xen->CreateVm(wide).ok());
+
+    InPlaceOptions options;
+    options.inject_fault = fault;
+    auto result = InPlaceTransplant::Run(std::move(xen), HypervisorKind::kKvm, options);
+    ASSERT_TRUE(result.ok()) << result.error().ToString();
+    ASSERT_EQ(result->restored_vms.size(), 4u);
+    const std::vector<QueuedVcpu> expected =
+        ExpectedVcpus(*result->hypervisor, result->restored_vms);
+    ASSERT_EQ(expected.size(), 9u);
+    if (fault == InPlaceOptions::Fault::kNone) {
+      EXPECT_EQ(result->report.outcome, TransplantOutcome::kCompleted);
+      auto* kvm = dynamic_cast<KvmHost*>(result->hypervisor.get());
+      ASSERT_NE(kvm, nullptr);
+      EXPECT_EQ(QueuedVcpus(*kvm), expected);
+    } else {
+      EXPECT_EQ(result->report.outcome, TransplantOutcome::kRolledBack);
+      auto* salvaged = dynamic_cast<XenVisor*>(result->hypervisor.get());
+      ASSERT_NE(salvaged, nullptr);
+      EXPECT_EQ(QueuedVcpus(*salvaged), expected);
+    }
+  }
 }
 
 TEST(InPlaceTest, RoundTripXenKvmXen) {

@@ -1,10 +1,12 @@
-// Unit tests for src/hv: guest address space, device models, configs.
+// Unit tests for src/hv: guest address space, device models, configs, vCPU
+// runqueues.
 
 #include <gtest/gtest.h>
 
 #include "src/hv/devices.h"
 #include "src/hv/guest_memory.h"
 #include "src/hv/hypervisor.h"
+#include "src/hv/vcpu_runqueues.h"
 
 namespace hypertp {
 namespace {
@@ -184,6 +186,39 @@ TEST(VmUidTest, MonotonicAndUnique) {
   uint64_t a = AllocateVmUid();
   uint64_t b = AllocateVmUid();
   EXPECT_LT(a, b);
+}
+
+TEST(VcpuRunqueuesTest, PlacesOnShortestQueueAndRemovesByUid) {
+  // Balanced placement: eight one-vCPU VMs over four queues, two per queue.
+  VcpuRunqueues balanced(4);
+  for (uint64_t uid = 1; uid <= 8; ++uid) {
+    balanced.AddVm(uid, 1);
+  }
+  EXPECT_EQ(balanced.vcpu_count(), 8u);
+  for (const auto& queue : balanced.queues()) {
+    EXPECT_EQ(queue.size(), 2u);
+  }
+
+  // Each vCPU lands on the first shortest queue, in vCPU order.
+  VcpuRunqueues rq(2);
+  rq.AddVm(1, 2);
+  rq.AddVm(2, 1);
+  ASSERT_EQ(rq.queues().size(), 2u);
+  EXPECT_EQ(rq.queues()[0], (std::vector<QueuedVcpu>{{1, 0}, {2, 0}}));
+  EXPECT_EQ(rq.queues()[1], (std::vector<QueuedVcpu>{{1, 1}}));
+
+  // Removing a VM drops all of its vCPUs and nothing else.
+  rq.RemoveVm(1);
+  EXPECT_EQ(rq.vcpu_count(), 1u);
+  EXPECT_EQ(rq.queues()[0], (std::vector<QueuedVcpu>{{2, 0}}));
+  rq.RemoveVm(99);
+  EXPECT_EQ(rq.vcpu_count(), 1u);
+
+  // Clear keeps the queues; a host never has fewer than one.
+  rq.Clear();
+  EXPECT_EQ(rq.vcpu_count(), 0u);
+  EXPECT_EQ(rq.queues().size(), 2u);
+  EXPECT_EQ(VcpuRunqueues(0).queues().size(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for src/kvm: UISR translation, CFS scheduler, KvmHost.
+// Unit tests for src/kvm: UISR translation, KvmHost.
 
 #include <gtest/gtest.h>
 
@@ -69,38 +69,6 @@ TEST(KvmUisrTest, HighIoapicPinsDisconnectedWithFixup) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].component, "ioapic");
   EXPECT_NE(log[0].description.find("pin 30"), std::string::npos);
-}
-
-TEST(CfsSchedulerTest, NewTasksStartAtMinVruntime) {
-  CfsScheduler sched(2);
-  sched.AddTask(1, 0);
-  for (int i = 0; i < 100; ++i) {
-    sched.Tick();
-  }
-  sched.AddTask(2, 0);
-  // The new task must not have inherited zero vruntime if others advanced...
-  // It starts at min vruntime of existing tasks.
-  uint64_t min_existing = UINT64_MAX;
-  uint64_t new_task_vr = 0;
-  for (const auto& queue : sched.runqueues()) {
-    for (const CfsTask& t : queue) {
-      if (t.vm_uid == 2) {
-        new_task_vr = t.vruntime;
-      } else {
-        min_existing = std::min(min_existing, t.vruntime);
-      }
-    }
-  }
-  EXPECT_EQ(new_task_vr, min_existing);
-}
-
-TEST(CfsSchedulerTest, RemoveVmDropsAllTasks) {
-  CfsScheduler sched(4);
-  sched.AddTask(1, 0);
-  sched.AddTask(1, 1);
-  sched.AddTask(2, 0);
-  sched.RemoveVm(1);
-  EXPECT_EQ(sched.total_tasks(), 1u);
 }
 
 class KvmHostTest : public ::testing::Test {
@@ -186,9 +154,9 @@ TEST_F(KvmHostTest, SchedulerRebuild) {
   VmConfig config = VmConfig::Small("s");
   config.vcpus = 6;
   ASSERT_TRUE(kvm_.CreateVm(config).ok());
-  EXPECT_EQ(kvm_.scheduler().total_tasks(), 6u);
+  EXPECT_EQ(kvm_.scheduler().vcpu_count(), 6u);
   kvm_.RebuildScheduler();
-  EXPECT_EQ(kvm_.scheduler().total_tasks(), 6u);
+  EXPECT_EQ(kvm_.scheduler().vcpu_count(), 6u);
 }
 
 TEST_F(KvmHostTest, MigrationTraitsAreLightweight) {

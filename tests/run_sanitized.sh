@@ -39,6 +39,11 @@ HYPERTP_PRAM_FUZZ_SEEDS=1000 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1
 # (page count, UISR length prefix, version, truncations) at 200 seeds, over
 # 10^4 cases, so every length the parser trusts is checked under ASan/UBSan.
 HYPERTP_CHECKPOINT_FUZZ_SEEDS=200 "${build_dir}/tests/checkpoint_test" --gtest_brief=1
+# UISR blobs cross the micro-reboot and arrive from migration peers: run the
+# resealed section mutator (length fields, types, dropped, duplicated and
+# swapped sections, payload bit flips, boundary truncations) at 200 seeds,
+# 12 827 cases, so the section parser is checked under ASan/UBSan past the CRC.
+HYPERTP_UISR_FUZZ_SEEDS=200 "${build_dir}/tests/uisr_test" --gtest_brief=1
 
 # Smoke-run one bench with tracing enabled under the sanitizers: the Chrome
 # trace / BENCH JSON export paths only execute in the bench binaries, so the

@@ -108,12 +108,12 @@ TEST(RngTest, DoubleInUnitInterval) {
 
 TEST(RngTest, GaussianMoments) {
   Rng rng(42);
-  StatAccumulator acc;
+  SampleSet s;
   for (int i = 0; i < 20000; ++i) {
-    acc.Add(rng.NextGaussian());
+    s.Add(rng.NextGaussian());
   }
-  EXPECT_NEAR(acc.mean(), 0.0, 0.05);
-  EXPECT_NEAR(acc.stddev(), 1.0, 0.05);
+  EXPECT_NEAR(s.mean(), 0.0, 0.05);
+  EXPECT_NEAR(s.stddev(), 1.0, 0.05);
 }
 
 TEST(RngTest, ForkIsIndependent) {
@@ -205,23 +205,16 @@ TEST(RngTest, BoolProbabilityEdges) {
   }
 }
 
-TEST(StatsTest, AccumulatorBasics) {
-  StatAccumulator acc;
+TEST(StatsTest, SampleSetBasics) {
+  SampleSet s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    acc.Add(v);
+    s.Add(v);
   }
-  EXPECT_EQ(acc.count(), 8u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 1e-3);  // Sample stddev.
-}
-
-TEST(StatsTest, EmptyAccumulatorIsZero) {
-  StatAccumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
+  EXPECT_EQ(s.count(), 8u);
+  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(s.min(), 2.0);
+  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // Sample stddev.
 }
 
 TEST(StatsTest, PercentilesInterpolate) {

@@ -1,11 +1,25 @@
 // Unit and property tests for the UISR records and wire codec.
+//
+// The resealing mutator edits section length fields and types, drops,
+// duplicates and swaps sections, flips payload bits and truncates at every
+// section boundary, then recomputes the kEnd CRC, so each case reaches the
+// section parser past its integrity check. It runs ten fixed seeds;
+// HYPERTP_UISR_FUZZ_SEEDS=<n> (n > 0) runs n seeds instead (the ten, then
+// 100, 101, ...), for long runs such as the sanitized one in
+// tests/run_sanitized.sh.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/crc32.h"
+#include "src/sim/rng.h"
 #include "src/uisr/codec.h"
 #include "src/uisr/records.h"
 
@@ -269,6 +283,187 @@ TEST(UisrSectionLayoutTest, EncodeRecordsEverySectionInEmitOrder) {
     at = span.payload_offset + span.payload_size;
   }
   EXPECT_EQ(at + 10, blob.size());
+}
+
+// A UISR blob split at its TLV framing: the 8-byte magic/version/flags
+// prefix and every section before the kEnd trailer. `length` is the
+// declared length field, which a mutation may set apart from the payload.
+struct TlvSection {
+  uint16_t type = 0;
+  uint32_t length = 0;
+  std::vector<uint8_t> payload;
+};
+
+struct TlvBlob {
+  std::vector<uint8_t> prefix;
+  std::vector<TlvSection> sections;
+};
+
+TlvBlob SplitTlv(const std::vector<uint8_t>& blob, const UisrSectionLayout& layout) {
+  TlvBlob tlv;
+  tlv.prefix.assign(blob.begin(), blob.begin() + 8);
+  for (const UisrSectionSpan& span : layout.sections) {
+    const auto at = blob.begin() + static_cast<ptrdiff_t>(span.payload_offset);
+    tlv.sections.push_back({static_cast<uint16_t>(span.type),
+                            static_cast<uint32_t>(span.payload_size),
+                            std::vector<uint8_t>(at, at + static_cast<ptrdiff_t>(span.payload_size))});
+  }
+  return tlv;
+}
+
+// Writes the prefix and the first `keep` sections, then reseals: a kEnd
+// trailer whose CRC covers every byte before it.
+std::vector<uint8_t> Reseal(const TlvBlob& tlv, size_t keep) {
+  ByteWriter w;
+  w.PutBytes(tlv.prefix);
+  for (size_t i = 0; i < std::min(keep, tlv.sections.size()); ++i) {
+    w.PutU16(tlv.sections[i].type);
+    w.PutU32(tlv.sections[i].length);
+    w.PutBytes(tlv.sections[i].payload);
+  }
+  const uint32_t crc = Crc32(w.bytes());
+  w.PutU16(static_cast<uint16_t>(UisrSectionType::kEnd));
+  w.PutU32(4);
+  w.PutU32(crc);
+  return w.bytes();
+}
+
+std::vector<uint8_t> Reseal(const TlvBlob& tlv) { return Reseal(tlv, tlv.sections.size()); }
+
+std::vector<uint64_t> UisrFuzzSeeds() {
+  std::vector<uint64_t> seeds = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+  const char* raw = std::getenv("HYPERTP_UISR_FUZZ_SEEDS");
+  if (const uint64_t n = raw != nullptr ? std::strtoull(raw, nullptr, 10) : 0; n > 0) {
+    seeds.resize(std::min<uint64_t>(n, seeds.size()));
+    for (uint64_t i = seeds.size(); i < n; ++i) {
+      seeds.push_back(100 + i - 10);
+    }
+  }
+  return seeds;
+}
+
+// A length near the true one, at an edge of the u32 range, or anywhere.
+uint32_t MutatedLength(Rng& rng, uint32_t truth) {
+  switch (rng.NextBelow(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return std::numeric_limits<uint32_t>::max();
+    case 2:
+      return truth + 1;
+    case 3:
+      return truth - 1;
+    case 4:
+      return uint32_t{1} << rng.NextBelow(32);
+    default:
+      return static_cast<uint32_t>(rng.NextBelow(2 * uint64_t{truth} + 2));
+  }
+}
+
+// Decodes `blob`; a refusal must be kDataLoss, and a decoded VM must
+// re-encode to a blob that decodes back to it. Returns whether it decoded.
+bool DecodesOrFails(std::span<const uint8_t> blob) {
+  auto decoded = DecodeUisrVm(blob);
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kDataLoss) << decoded.error().ToString();
+    return false;
+  }
+  auto again = DecodeUisrVm(EncodeUisrVm(*decoded));
+  EXPECT_TRUE(again.ok() && *again == *decoded);
+  return true;
+}
+
+TEST(UisrCodecTest, ResealedMutationsDecodeOrFail) {
+  const UisrVm vm = MakeTestVm(7, 2, 1ull << 30);
+  UisrSectionLayout layout;
+  const std::vector<uint8_t> blob = EncodeUisrVm(vm, &layout);
+  const TlvBlob base = SplitTlv(blob, layout);
+  ASSERT_EQ(Reseal(base), blob);  // The helper reseals to the encoder's bytes.
+
+  // Every section boundary: resealed after the first k sections, and cut
+  // there with no trailer at all (and at every payload start). A resealed
+  // cut that loses the header or a vCPU is refused.
+  int cases = 0;
+  for (size_t keep = 0; keep <= base.sections.size(); ++keep) {
+    const bool ok = DecodesOrFails(Reseal(base, keep));
+    if (keep <= vm.vcpus.size()) {
+      EXPECT_FALSE(ok) << "resealed after " << keep << " sections";
+    }
+    ++cases;
+  }
+  std::vector<size_t> cuts = {0, 4, 6, 8};
+  for (const UisrSectionSpan& span : layout.sections) {
+    cuts.push_back(span.header_offset);
+    cuts.push_back(span.payload_offset);
+  }
+  cuts.push_back(blob.size() - 10);
+  for (const size_t at : cuts) {
+    EXPECT_FALSE(DecodesOrFails(std::span<const uint8_t>(blob).first(at))) << "cut at " << at;
+    ++cases;
+  }
+
+  // Seeded structural edits, one to three per case, each resealed so the
+  // section parser, not the CRC, has to refuse it.
+  int mutants = 0;
+  int decoded = 0;
+  for (const uint64_t seed : UisrFuzzSeeds()) {
+    Rng rng(seed);
+    for (int c = 0; c < 64; ++c) {
+      TlvBlob mutated = base;
+      const int edits = static_cast<int>(rng.NextInRange(1, 3));
+      for (int e = 0; e < edits && !mutated.sections.empty(); ++e) {
+        std::vector<TlvSection>& sections = mutated.sections;
+        TlvSection& section = sections[rng.NextBelow(sections.size())];
+        switch (rng.NextBelow(7)) {
+          case 0:  // The length field alone: the framing goes out of step.
+            section.length = MutatedLength(rng, section.length);
+            break;
+          case 1: {  // Length and payload together: a short or padded payload.
+            const auto size = static_cast<uint32_t>(section.payload.size());
+            section.payload.resize(MutatedLength(rng, size) % (uint64_t{size} + 64));
+            section.length = static_cast<uint32_t>(section.payload.size());
+            break;
+          }
+          case 2:  // A known type, an unknown one, or kEnd mid-stream.
+            section.type = static_cast<uint16_t>(
+                rng.NextBool(0.8) ? rng.NextInRange(1, 5)
+                                  : (rng.NextBool(0.5) ? 0xFFFF : rng.NextBelow(0x10000)));
+            break;
+          case 3:
+            sections.erase(sections.begin() +
+                           static_cast<ptrdiff_t>(rng.NextBelow(sections.size())));
+            break;
+          case 4: {
+            const size_t i = rng.NextBelow(sections.size());
+            sections.insert(sections.begin() + static_cast<ptrdiff_t>(i), sections[i]);
+            break;
+          }
+          case 5: {
+            TlvSection& other = sections[rng.NextBelow(sections.size())];
+            if (&other != &section) {
+              std::swap(section, other);
+            }
+            break;
+          }
+          default:  // Flip one to eight payload bits.
+            for (int flips = static_cast<int>(rng.NextInRange(1, 8));
+                 flips > 0 && !section.payload.empty(); --flips) {
+              section.payload[rng.NextBelow(section.payload.size())] ^=
+                  static_cast<uint8_t>(1u << rng.NextBelow(8));
+            }
+            break;
+        }
+      }
+      decoded += DecodesOrFails(Reseal(mutated)) ? 1 : 0;
+      ++mutants;
+    }
+  }
+  // Both outcomes occur: swaps, duplicated devices and most bit flips still
+  // decode, and broken framing or counts are refused.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, mutants);
+  RecordProperty("cases", cases + mutants);
+  RecordProperty("decoded", decoded);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Unit tests for src/xen: formats, UISR translation, credit scheduler, and
-// the XenVisor hypervisor.
+// Unit tests for src/xen: formats, UISR translation and the XenVisor
+// hypervisor.
 
 #include <gtest/gtest.h>
 
@@ -124,40 +124,6 @@ TEST(XenUisrTest, PlatformRemapsHighIoapicPins) {
   EXPECT_EQ(log[0].description, "IOAPIC pin 50 remapped to pin 17; guest notified of GSI change");
 }
 
-TEST(CreditSchedulerTest, BalancedPlacement) {
-  CreditScheduler sched(4);
-  for (uint32_t i = 0; i < 8; ++i) {
-    sched.AddVcpu(i, 0, 256);
-  }
-  EXPECT_EQ(sched.total_vcpus(), 8u);
-  for (const auto& queue : sched.runqueues()) {
-    EXPECT_EQ(queue.size(), 2u);
-  }
-}
-
-TEST(CreditSchedulerTest, RemoveDomain) {
-  CreditScheduler sched(2);
-  sched.AddVcpu(1, 0, 256);
-  sched.AddVcpu(1, 1, 256);
-  sched.AddVcpu(2, 0, 256);
-  sched.RemoveDomain(1);
-  EXPECT_EQ(sched.total_vcpus(), 1u);
-}
-
-TEST(CreditSchedulerTest, TickRotatesExhaustedVcpus) {
-  CreditScheduler sched(1);
-  sched.AddVcpu(1, 0, 256);
-  sched.AddVcpu(2, 0, 256);
-  const auto first_head = sched.runqueues()[0].front().domid;
-  bool rotated = false;
-  for (int i = 0; i < 10; ++i) {
-    sched.Tick();
-    rotated |= sched.runqueues()[0].front().domid != first_head;
-  }
-  // Over enough epochs the head must have rotated at least once.
-  EXPECT_TRUE(rotated);
-}
-
 class XenVisorTest : public ::testing::Test {
  protected:
   XenVisorTest() : machine_(MachineProfile::M1(), 1), xen_(machine_) {}
@@ -213,9 +179,9 @@ TEST_F(XenVisorTest, SchedulerTracksVcpus) {
   config.vcpus = 4;
   auto id = xen_.CreateVm(config);
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(xen_.scheduler().total_vcpus(), 4u);
+  EXPECT_EQ(xen_.scheduler().vcpu_count(), 4u);
   ASSERT_TRUE(xen_.DestroyVm(*id).ok());
-  EXPECT_EQ(xen_.scheduler().total_vcpus(), 0u);
+  EXPECT_EQ(xen_.scheduler().vcpu_count(), 0u);
 }
 
 TEST_F(XenVisorTest, SchedulerIsReconstructable) {
@@ -226,9 +192,9 @@ TEST_F(XenVisorTest, SchedulerIsReconstructable) {
   config.vcpus = 2;
   ASSERT_TRUE(xen_.CreateVm(config).ok());
 
-  const size_t before = xen_.scheduler().total_vcpus();
+  const size_t before = xen_.scheduler().vcpu_count();
   xen_.RebuildScheduler();  // VM Management State rebuilt from VM_i State.
-  EXPECT_EQ(xen_.scheduler().total_vcpus(), before);
+  EXPECT_EQ(xen_.scheduler().vcpu_count(), before);
 }
 
 TEST_F(XenVisorTest, EventChannelsAndXenstorePopulated) {
