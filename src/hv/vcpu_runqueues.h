@@ -5,6 +5,7 @@
 #ifndef HYPERTP_SRC_HV_VCPU_RUNQUEUES_H_
 #define HYPERTP_SRC_HV_VCPU_RUNQUEUES_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -15,7 +16,7 @@ struct QueuedVcpu {
   uint64_t vm_uid = 0;
   uint32_t vcpu = 0;
 
-  bool operator==(const QueuedVcpu&) const = default;
+  auto operator<=>(const QueuedVcpu&) const = default;
 };
 
 class VcpuRunqueues {

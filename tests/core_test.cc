@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <tuple>
 
 #include "src/core/factory.h"
 #include "src/core/inplace.h"
@@ -125,7 +124,7 @@ std::vector<QueuedVcpu> QueuedVcpus(const Host& host) {
   for (const auto& queue : host.scheduler().queues()) {
     queued.insert(queued.end(), queue.begin(), queue.end());
   }
-  std::ranges::sort(queued, {}, [](const QueuedVcpu& q) { return std::tie(q.vm_uid, q.vcpu); });
+  std::ranges::sort(queued);
   return queued;
 }
 
@@ -139,7 +138,7 @@ std::vector<QueuedVcpu> ExpectedVcpus(const Hypervisor& hv, const std::vector<Vm
       expected.push_back({info->uid, v});
     }
   }
-  std::ranges::sort(expected, {}, [](const QueuedVcpu& q) { return std::tie(q.vm_uid, q.vcpu); });
+  std::ranges::sort(expected);
   return expected;
 }
 
