@@ -189,16 +189,6 @@ TEST(VmUidTest, MonotonicAndUnique) {
 }
 
 TEST(VcpuRunqueuesTest, PlacesOnShortestQueueAndRemovesByUid) {
-  // Balanced placement: eight one-vCPU VMs over four queues, two per queue.
-  VcpuRunqueues balanced(4);
-  for (uint64_t uid = 1; uid <= 8; ++uid) {
-    balanced.AddVm(uid, 1);
-  }
-  EXPECT_EQ(balanced.vcpu_count(), 8u);
-  for (const auto& queue : balanced.queues()) {
-    EXPECT_EQ(queue.size(), 2u);
-  }
-
   // Each vCPU lands on the first shortest queue, in vCPU order.
   VcpuRunqueues rq(2);
   rq.AddVm(1, 2);

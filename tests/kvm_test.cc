@@ -1,7 +1,8 @@
-// Unit tests for src/kvm: UISR translation, KvmHost.
+// Unit tests for src/kvm: UISR translation, CFS scheduling, KvmHost.
 
 #include <gtest/gtest.h>
 
+#include "src/hv/vcpu_runqueues.h"
 #include "src/kvm/kvm_host.h"
 #include "src/kvm/kvm_uisr.h"
 #include "src/xen/xenvisor.h"
@@ -69,6 +70,21 @@ TEST(KvmUisrTest, HighIoapicPinsDisconnectedWithFixup) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].component, "ioapic");
   EXPECT_NE(log[0].description.find("pin 30"), std::string::npos);
+}
+
+// KVM's CFS scheduling of vCPU threads is modelled by the shared vCPU
+// runqueue table.
+TEST(CfsSchedulerTest, RemoveVmDropsAllTasks) {
+  VcpuRunqueues sched(4);
+  sched.AddVm(1, 2);
+  sched.AddVm(2, 1);
+  sched.RemoveVm(1);
+  EXPECT_EQ(sched.vcpu_count(), 1u);
+  for (const auto& queue : sched.queues()) {
+    for (const QueuedVcpu& v : queue) {
+      EXPECT_EQ(v.vm_uid, 2u);
+    }
+  }
 }
 
 class KvmHostTest : public ::testing::Test {

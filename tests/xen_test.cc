@@ -1,8 +1,9 @@
-// Unit tests for src/xen: formats, UISR translation and the XenVisor
-// hypervisor.
+// Unit tests for src/xen: formats, UISR translation, credit scheduling and
+// the XenVisor hypervisor.
 
 #include <gtest/gtest.h>
 
+#include "src/hv/vcpu_runqueues.h"
 #include "src/xen/xen_formats.h"
 #include "src/xen/xen_uisr.h"
 #include "src/xen/xenvisor.h"
@@ -122,6 +123,26 @@ TEST(XenUisrTest, PlatformRemapsHighIoapicPins) {
   EXPECT_EQ(ctx->ioapic.redirtbl[17], 0x150u);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].description, "IOAPIC pin 50 remapped to pin 17; guest notified of GSI change");
+}
+
+// Xen's credit scheduler is modelled by the shared vCPU runqueue table.
+TEST(CreditSchedulerTest, BalancedPlacement) {
+  VcpuRunqueues sched(4);
+  for (uint64_t uid = 1; uid <= 8; ++uid) {
+    sched.AddVm(uid, 1);
+  }
+  EXPECT_EQ(sched.vcpu_count(), 8u);
+  for (const auto& queue : sched.queues()) {
+    EXPECT_EQ(queue.size(), 2u);
+  }
+}
+
+TEST(CreditSchedulerTest, RemoveDomain) {
+  VcpuRunqueues sched(2);
+  sched.AddVm(1, 2);
+  sched.AddVm(2, 1);
+  sched.RemoveVm(1);
+  EXPECT_EQ(sched.vcpu_count(), 1u);
 }
 
 class XenVisorTest : public ::testing::Test {
