@@ -1,6 +1,6 @@
 // Microbenchmarks for HyperTP's hot primitives: UISR encode/decode, per-vCPU
 // format translation, PRAM build/parse, CRC32, and the zero-copy
-// encode-into-PRAM save path against the legacy materialize-then-copy store.
+// encode-into-PRAM save path against materialize-then-copy.
 // These measure the real (host) cost of the state-manipulation code paths —
 // the parts of HyperTP that would run inside the paper's downtime window.
 //
@@ -224,9 +224,9 @@ void BenchCrc32(const BenchConfig& cfg, bench::BenchReport& report) {
 }
 
 // The headline comparison: encoding a VM batch straight into backed PRAM
-// frames (PramFrameWriter) vs the legacy materialize-then-copy store
-// (encode into a vector, then write it page-by-page as per-page vectors —
-// what StoreUisrBlob did before the zero-copy path).
+// frames (PramFrameWriter) vs materialize-then-copy (encode into a vector,
+// then copy it into one backing over fresh frames — ParkUisrBlob's path for
+// a blob that already exists).
 void BenchEncodeToPram(const BenchConfig& cfg, bench::BenchReport& report) {
   bench::Section("encode-to-PRAM vs materialize-then-copy");
   constexpr int kVms = 8;
@@ -249,17 +249,14 @@ void BenchEncodeToPram(const BenchConfig& cfg, bench::BenchReport& report) {
       for (const UisrVm& vm : vms) {
         // Materialize the full blob...
         const std::vector<uint8_t> blob = EncodeUisrVm(vm);
-        // ...then copy it page-by-page, a vector per page (the old store).
-        const uint64_t frames = (blob.size() + kPageSize - 1) / kPageSize;
-        Mfn base = ram.Alloc(frames, 1, FrameOwner{FrameOwnerKind::kUisr, vm.vm_uid}).value();
-        for (uint64_t f = 0; f < frames; ++f) {
-          const size_t begin = f * kPageSize;
-          const size_t end = begin + kPageSize < blob.size() ? begin + kPageSize : blob.size();
-          std::vector<uint8_t> page(blob.begin() + static_cast<ptrdiff_t>(begin),
-                                    blob.begin() + static_cast<ptrdiff_t>(end));
-          (void)ram.WritePage(base + f, std::move(page));
+        // ...then copy it into one backing over fresh frames.
+        auto writer = PramFrameWriter::Create(ram, vm.vm_uid, blob.size());
+        if (!writer.ok()) {
+          std::fprintf(stderr, "frame writer: %s\n", writer.error().ToString().c_str());
+          return;
         }
-        (void)ram.Free(base, frames);
+        writer->PutBytes(blob);
+        (void)ram.Free(writer->frames().base, writer->frames().count);
       }
     }
   });

@@ -235,20 +235,20 @@ Result<InPlaceResult> InPlaceTransplant::Run(std::unique_ptr<Hypervisor> source,
   }
 
   if (options.inject_fault == InPlaceOptions::Fault::kPramCorruptionBeforeReboot) {
-    // Clobber the PRAM root page: models a stray hypervisor write between
-    // translation and the kexec jump.
-    (void)machine.memory().WritePage(pram_handle->root_mfn, std::vector<uint8_t>(64, 0xFF));
+    // Clobber the head of the PRAM root page: models a stray hypervisor
+    // write between translation and the kexec jump.
+    if (auto root = machine.memory().BackedExtent(pram_handle->root_mfn, 1); root.ok()) {
+      std::fill_n(root->begin(), 64, uint8_t{0xFF});
+    }
   }
   if (options.inject_fault == InPlaceOptions::Fault::kUisrCorruptionBeforeReboot &&
       !vms.empty() && !vms.front().uisr_frames.empty()) {
     // Flip bytes inside the first VM's parked UISR blob. The PRAM structure
     // stays valid (guest memory survives), but the blob's CRC must catch
     // this at restore time.
-    const Mfn victim = vms.front().uisr_frames.front().base;
-    auto page = machine.memory().ReadPage(victim);
-    if (page.ok() && !page->empty()) {
-      (*page)[page->size() / 2] ^= 0xFF;
-      (void)machine.memory().WritePage(victim, std::move(*page));
+    const FrameExtent& victim = vms.front().uisr_frames.front();
+    if (auto blob = machine.memory().BackedExtent(victim.base, victim.count); blob.ok()) {
+      (*blob)[kPageSize / 2] ^= 0xFF;
     }
   }
 
@@ -264,10 +264,8 @@ Result<InPlaceResult> InPlaceTransplant::Run(std::unique_ptr<Hypervisor> source,
     // inside the slot the kCommitted generation was written to. Read() must
     // fall back to the previous (kTranslated) generation, which does not
     // authorize rollback.
-    auto page = machine.memory().ReadPage(ledger.frame());
-    if (page.ok() && page->size() > TransplantLedger::SlotOffset(ledger.generation())) {
+    if (auto page = machine.memory().BackedExtent(ledger.frame(), 1); page.ok()) {
       (*page)[TransplantLedger::SlotOffset(ledger.generation()) + 2] ^= 0xFF;
-      (void)machine.memory().WritePage(ledger.frame(), std::move(*page));
     }
   }
 

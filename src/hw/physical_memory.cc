@@ -222,45 +222,6 @@ uint64_t PhysicalMemory::ScrubExcept(const std::vector<FrameExtent>& preserved) 
   return scrubbed;
 }
 
-Result<void> PhysicalMemory::WritePage(Mfn mfn, std::vector<uint8_t> bytes) {
-  if (!IsAllocated(mfn)) {
-    return FailedPreconditionError("page write to unallocated frame " + std::to_string(mfn));
-  }
-  if (bytes.size() > kPageSize) {
-    return InvalidArgumentError("page payload of " + std::to_string(bytes.size()) +
-                                " bytes exceeds frame size");
-  }
-  // A frame inside a contiguous backing stays there: the page write replaces
-  // its slice (zero-padded, matching whole-page overwrite semantics), so
-  // page-level corruption of a parked blob lands in the same storage the
-  // zero-copy decode reads.
-  Mfn backing_base = 0;
-  if (BackingBytes* backing = BackingFor(mfn, &backing_base)) {
-    uint8_t* slice = backing->data.get() + (mfn - backing_base) * kPageSize;
-    std::fill(slice, slice + kPageSize, 0);
-    std::copy(bytes.begin(), bytes.end(), slice);
-    return OkResult();
-  }
-  pages_[mfn] = std::move(bytes);
-  return OkResult();
-}
-
-Result<std::vector<uint8_t>> PhysicalMemory::ReadPage(Mfn mfn) const {
-  if (mfn >= total_frames_) {
-    return OutOfRangeError("page read of frame " + std::to_string(mfn) + " beyond RAM");
-  }
-  Mfn backing_base = 0;
-  if (const BackingBytes* backing = BackingFor(mfn, &backing_base)) {
-    const uint8_t* slice = backing->data.get() + (mfn - backing_base) * kPageSize;
-    return std::vector<uint8_t>(slice, slice + kPageSize);
-  }
-  auto it = pages_.find(mfn);
-  if (it == pages_.end()) {
-    return std::vector<uint8_t>{};
-  }
-  return it->second;
-}
-
 Result<std::span<uint8_t>> PhysicalMemory::BackExtent(Mfn base, uint64_t frames,
                                                       uint64_t skip_zero_prefix) {
   if (frames == 0) {
@@ -277,8 +238,8 @@ Result<std::span<uint8_t>> PhysicalMemory::BackExtent(Mfn base, uint64_t frames,
                                    std::to_string(frames) +
                                    ") does not lie inside one allocated extent");
   }
-  // One backing per frame: replace any overlapping backings or stale per-page
-  // payloads rather than shadowing them.
+  // One backing per frame: replace any overlapping backing rather than
+  // shadowing it.
   DropFrameData(base, frames);
   const size_t bytes = frames * kPageSize;
   BackingBytes backing;
@@ -310,7 +271,6 @@ Result<std::span<uint8_t>> PhysicalMemory::BackedExtent(Mfn base, uint64_t frame
 void PhysicalMemory::DropFrameData(Mfn base, uint64_t count) {
   const Mfn end = base + count;
   content_.erase(content_.lower_bound(base), content_.lower_bound(end));
-  pages_.erase(pages_.lower_bound(base), pages_.lower_bound(end));
   auto first = backed_.lower_bound(base);
   // A backing starting before `base` can still reach into the range.
   if (first != backed_.begin()) {
@@ -320,24 +280,6 @@ void PhysicalMemory::DropFrameData(Mfn base, uint64_t count) {
     }
   }
   backed_.erase(first, backed_.lower_bound(end));
-}
-
-const PhysicalMemory::BackingBytes* PhysicalMemory::BackingFor(Mfn mfn, Mfn* backing_base) const {
-  auto it = backed_.upper_bound(mfn);
-  if (it == backed_.begin()) {
-    return nullptr;
-  }
-  const auto& [base, bytes] = *std::prev(it);
-  if (mfn >= base + bytes.size / kPageSize) {
-    return nullptr;
-  }
-  *backing_base = base;
-  return &bytes;
-}
-
-PhysicalMemory::BackingBytes* PhysicalMemory::BackingFor(Mfn mfn, Mfn* backing_base) {
-  return const_cast<BackingBytes*>(
-      static_cast<const PhysicalMemory*>(this)->BackingFor(mfn, backing_base));
 }
 
 Result<void> PhysicalMemory::Reassign(Mfn base, uint64_t count, FrameOwner new_owner) {

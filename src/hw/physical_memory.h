@@ -9,11 +9,15 @@
 // of guest memory by a buggy PRAM reservation is observable, exactly as it
 // would be on real hardware.
 //
-// Every table (free holes, allocated extents, content words, page payloads,
-// contiguous backings) is an ordered map keyed by frame number. Work scales
-// with extents, not frames: freeing or scrubbing an extent drops its words,
-// payloads and backings with one range erase per table, and an ownership
-// check over a frame run walks the extents that cover it.
+// Frames that need real bytes (PRAM metadata pages, the transplant ledger,
+// parked UISR blobs) get a backing: one contiguous byte array over a frame
+// run, written and read in place. It is the only byte store.
+//
+// Every table (free holes, allocated extents, content words, backings) is an
+// ordered map keyed by frame number. Work scales with extents, not frames:
+// freeing or scrubbing an extent drops its words and backings with one range
+// erase per table, and an ownership check over a frame run walks the extents
+// that cover it.
 
 #ifndef HYPERTP_SRC_HW_PHYSICAL_MEMORY_H_
 #define HYPERTP_SRC_HW_PHYSICAL_MEMORY_H_
@@ -114,24 +118,14 @@ class PhysicalMemory {
   Result<void> WriteWord(Mfn mfn, uint64_t content);
   Result<uint64_t> ReadWord(Mfn mfn) const;
 
-  // Full-page byte payloads, used for small metadata frames (PRAM pages,
-  // staged kernel images) that need real contents. At most kPageSize bytes.
-  // Payloads are destroyed by Free/Scrub just like content words.
-  Result<void> WritePage(Mfn mfn, std::vector<uint8_t> bytes);
-  // Empty result for allocated-but-never-written frames.
-  Result<std::vector<uint8_t>> ReadPage(Mfn mfn) const;
-
-  // Contiguous byte backing for a whole frame run, the storage under the
-  // zero-copy UISR save path: encoders write wire bytes straight into the
-  // returned span (PramFrameWriter) and the restore side decodes from it
-  // without per-page reassembly. [base, base+frames) must lie inside one
-  // allocated extent. The storage is frames * kPageSize zero-initialized
-  // bytes; re-backing the same (base, frames) resets it. WritePage/ReadPage
-  // on a backed frame operate on the corresponding page-sized slice, so
-  // page-level corruption (and its detection) behaves exactly as with
-  // per-page payloads. Backings die with their frames on Free/Scrub.
-  // Backing a run drops whatever its frames held before: content words,
-  // page payloads and any overlapping backing.
+  // Contiguous byte backing for a whole frame run: the storage PRAM metadata
+  // pages and the ledger are written into (one frame each), and the zero-copy
+  // UISR save path encodes into (PramFrameWriter); readers parse the same
+  // bytes in place. [base, base+frames) must lie inside one allocated extent.
+  // The storage is frames * kPageSize zero-initialized bytes; re-backing the
+  // same (base, frames) resets it. Backings die with their frames on
+  // Free/Scrub. Backing a run drops whatever its frames held before: content
+  // words and any overlapping backing.
   //
   // `skip_zero_prefix` is the caller's promise that it will overwrite the
   // first that many bytes before anything reads them: those bytes come back
@@ -212,12 +206,9 @@ class PhysicalMemory {
     }
   };
 
-  // Drops the content words, page payloads and backings of
-  // [base, base+count): one range erase per table.
+  // Drops the content words and backings of [base, base+count): one range
+  // erase per table.
   void DropFrameData(Mfn base, uint64_t count);
-  // The backing containing `mfn`, or nullptr. Non-const twin for writes.
-  const BackingBytes* BackingFor(Mfn mfn, Mfn* backing_base) const;
-  BackingBytes* BackingFor(Mfn mfn, Mfn* backing_base);
 
   uint64_t total_frames_;
   uint64_t free_frames_;
@@ -227,10 +218,8 @@ class PhysicalMemory {
   std::map<Mfn, FrameExtent> allocated_;
   // Sparse content words: only frames that were written appear here.
   std::map<Mfn, uint64_t> content_;
-  // Sparse full-page payloads for metadata frames.
-  std::map<Mfn, std::vector<uint8_t>> pages_;
-  // Contiguous multi-frame backings (base -> frames * kPageSize bytes),
-  // disjoint from each other; frames here never also appear in pages_.
+  // Contiguous frame-run backings (base -> frames * kPageSize bytes),
+  // disjoint from each other.
   std::map<Mfn, BackingBytes> backed_;
 };
 

@@ -1,10 +1,8 @@
 #include "src/pram/ledger.h"
 
-#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/crc32.h"
@@ -22,10 +20,11 @@ constexpr size_t kHeaderSize = 8;
 // u8 + pram_root u64 + vm_count u32; followed by crc u32 over the payload.
 constexpr size_t kSlotPayloadSize = 20;
 constexpr size_t kSlotSize = kSlotPayloadSize + 4;
-constexpr size_t kLedgerBytes = kHeaderSize + 2 * kSlotSize;
 
-std::vector<uint8_t> EncodeSlot(const LedgerRecord& record) {
-  ByteWriter w;
+// Writes `record` and its CRC into the slot at `offset` of the ledger page.
+void EncodeSlot(const LedgerRecord& record, std::span<uint8_t> page, size_t offset) {
+  const std::span<uint8_t> slot = page.subspan(offset, kSlotSize);
+  SpanWriter w(slot);
   w.PutU32(record.generation);
   w.PutU8(static_cast<uint8_t>(record.phase));
   w.PutU8(record.source_kind);
@@ -33,9 +32,7 @@ std::vector<uint8_t> EncodeSlot(const LedgerRecord& record) {
   w.PutU8(0);
   w.PutU64(record.pram_root);
   w.PutU32(record.vm_count);
-  const uint32_t crc = Crc32(w.bytes());
-  w.PutU32(crc);
-  return w.TakeBytes();
+  w.PutU32(Crc32(slot.first(kSlotPayloadSize)));
 }
 
 // Decodes one slot; nullopt if the slot was never written or its CRC fails.
@@ -70,6 +67,13 @@ std::optional<LedgerRecord> DecodeSlot(std::span<const uint8_t> page, size_t off
     return std::nullopt;
   }
   return record;
+}
+
+// The ledger page's bytes where they lie; empty once the frame was freed or
+// scrubbed, which reads as two unwritten slots.
+std::span<const uint8_t> PageOf(const PhysicalMemory& ram, Mfn frame) {
+  auto page = ram.BackedExtent(frame, 1);
+  return page.ok() ? *page : std::span<const uint8_t>{};
 }
 
 // Best (highest-generation) valid record in the page, if any.
@@ -168,13 +172,10 @@ SalvageDecision DecideSalvage(CrashLedgerState state) {
 
 Result<TransplantLedger> TransplantLedger::Create(PhysicalMemory& ram, LedgerRecord initial) {
   HYPERTP_ASSIGN_OR_RETURN(Mfn frame, ram.AllocFrame(FrameOwner{FrameOwnerKind::kPramMeta, 0}));
-  std::vector<uint8_t> page(kLedgerBytes, 0);
-  ByteWriter header;
+  HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> page, ram.BackExtent(frame, 1));
+  SpanWriter header(page);
   header.PutU32(kLedgerMagic);
   header.PutU32(kLedgerVersion);
-  const std::vector<uint8_t> header_bytes = header.TakeBytes();
-  std::copy(header_bytes.begin(), header_bytes.end(), page.begin());
-  HYPERTP_RETURN_IF_ERROR(ram.WritePage(frame, std::move(page)));
 
   TransplantLedger ledger(ram, frame, 0);
   HYPERTP_RETURN_IF_ERROR(ledger.Commit(initial));
@@ -182,8 +183,8 @@ Result<TransplantLedger> TransplantLedger::Create(PhysicalMemory& ram, LedgerRec
 }
 
 Result<TransplantLedger> TransplantLedger::Open(PhysicalMemory& ram, Mfn frame) {
-  HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> page, ram.ReadPage(frame));
-  if (page.size() < kHeaderSize) {
+  const std::span<const uint8_t> page = PageOf(ram, frame);
+  if (page.empty()) {
     return DataLossError("transplant ledger at mfn " + std::to_string(frame) +
                          " is empty or scrubbed");
   }
@@ -201,14 +202,13 @@ Result<TransplantLedger> TransplantLedger::Open(PhysicalMemory& ram, Mfn frame) 
 }
 
 Result<void> TransplantLedger::Commit(LedgerRecord record) {
-  HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> page, ram_->ReadPage(frame_));
-  if (page.size() < kLedgerBytes) {
-    page.resize(kLedgerBytes, 0);
+  auto page = ram_->BackedExtent(frame_, 1);
+  if (!page.ok()) {
+    return FailedPreconditionError("transplant ledger at mfn " + std::to_string(frame_) +
+                                   " was freed");
   }
   record.generation = generation_ + 1;
-  const std::vector<uint8_t> slot = EncodeSlot(record);
-  std::copy(slot.begin(), slot.end(), page.begin() + SlotOffset(record.generation));
-  HYPERTP_RETURN_IF_ERROR(ram_->WritePage(frame_, std::move(page)));
+  EncodeSlot(record, *page, SlotOffset(record.generation));
   generation_ = record.generation;
   HYPERTP_LOG(kDebug, "ledger") << "committed generation " << generation_ << " phase "
                                 << TransplantPhaseName(record.phase);
@@ -216,8 +216,7 @@ Result<void> TransplantLedger::Commit(LedgerRecord record) {
 }
 
 Result<LedgerRecord> TransplantLedger::Read() const {
-  HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> page, ram_->ReadPage(frame_));
-  const std::optional<LedgerRecord> best = BestSlot(page);
+  const std::optional<LedgerRecord> best = BestSlot(PageOf(*ram_, frame_));
   if (!best) {
     return DataLossError("transplant ledger: no valid commit record (torn write?)");
   }
@@ -225,7 +224,7 @@ Result<LedgerRecord> TransplantLedger::Read() const {
 }
 
 Result<SalvageAssessment> TransplantLedger::Assess() const {
-  HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> page, ram_->ReadPage(frame_));
+  const std::span<const uint8_t> page = PageOf(*ram_, frame_);
   SalvageAssessment assessment;
   const std::optional<LedgerRecord> best = BestSlot(page);
   if (!best) {

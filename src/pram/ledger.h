@@ -10,7 +10,8 @@
 // carries a CRC over its payload, so a write torn by the very fault we are
 // trying to survive invalidates at most the newest slot and Read() falls back
 // to the last fully committed record. A reader therefore never observes a
-// half-written phase.
+// half-written phase. The page is a one-frame backing in PhysicalMemory: a
+// commit writes its slot where it lies, and readers decode the slots there.
 //
 // The ledger frame's MFN travels on the kexec command line (`tpledger=`)
 // alongside the PRAM pointer; it is owned by kPramMeta so the existing abort
@@ -130,8 +131,8 @@ class TransplantLedger {
   // Crash-time inspection: classifies the page into a CrashLedgerState and
   // the salvage decision it authorizes. Unlike Read(), this distinguishes "no
   // newer write" from "newer write torn by the crash" — the difference
-  // between a legal rollback and stale-state resurrection. Only fails when
-  // the page itself is unreadable.
+  // between a legal rollback and stale-state resurrection. A ledger frame
+  // that was freed or scrubbed assesses as kScrubbed.
   Result<SalvageAssessment> Assess() const;
 
   Mfn frame() const { return frame_; }

@@ -1,6 +1,7 @@
 #include "src/pram/pram.h"
 
 #include <algorithm>
+#include <set>
 #include <span>
 
 #include "src/base/bytes.h"
@@ -44,26 +45,24 @@ uint64_t PackSkipEntry(uint64_t delta_pages) {
   return (kEntryTypeSkip << kEntryTypeShift) | (delta_pages & kEntryValueMask);
 }
 
-// Finishes a metadata page: computes the CRC over the payload (with the CRC
-// field still zero), patches it in, and writes the page to RAM.
-Result<void> CommitPage(PhysicalMemory& ram, Mfn mfn, ByteWriter&& w) {
-  std::vector<uint8_t> bytes = w.TakeBytes();
-  const uint32_t crc = Crc32(bytes);
-  for (int i = 0; i < 4; ++i) {
-    bytes[4 + static_cast<size_t>(i)] = static_cast<uint8_t>(crc >> (8 * i));
-  }
-  return ram.WritePage(mfn, std::move(bytes));
+// Seals a metadata page written in place: the CRC covers the whole 4 KiB
+// page, zero tail included, with its own field still zero. `w` must have
+// written exactly the `payload` bytes the backing left unzeroed.
+void SealPage(SpanWriter& w, std::span<const uint8_t> page, size_t payload) {
+  HYPERTP_CHECK(w.size() == payload);
+  w.PatchU32(4, Crc32(page));
 }
 
-// Reads a metadata page and validates magic + CRC.
-Result<std::vector<uint8_t>> LoadPage(const PhysicalMemory& ram, Mfn mfn,
-                                      uint32_t expected_magic) {
-  HYPERTP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ram.ReadPage(mfn));
-  if (bytes.size() < kPageHeaderSize) {
+// The metadata page at `mfn`, checked for magic and CRC where it lies.
+Result<std::span<const uint8_t>> LoadPage(const PhysicalMemory& ram, Mfn mfn,
+                                          uint32_t expected_magic) {
+  auto backed = ram.BackedExtent(mfn, 1);
+  if (!backed.ok()) {
     return DataLossError("pram: metadata page at mfn " + std::to_string(mfn) +
                          " is empty or scrubbed");
   }
-  ByteReader r(bytes);
+  const std::span<const uint8_t> page = *backed;
+  ByteReader r(page);
   HYPERTP_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
   if (magic != expected_magic) {
     return DataLossError("pram: bad magic at mfn " + std::to_string(mfn));
@@ -72,13 +71,12 @@ Result<std::vector<uint8_t>> LoadPage(const PhysicalMemory& ram, Mfn mfn,
   // The CRC was computed with its own field zeroed: stream the magic, four
   // zero bytes, then the rest of the page.
   constexpr uint8_t kZeroCrcField[4] = {};
-  const std::span<const uint8_t> page(bytes);
   uint32_t crc = Crc32Update(Crc32(page.first(4)), kZeroCrcField);
   crc = Crc32Update(crc, page.subspan(kPageHeaderSize));
   if (crc != stored_crc) {
     return DataLossError("pram: CRC mismatch at mfn " + std::to_string(mfn));
   }
-  return bytes;
+  return page;
 }
 
 // Sorts `named` by base and merges extents that touch or overlap; a merged
@@ -175,11 +173,13 @@ Result<PramHandle> PramBuilder::Finalize() {
 
   PramHandle handle;
   const FrameOwner owner{FrameOwnerKind::kPramMeta, 0};
-  auto alloc_page = [&]() -> Result<Mfn> {
-    HYPERTP_ASSIGN_OR_RETURN(Mfn mfn, ram_->AllocFrame(owner));
+  // Allocates and backs one metadata frame whose first `payload` bytes the
+  // caller writes in place; only the tail past them is zeroed.
+  auto alloc_page = [&](Mfn& mfn, size_t payload) -> Result<std::span<uint8_t>> {
+    HYPERTP_ASSIGN_OR_RETURN(mfn, ram_->AllocFrame(owner));
     handle.extents.push_back(FrameExtent{mfn, 1, owner});
     ++handle.metadata_pages;
-    return mfn;
+    return ram_->BackExtent(mfn, 1, payload);
   };
 
   // Lay out per-file node chains and file-info pages first, then the roots.
@@ -200,12 +200,13 @@ Result<PramHandle> PramBuilder::Finalize() {
     // Node chain, written back-to-front so each page knows its successor.
     Mfn next_node = 0;
     const size_t node_count = (words.size() + kNodeCapacity - 1) / kNodeCapacity;
-    for (size_t page = node_count; page-- > 0;) {
-      const size_t begin = page * kNodeCapacity;
+    for (size_t chunk = node_count; chunk-- > 0;) {
+      const size_t begin = chunk * kNodeCapacity;
       const size_t end = std::min(begin + kNodeCapacity, words.size());
-      HYPERTP_ASSIGN_OR_RETURN(Mfn node_mfn, alloc_page());
-      ByteWriter w;
-      w.Reserve(kNodeHeaderSize + 8 * (end - begin));
+      const size_t payload = kNodeHeaderSize + 8 * (end - begin);
+      Mfn node_mfn = 0;
+      HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> page, alloc_page(node_mfn, payload));
+      SpanWriter w(page);
       w.PutU32(kNodeMagic);
       w.PutU32(0);  // CRC placeholder.
       w.PutU64(next_node);
@@ -213,14 +214,15 @@ Result<PramHandle> PramBuilder::Finalize() {
       for (size_t i = begin; i < end; ++i) {
         w.PutU64(words[i]);
       }
-      HYPERTP_RETURN_IF_ERROR(CommitPage(*ram_, node_mfn, std::move(w)));
+      SealPage(w, page, payload);
       next_node = node_mfn;
     }
 
-    HYPERTP_ASSIGN_OR_RETURN(Mfn info_mfn, alloc_page());
-    ByteWriter w;
     // Header, id, name, size, huge flag, first node, entry count.
-    w.Reserve(kPageHeaderSize + 8 + 4 + file.name.size() + 8 + 1 + 8 + 8);
+    const size_t payload = kPageHeaderSize + 8 + 4 + file.name.size() + 8 + 1 + 8 + 8;
+    Mfn info_mfn = 0;
+    HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> page, alloc_page(info_mfn, payload));
+    SpanWriter w(page);
     w.PutU32(kFileMagic);
     w.PutU32(0);
     w.PutU64(file.file_id);
@@ -229,7 +231,7 @@ Result<PramHandle> PramBuilder::Finalize() {
     w.PutU8(file.huge_pages ? 1 : 0);
     w.PutU64(next_node);
     w.PutU64(file.entries.size());
-    HYPERTP_RETURN_IF_ERROR(CommitPage(*ram_, info_mfn, std::move(w)));
+    SealPage(w, page, payload);
     file_info_mfns.push_back(info_mfn);
   }
 
@@ -237,12 +239,13 @@ Result<PramHandle> PramBuilder::Finalize() {
   Mfn next_root = 0;
   const size_t root_count =
       file_info_mfns.empty() ? 1 : (file_info_mfns.size() + kRootCapacity - 1) / kRootCapacity;
-  for (size_t page = root_count; page-- > 0;) {
-    const size_t begin = page * kRootCapacity;
+  for (size_t chunk = root_count; chunk-- > 0;) {
+    const size_t begin = chunk * kRootCapacity;
     const size_t end = std::min(begin + kRootCapacity, file_info_mfns.size());
-    HYPERTP_ASSIGN_OR_RETURN(Mfn root_mfn, alloc_page());
-    ByteWriter w;
-    w.Reserve(kRootHeaderSize + 8 * (end - begin));
+    const size_t payload = kRootHeaderSize + 8 * (end - begin);
+    Mfn root_mfn = 0;
+    HYPERTP_ASSIGN_OR_RETURN(std::span<uint8_t> page, alloc_page(root_mfn, payload));
+    SpanWriter w(page);
     w.PutU32(kRootMagic);
     w.PutU32(0);
     w.PutU64(next_root);
@@ -250,7 +253,7 @@ Result<PramHandle> PramBuilder::Finalize() {
     for (size_t i = begin; i < end; ++i) {
       w.PutU64(file_info_mfns[i]);
     }
-    HYPERTP_RETURN_IF_ERROR(CommitPage(*ram_, root_mfn, std::move(w)));
+    SealPage(w, page, payload);
     next_root = root_mfn;
   }
   handle.root_mfn = next_root;
@@ -268,7 +271,14 @@ Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn,
   // page it loads, and each file's entries merged into runs contiguous in
   // MFN as they are decoded.
   std::vector<FrameExtent> named;
-  auto load = [&](Mfn mfn, uint32_t magic) {
+  // Every metadata page is loaded once: a root or node chain that comes back
+  // to a page it already passed is a cycle, not a longer structure.
+  std::set<Mfn> loaded;
+  auto load = [&](Mfn mfn, uint32_t magic) -> Result<std::span<const uint8_t>> {
+    if (!loaded.insert(mfn).second) {
+      return DataLossError("pram: metadata page at mfn " + std::to_string(mfn) +
+                           " is linked twice (cycle)");
+    }
     named.push_back(FrameExtent{mfn, 1, FrameOwner{FrameOwnerKind::kPramMeta, 0}});
     return LoadPage(ram, mfn, magic);
   };

@@ -100,12 +100,14 @@ class PramBuilder {
 };
 
 // Parses a PRAM structure from RAM starting at the PRAM pointer. Verifies
-// per-page magic and CRC. This is what the freshly booted target hypervisor
-// runs at early boot, before touching the allocator. With a non-null
-// `preserve`, the same walk also yields the frame extents the scrubber must
-// keep: every metadata page plus every guest extent named by a page entry,
-// sorted by base and coalesced (a merged extent keeps its lowest member's
-// owner). `preserve` is left untouched when the parse fails.
+// per-page magic and CRC where each page lies, and loads each page at most
+// once, so a root or node chain that cycles is kDataLoss. This is what the
+// freshly booted target hypervisor runs at early boot, before touching the
+// allocator. With a non-null `preserve`, the same walk also yields the frame
+// extents the scrubber must keep: every metadata page plus every guest
+// extent named by a page entry, sorted by base and coalesced (a merged
+// extent keeps its lowest member's owner). `preserve` is left untouched when
+// the parse fails.
 Result<PramImage> ParsePram(const PhysicalMemory& ram, Mfn root_mfn,
                             std::vector<FrameExtent>* preserve = nullptr);
 

@@ -327,6 +327,8 @@ Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
   uint32_t declared_vcpus = 0;
   bool saw_header = false;
   bool saw_end = false;
+  int ioapic_sections = 0;
+  int pit_sections = 0;
 
   while (!r.AtEnd()) {
     // Remember where this section starts: the kEnd trailer's CRC covers
@@ -376,6 +378,7 @@ Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
         break;
       }
       case UisrSectionType::kIoapic: {
+        ++ioapic_sections;
         HYPERTP_ASSIGN_OR_RETURN(vm.ioapic.id, section.ReadU32());
         HYPERTP_ASSIGN_OR_RETURN(vm.ioapic.base_address, section.ReadU64());
         HYPERTP_ASSIGN_OR_RETURN(vm.ioapic.num_pins, section.ReadU32());
@@ -389,6 +392,7 @@ Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
         break;
       }
       case UisrSectionType::kPit: {
+        ++pit_sections;
         for (UisrPitChannel& c : vm.pit.channels) {
           HYPERTP_ASSIGN_OR_RETURN(c.count, section.ReadU32());
           HYPERTP_ASSIGN_OR_RETURN(c.latched_count, section.ReadU16());
@@ -434,6 +438,12 @@ Result<UisrVm> DecodeUisrVm(std::span<const uint8_t> data) {
   if (vm.vcpus.size() != declared_vcpus) {
     return DataLossError("uisr: header declares " + std::to_string(declared_vcpus) +
                          " vcpus, found " + std::to_string(vm.vcpus.size()));
+  }
+  // The encoder emits exactly one of each; a blob cut after its vCPUs would
+  // otherwise restore with no interrupt controller and no timer.
+  if (ioapic_sections != 1 || pit_sections != 1) {
+    return DataLossError("uisr: " + std::to_string(ioapic_sections) + " ioapic and " +
+                         std::to_string(pit_sections) + " pit sections, expected one of each");
   }
   return vm;
 }

@@ -168,13 +168,16 @@ TEST(PhysicalMemoryTest, BackExtentProvidesZeroedContiguousStorage) {
     ASSERT_EQ(b, 0);
   }
 
-  // Bytes written through the span are visible to page reads at the right
-  // frame offset, and page writes land back in the span.
+  // Bytes written through the span are visible to later views of the run at
+  // the right frame offset, and writes through a view land back in the span.
   (*backing)[kPageSize + 5] = 0xAB;
-  auto page = ram.ReadPage(base + 1);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ((*page)[5], 0xAB);
-  ASSERT_TRUE(ram.WritePage(base + 2, {0x11, 0x22}).ok());
+  auto view = std::as_const(ram).BackedExtent(base, 4);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)[kPageSize + 5], 0xAB);
+  auto writable = ram.BackedExtent(base, 4);
+  ASSERT_TRUE(writable.ok());
+  (*writable)[2 * kPageSize] = 0x11;
+  (*writable)[2 * kPageSize + 1] = 0x22;
   EXPECT_EQ((*backing)[2 * kPageSize], 0x11);
   EXPECT_EQ((*backing)[2 * kPageSize + 1], 0x22);
 }
@@ -230,10 +233,10 @@ TEST(PhysicalMemoryTest, BackExtentSkipZeroPrefixStillZeroesTheTail) {
     ASSERT_EQ((*backing)[i], 0) << "offset " << i;
   }
   std::fill(backing->begin(), backing->begin() + static_cast<ptrdiff_t>(prefix), 0x77);
-  auto page = ram.ReadPage(base + 1);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ((*page)[99], 0x77);
-  EXPECT_EQ((*page)[100], 0x00);
+  auto view = std::as_const(ram).BackedExtent(base, 2);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)[kPageSize + 99], 0x77);
+  EXPECT_EQ((*view)[kPageSize + 100], 0x00);
   // A skip larger than the backing is clamped, not an error.
   Mfn other = ram.Alloc(1, 1, kGuest1).value();
   EXPECT_TRUE(ram.BackExtent(other, 1, 10 * kPageSize).ok());
@@ -342,21 +345,34 @@ struct FrameView {
   bool operator==(const FrameView&) const = default;
 };
 
-std::vector<FrameView> ViewAll(const PhysicalMemory& ram) {
+// Every frame's word, and its page-sized slice of whichever of the
+// `backings` ever made still holds bytes (empty when none does).
+std::vector<FrameView> ViewAll(const PhysicalMemory& ram,
+                               const std::vector<FrameExtent>& backings) {
   std::vector<FrameView> out(ram.total_frames());
   for (Mfn m = 0; m < ram.total_frames(); ++m) {
-    out[m] = FrameView{ram.IsAllocated(m), ram.ReadWord(m).value(), ram.ReadPage(m).value()};
+    out[m] = FrameView{ram.IsAllocated(m), ram.ReadWord(m).value(), {}};
+  }
+  for (const FrameExtent& b : backings) {
+    auto bytes = ram.BackedExtent(b.base, b.count);
+    if (!bytes.ok()) {
+      continue;
+    }
+    for (Mfn m = b.base; m < b.end(); ++m) {
+      const auto page = bytes->subspan((m - b.base) * kPageSize, kPageSize);
+      out[m].page.assign(page.begin(), page.end());
+    }
   }
   return out;
 }
 
 bool HoldsData(const FrameView& v) { return v.word != 0 || !v.page.empty(); }
 
-// Generated extents holding content words, page payloads and backings go
-// through each of the four range drops. Against a per-frame model: exactly
-// the dropped frames read 0 / empty (a re-backed run reads a zeroed page),
-// and every other frame, the neighbours at base-1 and end included, reads
-// what it read before.
+// Generated extents holding content words, multi-frame backings and one-frame
+// backings (metadata-page style) go through each of the four range drops.
+// Against a per-frame model: exactly the dropped frames read 0 / empty (a
+// re-backed run reads a zeroed page), and every other frame, the neighbours
+// at base-1 and end included, reads what it read before.
 TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
   int neighbours_holding_data = 0;
   for (uint64_t seed = 1; seed <= 240; ++seed) {
@@ -366,6 +382,7 @@ TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
     ASSERT_FALSE(extents.empty());
     std::vector<FrameExtent> backings;
     for (const FrameExtent& e : extents) {
+      FrameExtent multi{e.base, 0, e.owner};
       if (rng.NextBool(0.4)) {
         const uint64_t skip = rng.NextBelow(e.count);
         const uint64_t frames = 1 + rng.NextBelow(e.count - skip);
@@ -374,18 +391,24 @@ TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
         for (size_t i = 0; i < span->size(); i += 509) {
           (*span)[i] = static_cast<uint8_t>(1 + rng.NextBelow(255));
         }
-        backings.push_back(FrameExtent{e.base + skip, frames, e.owner});
+        multi = FrameExtent{e.base + skip, frames, e.owner};
+        backings.push_back(multi);
       }
       for (Mfn m = e.base; m < e.end(); ++m) {
+        // Backing a frame drops its word, so the word goes in second.
+        if (rng.NextBool(0.3) && !multi.Contains(m)) {
+          auto page = ram.BackExtent(m, 1);
+          ASSERT_TRUE(page.ok());
+          (*page)[0] = static_cast<uint8_t>(m);
+          (*page)[1] = 0x5A;
+          backings.push_back(FrameExtent{m, 1, e.owner});
+        }
         if (rng.NextBool(0.6)) {
           ASSERT_TRUE(ram.WriteWord(m, 1 + rng.NextBelow(1000)).ok());
         }
-        if (rng.NextBool(0.3)) {
-          ASSERT_TRUE(ram.WritePage(m, {static_cast<uint8_t>(m), 0x5A}).ok());
-        }
       }
     }
-    const std::vector<FrameView> before = ViewAll(ram);
+    const std::vector<FrameView> before = ViewAll(ram, backings);
     std::vector<FrameView> want = before;
     auto drop = [&want](const FrameExtent& e) {
       for (Mfn m = e.base; m < e.end(); ++m) {
@@ -438,6 +461,7 @@ TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
         want[m] = FrameView{true, 0, std::vector<uint8_t>(kPageSize, 0)};
       }
       dropped.push_back(run);
+      backings.push_back(run);
     }
     for (const FrameExtent& e : dropped) {
       if (op != 3) {
@@ -446,7 +470,7 @@ TEST(PhysicalMemoryTest, RangeDropsClearExactlyTheDroppedFrames) {
       neighbours_holding_data += (e.base > 0 && HoldsData(before[e.base - 1])) ? 1 : 0;
       neighbours_holding_data += (e.end() < before.size() && HoldsData(before[e.end()])) ? 1 : 0;
     }
-    const std::vector<FrameView> got = ViewAll(ram);
+    const std::vector<FrameView> got = ViewAll(ram, backings);
     for (Mfn m = 0; m < got.size(); ++m) {
       ASSERT_EQ(got[m], want[m]) << "seed " << seed << " op " << op << " frame " << m;
     }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/hw/physical_memory.h"
 #include "src/pram/ledger.h"
 
@@ -96,10 +98,9 @@ TEST(TransplantLedgerTest, TornSlotFallsBackToPreviousGeneration) {
 
   // Tear generation 3's slot: Read() must fall back to generation 2 instead
   // of returning a half-written kCommitted record.
-  auto page = ram.ReadPage(ledger->frame());
+  auto page = ram.BackedExtent(ledger->frame(), 1);
   ASSERT_TRUE(page.ok());
   (*page)[TransplantLedger::SlotOffset(3) + 2] ^= 0xFF;
-  ASSERT_TRUE(ram.WritePage(ledger->frame(), std::move(*page)).ok());
 
   auto read = ledger->Read();
   ASSERT_TRUE(read.ok()) << read.error().ToString();
@@ -115,11 +116,10 @@ TEST(TransplantLedgerTest, BothSlotsTornIsDetectedDataLoss) {
   record.phase = TransplantPhase::kTranslated;
   ASSERT_TRUE(ledger->Commit(record).ok());
 
-  auto page = ram.ReadPage(ledger->frame());
+  auto page = ram.BackedExtent(ledger->frame(), 1);
   ASSERT_TRUE(page.ok());
   (*page)[TransplantLedger::SlotOffset(1) + 2] ^= 0xFF;
   (*page)[TransplantLedger::SlotOffset(2) + 2] ^= 0xFF;
-  ASSERT_TRUE(ram.WritePage(ledger->frame(), std::move(*page)).ok());
 
   auto read = ledger->Read();
   ASSERT_FALSE(read.ok());
@@ -183,10 +183,9 @@ TEST(TransplantLedgerTest, AssessDetectsTornSaveOverPreCommitBase) {
   record.pram_root = 0x1234;
   ASSERT_TRUE(ledger->Commit(record).ok());  // Generation 3.
 
-  auto page = ram.ReadPage(ledger->frame());
+  auto page = ram.BackedExtent(ledger->frame(), 1);
   ASSERT_TRUE(page.ok());
   (*page)[TransplantLedger::SlotOffset(3) + 2] ^= 0xFF;  // Tear generation 3.
-  ASSERT_TRUE(ram.WritePage(ledger->frame(), std::move(*page)).ok());
 
   // Read() alone would report generation 2 / kTranslated as if nothing newer
   // ever happened — exactly the ambiguity Assess() exists to resolve.
@@ -219,10 +218,9 @@ TEST(TransplantLedgerTest, AssessRefusesStaleCommitUnderTornNewerWrite) {
   record.phase = TransplantPhase::kComplete;
   ASSERT_TRUE(ledger->Commit(record).ok());  // Generation 3: supersedes it...
 
-  auto page = ram.ReadPage(ledger->frame());
+  auto page = ram.BackedExtent(ledger->frame(), 1);
   ASSERT_TRUE(page.ok());
   (*page)[TransplantLedger::SlotOffset(3) + 2] ^= 0xFF;  // ...but tore mid-write.
-  ASSERT_TRUE(ram.WritePage(ledger->frame(), std::move(*page)).ok());
 
   auto assessment = ledger->Assess();
   ASSERT_TRUE(assessment.ok()) << assessment.error().ToString();
@@ -239,11 +237,10 @@ TEST(TransplantLedgerTest, AssessBothSlotsTornIsScrubbed) {
   record.phase = TransplantPhase::kTranslated;
   ASSERT_TRUE(ledger->Commit(record).ok());
 
-  auto page = ram.ReadPage(ledger->frame());
+  auto page = ram.BackedExtent(ledger->frame(), 1);
   ASSERT_TRUE(page.ok());
   (*page)[TransplantLedger::SlotOffset(1) + 2] ^= 0xFF;
   (*page)[TransplantLedger::SlotOffset(2) + 2] ^= 0xFF;
-  ASSERT_TRUE(ram.WritePage(ledger->frame(), std::move(*page)).ok());
 
   auto assessment = ledger->Assess();
   ASSERT_TRUE(assessment.ok());
@@ -264,7 +261,9 @@ TEST(TransplantLedgerTest, OpenRejectsNonLedgerFrame) {
   PhysicalMemory ram(16 << 20);
   auto frame = ram.AllocFrame(FrameOwner{FrameOwnerKind::kPramMeta, 7});
   ASSERT_TRUE(frame.ok());
-  ASSERT_TRUE(ram.WritePage(*frame, std::vector<uint8_t>(64, 0xAB)).ok());
+  auto page = ram.BackExtent(*frame, 1);
+  ASSERT_TRUE(page.ok());
+  std::fill_n(page->begin(), 64, uint8_t{0xAB});
   EXPECT_FALSE(TransplantLedger::Open(ram, *frame).ok());
 }
 

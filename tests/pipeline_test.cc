@@ -146,8 +146,8 @@ TEST(ConversionParityTest, InPlaceAndMigrationReportTheSameUisrBytes) {
 TEST(PramStageTest, ScatteredUisrFileIsRefusedAtRestore) {
   // Every store path leaves a `uisr:` file as one contiguous frame run. A
   // file whose pages are scattered (here: the right bytes, page by page, in
-  // reverse frame order) is not silently reassembled; the restore refuses it
-  // with kDataLoss naming the file.
+  // reverse frame order, each page its own one-frame backing) is not silently
+  // reassembled; the restore refuses it with kDataLoss naming the file.
   Machine machine(MachineProfile::M1(), 41);
   auto [xen, id] = PausedXenVm(machine, 4343);
   FixupLog log;
@@ -163,9 +163,9 @@ TEST(PramStageTest, ScatteredUisrFileIsRefusedAtRestore) {
     const Mfn mfn = *base + (pages - 1 - gfn);
     const size_t from = gfn * kPageSize;
     const size_t to = std::min(blob.size(), from + kPageSize);
-    ASSERT_TRUE(machine.memory()
-                    .WritePage(mfn, std::vector<uint8_t>(blob.begin() + from, blob.begin() + to))
-                    .ok());
+    auto page = machine.memory().BackExtent(mfn, 1);
+    ASSERT_TRUE(page.ok());
+    std::copy(blob.begin() + from, blob.begin() + to, page->begin());
     entries.push_back(PramPageEntry{gfn, mfn, 0});
   }
   PramBuilder builder(machine.memory());
@@ -261,11 +261,13 @@ TEST(PramStageTest, ZeroCopyStoreIsByteIdenticalToLegacy) {
       EXPECT_TRUE(std::equal(view->begin(), view->end(), park_blobs[i].begin(),
                              park_blobs[i].end()))
           << "vm " << i << " threads=" << threads;
+      const Mfn first = file->entries.front().mfn;
+      auto backing = std::as_const(zc_machine.memory()).BackedExtent(first, file->entries.size());
+      ASSERT_TRUE(backing.ok()) << backing.error().ToString();
       std::vector<uint8_t> paged;
       for (const PramPageEntry& e : file->entries) {
-        auto page = zc_machine.memory().ReadPage(e.mfn);
-        ASSERT_TRUE(page.ok());
-        paged.insert(paged.end(), page->begin(), page->end());
+        const auto page = backing->subspan((e.mfn - first) * kPageSize, kPageSize);
+        paged.insert(paged.end(), page.begin(), page.end());
       }
       paged.resize(file->size_bytes);
       EXPECT_EQ(paged, park_blobs[i]);

@@ -2,18 +2,25 @@
 // build -> finalize -> parse (with its preservation list) -> scrub, seeded
 // and parameterized.
 //
-// The layout fuzz runs ten fixed seeds. HYPERTP_PRAM_FUZZ_SEEDS=<n> (n > 0)
-// runs n seeds instead (the ten, then 100, 101, ...), for long runs such as
-// the sanitized one in tests/run_sanitized.sh.
+// A second fuzz edits a valid structure's metadata pages in place (counts,
+// chain pointers, entry bits, name lengths, single bits), reseals each page's
+// CRC, and checks that ParsePram either parses the result or refuses it with
+// kDataLoss. The cycles it found have named regression tests here.
+//
+// Both fuzzes run ten fixed seeds. HYPERTP_PRAM_FUZZ_SEEDS=<n> (n > 0) runs n
+// seeds instead (the ten, then 100, 101, ...), for long runs such as the
+// sanitized ones in tests/run_sanitized.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/base/crc32.h"
@@ -213,6 +220,297 @@ TEST(PramPreservationListTest, FailedParseLeavesTheListUntouched) {
   ASSERT_FALSE(image.ok());
   EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
   EXPECT_EQ(preserve, sentinel);
+}
+
+// Little-endian field access on a metadata page, for the edits below.
+uint64_t GetLe(std::span<const uint8_t> page, size_t at, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(page[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+void PutLe(std::span<uint8_t> page, size_t at, size_t width, uint64_t v) {
+  for (size_t i = 0; i < width; ++i) {
+    page[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Seals an edited metadata page the way PramBuilder does: a CRC-32 over the
+// whole 4 KiB page with the CRC field (bytes 4-7) zeroed, stored there.
+void Reseal(std::span<uint8_t> page) {
+  PutLe(page, 4, 4, 0);
+  PutLe(page, 4, 4, Crc32(page));
+}
+
+std::span<uint8_t> MetadataPage(PhysicalMemory& ram, Mfn mfn) {
+  auto page = ram.BackedExtent(mfn, 1);
+  EXPECT_TRUE(page.ok()) << "mfn " << mfn;
+  return page.ok() ? *page : std::span<uint8_t>{};
+}
+
+// A node page whose `next` names itself: the walk must refuse the cycle, not
+// grow the file's entry list until allocation fails.
+TEST(PramParseTest, SelfLinkedNodePageIsDataLoss) {
+  PhysicalMemory ram(64 << 20);
+  const Mfn guest = ram.Alloc(8, 1, FrameOwner{FrameOwnerKind::kGuest, 1}).value();
+  PramBuilder builder(ram);
+  ASSERT_TRUE(builder.AddFile("vm", 8 * kPageSize, false, {PramPageEntry{0, guest, 0}}).ok());
+  auto handle = builder.Finalize();
+  ASSERT_TRUE(handle.ok());
+  ASSERT_EQ(handle->metadata_pages, 3u);  // Node, file info, root.
+
+  const Mfn node = handle->extents.front().base;  // Node chains are laid out first.
+  const std::span<uint8_t> page = MetadataPage(ram, node);
+  ASSERT_EQ(GetLe(page, 8, 8), 0u);
+  PutLe(page, 8, 8, node);
+  Reseal(page);
+
+  auto image = ParsePram(ram, handle->root_mfn);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
+  EXPECT_NE(image.error().message().find("cycle"), std::string::npos)
+      << image.error().ToString();
+}
+
+// 510 files need two root pages; the second one linked back to the head
+// closes the root chain into a loop the walk must refuse.
+TEST(PramParseTest, RootChainCycleIsDataLoss) {
+  PhysicalMemory ram(64 << 20);
+  PramBuilder builder(ram);
+  for (int i = 0; i < 510; ++i) {
+    ASSERT_TRUE(builder.AddFile("vm-" + std::to_string(i), 0, false, {}).ok());
+  }
+  auto handle = builder.Finalize();
+  ASSERT_TRUE(handle.ok());
+  ASSERT_EQ(handle->metadata_pages, 512u);  // 510 file-info pages and two roots.
+
+  const Mfn head = handle->root_mfn;
+  const Mfn second = GetLe(MetadataPage(ram, head), 8, 8);
+  ASSERT_NE(second, 0u);
+  const std::span<uint8_t> tail = MetadataPage(ram, second);
+  ASSERT_EQ(GetLe(tail, 8, 8), 0u);  // The chain ends at the second root.
+  PutLe(tail, 8, 8, head);
+  Reseal(tail);
+
+  auto image = ParsePram(ram, head);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
+  EXPECT_NE(image.error().message().find("cycle"), std::string::npos)
+      << image.error().ToString();
+}
+
+// Page magics and capacities from docs/PRAM_FORMAT.md.
+constexpr uint32_t kRootMagic = 0x4D415250;
+constexpr uint32_t kFileMagic = 0x49465250;
+constexpr uint32_t kNodeMagic = 0x444E5250;
+constexpr uint64_t kRootCapacity = 509;
+constexpr uint64_t kNodeCapacity = 508;
+
+// A count near the true one, at the page's capacity, at the field's edge, or
+// anywhere up to twice the capacity.
+uint64_t MutatedCount(Rng& rng, uint64_t truth, uint64_t capacity, uint64_t field_max) {
+  switch (rng.NextBelow(7)) {
+    case 0:
+      return 0;
+    case 1:
+      return truth + 1;
+    case 2:
+      return truth - 1;  // Wraps to the field's maximum at zero.
+    case 3:
+      return capacity;
+    case 4:
+      return capacity + 1;
+    case 5:
+      return field_max;
+    default:
+      return rng.NextBelow(2 * capacity + 2);
+  }
+}
+
+// A valid PRAM structure with every page shape the parser meets, and the
+// frames an edited pointer may be aimed at.
+struct MutationBed {
+  struct Page {
+    Mfn mfn = 0;
+    uint32_t magic = 0;
+    std::vector<uint8_t> clean;
+  };
+
+  explicit MutationBed(PhysicalMemory& ram) {
+    PramBuilder builder(ram);
+    const FrameOwner guest{FrameOwnerKind::kGuest, 1};
+    // Order-0 entries in 40-frame chunks with GFN holes between them: skip
+    // words, and more words than one node page holds.
+    std::vector<PramPageEntry> scattered;
+    Gfn gfn = 0;
+    for (int chunk = 0; chunk < 15; ++chunk) {
+      const Mfn base = ram.Alloc(40, 1, guest).value();
+      for (uint64_t i = 0; i < 40; ++i) {
+        scattered.push_back(PramPageEntry{gfn + i, base + i, 0});
+      }
+      guest_frames.push_back(base);
+      gfn += 40 + 3;
+    }
+    EXPECT_TRUE(builder.AddFile("vm:1", gfn * kPageSize, false, scattered).ok());
+    // Two order-9 entries and an order-0 tail.
+    const Mfn huge = ram.Alloc(2 * kFramesPerHugePage + 2, kFramesPerHugePage, guest).value();
+    guest_frames.push_back(huge);
+    std::vector<PramPageEntry> huge_entries;
+    BuildEntriesForRange(0, huge, 2 * kFramesPerHugePage + 2, true, huge_entries);
+    EXPECT_TRUE(
+        builder.AddFile("vm:2", huge_entries.size() * kPageSize, true, huge_entries).ok());
+    // A one-frame parked blob: a backed frame that is not a metadata page.
+    uisr_frame = ram.Alloc(1, 1, FrameOwner{FrameOwnerKind::kUisr, 1}).value();
+    std::span<uint8_t> blob = ram.BackExtent(uisr_frame, 1).value();
+    std::fill(blob.begin(), blob.begin() + 100, uint8_t{0x5C});
+    EXPECT_TRUE(builder.AddFile("uisr:1", 100, false, {PramPageEntry{0, uisr_frame, 0}}).ok());
+    // A file with no entries: an empty node chain.
+    EXPECT_TRUE(builder.AddFile("vm:3", 0, false, {}).ok());
+
+    auto handle = builder.Finalize();
+    EXPECT_TRUE(handle.ok());
+    root = handle->root_mfn;
+    for (const FrameExtent& e : handle->extents) {
+      const std::span<uint8_t> page = MetadataPage(ram, e.base);
+      pages.push_back(Page{e.base, static_cast<uint32_t>(GetLe(page, 0, 4)),
+                           std::vector<uint8_t>(page.begin(), page.end())});
+    }
+  }
+
+  // Where an edited pointer goes: the page itself, the root (which the walk
+  // always passes first), any metadata page, a guest frame, the parked blob,
+  // past the end of RAM, or the end of the chain.
+  Mfn PointerTarget(Rng& rng, const PhysicalMemory& ram, Mfn self) const {
+    switch (rng.NextBelow(7)) {
+      case 0:
+        return self;
+      case 1:
+        return root;
+      case 2:
+        return pages[rng.NextBelow(pages.size())].mfn;
+      case 3:
+        return guest_frames[rng.NextBelow(guest_frames.size())] + rng.NextBelow(40);
+      case 4:
+        return uisr_frame;
+      case 5:
+        return rng.NextBool(0.5) ? ram.total_frames() + rng.NextBelow(4)
+                                 : std::numeric_limits<uint64_t>::max() >> rng.NextBelow(16);
+      default:
+        return 0;
+    }
+  }
+
+  Mfn root = 0;
+  Mfn uisr_frame = 0;
+  std::vector<Mfn> guest_frames;
+  std::vector<Page> pages;
+};
+
+// One edit of `page` (whose clean bytes are `clean`), chosen by `rng`.
+void EditPage(Rng& rng, const PhysicalMemory& ram, const MutationBed& bed,
+              const MutationBed::Page& clean, std::span<uint8_t> page) {
+  const uint32_t magic = clean.magic;
+  // File-info fields sit after the variable-length name.
+  const size_t name_len = magic == kFileMagic ? GetLe(clean.clean, 16, 4) : 0;
+  const size_t first_node_at = 29 + name_len;
+  const size_t entry_count_at = 37 + name_len;
+  switch (rng.NextBelow(6)) {
+    case 0:  // Root and node counts; a file's entry_count.
+      if (magic == kFileMagic) {
+        const uint64_t truth = GetLe(clean.clean, entry_count_at, 8);
+        PutLe(page, entry_count_at, 8,
+              MutatedCount(rng, truth, 2 * truth + 1, std::numeric_limits<uint64_t>::max()));
+      } else {
+        PutLe(page, 16, 4,
+              MutatedCount(rng, GetLe(clean.clean, 16, 4),
+                           magic == kRootMagic ? kRootCapacity : kNodeCapacity,
+                           std::numeric_limits<uint32_t>::max()));
+      }
+      return;
+    case 1:  // A chain pointer: root and node `next`, a file's first node.
+      PutLe(page, magic == kFileMagic ? first_node_at : 8, 8,
+            bed.PointerTarget(rng, ram, clean.mfn));
+      return;
+    case 2:  // A file-info pointer in a root page.
+      if (magic == kRootMagic) {
+        const uint64_t count = GetLe(clean.clean, 16, 4);
+        PutLe(page, 20 + 8 * rng.NextBelow(count), 8, bed.PointerTarget(rng, ram, clean.mfn));
+        return;
+      }
+      break;
+    case 3:  // Entry type (bits 63..60) or order (bits 51..48) of a node word.
+      if (magic == kNodeMagic) {
+        const size_t at = 20 + 8 * rng.NextBelow(GetLe(clean.clean, 16, 4));
+        const uint64_t word = GetLe(page, at, 8);
+        const int shift = rng.NextBool(0.5) ? 60 : 48;
+        PutLe(page, at, 8, (word & ~(uint64_t{0xF} << shift)) | (rng.NextBelow(16) << shift));
+        return;
+      }
+      break;
+    case 4:  // A file's name length.
+      if (magic == kFileMagic) {
+        const uint64_t pick = rng.NextBelow(4);
+        PutLe(page, 16, 4,
+              pick == 0   ? name_len + 1 + rng.NextBelow(8)
+              : pick == 1 ? name_len - 1
+              : pick == 2 ? std::numeric_limits<uint32_t>::max()
+                          : rng.NextBelow(kPageSize + 64));
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  // A single bit anywhere in the page, header, payload and zero tail alike.
+  page[rng.NextBelow(kPageSize)] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+}
+
+TEST(PramFuzzTest, ResealedMutationsParseOrFail) {
+  PhysicalMemory ram(64 << 20);
+  const MutationBed bed(ram);
+  ASSERT_GE(bed.pages.size(), 9u);  // One root, four file-info pages, four node pages.
+  ASSERT_TRUE(ParsePram(ram, bed.root).ok());
+
+  int cases = 0;
+  int parsed = 0;
+  int cycles = 0;
+  for (const uint64_t seed : LayoutSeeds()) {
+    Rng rng(seed ^ 0x9A5E);
+    for (int c = 0; c < 64; ++c) {
+      std::vector<size_t> touched;
+      const int edits = static_cast<int>(rng.NextInRange(1, 3));
+      for (int e = 0; e < edits; ++e) {
+        const size_t victim = rng.NextBelow(bed.pages.size());
+        const std::span<uint8_t> page = MetadataPage(ram, bed.pages[victim].mfn);
+        EditPage(rng, ram, bed, bed.pages[victim], page);
+        Reseal(page);
+        touched.push_back(victim);
+      }
+      std::vector<FrameExtent> preserve;
+      auto image = ParsePram(ram, bed.root, &preserve);
+      if (image.ok()) {
+        ++parsed;
+      } else {
+        ASSERT_EQ(image.error().code(), ErrorCode::kDataLoss)
+            << "seed " << seed << " case " << c << ": " << image.error().ToString();
+        cycles += image.error().message().find("cycle") != std::string::npos ? 1 : 0;
+      }
+      ++cases;
+      for (const size_t victim : touched) {
+        const std::vector<uint8_t>& clean = bed.pages[victim].clean;
+        std::copy(clean.begin(), clean.end(), MetadataPage(ram, bed.pages[victim].mfn).begin());
+      }
+    }
+  }
+  // Both outcomes occur, and the pointer edits reach the cycle check.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, cases);
+  EXPECT_GT(cycles, 0);
+  RecordProperty("cases", cases);
+  RecordProperty("parsed", parsed);
+  RecordProperty("cycles", cycles);
 }
 
 // Differential fuzz of the CRC32 implementations against the bitwise

@@ -197,19 +197,19 @@ TEST(PramParseTest, CorruptedNodePageIsDataLoss) {
   // Clobber one metadata page (not the root: pick the first extent, which is
   // a node page because builders lay out node chains first).
   Mfn victim = handle->extents.front().base;
-  auto bytes = ram.ReadPage(victim).value();
-  ASSERT_FALSE(bytes.empty());
-  bytes[bytes.size() / 2] ^= 0xFF;
-  ASSERT_TRUE(ram.WritePage(victim, bytes).ok());
+  auto page = ram.BackedExtent(victim, 1);
+  ASSERT_TRUE(page.ok());
+  (*page)[kPageSize / 2] ^= 0xFF;
 
   auto image = ParsePram(ram, handle->root_mfn);
   ASSERT_FALSE(image.ok());
   EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
 }
 
-// The page CRC is computed with its own field zeroed, so the check streams
-// over the bytes around it: a flip in the stored CRC itself (bytes 4-7) or in
-// the last payload byte must still be caught.
+// The page CRC is computed over the whole page with its own field zeroed,
+// so the check streams over the bytes around it: a flip in the stored CRC
+// itself (bytes 4-7), in the last payload byte or in the page's zero tail
+// must still be caught.
 TEST(PramParseTest, FlippedCrcFieldOrLastPayloadByteIsDataLoss) {
   PhysicalMemory ram(64 << 20);
   auto map = AllocGuest(ram, 64);
@@ -219,25 +219,27 @@ TEST(PramParseTest, FlippedCrcFieldOrLastPayloadByteIsDataLoss) {
   ASSERT_TRUE(handle.ok());
 
   const Mfn node = handle->extents.front().base;  // Node chains are laid out first.
-  const std::vector<uint8_t> clean = ram.ReadPage(node).value();
+  auto page = ram.BackedExtent(node, 1);
+  ASSERT_TRUE(page.ok());
+  ASSERT_EQ(page->size(), kPageSize);
   // Node page: magic u32, crc u32, next u64, count u32, then count u64 words.
-  const uint32_t words = clean[16] | clean[17] << 8 | clean[18] << 16 |
-                         static_cast<uint32_t>(clean[19]) << 24;
+  const std::span<uint8_t> bytes = *page;
+  const uint32_t words = bytes[16] | bytes[17] << 8 | bytes[18] << 16 |
+                         static_cast<uint32_t>(bytes[19]) << 24;
   ASSERT_GT(words, 0u);
   const size_t last_payload = 20 + 8 * static_cast<size_t>(words) - 1;
-  ASSERT_LT(last_payload, clean.size());
-  for (const size_t at : {size_t{4}, size_t{5}, size_t{6}, size_t{7}, last_payload}) {
+  ASSERT_LT(last_payload + 1, kPageSize);  // The page has a zero tail.
+  for (const size_t at : {size_t{4}, size_t{5}, size_t{6}, size_t{7}, last_payload,
+                          last_payload + 1, kPageSize - 1}) {
     SCOPED_TRACE("byte " + std::to_string(at));
-    std::vector<uint8_t> bytes = clean;
     bytes[at] ^= 0x01;
-    ASSERT_TRUE(ram.WritePage(node, bytes).ok());
     auto image = ParsePram(ram, handle->root_mfn);
+    bytes[at] ^= 0x01;
     ASSERT_FALSE(image.ok());
     EXPECT_EQ(image.error().code(), ErrorCode::kDataLoss);
     EXPECT_NE(image.error().message().find("CRC mismatch"), std::string::npos)
         << image.error().ToString();
   }
-  ASSERT_TRUE(ram.WritePage(node, clean).ok());
   EXPECT_TRUE(ParsePram(ram, handle->root_mfn).ok());
 }
 

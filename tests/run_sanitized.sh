@@ -34,7 +34,13 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 # ParsePram is the decoder every in-place boot runs, and it builds the
 # scrubber's preservation list in the same walk: run its layout fuzz (round
 # trip plus the differential check of that list) at 1 000 seeds, not ten.
-HYPERTP_PRAM_FUZZ_SEEDS=1000 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1
+HYPERTP_PRAM_FUZZ_SEEDS=1000 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1 \
+  --gtest_filter='Seeds/PramFuzzTest.*'
+# The resealed PRAM mutator (counts, chain pointers, entry type and order
+# bits, name lengths, entry counts, single bits; each page's CRC recomputed)
+# at 200 seeds, 12 800 cases, so the walk is checked past the page CRC.
+HYPERTP_PRAM_FUZZ_SEEDS=200 "${build_dir}/tests/pram_fuzz_test" --gtest_brief=1 \
+  --gtest_filter='PramFuzzTest.ResealedMutationsParseOrFail'
 # Checkpoints arrive from outside the host: run the resealed-mutation fuzz
 # (page count, UISR length prefix, version, truncations) at 200 seeds, over
 # 10^4 cases, so every length the parser trusts is checked under ASan/UBSan.
